@@ -6,7 +6,6 @@ between reduced divisors and spanning trees, the Jacobian group with
 uniform tree sampling, the dollar game, and exact metric-graph reduction.
 """
 
-from ._kernels import active_backend, available_backends
 from .graph import (
     Divisor,
     FiringScript,

@@ -1,71 +1,20 @@
-"""Hot integer kernels with numba and pure-Python backends.
+"""The burning kernels behind reduction and the tree bijection.
 
 The burning loops (Dhar scans, borrowing, set-firing fixpoints and the two
-tree-bijection burns) dominate runtime on large graphs.  Each kernel exists
-twice: an @njit int64 version and a plain-Python version on lists with
-unbounded ints.  CHIPFIRE_BACKEND=python|numba picks the default; the
-Python path is also chosen automatically when chip counts would overflow
-int64.
-
-All kernels use the same deterministic tie-breaks (lowest vertex index,
-lowest edge index) so both backends produce identical outputs, which the
-test suite checks.
+tree-bijection burns) run on the graph's CSR incidence lists with Python
+ints, so chip counts of any size stay exact.  Every kernel uses the same
+deterministic tie-breaks (lowest vertex index, lowest edge index), which
+make burn orders, fired sets and the bijection canonical.
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
-
-try:
-    import numba as nb
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install dep
-    nb = None
-    HAVE_NUMBA = False
-
-_ENV_FLAG = "CHIPFIRE_BACKEND"
-_INT64_SAFE = 2**62
-
-
-def available_backends():
-    out = ["python"]
-    if HAVE_NUMBA:
-        out.append("numba")
-    return tuple(out)
-
-def active_backend():
-    """Backend chosen by the environment flag, defaulting to numba."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "":
-        return "numba" if HAVE_NUMBA else "python"
-    if choice not in ("python", "numba"):
-        raise ValueError(f"{_ENV_FLAG} must be 'python' or 'numba', got {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return choice
-
-
-def _resolve(backend, dvals):
-    if backend is None:
-        backend = active_backend()
-    elif backend not in ("python", "numba"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        if any(abs(int(x)) >= _INT64_SAFE for x in dvals):
-            backend = "python"  # chip counts too large for int64 arithmetic
-    return backend
 
 
 # ---------------------------------------------------------------------------
 # Dhar burn: q burns first; v burns when (edges to burnt) > D(v).
 # Lowest-index-first rescans keep the order canonical.
 
-def _burn_py(indptr, nbr, d, q):
+def _burn(indptr, nbr, d, q):
     n = len(d)
     burnt = [False] * n
     cnt = [0] * n
@@ -87,43 +36,9 @@ def _burn_py(indptr, nbr, d, q):
     return order
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _burn_nb(indptr, nbr, d, q):  # pragma: no cover - jitted
-        n = d.shape[0]
-        burnt = np.zeros(n, dtype=np.bool_)
-        cnt = np.zeros(n, dtype=np.int64)
-        order = np.empty(n, dtype=np.int64)
-        order[0] = q
-        size = 1
-        burnt[q] = True
-        for k in range(indptr[q], indptr[q + 1]):
-            cnt[nbr[k]] += 1
-        progress = True
-        while progress:
-            progress = False
-            for v in range(n):
-                if not burnt[v] and cnt[v] > d[v]:
-                    burnt[v] = True
-                    order[size] = v
-                    size += 1
-                    for k in range(indptr[v], indptr[v + 1]):
-                        cnt[nbr[k]] += 1
-                    progress = True
-                    break
-        return order[:size]
-
-
-def burn(G, dvals, q, backend=None):
+def burn(G, dvals, q):
     """Burn order as a list of vertices, starting at q."""
-    backend = _resolve(backend, dvals)
-    if backend == "numba":
-        arr = _burn_nb(
-            G._indptr, G._nbr, np.asarray(dvals, dtype=np.int64), q
-        )
-        return [int(v) for v in arr]
-    return _burn_py(G._indptr.tolist(), G._nbr.tolist(), list(dvals), q)
+    return _burn(G._indptr, G._nbr, list(dvals), q)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +46,11 @@ def burn(G, dvals, q, backend=None):
 # (other than q) until none remains.  Borrowing at v adds deg(v) chips at v
 # and removes one chip across each incident edge.
 
-def _borrow_py(indptr, nbr, d, q):
+def borrow_until_effective(G, dvals, q):
+    """(new chips, per-vertex borrow counts, total borrows)."""
+    indptr, nbr = G._indptr, G._nbr
+    d = list(dvals)
     n = len(d)
-    d = list(d)
     counts = [0] * n
     total = 0
     while True:
@@ -152,50 +69,18 @@ def _borrow_py(indptr, nbr, d, q):
     return d, counts, total
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _borrow_nb(indptr, nbr, d, q):  # pragma: no cover - jitted
-        n = d.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
-        total = 0
-        while True:
-            v = -1
-            for u in range(n):
-                if u != q and d[u] < 0:
-                    v = u
-                    break
-            if v < 0:
-                break
-            counts[v] += 1
-            total += 1
-            d[v] += indptr[v + 1] - indptr[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                d[nbr[k]] -= 1
-        return d, counts, total
-
-
-def borrow_until_effective(G, dvals, q, backend=None):
-    """(new chips, per-vertex borrow counts, total borrows)."""
-    backend = _resolve(backend, dvals)
-    if backend == "numba":
-        d, counts, total = _borrow_nb(
-            G._indptr, G._nbr, np.asarray(dvals, dtype=np.int64), q
-        )
-        return [int(x) for x in d], [int(x) for x in counts], int(total)
-    return _borrow_py(G._indptr.tolist(), G._nbr.tolist(), list(dvals), q)
-
-
 # ---------------------------------------------------------------------------
 # Step 3: run the burn; if vertices stay unburnt, fire all of them as one
-# set and repeat.  The flat buffer records each fired set for the report.
+# set and repeat.
 
-def _fire_py(indptr, nbr, d, q):
+def fire_until_reduced(G, dvals, q):
+    """(new chips, list of fired sets in order)."""
+    indptr, nbr = G._indptr, G._nbr
+    d = list(dvals)
     n = len(d)
-    d = list(d)
     sets = []
     while True:
-        order = _burn_py(indptr, nbr, d, q)
+        order = _burn(indptr, nbr, d, q)
         if len(order) == n:
             break
         burnt = [False] * n
@@ -212,78 +97,15 @@ def _fire_py(indptr, nbr, d, q):
     return d, sets
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _fire_nb(indptr, nbr, d, q):  # pragma: no cover - jitted
-        n = d.shape[0]
-        flat = np.empty(1024, dtype=np.int64)
-        offsets = np.empty(64, dtype=np.int64)
-        offsets[0] = 0
-        nsets = 0
-        pos = 0
-        while True:
-            burnt = np.zeros(n, dtype=np.bool_)
-            cnt = np.zeros(n, dtype=np.int64)
-            burnt[q] = True
-            nburnt = 1
-            for k in range(indptr[q], indptr[q + 1]):
-                cnt[nbr[k]] += 1
-            progress = True
-            while progress:
-                progress = False
-                for v in range(n):
-                    if not burnt[v] and cnt[v] > d[v]:
-                        burnt[v] = True
-                        nburnt += 1
-                        for k in range(indptr[v], indptr[v + 1]):
-                            cnt[nbr[k]] += 1
-                        progress = True
-                        break
-            if nburnt == n:
-                break
-            if pos + n > flat.shape[0]:
-                grown = np.empty(max(2 * flat.shape[0], pos + n), dtype=np.int64)
-                grown[:pos] = flat[:pos]
-                flat = grown
-            if nsets + 2 > offsets.shape[0]:
-                grown2 = np.empty(2 * offsets.shape[0], dtype=np.int64)
-                grown2[: nsets + 1] = offsets[: nsets + 1]
-                offsets = grown2
-            for v in range(n):
-                if not burnt[v]:
-                    flat[pos] = v
-                    pos += 1
-                    for k in range(indptr[v], indptr[v + 1]):
-                        w = nbr[k]
-                        if burnt[w]:
-                            d[v] -= 1
-                            d[w] += 1
-            nsets += 1
-            offsets[nsets] = pos
-        return d, flat[:pos], offsets[: nsets + 1]
-
-
-def fire_until_reduced(G, dvals, q, backend=None):
-    """(new chips, list of fired sets in order)."""
-    backend = _resolve(backend, dvals)
-    if backend == "numba":
-        d, flat, offsets = _fire_nb(
-            G._indptr, G._nbr, np.asarray(dvals, dtype=np.int64), q
-        )
-        sets = []
-        for i in range(len(offsets) - 1):
-            sets.append(tuple(int(v) for v in flat[offsets[i]:offsets[i + 1]]))
-        return [int(x) for x in d], sets
-    return _fire_py(G._indptr.tolist(), G._nbr.tolist(), list(dvals), q)
-
-
 # ---------------------------------------------------------------------------
 # Tree bijection burns.  Both scans pick the lowest-index unprocessed edge
 # with exactly one endpoint reached, which makes the edge sequence (and so
 # the sets R, T) canonical.
 
-def _tree_burn_py(eu, ev, a, q, n):
+def tree_from_reduced(G, dvals, q):
+    """Burn a reduced divisor into (tree edge list, R mask); None if stalled."""
+    eu, ev, n = G._eu, G._ev, G.n
+    a = list(dvals)
     m = len(eu)
     in_x = [False] * n
     in_x[q] = True
@@ -310,58 +132,9 @@ def _tree_burn_py(eu, ev, a, q, n):
     return tree, in_r
 
 
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _tree_burn_nb(eu, ev, a, q, n):  # pragma: no cover - jitted
-        m = eu.shape[0]
-        in_x = np.zeros(n, dtype=np.bool_)
-        in_x[q] = True
-        reached = 1
-        in_r = np.zeros(m, dtype=np.bool_)
-        rcount = np.zeros(n, dtype=np.int64)
-        tree = np.empty(n - 1, dtype=np.int64)
-        tsize = 0
-        while reached < n:
-            f = -1
-            for e in range(m):
-                if not in_r[e] and (in_x[eu[e]] != in_x[ev[e]]):
-                    f = e
-                    break
-            if f < 0:
-                return tree[:0], in_r, False
-            t = ev[f] if in_x[eu[f]] else eu[f]
-            if a[t] == rcount[t]:
-                in_x[t] = True
-                reached += 1
-                tree[tsize] = f
-                tsize += 1
-            in_r[f] = True
-            rcount[eu[f]] += 1
-            rcount[ev[f]] += 1
-        return tree[:tsize], in_r, True
-
-
-def tree_from_reduced(G, dvals, q, backend=None):
-    """Burn a reduced divisor into (tree edge list, R mask); None if stalled."""
-    backend = _resolve(backend, dvals)
-    eu = [e[0] for e in G.edges]
-    ev = [e[1] for e in G.edges]
-    if backend == "numba":
-        tree, in_r, ok = _tree_burn_nb(
-            np.asarray(eu, dtype=np.int64),
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(dvals, dtype=np.int64),
-            q,
-            G.n,
-        )
-        if not ok:
-            return None, None
-        return [int(e) for e in tree], [bool(x) for x in in_r]
-    return _tree_burn_py(eu, ev, list(dvals), q, G.n)
-
-
-def _divisor_burn_py(eu, ev, tree_mask, q, n):
+def divisor_from_tree(G, tree_mask, q):
+    """Burn a spanning tree into (chip counts with a[q]=0, R mask)."""
+    eu, ev, n = G._eu, G._ev, G.n
     m = len(eu)
     in_x = [False] * n
     in_x[q] = True
@@ -386,50 +159,3 @@ def _divisor_burn_py(eu, ev, tree_mask, q, n):
         rcount[eu[f]] += 1
         rcount[ev[f]] += 1
     return a, in_r
-
-
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _divisor_burn_nb(eu, ev, tree_mask, q, n):  # pragma: no cover - jitted
-        m = eu.shape[0]
-        in_x = np.zeros(n, dtype=np.bool_)
-        in_x[q] = True
-        reached = 1
-        in_r = np.zeros(m, dtype=np.bool_)
-        rcount = np.zeros(n, dtype=np.int64)
-        a = np.zeros(n, dtype=np.int64)
-        while reached < n:
-            f = -1
-            for e in range(m):
-                if not in_r[e] and (in_x[eu[e]] != in_x[ev[e]]):
-                    f = e
-                    break
-            if f < 0:
-                break
-            if tree_mask[f]:
-                t = ev[f] if in_x[eu[f]] else eu[f]
-                a[t] = rcount[t]
-                in_x[t] = True
-                reached += 1
-            in_r[f] = True
-            rcount[eu[f]] += 1
-            rcount[ev[f]] += 1
-        return a, in_r
-
-
-def divisor_from_tree(G, tree_mask, q, backend=None):
-    """Burn a spanning tree into (chip counts with a[q]=0, R mask)."""
-    backend = _resolve(backend, [0])
-    eu = [e[0] for e in G.edges]
-    ev = [e[1] for e in G.edges]
-    if backend == "numba":
-        a, in_r = _divisor_burn_nb(
-            np.asarray(eu, dtype=np.int64),
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(tree_mask, dtype=np.bool_),
-            q,
-            G.n,
-        )
-        return [int(x) for x in a], [bool(x) for x in in_r]
-    return _divisor_burn_py(eu, ev, list(tree_mask), q, G.n)

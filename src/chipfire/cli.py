@@ -2,9 +2,9 @@
 
 Subcommands wrap the library: check-reduced, reduce, to-tree, from-tree,
 count-trees, jacobian, sample-tree, group-add, winnable, rank, bounds,
-metric-check, metric-reduce, bench.  Every command (except bench) emits a
-RunReport in text or JSON; reports are deterministic given the same inputs
-and seed, except for the wall_time_ms field.
+metric-check, metric-reduce.  Every command emits a RunReport in text or
+JSON; reports are deterministic given the same inputs and seed, except for
+the wall_time_ms field.
 
 Exit codes: 0 success, 1 negative decision (not reduced / not winnable /
 rank below threshold) or internal failure, 2 malformed input or violated
@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels, metric, reduction, treebij
+from . import metric, reduction, treebij
 from .jacobian import (
     count_spanning_trees,
     group_add,
@@ -39,7 +38,6 @@ from .formats import (
     parse_divisor_arg,
     parse_point,
 )
-from .graph import Divisor, Graph
 
 
 class InputError(ValueError):
@@ -401,60 +399,6 @@ def run(args):
 
 
 # --------------------------------------------------------------------------
-# Benchmark: same inputs through both backends, outputs must agree.
-
-def _random_multigraph(n, m, rng):
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]  # random spanning tree
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((u, v))
-    return Graph(n, edges)
-
-
-def _bench_once(G, D, q, backend):
-    t0 = time.perf_counter()
-    rep = reduction.reduce(G, q, D, backend=backend)
-    t1 = time.perf_counter()
-    tree = treebij.divisor_to_tree(G, q, rep.result, backend=backend)
-    t2 = time.perf_counter()
-    back = treebij.tree_to_divisor(G, q, tree, d=D.degree, backend=backend)
-    t3 = time.perf_counter()
-    outcome = (rep.result, tuple(sorted(tree.tree_edges)), back)
-    return outcome, {"reduce": t1 - t0, "to-tree": t2 - t1, "from-tree": t3 - t2}
-
-
-def bench(sizes, reps, seed, out_stream):
-    """CSV benchmark of the hot kernels across available backends."""
-    backends = _kernels.available_backends()
-    rng = random.Random(seed)
-    rows = ["n,m,op,backend,reps,best_seconds,mean_seconds"]
-    for n in sizes:
-        m = 3 * n
-        G = _random_multigraph(n, m, rng)
-        D = Divisor([rng.randrange(-2 * n, 2 * n) for _ in range(n)])
-        q = 0
-        baseline = None
-        for backend in backends:
-            _bench_once(G, D, q, backend)  # warm up (JIT compile, caches)
-            times = {}
-            for _ in range(reps):
-                outcome, spans = _bench_once(G, D, q, backend)
-                if baseline is None:
-                    baseline = outcome
-                elif outcome != baseline:
-                    raise AssertionError(f"backend {backend} disagrees on n={n}")
-                for op, span in spans.items():
-                    times.setdefault(op, []).append(span)
-            for op, series in times.items():
-                rows.append(
-                    f"{n},{G.m},{op},{backend},{reps},"
-                    f"{min(series):.6f},{sum(series) / len(series):.6f}"
-                )
-    out_stream.write("\n".join(rows) + "\n")
-
-
-# --------------------------------------------------------------------------
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -519,26 +463,12 @@ def build_parser():
     add("metric-reduce", "metric reduction with the full move log",
         divisor=True)
 
-    b = sub.add_parser("bench", help="compare python and numba backends")
-    b.add_argument("--sizes", default="100,200,400",
-                   help="comma-separated graph sizes")
-    b.add_argument("--reps", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", default=None, help="CSV path (default stdout)")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        sizes = [int(t) for t in args.sizes.replace(",", " ").split()]
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                bench(sizes, args.reps, args.seed, fh)
-        else:
-            bench(sizes, args.reps, args.seed, sys.stdout)
-        return 0
     try:
         report, code = run(args)
     except InputError as exc:

@@ -24,7 +24,7 @@ class Graph:
     rejected.  n = 1 with no edges is the smallest legal graph.
     """
 
-    __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx")
+    __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx", "_eu", "_ev")
 
     def __init__(self, n, edges):
         n = int(n)
@@ -49,14 +49,12 @@ class Graph:
         self.deg = tuple(deg)
 
         # CSR-style incidence, half-edges sorted by edge index per vertex.
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for u, v in self.edges:
-            indptr[u + 1] += 1
-            indptr[v + 1] += 1
-        indptr = np.cumsum(indptr)
-        nbr = np.zeros(2 * len(self.edges), dtype=np.int64)
-        eidx = np.zeros(2 * len(self.edges), dtype=np.int64)
-        fill = indptr[:-1].copy()
+        indptr = [0] * (n + 1)
+        for v in range(n):
+            indptr[v + 1] = indptr[v] + deg[v]
+        nbr = [0] * (2 * len(self.edges))
+        eidx = [0] * (2 * len(self.edges))
+        fill = indptr[:-1]
         for i, (u, v) in enumerate(self.edges):
             nbr[fill[u]] = v
             eidx[fill[u]] = i
@@ -67,6 +65,9 @@ class Graph:
         self._indptr = indptr
         self._nbr = nbr
         self._eidx = eidx
+        # Edge endpoints by index, for the edge-scanning bijection burns.
+        self._eu = [u for u, _ in self.edges]
+        self._ev = [v for _, v in self.edges]
 
         if not self._connected():
             raise ValueError("graph must be connected")
@@ -299,7 +300,7 @@ def outdeg(G, A, v):
     A = set(A)
     if v not in A:
         raise ValueError(f"vertex {v} must belong to the firing set")
-    return int(sum(1 for w in G.neighbors(v) if w not in A))
+    return sum(1 for w in G.neighbors(v) if w not in A)
 
 
 def is_linearly_equivalent(G, D1, D2, q):

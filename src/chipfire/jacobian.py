@@ -263,7 +263,7 @@ def _uniform_below(gen, bound):
             return x % bound
 
 
-def sample_spanning_tree(G, q, seed, count=1, backend=None):
+def sample_spanning_tree(G, q, seed, count=1):
     """count uniform spanning trees, bit-reproducible from the seed.
 
     Sample i draws from a Philox stream with key=seed and counter
@@ -276,22 +276,22 @@ def sample_spanning_tree(G, q, seed, count=1, backend=None):
     for i in range(count):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
         exps = [_uniform_below(gen, f) for f in pres.invariant_factors]
-        red = reduce(G, q, pres.element(exps), backend=backend).result
-        out.append(divisor_to_tree(G, q, red, backend=backend))
+        red = reduce(G, q, pres.element(exps)).result
+        out.append(divisor_to_tree(G, q, red))
     return out
 
 
-def group_add(G, q, D1, D2, backend=None):
+def group_add(G, q, D1, D2):
     """Group law on q-reduced degree-zero representatives."""
     for D in (D1, D2):
         if D.degree != 0:
             raise ValueError("group elements are degree-zero divisors")
-        if not dhar(G, q, D, backend=backend).reduced:
+        if not dhar(G, q, D).reduced:
             raise ValueError("operand is not q-reduced")
-    return reduce(G, q, D1 + D2, backend=backend).result
+    return reduce(G, q, D1 + D2).result
 
 
-def winnable(G, D, q=0, backend=None):
+def winnable(G, D, q=0):
     """A script whose firing makes D effective, or None.
 
     Winnability does not depend on q: it holds iff the q-reduced
@@ -303,7 +303,7 @@ def winnable(G, D, q=0, backend=None):
         return FiringScript([0] * G.n, q)
     if D.degree < 0:
         return None
-    rep = reduce(G, q, D, backend=backend)
+    rep = reduce(G, q, D)
     if rep.result.is_effective():
         return rep.script
     return None
@@ -321,7 +321,7 @@ def _effective_divisors(n, degree):
         yield Divisor(coeffs)
 
 
-def rank_at_least(G, D, c, backend=None):
+def rank_at_least(G, D, c):
     """True iff D - E is winnable for every effective E of degree c.
 
     Short-circuits on the first failing E in lexicographic order.
@@ -331,22 +331,22 @@ def rank_at_least(G, D, c, backend=None):
     if D.degree < c:
         return False
     for E in _effective_divisors(G.n, c):
-        if winnable(G, D - E, 0, backend=backend) is None:
+        if winnable(G, D - E, 0) is None:
             return False
     return True
 
 
-def rank(G, D, backend=None):
+def rank(G, D):
     """Divisor rank: largest r with rank_at_least(G, D, r); -1 if unwinnable."""
-    if winnable(G, D, 0, backend=backend) is None:
+    if winnable(G, D, 0) is None:
         return -1
     r = 0
-    while rank_at_least(G, D, r + 1, backend=backend):
+    while rank_at_least(G, D, r + 1):
         r += 1
     return r
 
 
-def to_critical(G, q, D, backend=None):
+def to_critical(G, q, D):
     """Duality with the critical configurations: D -> K+ - D.
 
     Input must be q-reduced; the image is critical (superstable dual) and
@@ -354,6 +354,6 @@ def to_critical(G, q, D, backend=None):
     """
     from .graph import canonical_plus
 
-    if not dhar(G, q, D, backend=backend).reduced:
+    if not dhar(G, q, D).reduced:
         raise ValueError("divisor is not q-reduced")
     return canonical_plus(G) - D

@@ -77,10 +77,10 @@ def _check(G, q, D):
         raise ValueError("divisor size does not match graph")
 
 
-def dhar(G, q, D, backend=None):
+def dhar(G, q, D):
     """Burn from q: v ignites when its burnt-edge count exceeds D(v)."""
     _check(G, q, D)
-    order = _kernels.burn(G, list(D), q, backend=backend)
+    order = _kernels.burn(G, list(D), q)
     in_order = set(order)
     unburnt = tuple(v for v in G.vertices if v not in in_order)
     negative = tuple(v for v in G.vertices if v != q and D[v] < 0)
@@ -88,16 +88,14 @@ def dhar(G, q, D, backend=None):
     return DharOutcome(reduced, tuple(order), unburnt, negative)
 
 
-def make_effective(G, q, D, backend=None):
+def make_effective(G, q, D):
     """Steps 1-2 only: an equivalent divisor that is effective off q.
 
     Returns (divisor, script) with divisor = D - Delta(script).
     """
     _check(G, q, D)
     d1, f1 = _floor_step(G, q, D)
-    d2, counts, _total = _kernels.borrow_until_effective(
-        G, list(d1), q, backend=backend
-    )
+    d2, counts, _total = _kernels.borrow_until_effective(G, list(d1), q)
     f = [f1[v] - counts[v] for v in G.vertices]
     script = FiringScript(f, q)
     result = Divisor(d2)
@@ -120,14 +118,12 @@ def _floor_step(G, q, D):
     return d1, f1
 
 
-def reduce(G, q, D, backend=None):
+def reduce(G, q, D):
     """The unique q-reduced divisor equivalent to D, with a full move log."""
     _check(G, q, D)
     d1, f1 = _floor_step(G, q, D)
-    d2, counts, borrows = _kernels.borrow_until_effective(
-        G, list(d1), q, backend=backend
-    )
-    d3, sets = _kernels.fire_until_reduced(G, list(d2), q, backend=backend)
+    d2, counts, borrows = _kernels.borrow_until_effective(G, list(d1), q)
+    d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
     f = [f1[v] - counts[v] for v in G.vertices]
     for A in sets:
         for v in A:
@@ -149,8 +145,8 @@ def reduce(G, q, D, backend=None):
     )
 
 
-def is_reduced(G, q, D, backend=None):
-    return dhar(G, q, D, backend=backend).reduced
+def is_reduced(G, q, D):
+    return dhar(G, q, D).reduced
 
 
 def random_equivalent(G, q, D, rng, attempts=20):
@@ -174,10 +170,10 @@ def random_equivalent(G, q, D, rng, attempts=20):
     return D + apply_laplacian(G, g)
 
 
-def verify_minimizer(G, q, D, trials=64, seed=0, backend=None):
+def verify_minimizer(G, q, D, trials=64, seed=0):
     """Check that a q-reduced divisor strictly minimizes E_q and b_q in |D|_q."""
     _check(G, q, D)
-    if not dhar(G, q, D, backend=backend).reduced:
+    if not dhar(G, q, D).reduced:
         raise ValueError("divisor is not q-reduced")
     if G.n == 1:
         return True
@@ -203,7 +199,7 @@ def _bfs_ecc(G, s):
         for w in G.neighbors(v):
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
-                queue.append(int(w))
+                queue.append(w)
     return dist
 
 

@@ -122,7 +122,7 @@ def external_activity(G, tree_edges):
     return frozenset(active), frozenset(passive), len(active)
 
 
-def divisor_to_tree(G, q, D, backend=None):
+def divisor_to_tree(G, q, D):
     """Burn a q-reduced divisor into its spanning tree.
 
     Rejects divisors that fail Dhar's criterion.  The returned tree carries
@@ -131,9 +131,9 @@ def divisor_to_tree(G, q, D, backend=None):
     """
     if len(D) != G.n:
         raise ValueError("divisor size does not match graph")
-    if not dhar(G, q, D, backend=backend).reduced:
+    if not dhar(G, q, D).reduced:
         raise ValueError("divisor is not q-reduced")
-    tree, in_r = _kernels.tree_from_reduced(G, list(D), q, backend=backend)
+    tree, in_r = _kernels.tree_from_reduced(G, list(D), q)
     if tree is None:
         raise AssertionError("burn stalled on a reduced divisor")
     tree_set = frozenset(tree)
@@ -145,7 +145,7 @@ def divisor_to_tree(G, q, D, backend=None):
     )
 
 
-def tree_to_divisor(G, q, tree, d=None, backend=None):
+def tree_to_divisor(G, q, tree, d=None):
     """Burn a spanning tree into the q-reduced divisor of degree d.
 
     `tree` is a SpanningTree or an edge-index set; d defaults to the genus
@@ -158,13 +158,14 @@ def tree_to_divisor(G, q, tree, d=None, backend=None):
     if d is None:
         d = G.genus()
     mask = [e in edges for e in range(G.m)]
-    a, _in_r = _kernels.divisor_from_tree(G, mask, q, backend=backend)
+    a, _in_r = _kernels.divisor_from_tree(G, mask, q)
     a[q] = d - sum(a[v] for v in G.vertices if v != q)
     return Divisor(a)
 
 
-def processed_edges_of_tree(G, q, tree_edges, backend=None):
+def processed_edges_of_tree(G, q, tree_edges):
     """The R set produced when burning tree -> divisor (for cross-checks)."""
-    mask = [e in set(tree_edges) for e in range(G.m)]
-    _a, in_r = _kernels.divisor_from_tree(G, mask, q, backend=backend)
+    tree_edges = set(tree_edges)
+    mask = [e in tree_edges for e in range(G.m)]
+    _a, in_r = _kernels.divisor_from_tree(G, mask, q)
     return frozenset(e for e in range(G.m) if in_r[e])

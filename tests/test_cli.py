@@ -6,7 +6,6 @@ Core claims:
     - Every subcommand produces correct output in text and json modes;
       exit codes are 0 (success), 1 (negative decision), 2 (bad input).
     - JSON reports are deterministic apart from wall_time_ms.
-    - The bench subcommand emits a parity-checked CSV.
 """
 
 import json
@@ -271,11 +270,3 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
 def test_cli_metric_command_on_plain_file(k3_file):
     out = run_cli(["metric-reduce", k3_file, "--q", "v:0", "--divisor", "start"])
     assert out.returncode == 2
-
-
-def test_cli_bench_smoke():
-    out = run_cli(["bench", "--sizes", "6", "--reps", "1", "--seed", "3"])
-    assert out.returncode == 0
-    lines = [l for l in out.stdout.splitlines() if l.strip()]
-    assert lines[0].startswith("n,m,op,backend")
-    assert len(lines) > 1
