@@ -7,8 +7,9 @@ JSON; reports are deterministic given the same inputs and seed, except for
 the wall_time_ms field.
 
 Exit codes: 0 success, 1 negative decision (not reduced / not winnable /
-rank below threshold) or internal failure, 2 malformed input or violated
-precondition.
+rank below threshold), 2 malformed input or violated precondition, 3
+internal failure (a RuntimeError, or an AssertionError from a library
+self-check).
 """
 
 from __future__ import annotations
@@ -471,15 +472,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, code = run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
-        return 1
+        return 3
     if args.format == "json":
         print(report.to_json())
     else:

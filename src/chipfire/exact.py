@@ -1,111 +1,108 @@
 """Exact integer and rational linear algebra.
 
-Fraction-free Bareiss elimination for determinants and for solving square
-systems exactly.  Everything here works on plain Python ints / Fractions so
-results stay exact for arbitrarily large entries (cofactors of Laplacians
-grow fast even on small graphs).
+One fraction-free elimination serves everything here.  A Bareiss pass
+(Bareiss, Math. Comp. 22, 1968) over the integer-scaled rows of [A | B]
+leaves the determinant d as its last pivot (up to sign and row scaling), and
+an integer back-substitution with exact `//` division yields X = d A^{-1} B.  det, solve, invert and
+adjugate all read their answer off that (det, X) pair, so no Fraction
+arithmetic runs inside either loop and results stay exact for arbitrarily
+large entries (cofactors of Laplacians grow fast even on small graphs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 def _as_int_rows(matrix):
     """Copy a matrix into integer rows, clearing denominators row by row.
 
     Row scaling by a positive integer preserves determinant sign, singularity
-    and solution sets of [A | B] systems; the returned scale list holds the
-    factor applied to each row (needed to undo the scaling in determinants).
+    and solution sets of [A | B] systems; the returned scale is the product
+    of the factors applied to the rows (needed to undo it in determinants).
     """
     rows = []
-    scales = []
+    scale = 1
     for row in matrix:
         row = [Fraction(x) for x in row]
-        mult = 1
-        for x in row:
-            d = x.denominator
-            g = _gcd(mult, d)
-            mult = mult // g * d
+        mult = lcm(*(x.denominator for x in row))
         rows.append([int(x * mult) for x in row])
-        scales.append(mult)
-    return rows, scales
+        scale *= mult
+    return rows, scale
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _eliminate(matrix, rhs_columns):
+    """(det(A), det(A) A^{-1} B): ints when [A | B] is integral, Fractions
+    otherwise; (0, None) when A is singular."""
+    n = len(matrix)
+    k = len(rhs_columns[0]) if n else 0
+    a, scale = _as_int_rows([list(r) + list(b) for r, b in zip(matrix, rhs_columns)])
+    sign = 1
+    prev = 1
+    for c in range(n):
+        if a[c][c] == 0:
+            pivot = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
+            if pivot is None:
+                return 0, None
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            row = a[i]
+            f = row[c]
+            rest = zip(row[c + 1 :], top[c + 1 :])
+            a[i] = row[:c] + [0] + [(p * x - f * y) // prev for x, y in rest]
+        prev = p
+    # d = scale det(A); row i reads sum_t a[i][t] X[t] = d a[i][n + j], and
+    # X = d A^{-1} B is integral (Cramer), so each division is exact
+    d = sign * prev
+    cols = [[0] * n for _ in range(k)]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        tail = row[i + 1 : n]
+        for j, col in enumerate(cols):
+            col[i] = (d * row[n + j] - sum(map(mul, tail, col[i + 1 :]))) // row[i]
+    x = [list(r) for r in zip(*cols)] if k else [[] for _ in range(n)]
+    if scale == 1:
+        return d, x
+    return Fraction(d, scale), [[Fraction(v, scale) for v in row] for row in x]
 
 
 def det(matrix):
     """Exact determinant of a square matrix with int or Fraction entries."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    a, scales = _as_int_rows(matrix)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    num = sign * a[n - 1][n - 1]
-    denom = 1
-    for s in scales:
-        denom *= s
-    return Fraction(num, denom)
+    return Fraction(_eliminate(matrix, [[] for _ in matrix])[0])
 
 
 def solve(matrix, rhs_columns):
     """Solve A X = B exactly; returns X as rows of Fractions.
 
     `matrix` is square n x n, `rhs_columns` is an n x k right-hand side.
-    Raises ValueError on a singular matrix.  Bareiss forward elimination on
-    the integer-scaled augmented matrix, then Fraction back-substitution.
+    Raises ValueError on a singular matrix.
     """
-    n = len(matrix)
-    k = len(rhs_columns[0]) if n else 0
-    if n == 0:
-        return []
-    aug = [list(matrix[i]) + list(rhs_columns[i]) for i in range(n)]
-    a, _ = _as_int_rows(aug)
-    width = n + k
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, width):
-                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(k):
-            acc = Fraction(a[i][n + j])
-            for t in range(i + 1, n):
-                acc -= a[i][t] * x[t][j]
-            x[i][j] = acc / a[i][i]
-    return x
+    d, x = _eliminate(matrix, rhs_columns)
+    if x is None:
+        raise ValueError("singular matrix")
+    return [[Fraction(v, d) for v in row] for row in x]
 
 
 def invert(matrix):
     """Exact inverse as rows of Fractions; ValueError if singular."""
-    n = len(matrix)
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return solve(matrix, identity)
+    return solve(matrix, _identity(len(matrix)))
+
+
+def adjugate(matrix):
+    """(det(A), det(A) A^{-1}): ints for an integral A; ValueError if singular."""
+    d, x = _eliminate(matrix, _identity(len(matrix)))
+    if x is None:
+        raise ValueError("singular matrix")
+    return d, x
 
 
 def mat_vec(matrix, vec):

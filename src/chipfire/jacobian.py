@@ -101,17 +101,7 @@ def smith_normal_form(M):
                         best = (i, j)
         return best
 
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        pos = pick_pivot(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
+    def clear(t):
         dirty = True
         while dirty:
             dirty = False
@@ -129,6 +119,19 @@ def smith_normal_form(M):
                     if S[t][j] != 0:
                         col_swap(t, j)
                         dirty = True
+
+    limit = min(rows, cols)
+    t = 0
+    while t < limit:
+        pos = pick_pivot(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        clear(t)
         t += 1
 
     rank = t
@@ -142,28 +145,10 @@ def smith_normal_form(M):
     while i + 1 < rank:
         if S[i + 1][i + 1] % S[i][i] != 0:
             col_addmul(i, i + 1, 1)
-            t = i
-            while t < rank:
-                dirty = True
-                while dirty:
-                    dirty = False
-                    for r in range(t + 1, rows):
-                        if S[r][t] != 0:
-                            k = S[r][t] // S[t][t]
-                            row_addmul(r, t, -k)
-                            if S[r][t] != 0:
-                                row_swap(t, r)
-                                dirty = True
-                    for c in range(t + 1, cols):
-                        if S[t][c] != 0:
-                            k = S[t][c] // S[t][t]
-                            col_addmul(c, t, -k)
-                            if S[t][c] != 0:
-                                col_swap(t, c)
-                                dirty = True
+            for t in range(i, rank):
+                clear(t)
                 if S[t][t] < 0:
                     row_negate(t)
-                t += 1
             i = 0  # re-check the chain from the start
         else:
             i += 1

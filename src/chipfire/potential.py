@@ -1,20 +1,22 @@
 """Potential theory on graphs: generalized inverses of the Laplacian,
 the j-function, effective resistance, and the energy pairings E_q and b_q.
 
-All values are exact rationals.  Potential tables keep an integer numerator
-matrix over a common denominator so the inner loops of b_q / E_q stay in
-integer arithmetic.
+All values are exact rationals.  One fraction-free elimination of Q_(q)
+(`exact.adjugate`) gives the j-table as an integer numerator matrix over the
+tree count, so the inner loops of b_q / E_q stay in integer arithmetic.
+Every generalized inverse is read off such tables: L_(q) = j_q, the
+Moore-Penrose inverse is P L_(0) P with P = I - J/n, L_mu mixes the L_(i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import exact
 from .graph import (
     apply_laplacian,
     canonical_plus,
-    laplacian,
     reduced_laplacian,
 )
 
@@ -48,31 +50,25 @@ class GeneralizedInverse:
 
 
 def reduced_inverse(G, q):
-    """L_(q): invert Q with row/col q deleted, pad the q row/col with zeros."""
-    n = G.n
-    if not (0 <= q < n):
+    """L_(q) = j_q: the inverse of Q with row/col q deleted, zero-padded at q."""
+    if not (0 <= q < G.n):
         raise ValueError("base vertex out of range")
-    keep = [v for v in range(n) if v != q]
-    if keep:
-        inv = exact.invert(reduced_laplacian(G, q).tolist())
-    else:
-        inv = []
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for a, p in enumerate(keep):
-        for b, v in enumerate(keep):
-            L[p][v] = inv[a][b]
+    table = j_function(G, q)
+    L = [[Fraction(x, table.den) for x in row] for row in table.num]
     return GeneralizedInverse("reduced", L, q=q)
 
 
 def moore_penrose(G):
-    """Q+ = (Q + J/n)^(-1) - J/n."""
+    """Q+ = P L_(0) P with P = I - J/n (P = Q Q+ = Q+ Q and Q L_(0) Q = Q)."""
     n = G.n
-    Q = laplacian(G).tolist()
-    shifted = [
-        [Fraction(Q[i][j]) + Fraction(1, n) for j in range(n)] for i in range(n)
+    table = j_function(G, 0)
+    sums = [sum(row) for row in table.num]
+    total = sum(sums)
+    den = n * n * table.den
+    L = [
+        [Fraction(n * n * x - n * (sp + sv) + total, den) for x, sv in zip(row, sums)]
+        for row, sp in zip(table.num, sums)
     ]
-    inv = exact.invert(shifted)
-    L = [[inv[i][j] - Fraction(1, n) for j in range(n)] for i in range(n)]
     return GeneralizedInverse("moore_penrose", L)
 
 
@@ -168,23 +164,19 @@ class PotentialTable:
 
 
 def j_function(G, q):
-    """PotentialTable of j_q values; entries are cofactors over tree count."""
-    n = G.n
-    keep = [v for v in range(n) if v != q]
-    num = [[0] * n for _ in range(n)]
-    if not keep:
-        return PotentialTable(q, num, 1)
+    """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
+
+    Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1, that is
+    Delta(g_q) = sum_v (v) - n (q).
+    """
     Qq = reduced_laplacian(G, q).tolist()
-    den = exact.det(Qq)
-    inv = exact.invert(Qq)
-    den_int = int(den)
-    for a, p in enumerate(keep):
-        for b, v in enumerate(keep):
-            entry = inv[a][b] * den_int
-            if entry.denominator != 1:
-                raise AssertionError("j-function numerators must be integral")
-            num[p][v] = int(entry)
-    return PotentialTable(q, num, den_int)
+    den, adj = exact.adjugate(Qq)
+    sums = [sum(row) for row in adj]
+    if any(sum(map(mul, row, sums)) != den for row in Qq):
+        raise AssertionError("j-function numerators must be integral cofactors")
+    num = [row[:q] + [0] + row[q:] for row in adj]
+    num.insert(q, [0] * G.n)
+    return PotentialTable(q, num, den)
 
 
 def effective_resistance(G, p, q):

@@ -23,7 +23,7 @@ from .graph import (
     canonical_plus,
     laplacian,
 )
-from .potential import j_function, moore_penrose
+from .potential import j_function
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,11 @@ def move_bounds(G, q):
     resistance = 3 * (n - 1) * sum(
         table.resistance(v) * G.deg[v] for v in G.vertices if v != q
     )
-    mp = moore_penrose(G)
-    rmax = max(
-        mp.L[u][u] + mp.L[v][v] - 2 * mp.L[u][v]
-        for u in G.vertices
-        for v in G.vertices
-        if u < v
+    # r(u, v) = L[u][u] + L[v][v] - 2 L[u][v] for any generalized inverse L
+    L = table.num
+    rmax = Fraction(
+        max(L[u][u] + L[v][v] - 2 * L[u][v] for u in range(n) for v in range(u)),
+        table.den,
     )
     off_q_degree = sum(G.deg[v] for v in G.vertices if v != q)
     rmax_degree = 3 * (n - 1) * rmax * off_q_degree

@@ -4,17 +4,20 @@ Core claims:
     - parse/serialize round-trip graph files, reject malformed input with
       1-based line numbers, and distinguish plain from metric files.
     - Every subcommand produces correct output in text and json modes;
-      exit codes are 0 (success), 1 (negative decision), 2 (bad input).
+      exit codes are 0 (success), 1 (negative decision), 2 (bad input),
+      3 (internal failure: a RuntimeError or a self-check AssertionError).
     - JSON reports are deterministic apart from wall_time_ms.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from chipfire import cli
 from chipfire.formats import (
     GraphFormatError,
     format_fraction,
@@ -44,12 +47,20 @@ divisor mix v:1=-1 e:0@1/2=2
 """
 
 
+# the child imports the same chipfire as this process, installed or not
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+))
+
+
 def run_cli(args, text=None):
     return subprocess.run(
         [sys.executable, "-m", "chipfire.cli", *args],
         capture_output=True,
         text=True,
         input=text,
+        env=_ENV,
     )
 
 
@@ -265,6 +276,19 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
     assert "line 2" in loops.stderr
     badq = run_cli(["reduce", k3_file, "--q", "7", "--divisor", "start"])
     assert badq.returncode == 2
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_cli_internal_failure_exit_3(k3_file, monkeypatch, capsys, exc):
+    def broken(gf, args):
+        raise exc("self-check tripped")
+
+    monkeypatch.setitem(cli._HANDLERS, "reduce", broken)
+    code = cli.main(["reduce", k3_file, "--q", "2", "--divisor", "start"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err == "failure: self-check tripped\n"
 
 
 def test_cli_metric_command_on_plain_file(k3_file):

@@ -3,7 +3,8 @@
 Core claims:
     - smith_normal_form returns S = U M V with unimodular tracked U, V,
       u_inv the exact inverse of U, nonnegative diagonal S and the
-      divisibility chain; it handles rectangular input.
+      divisibility chain; it handles rectangular input.  U, S, V and u_inv
+      are pinned by one digest over the SMALL and RANDOM corpora.
     - The critical group order equals the spanning-tree count and the
       element map (exponents -> reduced divisor) is a bijection.
     - group_add realizes the group law on reduced representatives.
@@ -13,6 +14,8 @@ Core claims:
       known values.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +40,8 @@ from chipfire.reduction import is_reduced, reduce as reduce_divisor
 from chipfire.treebij import enumerate_spanning_trees, is_spanning_tree
 
 from corpus import RANDOM, SMALL, random_divisor
+
+SMITH_DIGEST = "a944e5a7388c73b0ed9216f55ab85ea0b1d03b6897547fa3ce369b151db6b2f7"
 
 
 def _check_snf(M):
@@ -78,6 +83,17 @@ def _check_snf(M):
 
 
 # -- Smith normal form ---------------------------------------------------------
+
+def test_snf_outputs_match_pinned_digest():
+    # U, S, V and u_inv of every reduced Laplacian of both corpora, every q
+    records = []
+    for G in SMALL + RANDOM:
+        for q in G.vertices:
+            dec = smith_normal_form(reduced_laplacian(G, q).tolist())
+            records.append([dec.U, dec.S, dec.V, dec.u_inv])
+    blob = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SMITH_DIGEST
+
 
 def test_snf_oracle_2x2():
     dec = _check_snf([[2, -1], [-1, 2]])

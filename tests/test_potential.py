@@ -9,12 +9,19 @@ Core claims:
     - b_q and the q-energy respond to single moves by exact integers:
       borrowing off q adds 1, firing a set off q subtracts its size.
     - The pentagon move drops the total energy by exactly 2 deg(v) |y|.
+    - The j-tables, L_(q), Q+ and every move bound are pinned by one digest
+      over the SMALL and RANDOM corpora; beyond them, the j-table equals
+      sympy's adjugate over det on 40 vertices and Q+ sympy's pinv on 10.
 """
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from chipfire.graph import (
     Divisor,
@@ -27,6 +34,7 @@ from chipfire.graph import (
     indicator,
     laplacian,
     path_graph,
+    reduced_laplacian,
 )
 from chipfire.potential import (
     b_q,
@@ -42,10 +50,63 @@ from chipfire.potential import (
     weighted_inverse,
 )
 
-from corpus import RANDOM, SMALL, random_divisor
+from chipfire.reduction import move_bounds
+from corpus import RANDOM, SMALL, random_divisor, random_multigraph
+
+POTENTIAL_DIGEST = "4764b428d90b713f198f1e8f36e2966f3c25f0d4d216118bceb5e9587e599c74"
+
+
+def _potential_record(G):
+    """Every generalized inverse and move bound of G, as JSON-ready strings."""
+
+    def rows(L):
+        return [[str(x) for x in row] for row in L]
+
+    def bounds(q):
+        fields = dataclasses.asdict(move_bounds(G, q))
+        # the one float: rounded so a last-bit BLAS difference does not show
+        fields["spectral"] = f"{fields['spectral']:.10g}"
+        return {k: str(v) for k, v in fields.items()}
+
+    tables = [j_function(G, q) for q in G.vertices]
+    return {
+        "j": [[[list(row) for row in t.num], t.den] for t in tables],
+        "reduced": [rows(reduced_inverse(G, q).L) for q in G.vertices],
+        "moore_penrose": rows(moore_penrose(G).L),
+        "bounds": [bounds(q) for q in G.vertices],
+    }
 
 
 # -- Generalized inverses ------------------------------------------------------
+
+def test_potential_outputs_match_pinned_digest():
+    # j-tables at every q, L_(q), Q+ and every move bound, over both corpora
+    records = [_potential_record(G) for G in SMALL + RANDOM]
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == POTENTIAL_DIGEST
+
+
+def test_j_function_matches_sympy_adjugate_on_40_vertices():
+    # Matrix.adjugate() expands cofactors one by one and runs for minutes at
+    # this size; the domain-matrix adjugate is sympy's fast exact route
+    G = random_multigraph(40, 80, np.random.default_rng(1))
+    q = 17
+    M = sympy.Matrix(reduced_laplacian(G, q).tolist())
+    adj = M.to_DM().adjugate().to_Matrix()
+    table = j_function(G, q)
+    assert table.den == M.det()
+    keep = [v for v in G.vertices if v != q]
+    for a, p in enumerate(keep):
+        assert [table.num[p][v] for v in keep] == adj.row(a).tolist()[0]
+    assert table.num[q] == (0,) * G.n
+    assert all(row[q] == 0 for row in table.num)
+
+
+def test_moore_penrose_matches_sympy_pinv_on_10_vertices():
+    G = random_multigraph(10, 15, np.random.default_rng(2))
+    want = sympy.Matrix(laplacian(G).tolist()).pinv().tolist()
+    assert [list(row) for row in moore_penrose(G).L] == want
+
 
 def test_reduced_inverse_triangle_oracle():
     G = complete_graph(3)
