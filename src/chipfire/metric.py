@@ -9,7 +9,11 @@ exact (Fractions); nothing here uses floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices).  Burning, levels, moves and
-potentials are all computed on the model and mapped back to points.
+potentials are all computed on the model and mapped back to points.  Level
+moves and Luo moves only move chips; since Delta fixes a function up to a
+constant, each script is built once afterwards, as the plateau heights of the
+level moves or as the potential of (result - D) read off one exact
+elimination.
 """
 
 from __future__ import annotations
@@ -22,18 +26,13 @@ from . import exact, _kernels
 from .graph import Graph
 
 
-def _frac(x):
-    f = Fraction(x)
-    return f
-
-
 class MetricGraph:
     """A connected loopless multigraph with positive rational edge lengths."""
 
     __slots__ = ("graph", "lengths")
 
     def __init__(self, graph, lengths):
-        lengths = tuple(_frac(x) for x in lengths)
+        lengths = tuple(Fraction(x) for x in lengths)
         if len(lengths) != graph.m:
             raise ValueError("need one length per edge")
         if any(x <= 0 for x in lengths):
@@ -51,7 +50,7 @@ class MetricGraph:
 
     def point(self, edge, offset):
         """Canonical point at `offset` along edge (endpoints become vertices)."""
-        offset = _frac(offset)
+        offset = Fraction(offset)
         if not (0 <= edge < self.m):
             raise ValueError("edge index out of range")
         if offset < 0 or offset > self.lengths[edge]:
@@ -107,7 +106,7 @@ class GraphPoint:
             self.kind = "e"
             self.index = None
             self.edge = int(a)
-            self.offset = _frac(b)
+            self.offset = Fraction(b)
         else:
             raise ValueError("kind must be 'v' or 'e'")
 
@@ -214,7 +213,7 @@ class TropicalFunction:
 
     def __init__(self, gamma, vertex_values, breaks=None):
         self.gamma = gamma
-        vv = tuple(_frac(x) for x in vertex_values)
+        vv = tuple(Fraction(x) for x in vertex_values)
         if len(vv) != gamma.n:
             raise ValueError("need one value per vertex")
         if breaks is None:
@@ -223,7 +222,7 @@ class TropicalFunction:
             raise ValueError("need one breakpoint list per edge")
         clean = []
         for e in range(gamma.m):
-            lst = tuple((_frac(o), _frac(val)) for o, val in breaks[e])
+            lst = tuple((Fraction(o), Fraction(val)) for o, val in breaks[e])
             last = Fraction(0)
             for o, _ in lst:
                 if not (0 < o < gamma.lengths[e]):
@@ -426,10 +425,6 @@ class _Model:
             self.adj[b].append((a, idx))
         self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
 
-    def mlength(self, idx):
-        _a, _b, _e, o1, o2 = self.medges[idx]
-        return o2 - o1
-
     def chips(self, D):
         vec = [0] * len(self.points)
         for p, w in D:
@@ -453,29 +448,36 @@ class _Model:
 
 
 def _model_for(gamma, q, D):
-    pts = [q] + [p for p, _ in D]
-    return _Model(gamma, pts)
+    return _Model(gamma, [q, *D.support])
 
 
-def _tropical_from_model(gamma, model, values, ramps=None):
-    """Build a TropicalFunction that is affine on every model edge.
-
-    `values` holds one Fraction per model vertex; `ramps` optionally maps a
-    model edge index to extra interior anchors [(absolute offset, value)].
-    """
-    n = gamma.n
-    vv = [values[v] for v in range(n)]
+def _tropical_from_model(gamma, model, values):
+    """The TropicalFunction affine on every model edge, with `values` (one
+    per model vertex) at the model vertices."""
     anchors = [dict() for _ in range(gamma.m)]
-    for idx, (a, b, e, o1, o2) in enumerate(model.medges):
+    for a, b, e, o1, o2 in model.medges:
         if o1 != 0:
             anchors[e][o1] = values[a]
         if o2 != gamma.lengths[e]:
             anchors[e][o2] = values[b]
-        if ramps and idx in ramps:
-            for off, val in ramps[idx]:
-                anchors[e][off] = val
     breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
-    return TropicalFunction(gamma, vv, breaks).pruned()
+    return TropicalFunction(gamma, values[: gamma.n], breaks).pruned()
+
+
+def _potential(gamma, q, delta, value_at_q):
+    """The function f with Delta(f) = delta and f(q) = value_at_q.
+
+    On the model at the support of delta, Delta is the Laplacian weighted by
+    conductance 1/length, so f - f(q) is j_q against delta.
+    """
+    model, _q_vid, table = MetricPotentials(gamma, q)._table(delta.support)
+    chips = model.chips(delta)
+    support = [p for p, w in enumerate(chips) if w]
+    values = [
+        value_at_q + sum(chips[p] * table[p][v] for p in support)
+        for v in range(len(model.points))
+    ]
+    return _tropical_from_model(gamma, model, values)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +510,9 @@ class MetricDharOutcome:
 
 
 def _burn_model(gamma, q, D):
+    """(model, burn order of its vertex ids) for the fire from q."""
     model = _model_for(gamma, q, D)
-    chips = model.chips(D)
-    q_vid = model.vid_of[_as_point(q)]
-    order = _kernels.burn(model.graph, chips, q_vid)
-    return model, chips, q_vid, order
+    return model, _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
 
 
 def _components(model, burnt_set):
@@ -574,7 +574,7 @@ def metric_dhar(gamma, q, D):
     q = _as_point(q)
     if any(w < 0 and p != q for p, w in D):
         raise ValueError("divisor must be effective off q")
-    model, _chips, _q_vid, order = _burn_model(gamma, q, D)
+    model, order = _burn_model(gamma, q, D)
     burnt = set(order)
     comps = _components(model, burnt)
     return MetricDharOutcome(
@@ -591,53 +591,48 @@ def metric_make_effective(gamma, q, D):
     """(E, f) with E = D + Delta(f) effective off q.
 
     Works down the BFS levels of the model: a move at level i raises the
-    plateau beyond level i by c_i, pushing chips from level i to level
-    i+1.  c_i is a multiple of the lcm of the gap-length numerators so all
-    slopes stay integral, scaled to cover the worst deficit.
+    plateau beyond level i by c_i, moving c_i/len chips from the level-i end
+    to the level-(i+1) end of every gap edge.  c_i is a multiple of the lcm
+    of the gap-length numerators so all slopes stay integral, scaled to
+    cover the worst deficit.  f is the sum of the plateaus.
     """
     q = _as_point(q)
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma)
     model = _model_for(gamma, q, D)
-    q_vid = model.vid_of[q]
-    lev = model.levels(q_vid)
-    depth = max(lev)
-    E = D
-    total = TropicalFunction.zero(gamma)
-    for i in range(depth - 1, -1, -1):
-        deficits = {}
-        for vid, p in enumerate(model.points):
-            if lev[vid] == i + 1:
-                w = E.get(p)
-                if w < 0 and p != q:
-                    deficits[vid] = -w
+    lev = model.levels(model.vid_of[q])
+    chips = model.chips(D)
+    height = [0] * len(model.points)
+    for i in range(max(lev) - 1, -1, -1):
+        deficits = {
+            vid: -w for vid, w in enumerate(chips) if lev[vid] == i + 1 and w < 0
+        }
         if not deficits:
             continue
+        # gap edges as (level-i end, level-(i+1) end, length)
         gap = [
-            idx
-            for idx, (a, b, _e, _o1, _o2) in enumerate(model.medges)
+            (a, b, o2 - o1) if lev[a] == i else (b, a, o2 - o1)
+            for a, b, _e, o1, o2 in model.medges
             if {lev[a], lev[b]} == {i, i + 1}
         ]
-        t_i = lcm(*(model.mlength(idx).numerator for idx in gap))
+        t_i = lcm(*(length.numerator for _lo, _hi, length in gap))
+        # t_i / length chips per unit of r_i: an integer by the choice of t_i
+        steps = [(lo, hi, t_i // x.numerator * x.denominator) for lo, hi, x in gap]
         gain = {vid: 0 for vid in deficits}
-        for idx in gap:
-            a, b, _e, _o1, _o2 = model.medges[idx]
-            hi = a if lev[a] == i + 1 else b
+        for _lo, hi, step in steps:
             if hi in gain:
-                step = t_i / model.mlength(idx)
-                assert step.denominator == 1
-                gain[hi] += int(step)
-        r_i = 1
-        for vid, need in deficits.items():
-            r_i = max(r_i, -(-need // gain[vid]))
-        c_i = r_i * t_i
-        values = [c_i if lev[vid] >= i + 1 else Fraction(0) for vid in range(len(model.points))]
-        f_i = _tropical_from_model(gamma, model, values)
-        E = E + metric_laplacian(gamma, f_i)
-        total = total + f_i
+                gain[hi] += step
+        r_i = max(1, *(-(-need // gain[vid]) for vid, need in deficits.items()))
+        for lo, hi, step in steps:
+            chips[lo] -= r_i * step
+            chips[hi] += r_i * step
+        for vid in range(len(height)):
+            if lev[vid] > i:
+                height[vid] += r_i * t_i
+    E = MetricDivisor(zip(model.points, chips))
     if not E.is_effective(skip=q):
         raise AssertionError("level moves failed to clear all deficits")
-    return E, total
+    return E, _tropical_from_model(gamma, model, height)
 
 
 # ---------------------------------------------------------------------------
@@ -669,62 +664,36 @@ class MetricReductionReport:
 _MAX_LUO_ITERATIONS = 100000
 
 
-def _luo_move(gamma, model, burnt_set, comp_vids):
-    """The move function for the first unburnt component (by vid order)."""
-    comp_set = set(comp_vids)
-    outgoing = []
-    for idx, (a, b, _e, _o1, _o2) in enumerate(model.medges):
-        a_in, b_in = a in comp_set, b in comp_set
-        if a_in != b_in:
-            outgoing.append(idx)
-    eps_candidates = [model.mlength(idx) for idx in outgoing]
-    # Segments approached from both ends would cap eps at half their
-    # length; on the model no burnt segment has both endpoints unburnt,
-    # so this set is provably empty, but the rule is kept as stated.
-    for idx, (a, b, _e, _o1, _o2) in enumerate(model.medges):
-        if a not in comp_set and b not in comp_set:
-            if a not in burnt_set and b not in burnt_set:
-                eps_candidates.append(model.mlength(idx) / 2)
-    eps = min(eps_candidates)
-    n_model = len(model.points)
-    values = [Fraction(0) if v in comp_set else eps for v in range(n_model)]
-    ramps = {}
-    for idx in outgoing:
-        a, b, e, o1, o2 = model.medges[idx]
-        if o2 - o1 == eps:
-            continue
-        if a in comp_set:
-            ramps[idx] = [(o1 + eps, eps)]
-        else:
-            ramps[idx] = [(o2 - eps, eps)]
-    f = _tropical_from_model(gamma, model, values, ramps)
-    return f, eps
-
-
 def metric_reduce(gamma, q, D):
     """The q-reduced divisor equivalent to D, with the full move log.
 
     First clears negatives off q by level moves, then repeats Luo moves:
     burn from q, take the first stalled component X in canonical order,
-    and add Delta(min(dist(., X), eps)) with eps the largest step the
-    model allows.  Each move decreases b_q by exactly
-    l(X) eps + (cut/2) eps^2; termination has no a-priori bound, so a
-    generous safety cap guards the loop.
+    and add Delta(min(dist(., X), eps)) with eps the shortest model edge
+    leaving X, that is, move one chip from X eps along every edge leaving
+    it.  Each move decreases b_q by exactly l(X) eps + (cut/2) eps^2;
+    termination has no a-priori bound, so a generous safety cap guards the
+    loop.  Every move function is 0 on X and eps at the burnt point q, so the
+    script is the potential of (result - D) with value sum(eps) at q.
     """
     q = _as_point(q)
     E, f0 = metric_make_effective(gamma, q, D)
-    total = f0
     log = []
     for _ in range(_MAX_LUO_ITERATIONS):
-        model, chips, q_vid, order = _burn_model(gamma, q, E)
+        model, order = _burn_model(gamma, q, E)
         if len(order) == len(model.points):
             break
-        burnt_set = set(order)
-        comps = _components(model, burnt_set)
-        comp = comps[0]
-        comp_vids = sorted(model.vid_of[p] for p in comp.points)
-        f, eps = _luo_move(gamma, model, burnt_set, comp_vids)
-        after = E + metric_laplacian(gamma, f)
+        comp = _components(model, set(order))[0]
+        inside = {model.vid_of[p] for p in comp.points}
+        leaving = [
+            edge for edge in model.medges if (edge[0] in inside) != (edge[1] in inside)
+        ]
+        eps = min(o2 - o1 for _a, _b, _e, o1, o2 in leaving)
+        moves = []
+        for a, _b, e, o1, o2 in leaving:
+            start, step = (o1, eps) if a in inside else (o2, -eps)
+            moves += [(gamma.point(e, start), -1), (gamma.point(e, start + step), 1)]
+        after = E + MetricDivisor(moves)
         drop = comp.total_length * eps + Fraction(comp.cut_size, 2) * eps * eps
         log.append(
             LuoIteration(
@@ -732,15 +701,17 @@ def metric_reduce(gamma, q, D):
             )
         )
         E = after
-        total = total + f
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
-    check = D + metric_laplacian(gamma, total)
-    if check != E:
-        raise AssertionError("accumulated script does not reproduce the result")
+    try:
+        script = _potential(gamma, q, E - D, sum(it.epsilon for it in log))
+    except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
+        script = None
+    if script is None or D + metric_laplacian(gamma, script) != E:
+        raise AssertionError("the moves and the script's Laplacian disagree")
     return MetricReductionReport(
         result=E,
-        script=total,
+        script=script,
         make_effective_script=f0,
         iterations=tuple(log),
     )
@@ -802,11 +773,8 @@ class MetricPotentials:
 
     def q_energy(self, D):
         """E_q(D) = <D - deg(D) q, D - deg(D) q> through the j-kernel."""
-        pts = [p for p, _ in D]
-        model, q_vid, table = self._table(pts)
-        vec = [0] * len(model.points)
-        for p, w in D:
-            vec[model.vid_of[p]] += w
+        model, q_vid, table = self._table(D.support)
+        vec = model.chips(D)
         vec[q_vid] -= D.degree
         support = [v for v, w in enumerate(vec) if w]
         return sum(
@@ -815,11 +783,8 @@ class MetricPotentials:
 
     def b(self, D):
         """b_q(D) = integral over Gamma of j_q(., y) against D - deg(D) q."""
-        pts = [p for p, _ in D]
-        model, q_vid, table = self._table(pts)
-        vec = [0] * len(model.points)
-        for p, w in D:
-            vec[model.vid_of[p]] += w
+        model, q_vid, table = self._table(D.support)
+        vec = model.chips(D)
         vec[q_vid] -= D.degree
         total = Fraction(0)
         for p, w in enumerate(vec):

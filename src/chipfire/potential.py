@@ -5,7 +5,8 @@ All values are exact rationals.  One fraction-free elimination of Q_(q)
 (`exact.adjugate`) gives the j-table as an integer numerator matrix over the
 tree count, so the inner loops of b_q / E_q stay in integer arithmetic.
 Every generalized inverse is read off such tables: L_(q) = j_q, the
-Moore-Penrose inverse is P L_(0) P with P = I - J/n, L_mu mixes the L_(i).
+Moore-Penrose inverse is P L_(0) P with P = I - J/n, and L_mu = sum mu_i L_(i)
+comes from the resistances r(p, v) read off L_(0).
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def moore_penrose(G):
 def weighted_inverse(G, mu, shifted=False):
     """L_mu = sum_i mu_i L_(i) for rational weights mu summing to 1.
 
+    Read off one j-table: j_i(p, v) = (r(p, i) + r(v, i) - r(p, v)) / 2, so
+    L_mu[p][v] = (rho(p) + rho(v) - r(p, v)) / 2 with rho(p) = sum_i mu_i r(p, i).
     L_mu mu is a constant vector c_mu 1; with shifted=True returns
     G_mu = L_mu - c_mu J, which satisfies G_mu mu = 0.
     """
@@ -84,15 +87,12 @@ def weighted_inverse(G, mu, shifted=False):
         raise ValueError("weight vector size does not match graph")
     if sum(mu) != 1:
         raise ValueError("weights must sum to 1")
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if mu[i] == 0:
-            continue
-        Li = reduced_inverse(G, i).L
-        for p in range(n):
-            row = Li[p]
-            for v in range(n):
-                L[p][v] += mu[i] * row[v]
+    table = j_function(G, 0)
+    J = table.num
+    # resistances r(p, v), scaled by the tree count table.den
+    r = [[J[p][p] + J[v][v] - 2 * J[p][v] for v in range(n)] for p in range(n)]
+    rho = [sum(m * x for m, x in zip(mu, row)) for row in r]
+    L = [[(rho[p] + rho[v] - r[p][v]) / (2 * table.den) for v in range(n)] for p in range(n)]
     if not shifted:
         return GeneralizedInverse("weighted", L, mu=mu)
     prods = [sum(L[p][v] * mu[v] for v in range(n)) for p in range(n)]
@@ -199,18 +199,14 @@ def energy_pairing(G, D1, D2, inverse=None):
     return sum(Fraction(D1[p]) * Lv[p] for p in range(G.n))
 
 
-def q_energy(G, q, D, table=None):
+def q_energy(G, q, D):
     """E_q(D), the q-energy <D - deg(D)(q), D - deg(D)(q)>."""
-    if table is None:
-        table = j_function(G, q)
-    return table.energy(D)
+    return j_function(G, q).energy(D)
 
 
-def b_q(G, q, D, h=None, table=None):
+def b_q(G, q, D, h=None):
     """b_q(D) = sum_v g_q(v) D(v), or the positive-weighted variant."""
-    if table is None:
-        table = j_function(G, q)
-    return table.b(D, h=h)
+    return j_function(G, q).b(D, h=h)
 
 
 def total_energy(G, D):

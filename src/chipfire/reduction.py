@@ -272,15 +272,11 @@ def move_bounds(G, q):
     )
 
 
-def step_bound_borrows(G, q, after_step1, table=None):
+def step_bound_borrows(G, q, after_step1):
     """b_q(K+ - D_1): cap on the number of step-2 borrowing moves."""
-    if table is None:
-        table = j_function(G, q)
-    return table.b(canonical_plus(G) - after_step1)
+    return j_function(G, q).b(canonical_plus(G) - after_step1)
 
 
-def step_bound_fires(G, q, after_step2, table=None):
+def step_bound_fires(G, q, after_step2):
     """b_q(D_2): cap on the total number of vertices fired in step 3."""
-    if table is None:
-        table = j_function(G, q)
-    return table.b(after_step2)
+    return j_function(G, q).b(after_step2)

@@ -1,17 +1,22 @@
 """Shared graph corpus for the test suite.
 
-Three tiers:
+Three graph tiers and one metric case list:
     - SMALL: every connected simple graph on up to 5 vertices, one per
       isomorphism class (1 + 1 + 2 + 6 + 21 = 31 graphs).
     - NAMED: the standard families the oracles were frozen on.
     - RANDOM: 20 seeded connected multigraphs (parallel edges allowed).
+    - METRIC: seeded (gamma, q, D) metric reduction cases on SMALL and RANDOM
+      graphs, with unit or rational lengths, chips at interior points, and q
+      at a vertex or an interior point.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from chipfire.graph import Graph, Divisor, complete_graph, cycle_graph, path_graph
+from chipfire.metric import GraphPoint, MetricDivisor, MetricGraph
 
 
 def _canonical_form(n, edges):
@@ -111,3 +116,30 @@ def random_corpus(count=20, seed=20240817):
 SMALL = small_corpus()
 NAMED = named_corpus()
 RANDOM = random_corpus()
+
+
+def random_metric_case(G, rng):
+    """(gamma, q, D): unit or rational lengths, one interior point per two
+    edges, q a vertex or one of the interior points, D in -1..2 on them all."""
+    if rng.integers(0, 2):
+        lengths = [Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3))) for _ in range(G.m)]
+    else:
+        lengths = [1] * G.m
+    gamma = MetricGraph(G, lengths)
+    interior = []
+    for _ in range((G.m + 1) // 2):
+        e = int(rng.integers(0, G.m))
+        d = int(rng.integers(2, 5))
+        interior.append(gamma.point(e, gamma.lengths[e] * int(rng.integers(1, d)) / d))
+    pool = [GraphPoint.vertex(v) for v in G.vertices] + interior
+    q = pool[int(rng.integers(0, len(pool)))] if rng.integers(0, 2) else pool[0]
+    D = MetricDivisor({p: int(rng.integers(-1, 3)) for p in pool})
+    return gamma, q, D
+
+
+def metric_corpus(seed=20261018):
+    rng = np.random.default_rng(seed)
+    return [random_metric_case(G, rng) for G in SMALL[1::2] + RANDOM if G.m]
+
+
+METRIC = metric_corpus()

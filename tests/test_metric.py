@@ -11,17 +11,23 @@ Core claims:
       off q; metric_reduce terminates with an exact per-move b_q drop of
       l(X) eps + cut/2 eps^2 and a script reproducing the result.
     - On unit edge lengths the metric machinery agrees with the
-      combinatorial one: same j tables, same reduced divisors.
+      combinatorial one: same j tables, same reduced divisors.  With lengths
+      in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
+      N-fold subdivision.
     - The reduced divisor minimizes b_q among random equivalent divisors
       that stay effective off q.
+    - Every output of metric_make_effective and metric_reduce on the METRIC
+      corpus is pinned by one digest, and the move logs by another.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chipfire.graph import Divisor, complete_graph, cycle_graph, path_graph
+from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph, path_graph
 from chipfire.metric import (
     GraphPoint,
     MetricDivisor,
@@ -38,7 +44,13 @@ from chipfire.metric import (
 from chipfire.potential import j_function
 from chipfire.reduction import reduce as reduce_divisor
 
-from corpus import RANDOM, random_divisor
+from corpus import METRIC, RANDOM, SMALL, random_divisor
+
+METRIC_RESULT_DIGEST = "cd51f6183668a385598e8e11e4d98d04515c3d17ff741b128c51d0b8b63b711b"
+METRIC_LOG_DIGEST = "1a400550d02987e5b3d5dce398ffbcd9cafad3f64bf61a13cb02d74eb7d19ffc"
+# METRIC cases where every move of the reduction met exactly one stalled
+# component; there the whole move log is fixed by the move rule
+METRIC_SINGLE_COMPONENT = (0, 1, 3, 4, 7, 8, 11, 12, 17, 18, 19, 20, 21, 23)
 
 
 def segment():
@@ -283,6 +295,18 @@ def test_metric_reduce_result_is_reduced():
         assert report.result.degree == D.degree
 
 
+def test_metric_reduce_eps_ignores_other_components():
+    # the fire from q stalls at {0, 1} and at {3, 4}; the first move takes
+    # eps = 1, the edge leaving {0, 1}, not half the segment inside {3, 4}
+    gamma = unit_metric(path_graph(5))
+    q = _vp(2)
+    D = MetricDivisor({_vp(1): 1, _vp(3): 1})
+    report = metric_reduce(gamma, q, D)
+    assert [it.epsilon for it in report.iterations] == [1, 1]
+    assert report.result == MetricDivisor({q: 2})
+    assert report.script.vertex_values == (1, 1, 2, 1, 1)
+
+
 def test_metric_reduce_luo_drops_exact():
     gamma = MetricGraph(cycle_graph(3), [1, 1, Fraction(1, 2)])
     D = MetricDivisor({_vp(2): 3, gamma.point(0, Fraction(1, 2)): 1})
@@ -343,6 +367,37 @@ def test_unit_metric_reduce_matches_combinatorial():
             want = reduce_divisor(G, 0, D).result
             got = metric_reduce(gamma, _vp(0), divisor_to_metric(gamma, D))
             assert got.result == divisor_to_metric(gamma, want)
+
+
+def _subdivision(gamma, N):
+    """(H, points): the graph with a vertex at every point of the 1/N grid
+    of gamma, and the point of each vertex of H."""
+    points = [_vp(v) for v in gamma.graph.vertices]
+    edges = []
+    for e, (u, v) in enumerate(gamma.graph.edges):
+        steps = gamma.lengths[e] * N
+        assert steps.denominator == 1
+        chain = [u]
+        for k in range(1, steps.numerator):
+            points.append(gamma.point(e, Fraction(k, N)))
+            chain.append(len(points) - 1)
+        edges.extend(zip(chain, chain[1:] + [v]))
+    return Graph(len(points), edges), points
+
+
+def test_metric_reduce_matches_subdivision():
+    # lengths in (1/N)Z and D on the 1/N grid: the q-reduced divisor is the
+    # combinatorial one on the N-fold subdivision (Hladky-Kral-Norine)
+    rng = np.random.default_rng(191)
+    for G in [g for g in SMALL + RANDOM if g.m]:
+        N = int(rng.integers(2, 4))
+        gamma = MetricGraph(G, [Fraction(int(rng.integers(1, N + 2)), N) for _ in range(G.m)])
+        H, points = _subdivision(gamma, N)
+        q = int(rng.integers(0, H.n))
+        D = random_divisor(H.n, rng, lo=-1, hi=2)
+        want = reduce_divisor(H, q, D).result
+        got = metric_reduce(gamma, points[q], MetricDivisor(zip(points, D)))
+        assert got.result == MetricDivisor(zip(points, want))
 
 
 def test_q_energy_matches_combinatorial_on_vertices():
@@ -407,3 +462,61 @@ def test_reduced_minimizes_b_among_equivalents():
         cand = result + metric_laplacian(gamma, cap.scaled(k))
         assert cand.is_effective(skip=q)
         assert pots.b(cand) > base
+
+
+# -- Pinned outputs ------------------------------------------------------------------------------
+
+def _divisor(D):
+    return [[repr(p), w] for p, w in D]
+
+
+def _function(f):
+    return [
+        [str(x) for x in f.vertex_values],
+        [[[str(o), str(v)] for o, v in b] for b in f.breaks],
+    ]
+
+
+def _metric_record(gamma, q, D):
+    E, f = metric_make_effective(gamma, q, D)
+    report = metric_reduce(gamma, q, D)
+    return {
+        "make_effective": [_divisor(E), _function(f)],
+        "result": _divisor(report.result),
+        "script": _function(report.script),
+        "make_effective_script": _function(report.make_effective_script),
+        "epsilon": str(sum(it.epsilon for it in report.iterations)),
+        "drop": str(sum(it.drop for it in report.iterations)),
+    }
+
+
+def _log_record(gamma, q, D):
+    return [
+        {
+            "points": [repr(p) for p in it.component.points],
+            "segments": [[e, str(a), str(b)] for e, a, b in it.component.segments],
+            "boundary": [[repr(p), k] for p, k in it.component.boundary],
+            "total_length": str(it.component.total_length),
+            "cut_size": it.component.cut_size,
+            "epsilon": str(it.epsilon),
+            "drop": str(it.drop),
+            "before": _divisor(it.before),
+            "after": _divisor(it.after),
+        }
+        for it in metric_reduce(gamma, q, D).iterations
+    ]
+
+
+def _digest(records):
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_metric_outputs_match_pinned_digest():
+    records = [_metric_record(*case) for case in METRIC]
+    assert _digest(records) == METRIC_RESULT_DIGEST
+
+
+def test_metric_move_logs_match_pinned_digest():
+    records = [_log_record(*METRIC[i]) for i in METRIC_SINGLE_COMPONENT]
+    assert _digest(records) == METRIC_LOG_DIGEST

@@ -179,6 +179,26 @@ def test_shifted_inverse_kills_mu():
             assert sum(r * m for r, m in zip(row, mu)) == 0
 
 
+def test_weighted_inverse_is_the_mu_mix_of_reduced_inverses():
+    # weighted_inverse reads L_mu off one j-table; the definition sums the
+    # L_(i) of every vertex with a nonzero weight
+    rng = np.random.default_rng(37)
+    for G in SMALL + RANDOM:
+        mu = [Fraction(int(rng.integers(0, 3))) for _ in range(G.n)]
+        mu[int(rng.integers(0, G.n))] += 1
+        total = sum(mu)
+        mu = [x / total for x in mu]
+        inverses = [reduced_inverse(G, i).L for i in G.vertices]
+        want = tuple(
+            tuple(sum(m * L[p][v] for m, L in zip(mu, inverses)) for v in G.vertices)
+            for p in G.vertices
+        )
+        assert weighted_inverse(G, mu).L == want
+        c = sum(x * m for x, m in zip(want[0], mu))
+        shifted = tuple(tuple(x - c for x in row) for row in want)
+        assert weighted_inverse(G, mu, shifted=True).L == shifted
+
+
 def test_inverse_apply_solves_degree_zero():
     G = cycle_graph(4)
     D = Divisor((1, -1, 0, 0))
