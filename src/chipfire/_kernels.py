@@ -42,30 +42,32 @@ def burn(G, dvals, q):
 
 
 # ---------------------------------------------------------------------------
-# Step 2: borrow at the lowest-index vertex with a negative chip count
-# (other than q) until none remains.  Borrowing at v adds deg(v) chips at v
-# and removes one chip across each incident edge.
+# Step 2: borrow at vertices with a negative chip count (other than q) until
+# none remains.  Borrowing at v adds deg(v) chips at v and removes one chip
+# across each incident edge.  Borrowing is abelian: every order of legal
+# borrows ends with the same counts, so a worklist of negative vertices
+# replaces the lowest-index rescan, and v takes all ceil(-d(v) / deg(v))
+# borrows it needs at once (each of them is legal, as d(v) stays negative
+# until the last).
 
 def borrow_until_effective(G, dvals, q):
     """(new chips, per-vertex borrow counts, total borrows)."""
     indptr, nbr = G._indptr, G._nbr
     d = list(dvals)
-    n = len(d)
-    counts = [0] * n
+    counts = [0] * len(d)
     total = 0
-    while True:
-        v = -1
-        for u in range(n):
-            if u != q and d[u] < 0:
-                v = u
-                break
-        if v < 0:
-            break
-        counts[v] += 1
-        total += 1
-        d[v] += indptr[v + 1] - indptr[v]
-        for k in range(indptr[v], indptr[v + 1]):
-            d[nbr[k]] -= 1
+    work = [v for v, c in enumerate(d) if c < 0 and v != q]
+    while work:
+        v = work.pop()
+        lo, hi = indptr[v], indptr[v + 1]
+        k = -(d[v] // (hi - lo))
+        counts[v] += k
+        total += k
+        d[v] += k * (hi - lo)
+        for w in nbr[lo:hi]:
+            if 0 <= d[w] < k and w != q:
+                work.append(w)
+            d[w] -= k
     return d, counts, total
 
 

@@ -191,8 +191,10 @@ def _cmd_reduce(gf, args):
         "result": list(rep.result),
         "script": list(rep.script),
         "fired_sets": [list(A) for A in rep.fired_sets],
+        "floor_path": rep.floor_path,
     }
     moves = {
+        "step1_floor_rounds": rep.floor_rounds,
         "step2_borrows": rep.moves_step2,
         "step3_set_firings": rep.moves_step3,
         "step3_vertices_fired": rep.total_set_fire_vertices,

@@ -13,6 +13,7 @@ the reduced divisor into its tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -306,15 +307,27 @@ def _effective_divisors(n, degree):
         yield Divisor(coeffs)
 
 
+# rank_at_least tests one effective divisor of degree c after another, and
+# there are C(n + c - 1, c) of them: above this many it refuses up front.
+RANK_ENUMERATION_CAP = 20_000
+
+
 def rank_at_least(G, D, c):
     """True iff D - E is winnable for every effective E of degree c.
 
-    Short-circuits on the first failing E in lexicographic order.
+    Short-circuits on the first failing E in lexicographic order.  Raises
+    ValueError when there are more than RANK_ENUMERATION_CAP such E.
     """
     if c < 0:
         raise ValueError("rank threshold must be >= 0")
     if D.degree < c:
         return False
+    count = comb(G.n + c - 1, c)
+    if count > RANK_ENUMERATION_CAP:
+        raise ValueError(
+            f"rank >= {c} would test {count} divisors, "
+            f"more than the cap of {RANK_ENUMERATION_CAP}"
+        )
     for E in _effective_divisors(G.n, c):
         if winnable(G, D - E, 0) is None:
             return False
@@ -322,7 +335,11 @@ def rank_at_least(G, D, c):
 
 
 def rank(G, D):
-    """Divisor rank: largest r with rank_at_least(G, D, r); -1 if unwinnable."""
+    """Divisor rank: largest r with rank_at_least(G, D, r); -1 if unwinnable.
+
+    Raises ValueError when a threshold it must test exceeds the cap of
+    rank_at_least.
+    """
     if winnable(G, D, 0) is None:
         return -1
     r = 0

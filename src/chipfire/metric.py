@@ -85,6 +85,9 @@ class MetricGraph:
         return f"MetricGraph({self.graph!r}, {[str(x) for x in self.lengths]})"
 
 
+_ZERO = Fraction(0)
+
+
 class GraphPoint:
     """A point of a metric graph: a vertex or an interior edge position.
 
@@ -94,7 +97,7 @@ class GraphPoint:
     used for burn sequences and component selection.
     """
 
-    __slots__ = ("kind", "index", "edge", "offset")
+    __slots__ = ("kind", "index", "edge", "offset", "_key")
 
     def __init__(self, kind, a, b=None):
         if kind == "v":
@@ -102,11 +105,13 @@ class GraphPoint:
             self.index = int(a)
             self.edge = None
             self.offset = None
+            self._key = (0, self.index, _ZERO)
         elif kind == "e":
             self.kind = "e"
             self.index = None
             self.edge = int(a)
             self.offset = Fraction(b)
+            self._key = (1, self.edge, self.offset)
         else:
             raise ValueError("kind must be 'v' or 'e'")
 
@@ -114,22 +119,17 @@ class GraphPoint:
     def vertex(cls, i):
         return cls("v", i)
 
-    def _key(self):
-        if self.kind == "v":
-            return (0, self.index, Fraction(0))
-        return (1, self.edge, self.offset)
-
     def __eq__(self, other):
-        return isinstance(other, GraphPoint) and self._key() == other._key()
+        return isinstance(other, GraphPoint) and self._key == other._key
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key < other._key
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        return self._key <= other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         if self.kind == "v":

@@ -5,6 +5,13 @@ Q * floor(L_(q) [D]) to bring all off-q coefficients into (-deg, deg), a
 borrowing loop that clears negatives off q, and iterated Dhar burns that
 fire each stalled unburnt set until everything burns.  Move counts and the
 fired sets are logged so the b_q accounting can be replayed exactly.
+
+The floor of the lattice step is exact without the j-table: float64 solves
+of Q_(q) are refined on exact integer residuals until a bound from potential
+theory certifies every coordinate (see _floor_step), with a single-column
+exact solve as the fallback.  Borrowing works off a list of the negative
+vertices.  The j-table is built only by the energy and bound checks
+(verify_minimizer, move_bounds, step_bound_*).
 """
 
 from __future__ import annotations
@@ -12,16 +19,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, exact
 from .graph import (
     Divisor,
     FiringScript,
     apply_laplacian,
     canonical_plus,
     laplacian,
+    reduced_laplacian,
 )
 from .potential import j_function
 
@@ -51,7 +60,9 @@ class ReductionReport:
     moves_step3 counts set firings, total_set_fire_vertices is the sum of
     the fired set sizes (i.e. step 3 measured in single-vertex moves).
     after_step1/after_step2 are the intermediate divisors the running-time
-    bounds refer to.
+    bounds refer to.  floor_path is how step 1 found its floor ("float":
+    certified from refined float solves, "exact": the exact-solve fallback)
+    and floor_rounds the number of float solves it took.
     """
 
     result: Divisor
@@ -63,6 +74,8 @@ class ReductionReport:
     borrow_counts: tuple
     after_step1: Divisor
     after_step2: Divisor
+    floor_path: str
+    floor_rounds: int
 
     @property
     def total_moves(self):
@@ -94,7 +107,7 @@ def make_effective(G, q, D):
     Returns (divisor, script) with divisor = D - Delta(script).
     """
     _check(G, q, D)
-    d1, f1 = _floor_step(G, q, D)
+    d1, f1, _path, _rounds = _floor_step(G, q, D)
     d2, counts, _total = _kernels.borrow_until_effective(G, list(d1), q)
     f = [f1[v] - counts[v] for v in G.vertices]
     script = FiringScript(f, q)
@@ -105,23 +118,90 @@ def make_effective(G, q, D):
 
 
 def _floor_step(G, q, D):
-    """Step 1: subtract Q * floor(L_(q) [D]); returns (divisor, floor vector)."""
-    table = j_function(G, q)
-    den = table.den
-    f1 = [0] * G.n
-    for p in G.vertices:
-        if p == q:
-            continue
-        num = sum(table.num[p][v] * D[v] for v in G.vertices)
-        f1[p] = num // den  # exact floor: den > 0
+    """Step 1: subtract Delta(floor(x)) for x = L_(q) [D], the solution of
+    Q_(q) x = D off q; returns (divisor, floor vector, path, rounds).
+
+    x is refined from float64 solves on exact integer residuals (Wan, J.
+    Symbolic Comput. 41, 2006): x~ = X / 2^S with X integral, and each round
+    computes R = 2^S D - Q X exactly and adds one float solve of R to X.
+    Q_(q)^{-1} = j_q / kappa is entrywise nonnegative with j_q(p, v) <=
+    r(p, q) <= ecc(q), so |x - x~| <= ecc(q) |R|_1 / 2^S.  A coordinate
+    farther than that from every integer has a certified floor.  Once the
+    bound is below 1/(2T), T = prod_{v != q} deg(v) >= kappa (Hadamard), a
+    coordinate near an integer is that integer, as x is a multiple of 1/kappa.
+    R = 0, or a zero exact residual at round(x~) (principal divisors), stops
+    at once.  path is "float"; it is "exact" when a round fails to halve
+    the bound and a single-column exact solve finishes the job.  rounds
+    counts the float solves.
+    """
+    b = [0 if v == q else c for v, c in enumerate(D)]
+    f1, path, rounds = _refined_floor(G, q, b)
     d1 = D - apply_laplacian(G, f1)
-    return d1, f1
+    return d1, f1, path, rounds
+
+
+def _float_inverse(G, q):
+    """Q_(q)^{-1} in float64, rows and columns in vertex order without q."""
+    return np.linalg.inv(reduced_laplacian(G, q).astype(np.float64))
+
+
+def _refined_floor(G, q, b):
+    """(floor(x), path, rounds) for Q_(q) x = b off q; b[q] = 0."""
+    if not any(b):
+        return [0] * G.n, "float", 0
+    keep = [v for v in G.vertices if v != q]
+    inv = _float_inverse(G, q)
+    ecc = max(_bfs_ecc(G, q))
+    two_t = 2 * prod(G.deg[v] for v in keep)
+    X, S, R = [0] * G.n, 0, b
+    err = ecc * sum(map(abs, R))
+    rounds = 0
+    while True:
+        last_err, last_S = err, S
+        # one float solve of R, rounded to integers Y of at most 52 bits
+        t = max(0, max(map(abs, R)).bit_length() - 62)
+        y = inv @ np.array([float(R[v] >> t) for v in keep])
+        e = int(np.frexp(np.max(np.abs(y)))[1])
+        Y = np.rint(np.ldexp(y, 52 - e)).astype(np.int64).tolist()
+        u = t + e - 52  # the correction to x~ is Y 2^u / 2^S
+        if u < 0:
+            X = [x << -u for x in X]
+            S -= u
+            u = 0
+        for v, c in zip(keep, Y):
+            X[v] += c << u
+        rounds += 1
+        R = _residual(G, q, b, X, S)
+        err = ecc * sum(map(abs, R))  # 0 when x~ = x: every floor certified
+        unit = 1 << S
+        floors = [x >> S for x in X]
+        near = [v for v in keep if not err <= X[v] - (floors[v] << S) < unit - err]
+        if not near:
+            return floors, "float", rounds
+        nearest = [(x + (unit >> 1)) >> S for x in X]
+        if two_t * err < unit or not any(_residual(G, q, b, nearest, 0)):
+            for v in near:
+                floors[v] = nearest[v]
+            return floors, "float", rounds
+        if err << (last_S + 1) > last_err << S:
+            break
+    sol = exact.solve(reduced_laplacian(G, q).tolist(), [[b[v]] for v in keep])
+    floors = [0] * G.n
+    for v, (x,) in zip(keep, sol):
+        floors[v] = x.numerator // x.denominator
+    return floors, "exact", rounds
+
+
+def _residual(G, q, b, X, S):
+    """2^S b - Q X off q (0 at q), exact in Python ints; X[q] = 0."""
+    QX = apply_laplacian(G, X)
+    return [0 if v == q else (c << S) - QX[v] for v, c in enumerate(b)]
 
 
 def reduce(G, q, D):
     """The unique q-reduced divisor equivalent to D, with a full move log."""
     _check(G, q, D)
-    d1, f1 = _floor_step(G, q, D)
+    d1, f1, path, rounds = _floor_step(G, q, D)
     d2, counts, borrows = _kernels.borrow_until_effective(G, list(d1), q)
     d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
     f = [f1[v] - counts[v] for v in G.vertices]
@@ -142,6 +222,8 @@ def reduce(G, q, D):
         borrow_counts=tuple(counts),
         after_step1=Divisor(d1),
         after_step2=Divisor(d2),
+        floor_path=path,
+        floor_rounds=rounds,
     )
 
 

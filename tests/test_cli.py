@@ -184,6 +184,22 @@ def test_cli_reduce_json_deterministic(k3_file):
     assert "graph_sha256" in da["inputs"]
 
 
+def test_cli_reduce_json_reports_the_floor_path(k3_file, monkeypatch, capsys):
+    args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["floor_path"] == "float"
+    assert report["move_counts"]["step1_floor_rounds"] == 1
+    # a float solve that makes no progress sends step 1 to the exact solve
+    monkeypatch.setattr(
+        cli.reduction, "_float_inverse", lambda G, q: [[0.0] * (G.n - 1)] * (G.n - 1)
+    )
+    assert cli.main(args) == 0
+    forced = json.loads(capsys.readouterr().out)
+    assert forced["outputs"]["floor_path"] == "exact"
+    assert forced["outputs"]["result"] == report["outputs"]["result"] == [0, 1, 4]
+
+
 def test_cli_check_reduced_exit_codes(k3_file):
     ok = run_cli(["check-reduced", k3_file, "--q", "2", "--divisor", "0 1 4"])
     assert ok.returncode == 0
@@ -244,6 +260,10 @@ def test_cli_rank(k3_file):
     assert yes.returncode == 0
     no = run_cli(["rank", k3_file, "--divisor", "flat", "--c", "3"])
     assert no.returncode == 1
+    # C(252, 2) = 31,626 divisors of degree 250 on K3: refused, exit 2
+    big = run_cli(["rank", k3_file, "--divisor", "300 0 0", "--c", "250"])
+    assert big.returncode == 2
+    assert "cap" in big.stderr and big.stdout == ""
 
 
 def test_cli_bounds(k3_file):

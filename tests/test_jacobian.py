@@ -24,6 +24,7 @@ import pytest
 from chipfire.exact import det
 from chipfire.graph import Divisor, apply_laplacian, complete_graph, cycle_graph
 from chipfire.jacobian import (
+    RANK_ENUMERATION_CAP,
     count_spanning_trees,
     group_add,
     jacobian,
@@ -353,6 +354,17 @@ def test_rank_at_least_validation():
     with pytest.raises(ValueError):
         rank_at_least(G, Divisor((1, 0, 0)), -1)
     assert not rank_at_least(G, Divisor((1, 0, 0)), 2)  # degree too small
+
+
+def test_rank_at_least_refuses_past_the_enumeration_cap():
+    # K3 has C(c + 2, 2) effective divisors of degree c: 19,900 at c = 198
+    # and 20,100 at c = 199, against a cap of 20,000
+    G = complete_graph(3)
+    assert RANK_ENUMERATION_CAP == 20_000
+    assert not rank_at_least(G, Divisor((199, -1, 0)), 198)
+    with pytest.raises(ValueError, match="cap"):
+        rank_at_least(G, Divisor((300, 0, 0)), 199)
+    assert not rank_at_least(G, Divisor((198, 0, 0)), 199)  # degree too small
 
 
 def test_rank_canonical_divisors():
