@@ -3,7 +3,9 @@ the j-function, effective resistance, and the energy pairings E_q and b_q.
 
 All values are exact rationals.  One fraction-free elimination of Q_(q)
 (`exact.adjugate`) gives the j-table as an integer numerator matrix over the
-tree count, so the inner loops of b_q / E_q stay in integer arithmetic.
+tree count, so the inner loops of b_q / E_q stay in integer arithmetic.  A
+table builds it on first use; its float64 view (`float_inverse`) needs no
+elimination and is what the reduction's lattice step refines to exact floors.
 Every generalized inverse is read off such tables: L_(q) = j_q, the
 Moore-Penrose inverse is P L_(0) P with P = I - J/n, and L_mu = sum mu_i L_(i)
 comes from the resistances r(p, v) read off L_(0).
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 from . import exact
 from .graph import (
@@ -107,17 +111,54 @@ class PotentialTable:
     """The j-function table for a base vertex q.
 
     J[p][v] = j_q(p, v) is the potential at v when one unit of current
-    enters at p and exits at q, grounded at q.  Stored as an integer
-    numerator matrix over a common denominator (the spanning tree count).
+    enters at p and exits at q, grounded at q.  The exact values are an
+    integer numerator matrix `num` over a common denominator `den` (the
+    spanning tree count), built by one exact adjugate on first use;
+    `float_inverse` reads j_q / den in float64 without them.
     """
 
-    __slots__ = ("q", "n", "num", "den")
+    __slots__ = ("G", "q", "n", "_num", "_den")
 
-    def __init__(self, q, num, den):
+    def __init__(self, G, q):
+        self.G = G
         self.q = q
-        self.n = len(num)
-        self.num = tuple(tuple(int(x) for x in row) for row in num)
-        self.den = int(den)
+        self.n = G.n
+        self._num = self._den = None
+
+    @property
+    def num(self):
+        if self._num is None:
+            self._build()
+        return self._num
+
+    @property
+    def den(self):
+        if self._num is None:
+            self._build()
+        return self._den
+
+    def _build(self):
+        """num and den from adj(Q_(q)) and det(Q_(q)).
+
+        Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1,
+        that is Delta(g_q) = sum_v (v) - n (q).
+        """
+        q = self.q
+        Qq = reduced_laplacian(self.G, q).tolist()
+        den, adj = exact.adjugate(Qq)
+        sums = [sum(row) for row in adj]
+        if any(sum(map(mul, row, sums)) != den for row in Qq):
+            raise AssertionError("j-function numerators must be integral cofactors")
+        num = [tuple(row[:q] + [0] + row[q:]) for row in adj]
+        num.insert(q, (0,) * self.n)
+        self._num = tuple(num)
+        self._den = den
+
+    def float_inverse(self):
+        """Q_(q)^{-1} = j_q / den in float64 from one float inverse, rows and
+        columns in vertex order without q; the exact numerators stay unbuilt."""
+        Qq = reduced_laplacian(self.G, self.q)
+        return np.linalg.inv(Qq.astype(np.float64))
 
     def j(self, p, v):
         return Fraction(self.num[p][v], self.den)
@@ -166,17 +207,9 @@ class PotentialTable:
 def j_function(G, q):
     """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
 
-    Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1, that is
-    Delta(g_q) = sum_v (v) - n (q).
+    The exact numerators are built on first use of the table's num or den.
     """
-    Qq = reduced_laplacian(G, q).tolist()
-    den, adj = exact.adjugate(Qq)
-    sums = [sum(row) for row in adj]
-    if any(sum(map(mul, row, sums)) != den for row in Qq):
-        raise AssertionError("j-function numerators must be integral cofactors")
-    num = [row[:q] + [0] + row[q:] for row in adj]
-    num.insert(q, [0] * G.n)
-    return PotentialTable(q, num, den)
+    return PotentialTable(G, q)
 
 
 def effective_resistance(G, p, q):

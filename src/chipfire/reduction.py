@@ -6,11 +6,12 @@ borrowing loop that clears negatives off q, and iterated Dhar burns that
 fire each stalled unburnt set until everything burns.  Move counts and the
 fired sets are logged so the b_q accounting can be replayed exactly.
 
-The floor of the lattice step is exact without the j-table: float64 solves
-of Q_(q) are refined on exact integer residuals until a bound from potential
-theory certifies every coordinate (see _floor_step), with a single-column
-exact solve as the fallback.  Borrowing works off a list of the negative
-vertices.  The j-table is built only by the energy and bound checks
+The floor of the lattice step is exact without the exact j-table: float64
+solves of Q_(q) are refined on exact integer residuals until a bound from
+potential theory certifies every coordinate (see _floor_step), with a
+single-column exact solve as the fallback.  Borrowing works off a list of
+the negative vertices.  Step 1 reads the float64 view of the j-table; its
+exact numerators are built only by the energy and bound checks
 (verify_minimizer, move_bounds, step_bound_*).
 """
 
@@ -121,7 +122,8 @@ def _floor_step(G, q, D):
     """Step 1: subtract Delta(floor(x)) for x = L_(q) [D], the solution of
     Q_(q) x = D off q; returns (divisor, floor vector, path, rounds).
 
-    x is refined from float64 solves on exact integer residuals (Wan, J.
+    x = L_(q) D = sum_v j_q(., v) D(v) is refined from float64 solves with
+    the j-table's float view on exact integer residuals (Wan, J.
     Symbolic Comput. 41, 2006): x~ = X / 2^S with X integral, and each round
     computes R = 2^S D - Q X exactly and adds one float solve of R to X.
     Q_(q)^{-1} = j_q / kappa is entrywise nonnegative with j_q(p, v) <=
@@ -135,22 +137,18 @@ def _floor_step(G, q, D):
     counts the float solves.
     """
     b = [0 if v == q else c for v, c in enumerate(D)]
-    f1, path, rounds = _refined_floor(G, q, b)
+    f1, path, rounds = _refined_floor(G, j_function(G, q), b)
     d1 = D - apply_laplacian(G, f1)
     return d1, f1, path, rounds
 
 
-def _float_inverse(G, q):
-    """Q_(q)^{-1} in float64, rows and columns in vertex order without q."""
-    return np.linalg.inv(reduced_laplacian(G, q).astype(np.float64))
-
-
-def _refined_floor(G, q, b):
-    """(floor(x), path, rounds) for Q_(q) x = b off q; b[q] = 0."""
+def _refined_floor(G, table, b):
+    """(floor(x), path, rounds) for Q_(q) x = b off q, q = table.q; b[q] = 0."""
     if not any(b):
         return [0] * G.n, "float", 0
+    q = table.q
     keep = [v for v in G.vertices if v != q]
-    inv = _float_inverse(G, q)
+    inv = table.float_inverse()
     ecc = max(_bfs_ecc(G, q))
     two_t = 2 * prod(G.deg[v] for v in keep)
     X, S, R = [0] * G.n, 0, b

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from chipfire import cli
+from chipfire import cli, potential
 from chipfire.formats import (
     GraphFormatError,
     format_fraction,
@@ -192,7 +192,9 @@ def test_cli_reduce_json_reports_the_floor_path(k3_file, monkeypatch, capsys):
     assert report["move_counts"]["step1_floor_rounds"] == 1
     # a float solve that makes no progress sends step 1 to the exact solve
     monkeypatch.setattr(
-        cli.reduction, "_float_inverse", lambda G, q: [[0.0] * (G.n - 1)] * (G.n - 1)
+        potential.PotentialTable,
+        "float_inverse",
+        lambda table: [[0.0] * (table.n - 1)] * (table.n - 1),
     )
     assert cli.main(args) == 0
     forced = json.loads(capsys.readouterr().out)

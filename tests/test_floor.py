@@ -10,7 +10,8 @@ Core claims:
     - Every one of those floors is certified on the float path.
     - A float solve that makes no progress sends step 1 to the exact solve,
       with an identical report.
-    - reduce and make_effective never build the j-table.
+    - reduce and make_effective never build the exact j-table: step 1 reads
+      only its float view.
     - A 1000-vertex multigraph with 2^70 chips reduces in about a second.
 """
 
@@ -18,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from chipfire import exact, potential, reduction
+from chipfire import exact, potential
 from chipfire.graph import Divisor, Graph, apply_laplacian, reduced_laplacian
 from chipfire.potential import j_function
 from chipfire.reduction import dhar, make_effective, reduce as reduce_divisor
@@ -122,7 +123,9 @@ def test_no_progress_in_the_float_solve_falls_back_to_the_exact_solve(monkeypatc
         for D in _divisors(G, rng)[:2]:
             cases.append((G, n - 1, D, reduce_divisor(G, n - 1, D)))
     monkeypatch.setattr(
-        reduction, "_float_inverse", lambda G, q: np.zeros((G.n - 1, G.n - 1))
+        potential.PotentialTable,
+        "float_inverse",
+        lambda table: np.zeros((table.n - 1, table.n - 1)),
     )
     for G, q, D, rep in cases:
         forced = reduce_divisor(G, q, D)
@@ -134,11 +137,10 @@ def test_no_progress_in_the_float_solve_falls_back_to_the_exact_solve(monkeypatc
 
 
 def test_reduce_does_not_build_the_j_table(monkeypatch):
-    def refuse(G, q):
-        raise AssertionError("j_function called")
+    def refuse(matrix):
+        raise AssertionError("exact adjugate built")
 
-    monkeypatch.setattr(potential, "j_function", refuse)
-    monkeypatch.setattr(reduction, "j_function", refuse)
+    monkeypatch.setattr(exact, "adjugate", refuse)
     rng = np.random.default_rng(610)
     G = _fresh_graph(12, rng)
     for D in _divisors(G, rng):
