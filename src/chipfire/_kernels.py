@@ -4,15 +4,24 @@ The burning loops (Dhar scans, borrowing, set-firing fixpoints and the two
 tree-bijection burns) run on the graph's CSR incidence lists with Python
 ints, so chip counts of any size stay exact.  Every kernel uses the same
 deterministic tie-breaks (lowest vertex index, lowest edge index), which
-make burn orders, fired sets and the bijection canonical.
+make burn orders, fired sets and the bijection canonical.  The burns keep
+those tie-breaks with min-heaps instead of rescans: what can be picked next
+(a ready vertex, a crossing edge) only ever joins the candidates or leaves
+them for good, so the heap top is the lowest-index candidate.  Each burn
+costs O(m log m).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 
 # ---------------------------------------------------------------------------
 # Dhar burn: q burns first; v burns when (edges to burnt) > D(v).
-# Lowest-index-first rescans keep the order canonical.
+# A vertex is ready once cnt[v] > d[v] and stays ready, as cnt only grows,
+# so a heap of the ready vertices pops them lowest-index first.  Vertices
+# with negative chips are ready from the start; the rest join the heap when
+# cnt[w] reaches d[w] + 1, which happens once.
 
 def _burn(indptr, nbr, d, q):
     n = len(d)
@@ -20,19 +29,17 @@ def _burn(indptr, nbr, d, q):
     cnt = [0] * n
     order = [q]
     burnt[q] = True
-    for k in range(indptr[q], indptr[q + 1]):
-        cnt[nbr[k]] += 1
-    progress = True
-    while progress:
-        progress = False
-        for v in range(n):
-            if not burnt[v] and cnt[v] > d[v]:
-                burnt[v] = True
-                order.append(v)
-                for k in range(indptr[v], indptr[v + 1]):
-                    cnt[nbr[k]] += 1
-                progress = True
-                break
+    for w in nbr[indptr[q]:indptr[q + 1]]:
+        cnt[w] += 1
+    ready = [v for v in range(n) if not burnt[v] and cnt[v] > d[v]]
+    while ready:
+        v = heappop(ready)
+        burnt[v] = True
+        order.append(v)
+        for w in nbr[indptr[v]:indptr[v + 1]]:
+            cnt[w] += 1
+            if cnt[w] == d[w] + 1 and not burnt[w]:
+                heappush(ready, w)
     return order
 
 
@@ -102,30 +109,50 @@ def fire_until_reduced(G, dvals, q):
 # ---------------------------------------------------------------------------
 # Tree bijection burns.  Both scans pick the lowest-index unprocessed edge
 # with exactly one endpoint reached, which makes the edge sequence (and so
-# the sets R, T) canonical.
+# the sets R, T) canonical.  When a vertex joins X it pushes its edges to
+# vertices outside X on a heap, so each edge is pushed at most once, when it
+# starts to cross, and is processed when popped.  X only grows, so an edge
+# whose other end has joined X since its push never crosses again: popping
+# past those leaves the lowest crossing edge on top, and an empty heap means
+# no edge crosses.
+
+def _next_crossing(heap, in_x, eu, ev):
+    """Pop the lowest-index crossing edge off the heap; -1 if none is left."""
+    while heap:
+        f = heappop(heap)
+        if in_x[eu[f]] != in_x[ev[f]]:
+            return f
+    return -1
+
+
+def _join(t, in_x, heap, indptr, nbr, eidx):
+    """Add t to X and push its edges that now cross."""
+    in_x[t] = True
+    for k in range(indptr[t], indptr[t + 1]):
+        if not in_x[nbr[k]]:
+            heappush(heap, eidx[k])
+
 
 def tree_from_reduced(G, dvals, q):
     """Burn a reduced divisor into (tree edge list, R mask); None if stalled."""
     eu, ev, n = G._eu, G._ev, G.n
+    indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
     a = list(dvals)
     m = len(eu)
     in_x = [False] * n
-    in_x[q] = True
+    heap = []
+    _join(q, in_x, heap, indptr, nbr, eidx)
     reached = 1
     in_r = [False] * m
     rcount = [0] * n
     tree = []
     while reached < n:
-        f = -1
-        for e in range(m):
-            if not in_r[e] and (in_x[eu[e]] != in_x[ev[e]]):
-                f = e
-                break
+        f = _next_crossing(heap, in_x, eu, ev)
         if f < 0:
             return None, None  # stalled: input was not reduced
         t = ev[f] if in_x[eu[f]] else eu[f]
         if a[t] == rcount[t]:
-            in_x[t] = True
+            _join(t, in_x, heap, indptr, nbr, eidx)
             reached += 1
             tree.append(f)
         in_r[f] = True
@@ -137,25 +164,23 @@ def tree_from_reduced(G, dvals, q):
 def divisor_from_tree(G, tree_mask, q):
     """Burn a spanning tree into (chip counts with a[q]=0, R mask)."""
     eu, ev, n = G._eu, G._ev, G.n
+    indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
     m = len(eu)
     in_x = [False] * n
-    in_x[q] = True
+    heap = []
+    _join(q, in_x, heap, indptr, nbr, eidx)
     reached = 1
     in_r = [False] * m
     rcount = [0] * n
     a = [0] * n
     while reached < n:
-        f = -1
-        for e in range(m):
-            if not in_r[e] and (in_x[eu[e]] != in_x[ev[e]]):
-                f = e
-                break
+        f = _next_crossing(heap, in_x, eu, ev)
         if f < 0:
             raise AssertionError("connected graph ran out of crossing edges")
         if tree_mask[f]:
             t = ev[f] if in_x[eu[f]] else eu[f]
             a[t] = rcount[t]
-            in_x[t] = True
+            _join(t, in_x, heap, indptr, nbr, eidx)
             reached += 1
         in_r[f] = True
         rcount[eu[f]] += 1

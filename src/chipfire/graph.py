@@ -234,22 +234,33 @@ class FiringScript(VertexFunction):
         return f"FiringScript({list(self.values)!r}, q={self.q})"
 
 
-def laplacian(G):
-    """Graph Laplacian Q = D - A as an (n x n) int64 array."""
-    Q = np.zeros((G.n, G.n), dtype=np.int64)
-    for u, v in G.edges:
-        Q[u, u] += 1
-        Q[v, v] += 1
-        Q[u, v] -= 1
-        Q[v, u] -= 1
+def _laplacian(deg, u, v, dtype):
+    """diag(deg) minus 1 at (u[i], v[i]) and (v[i], u[i]) for every i."""
+    Q = np.diag(np.array(deg, dtype=dtype))
+    u = np.asarray(u, dtype=np.intp)
+    v = np.asarray(v, dtype=np.intp)
+    np.add.at(Q, (u, v), -1)
+    np.add.at(Q, (v, u), -1)
     return Q
 
 
-def reduced_laplacian(G, q):
-    """Q with row and column q deleted; rows/cols follow vertex order."""
-    keep = [v for v in G.vertices if v != q]
-    Q = laplacian(G)
-    return Q[np.ix_(keep, keep)]
+def laplacian(G):
+    """Graph Laplacian Q = D - A as an (n x n) int64 array."""
+    return _laplacian(G.deg, G._eu, G._ev, np.int64)
+
+
+def reduced_laplacian(G, q, dtype=np.int64):
+    """Q with row and column q deleted; rows/cols follow vertex order.
+
+    int64 for the exact paths, float64 for the float floor.  Built without
+    the full Q: edges at q count only in the degrees, and every other
+    vertex w takes row and column w - (w > q).
+    """
+    u = np.array(G._eu, dtype=np.intp)
+    v = np.array(G._ev, dtype=np.intp)
+    off = (u != q) & (v != q)
+    u, v = u[off], v[off]
+    return _laplacian(G.deg[:q] + G.deg[q + 1:], u - (u > q), v - (v > q), dtype)
 
 
 def apply_laplacian(G, f):

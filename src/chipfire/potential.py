@@ -157,8 +157,7 @@ class PotentialTable:
     def float_inverse(self):
         """Q_(q)^{-1} = j_q / den in float64 from one float inverse, rows and
         columns in vertex order without q; the exact numerators stay unbuilt."""
-        Qq = reduced_laplacian(self.G, self.q)
-        return np.linalg.inv(Qq.astype(np.float64))
+        return np.linalg.inv(reduced_laplacian(self.G, self.q, np.float64))
 
     def j(self, p, v):
         return Fraction(self.num[p][v], self.den)

@@ -77,6 +77,26 @@ def random_multigraph(n, extra, rng):
     return Graph(n, edges)
 
 
+def kruskal_tree(G, order):
+    """The spanning tree Kruskal's algorithm takes from an edge-index order,
+    as a frozenset of edge indices."""
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = set()
+    for e in order:
+        ru, rv = find(G.edges[e][0]), find(G.edges[e][1])
+        if ru != rv:
+            parent[ru] = rv
+            tree.add(int(e))
+    return frozenset(tree)
+
+
 def random_divisor(n, rng, lo=-3, hi=8):
     return Divisor([int(rng.integers(lo, hi + 1)) for _ in range(n)])
 

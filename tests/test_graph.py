@@ -3,7 +3,9 @@
 Core claims:
     - Graph validates its input (loops, range, connectivity) and normalizes
       edges to (min, max) while keeping their order.
-    - laplacian is symmetric with zero row sums and degree diagonal.
+    - laplacian is symmetric with zero row sums and degree diagonal, and it
+      and reduced_laplacian (int64 and float64, every q) equal the per-edge
+      loop that fills Q entry by entry.
     - apply_laplacian(G, f) == Q @ f and firing a set moves chips along
       exactly the cut edges.
     - is_linearly_equivalent finds an integral script iff one exists and the
@@ -32,7 +34,7 @@ from chipfire.graph import (
     reduced_laplacian,
 )
 
-from corpus import NAMED, RANDOM, SMALL, random_divisor
+from corpus import NAMED, RANDOM, SMALL, random_divisor, random_multigraph
 
 
 # -- Construction and validation ---------------------------------------------
@@ -142,6 +144,31 @@ def test_reduced_laplacian_shape():
     full = laplacian(G)
     keep = [0, 1, 3]
     assert np.array_equal(Qq, full[np.ix_(keep, keep)])
+
+
+def _laplacian_by_loop(G):
+    Q = np.zeros((G.n, G.n), dtype=np.int64)
+    for u, v in G.edges:
+        Q[u, u] += 1
+        Q[v, v] += 1
+        Q[u, v] -= 1
+        Q[v, u] -= 1
+    return Q
+
+
+def test_laplacians_match_the_per_edge_loop():
+    for G in SMALL + RANDOM + [random_multigraph(40, 80, np.random.default_rng(5))]:
+        want = _laplacian_by_loop(G)
+        Q = laplacian(G)
+        assert Q.dtype == np.int64 and np.array_equal(Q, want)
+        for q in G.vertices:
+            keep = [v for v in G.vertices if v != q]
+            Qq = reduced_laplacian(G, q)
+            assert Qq.dtype == np.int64
+            assert np.array_equal(Qq, want[np.ix_(keep, keep)])
+            Fq = reduced_laplacian(G, q, np.float64)
+            assert Fq.dtype == np.float64
+            assert np.array_equal(Fq, want[np.ix_(keep, keep)])
 
 
 def test_apply_laplacian_matches_matrix():

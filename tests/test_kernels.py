@@ -5,21 +5,31 @@ Core claims:
       `reduce` and both bijection burns are pinned by one digest over the
       SMALL and RANDOM corpora at a fixed seed, so any change to a loop or a
       tie-break shows up here.
+    - A second digest pins the same kernels past the corpus: both bijection
+      burns and the Dhar burn on a 400-vertex, 1200-edge multigraph for a
+      dozen seeded trees and q, and the fired sets of step 3 on a
+      200-vertex multigraph.  It was computed with the lowest-index rescan
+      kernels, before they were replaced by heaps.
+    - A tree -> divisor -> tree round trip on 4000 vertices and 12,000 edges
+      returns the same tree in well under two seconds.
     - Chip counts far beyond 64 bits reduce exactly.
 """
 
 import hashlib
 import json
+import time
 
 import numpy as np
 
 from chipfire import _kernels
 from chipfire.graph import Divisor, complete_graph
 from chipfire.reduction import dhar, reduce as reduce_divisor
+from chipfire.treebij import divisor_to_tree, tree_to_divisor
 
-from corpus import RANDOM, SMALL, random_divisor
+from corpus import RANDOM, SMALL, kruskal_tree, random_divisor, random_multigraph
 
 KERNEL_DIGEST = "a28d0fadcc8461de525a2888f488eda327d5880db982c787b93c43368952561e"
+LARGE_DIGEST = "5042944d2d2b45d063892c425d791813a96b3ed467e96f977e24462319356bed"
 
 
 def _kernel_record(G, q, D, rng):
@@ -54,6 +64,55 @@ def test_kernel_outputs_match_pinned_digest():
             records.append(_kernel_record(G, q, D, rng))
     blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == KERNEL_DIGEST
+
+
+def _large_records():
+    rng = np.random.default_rng(701)
+    G = random_multigraph(400, 801, rng)
+    records = []
+    for _ in range(12):
+        tree = kruskal_tree(G, rng.permutation(G.m))
+        q = int(rng.integers(0, G.n))
+        mask = [e in tree for e in range(G.m)]
+        a, div_r = _kernels.divisor_from_tree(G, mask, q)
+        D = list(a)
+        D[q] = G.genus() - sum(a)
+        order, tree_r = _kernels.tree_from_reduced(G, D, q)
+        chips = [int(x) for x in rng.integers(-2, 4, size=G.n)]
+        records.append({
+            "q": q,
+            "divisor_from_tree": [list(a), list(div_r)],
+            "tree_from_reduced": [list(order), list(tree_r)],
+            "burn_reduced": list(_kernels.burn(G, D, q)),
+            "burn": list(_kernels.burn(G, chips, q)),
+        })
+    H = random_multigraph(200, 401, rng)
+    for _ in range(4):
+        q = int(rng.integers(0, H.n))
+        D = random_divisor(H.n, rng, -3, 8)
+        d2, _counts, _total = _kernels.borrow_until_effective(H, list(D), q)
+        d3, sets = _kernels.fire_until_reduced(H, list(d2), q)
+        records.append({"q": q, "fire": [list(d2), list(d3), [list(A) for A in sets]]})
+    return records
+
+
+def test_large_graph_kernel_outputs_match_pinned_digest():
+    blob = json.dumps(_large_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == LARGE_DIGEST
+
+
+def test_bijection_round_trip_on_4000_vertices_is_fast():
+    rng = np.random.default_rng(702)
+    G = random_multigraph(4000, 8001, rng)
+    assert G.m == 12000
+    tree = kruskal_tree(G, rng.permutation(G.m))
+    q = int(rng.integers(0, G.n))
+    start = time.perf_counter()
+    D = tree_to_divisor(G, q, tree)
+    back = divisor_to_tree(G, q, D)
+    elapsed = time.perf_counter() - start
+    assert back.tree_edges == frozenset(tree)
+    assert elapsed < 2.0, f"round trip took {elapsed:.2f} s"
 
 
 def test_reduce_is_exact_on_chip_counts_beyond_64_bits():
