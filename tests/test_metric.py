@@ -51,6 +51,13 @@ METRIC_LOG_DIGEST = "1a400550d02987e5b3d5dce398ffbcd9cafad3f64bf61a13cb02d74eb7d
 # METRIC cases where every move of the reduction met exactly one stalled
 # component; there the whole move log is fixed by the move rule
 METRIC_SINGLE_COMPONENT = (0, 1, 3, 4, 7, 8, 11, 12, 17, 18, 19, 20, 21, 23)
+# The q-reduced divisor is unique, so this digest over the results alone
+# holds for any correct reduction, whatever its moves
+METRIC_REDUCED_DIGEST = "fffe2b5db8de95e23b70fbcacc550722dea8b244145dc847a2da3088bf068eb6"
+# METRIC case 18 is effective off q, so its reduction is Luo moves from D
+# itself, and this log is fixed by the move rule alone
+METRIC_EFFECTIVE_CASE = 18
+METRIC_EFFECTIVE_LOG_DIGEST = "80213fbe95a8ebe07400ad3411eb6308ab8887933c69c76cbba020cc4ef3d554"
 
 
 def segment():
@@ -515,6 +522,17 @@ def _digest(records):
 def test_metric_outputs_match_pinned_digest():
     records = [_metric_record(*case) for case in METRIC]
     assert _digest(records) == METRIC_RESULT_DIGEST
+
+
+def test_metric_reduced_divisors_match_pinned_digest():
+    records = [_divisor(metric_reduce(*case).result) for case in METRIC]
+    assert _digest(records) == METRIC_REDUCED_DIGEST
+
+
+def test_effective_metric_move_log_matches_pinned_digest():
+    gamma, q, D = METRIC[METRIC_EFFECTIVE_CASE]
+    assert D.is_effective(skip=q)
+    assert _digest([_log_record(gamma, q, D)]) == METRIC_EFFECTIVE_LOG_DIGEST
 
 
 def test_metric_move_logs_match_pinned_digest():
