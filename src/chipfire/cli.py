@@ -343,6 +343,7 @@ def _cmd_metric_reduce(gf, args):
     rep = metric.metric_reduce(gamma, q, D)
     outputs = {
         "result": _metric_divisor_json(rep.result),
+        "after_make_effective": _metric_divisor_json(rep.after_make_effective),
         "iterations": [
             {
                 "epsilon": format_fraction(it.epsilon),
@@ -357,7 +358,13 @@ def _cmd_metric_reduce(gf, args):
             format_fraction(x) for x in rep.script.vertex_values
         ],
     }
-    moves = {"luo_iterations": len(rep.iterations)}
+    # each kink of the make-effective script adds one chip at a point off
+    # the model, that is, outside supp(D) and q
+    model = {q, *D.support}
+    breaks = sum(
+        1 for p, _w in rep.after_make_effective if p.kind == "e" and p not in model
+    )
+    moves = {"make_effective_breaks": breaks, "luo_iterations": len(rep.iterations)}
     return outputs, moves, None, 0
 
 

@@ -1,5 +1,5 @@
-"""Metric graphs: tropical functions, the metric Laplacian, burning,
-level moves, and exact reduction.
+"""Metric graphs: tropical functions, the metric Laplacian, burning, and
+exact reduction.
 
 Points live on a metric graph Gamma (a graph with positive rational edge
 lengths) either at vertices or at interior offsets of an edge.  Tropical
@@ -8,19 +8,20 @@ Laplacian puts -(sum of outgoing slopes) at every kink.  All arithmetic is
 exact (Fractions); nothing here uses floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
-the divisor in play (plus q and all vertices).  Burning, levels, moves and
-potentials are all computed on the model and mapped back to points.  Level
-moves and Luo moves only move chips; since Delta fixes a function up to a
-constant, each script is built once afterwards, as the plateau heights of the
-level moves or as the potential of (result - D) read off one exact
-elimination.
+the divisor in play (plus q and all vertices).  Burning, moves and
+potentials are all computed on the model and mapped back to points.  A
+divisor is made effective off q by one rounded j_q-potential, which leaves a
+number of chips per model vertex bounded by the model alone; Luo moves then
+only move chips.  Since Delta fixes a function up to a constant, the
+reduction's script is built once afterwards, as the potential of
+(result - D) from one exact single-column solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil
 
 from . import exact, _kernels
 from .graph import Graph
@@ -431,53 +432,58 @@ class _Model:
             vec[self.vid_of[p]] += w
         return vec
 
-    def levels(self, q_vid):
-        """BFS hop depth from q; adjacent model vertices differ by <= 1."""
-        lev = [-1] * len(self.points)
-        lev[q_vid] = 0
-        queue = [q_vid]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w, _ in self.adj[v]:
-                if lev[w] < 0:
-                    lev[w] = lev[v] + 1
-                    queue.append(w)
-        return lev
-
 
 def _model_for(gamma, q, D):
     return _Model(gamma, [q, *D.support])
 
 
-def _tropical_from_model(gamma, model, values):
-    """The TropicalFunction affine on every model edge, with `values` (one
-    per model vertex) at the model vertices."""
+def _tropical_from_model(gamma, model, values, kinks=()):
+    """The TropicalFunction with `values` (one per model vertex) at the model
+    vertices, affine between them and the (edge, offset, value) `kinks`."""
     anchors = [dict() for _ in range(gamma.m)]
     for a, b, e, o1, o2 in model.medges:
         if o1 != 0:
             anchors[e][o1] = values[a]
         if o2 != gamma.lengths[e]:
             anchors[e][o2] = values[b]
+    for e, offset, value in kinks:
+        anchors[e][offset] = value
     breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
     return TropicalFunction(gamma, values[: gamma.n], breaks).pruned()
 
 
-def _potential(gamma, q, delta, value_at_q):
-    """The function f with Delta(f) = delta and f(q) = value_at_q.
+def _reduced_laplacian(model, q_vid):
+    """(keep, L): the model vertices other than q, and the model Laplacian
+    with conductance 1/length restricted to them."""
+    keep = [v for v in range(len(model.points)) if v != q_vid]
+    row_of = {v: i for i, v in enumerate(keep)}
+    lap = [[_ZERO] * len(keep) for _ in keep]
+    for a, b, _e, o1, o2 in model.medges:
+        c = 1 / (o2 - o1)
+        for u, w in ((a, b), (b, a)):
+            if u != q_vid:
+                lap[row_of[u]][row_of[u]] += c
+                if w != q_vid:
+                    lap[row_of[u]][row_of[w]] -= c
+    return keep, lap
 
-    On the model at the support of delta, Delta is the Laplacian weighted by
-    conductance 1/length, so f - f(q) is j_q against delta.
-    """
-    model, _q_vid, table = MetricPotentials(gamma, q)._table(delta.support)
-    chips = model.chips(delta)
-    support = [p for p, w in enumerate(chips) if w]
-    values = [
-        value_at_q + sum(chips[p] * table[p][v] for p in support)
-        for v in range(len(model.points))
-    ]
-    return _tropical_from_model(gamma, model, values)
+
+def _grounded_potential(model, q_vid, chips):
+    """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
+    affine on model edges: the j_q-potential of chips under conductance
+    1/length, from one single-column exact solve."""
+    keep, lap = _reduced_laplacian(model, q_vid)
+    x = [_ZERO] * len(model.points)
+    for v, (value,) in zip(keep, exact.solve(lap, [[chips[v]] for v in keep])):
+        x[v] = value
+    return x
+
+
+def _potential(gamma, q, delta, value_at_q):
+    """The function f with Delta(f) = delta and f(q) = value_at_q."""
+    model = _model_for(gamma, q, delta)
+    x = _grounded_potential(model, model.vid_of[q], model.chips(delta))
+    return _tropical_from_model(gamma, model, [value_at_q + v for v in x])
 
 
 # ---------------------------------------------------------------------------
@@ -585,54 +591,55 @@ def metric_dhar(gamma, q, D):
 
 
 # ---------------------------------------------------------------------------
-# Level moves: make a divisor effective off q.
+# Making a divisor effective off q: one rounded potential.
 
 def metric_make_effective(gamma, q, D):
-    """(E, f) with E = D + Delta(f) effective off q.
+    """(E, f) with E = D + Delta(f) effective off q and f(q) = 0.
 
-    Works down the BFS levels of the model: a move at level i raises the
-    plateau beyond level i by c_i, moving c_i/len chips from the level-i end
-    to the level-(i+1) end of every gap edge.  c_i is a multiple of the lcm
-    of the gap-length numerators so all slopes stay integral, scaled to
-    cover the worst deficit.  f is the sum of the plateaus.
+    On the model M at supp(D) and q, give each model vertex p != q the
+    buffer nu(p) = ceil(c(p)) - 1, where c(p) sums 1/len + [1/len not an
+    integer] over the model edges at p.  Let x be the j_q-potential of
+    D - nu under conductance 1/len, so D - Delta(x) = nu off q, and take
+    f = -ceil(x) at the model vertices.  On a model edge of length l with
+    rise r, f has slope s + 1 = ceil(r/l) up to offset t = r - s l and slope
+    s after it: one kink carrying one chip when t < l, none when r/l is an
+    integer (always on edges of length 1/k).  Then every model vertex p != q
+    ends with 0 <= E(p) < 2 c(p), whatever the size of D.
     """
     q = _as_point(q)
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma)
     model = _model_for(gamma, q, D)
-    lev = model.levels(model.vid_of[q])
+    q_vid = model.vid_of[q]
     chips = model.chips(D)
-    height = [0] * len(model.points)
-    for i in range(max(lev) - 1, -1, -1):
-        deficits = {
-            vid: -w for vid, w in enumerate(chips) if lev[vid] == i + 1 and w < 0
-        }
-        if not deficits:
-            continue
-        # gap edges as (level-i end, level-(i+1) end, length)
-        gap = [
-            (a, b, o2 - o1) if lev[a] == i else (b, a, o2 - o1)
-            for a, b, _e, o1, o2 in model.medges
-            if {lev[a], lev[b]} == {i, i + 1}
-        ]
-        t_i = lcm(*(length.numerator for _lo, _hi, length in gap))
-        # t_i / length chips per unit of r_i: an integer by the choice of t_i
-        steps = [(lo, hi, t_i // x.numerator * x.denominator) for lo, hi, x in gap]
-        gain = {vid: 0 for vid in deficits}
-        for _lo, hi, step in steps:
-            if hi in gain:
-                gain[hi] += step
-        r_i = max(1, *(-(-need // gain[vid]) for vid, need in deficits.items()))
-        for lo, hi, step in steps:
-            chips[lo] -= r_i * step
-            chips[hi] += r_i * step
-        for vid in range(len(height)):
-            if lev[vid] > i:
-                height[vid] += r_i * t_i
-    E = MetricDivisor(zip(model.points, chips))
-    if not E.is_effective(skip=q):
-        raise AssertionError("level moves failed to clear all deficits")
-    return E, _tropical_from_model(gamma, model, height)
+    c = [_ZERO] * len(chips)
+    for a, b, _e, o1, o2 in model.medges:
+        k = 1 / (o2 - o1)
+        k += k.denominator != 1
+        c[a] += k
+        c[b] += k
+    target = [w - (ceil(c[v]) - 1) * (v != q_vid) for v, w in enumerate(chips)]
+    values = [-ceil(x) for x in _grounded_potential(model, q_vid, target)]
+    kinks = []
+    for a, b, e, o1, o2 in model.medges:
+        length = o2 - o1
+        rise = values[b] - values[a]
+        s = ceil(rise / length) - 1
+        t = rise - s * length
+        chips[a] -= s + 1
+        if t < length:
+            chips[b] += s
+            kinks.append((e, o1 + t, values[a] + (s + 1) * t))
+        else:
+            chips[b] += s + 1
+    E = MetricDivisor(
+        list(zip(model.points, chips))
+        + [(gamma.point(e, offset), 1) for e, offset, _value in kinks]
+    )
+    f = _tropical_from_model(gamma, model, values, kinks)
+    if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
+        raise AssertionError("the rounded potential failed to make D effective")
+    return E, f
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +662,12 @@ class LuoIteration:
 
 @dataclass(frozen=True)
 class MetricReductionReport:
+    """result = D + Delta(script).  after_make_effective = D +
+    Delta(make_effective_script) is where the Luo moves start."""
+
     result: MetricDivisor
     script: TropicalFunction
+    after_make_effective: MetricDivisor
     make_effective_script: TropicalFunction
     iterations: tuple
 
@@ -667,17 +678,20 @@ _MAX_LUO_ITERATIONS = 100000
 def metric_reduce(gamma, q, D):
     """The q-reduced divisor equivalent to D, with the full move log.
 
-    First clears negatives off q by level moves, then repeats Luo moves:
+    First clears negatives off q with metric_make_effective (a no-op when D
+    is effective off q), then repeats Luo moves:
     burn from q, take the first stalled component X in canonical order,
     and add Delta(min(dist(., X), eps)) with eps the shortest model edge
     leaving X, that is, move one chip from X eps along every edge leaving
     it.  Each move decreases b_q by exactly l(X) eps + (cut/2) eps^2;
     termination has no a-priori bound, so a generous safety cap guards the
-    loop.  Every move function is 0 on X and eps at the burnt point q, so the
-    script is the potential of (result - D) with value sum(eps) at q.
+    loop.  The make-effective script is 0 at q and every move function is 0
+    on X and eps at the burnt point q, so the script is the potential of
+    (result - D) with value sum(eps) at q.
     """
     q = _as_point(q)
-    E, f0 = metric_make_effective(gamma, q, D)
+    E0, f0 = metric_make_effective(gamma, q, D)
+    E = E0
     log = []
     for _ in range(_MAX_LUO_ITERATIONS):
         model, order = _burn_model(gamma, q, E)
@@ -712,6 +726,7 @@ def metric_reduce(gamma, q, D):
     return MetricReductionReport(
         result=E,
         script=script,
+        after_make_effective=E0,
         make_effective_script=f0,
         iterations=tuple(log),
     )
@@ -740,15 +755,8 @@ class MetricPotentials:
         model = _Model(self.gamma, [self.q, *points])
         q_vid = model.vid_of[self.q]
         size = len(model.points)
-        lap = [[Fraction(0)] * size for _ in range(size)]
-        for a, b, _e, o1, o2 in model.medges:
-            c = 1 / (o2 - o1)
-            lap[a][a] += c
-            lap[b][b] += c
-            lap[a][b] -= c
-            lap[b][a] -= c
-        keep = [v for v in range(size) if v != q_vid]
-        inv = exact.invert([[lap[i][j] for j in keep] for i in keep])
+        keep, lap = _reduced_laplacian(model, q_vid)
+        inv = exact.invert(lap)
         table = [[Fraction(0)] * size for _ in range(size)]
         for i, p in enumerate(keep):
             for j, v in enumerate(keep):

@@ -283,7 +283,22 @@ def test_cli_metric_commands(seg_file):
     assert red.returncode == 0
     rep = json.loads(red.stdout)
     assert rep["outputs"]["result"] == [["v:0", 2]]
+    assert rep["outputs"]["after_make_effective"] == [["v:1", 2]]  # effective: kept
+    assert rep["move_counts"]["make_effective_breaks"] == 0
     assert rep["move_counts"]["luo_iterations"] >= 1
+    # f = 2 dist(v:0, .) on the two length-1/2 model edges: no kinks
+    mix = json.loads(run_cli(["metric-reduce", seg_file, "--q", "v:0", "--divisor", "mix", "--format", "json"]).stdout)
+    assert mix["outputs"]["after_make_effective"] == [["v:0", -2], ["v:1", 1], ["e:0@1/2", 2]]
+    assert mix["move_counts"]["make_effective_breaks"] == 0
+    # model edges of length 2/5 and 3/5: f = 2 at e:0@2/5 and 4 at v:1, so
+    # slope 5 on the first edge; slopes 4 then 3 on the second, with one
+    # kink (and its one chip) at e:0@3/5
+    kink = run_cli(["metric-reduce", seg_file, "--q", "v:0", "--divisor", "v:1=-1 e:0@2/5=2", "--format", "json"])
+    rep = json.loads(kink.stdout)
+    assert rep["outputs"]["after_make_effective"] == [
+        ["v:0", -5], ["v:1", 2], ["e:0@2/5", 3], ["e:0@3/5", 1]
+    ]
+    assert rep["move_counts"]["make_effective_breaks"] == 1
     chk2 = run_cli(["metric-check", seg_file, "--q", "v:0", "--divisor", "v:0=2"])
     assert chk2.returncode == 0
 

@@ -8,8 +8,10 @@ Core claims:
     - metric_dhar certifies reducedness; stalled components carry their
       length and cut data.
     - metric_make_effective returns (E, f) with E = D + Delta(f) effective
-      off q; metric_reduce terminates with an exact per-move b_q drop of
-      l(X) eps + cut/2 eps^2 and a script reproducing the result.
+      off q (a hand-derived oracle here; the bounds are property-tested in
+      test_metric_make_effective.py); metric_reduce terminates with an exact
+      per-move b_q drop of l(X) eps + cut/2 eps^2 and a script reproducing
+      the result.
     - On unit edge lengths the metric machinery agrees with the
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
@@ -17,7 +19,10 @@ Core claims:
     - The reduced divisor minimizes b_q among random equivalent divisors
       that stay effective off q.
     - Every output of metric_make_effective and metric_reduce on the METRIC
-      corpus is pinned by one digest, and the move logs by another.
+      corpus is pinned by one digest, and the move logs by another.  The
+      q-reduced divisors alone are pinned by a third, and the move log of
+      the one effective single-component case by a fourth; both were
+      computed with the level-move make-effective step this one replaced.
 """
 
 import hashlib
@@ -46,11 +51,14 @@ from chipfire.reduction import reduce as reduce_divisor
 
 from corpus import METRIC, RANDOM, SMALL, random_divisor
 
-METRIC_RESULT_DIGEST = "cd51f6183668a385598e8e11e4d98d04515c3d17ff741b128c51d0b8b63b711b"
-METRIC_LOG_DIGEST = "1a400550d02987e5b3d5dce398ffbcd9cafad3f64bf61a13cb02d74eb7d19ffc"
-# METRIC cases where every move of the reduction met exactly one stalled
-# component; there the whole move log is fixed by the move rule
-METRIC_SINGLE_COMPONENT = (0, 1, 3, 4, 7, 8, 11, 12, 17, 18, 19, 20, 21, 23)
+METRIC_RESULT_DIGEST = "100767168180b3bbd325f045c8a11b09b3248b8785f1323279caac81c3f29eee"
+METRIC_LOG_DIGEST = "d8d6f88c030c304727363f7787d9e6bf1de28abaa2d622b4ef50ae692cbc3e3c"
+# METRIC cases not effective off q where every move of the reduction met
+# exactly one stalled component; there the whole move log is fixed by the
+# move rule and the make-effective output
+METRIC_SINGLE_COMPONENT = (
+    0, 1, 2, 3, 4, 7, 8, 10, 12, 13, 15, 17, 19, 20, 21, 23, 25, 29, 30, 32
+)
 # The q-reduced divisor is unique, so this digest over the results alone
 # holds for any correct reduction, whatever its moves
 METRIC_REDUCED_DIGEST = "fffe2b5db8de95e23b70fbcacc550722dea8b244145dc847a2da3088bf068eb6"
@@ -230,12 +238,17 @@ def test_metric_dhar_interior_chip_blocks():
 
 # -- Making effective ------------------------------------------------------------------------
 
-def test_metric_make_effective_level_oracle():
+def test_metric_make_effective_rounded_oracle():
+    # model v0 - mid - v1 with two edges of length 1/2 (conductance 2):
+    # c(mid) = 4, c(v1) = 2, so D - nu = -(mid) - 2 (v1), whose j_q-potential
+    # is x(mid) = -3/2, x(v1) = -5/2; f = -ceil(x) = 2 dist(v0, .), with
+    # integral slopes and so no kinks on these 1/k-length edges
     gamma = segment()
     mid = gamma.point(0, Fraction(1, 2))
     D = MetricDivisor({_vp(1): -1, mid: 2})
     E, script = metric_make_effective(gamma, _vp(0), D)
-    assert E == MetricDivisor({_vp(1): 1})
+    assert E == MetricDivisor({mid: 2, _vp(1): 1, _vp(0): -2})
+    assert script == TropicalFunction(gamma, [0, 2])
     assert E == D + metric_laplacian(gamma, script)
 
 
@@ -491,6 +504,7 @@ def _metric_record(gamma, q, D):
         "make_effective": [_divisor(E), _function(f)],
         "result": _divisor(report.result),
         "script": _function(report.script),
+        "after_make_effective": _divisor(report.after_make_effective),
         "make_effective_script": _function(report.make_effective_script),
         "epsilon": str(sum(it.epsilon for it in report.iterations)),
         "drop": str(sum(it.drop for it in report.iterations)),
