@@ -23,6 +23,8 @@ Core claims:
       q-reduced divisors alone are pinned by a third, and the move log of
       the one effective single-component case by a fourth; both were
       computed with the level-move make-effective step this one replaced.
+      The exact potentials j, r, E_q and b_q on the METRIC corpus are pinned
+      by a fifth digest.
 """
 
 import hashlib
@@ -66,6 +68,9 @@ METRIC_REDUCED_DIGEST = "fffe2b5db8de95e23b70fbcacc550722dea8b244145dc847a2da308
 # itself, and this log is fixed by the move rule alone
 METRIC_EFFECTIVE_CASE = 18
 METRIC_EFFECTIVE_LOG_DIGEST = "80213fbe95a8ebe07400ad3411eb6308ab8887933c69c76cbba020cc4ef3d554"
+# j and r over every ordered pair of up to six points per METRIC case (four
+# points of supp(D), vertex 0 and q), r to q, E_q(D) and b_q(D)
+METRIC_POTENTIAL_DIGEST = "61fb2f2543bb3dd6a224130ceb42f6447e360180310b167effc0f1995e4ab8de"
 
 
 def segment():
@@ -552,3 +557,22 @@ def test_effective_metric_move_log_matches_pinned_digest():
 def test_metric_move_logs_match_pinned_digest():
     records = [_log_record(*METRIC[i]) for i in METRIC_SINGLE_COMPONENT]
     assert _digest(records) == METRIC_LOG_DIGEST
+
+
+def _potential_record(gamma, q, D):
+    pots = metric_potentials(gamma, q)
+    points = list(dict.fromkeys([*D.support[:4], _vp(0), q]))
+    pairs = [(x, y) for x in points for y in points]
+    return {
+        "points": [repr(p) for p in points],
+        "j": [str(pots.j(x, y)) for x, y in pairs],
+        "r": [str(pots.resistance(x, y)) for x, y in pairs],
+        "r_q": [str(pots.resistance(x)) for x in points],
+        "energy": str(pots.q_energy(D)),
+        "b": str(pots.b(D)),
+    }
+
+
+def test_metric_potentials_match_pinned_digest():
+    records = [_potential_record(*case) for case in METRIC]
+    assert _digest(records) == METRIC_POTENTIAL_DIGEST
