@@ -21,9 +21,11 @@ from heapq import heappop, heappush
 # A vertex is ready once cnt[v] > d[v] and stays ready, as cnt only grows,
 # so a heap of the ready vertices pops them lowest-index first.  Vertices
 # with negative chips are ready from the start; the rest join the heap when
-# cnt[w] reaches d[w] + 1, which happens once.
+# cnt[w] reaches d[w] + 1, which happens once.  When the fire stops, cnt[v]
+# is the number of edges from v to the burnt set.
 
 def _burn(indptr, nbr, d, q):
+    """(burn order, burnt mask, per-vertex count of edges to the burnt set)."""
     n = len(d)
     burnt = [False] * n
     cnt = [0] * n
@@ -40,12 +42,12 @@ def _burn(indptr, nbr, d, q):
             cnt[w] += 1
             if cnt[w] == d[w] + 1 and not burnt[w]:
                 heappush(ready, w)
-    return order
+    return order, burnt, cnt
 
 
 def burn(G, dvals, q):
     """Burn order as a list of vertices, starting at q."""
-    return _burn(G._indptr, G._nbr, list(dvals), q)
+    return _burn(G._indptr, G._nbr, list(dvals), q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,9 @@ def borrow_until_effective(G, dvals, q):
 
 # ---------------------------------------------------------------------------
 # Step 3: run the burn; if vertices stay unburnt, fire all of them as one
-# set and repeat.
+# set and repeat.  Firing the unburnt set sends one chip across each edge to
+# the burnt set, so the burn's own counts give the new chips in one pass: an
+# unburnt v loses cnt[v], a burnt v gains deg(v) - cnt[v].
 
 def fire_until_reduced(G, dvals, q):
     """(new chips, list of fired sets in order)."""
@@ -89,20 +93,15 @@ def fire_until_reduced(G, dvals, q):
     n = len(d)
     sets = []
     while True:
-        order = _burn(indptr, nbr, d, q)
+        order, burnt, cnt = _burn(indptr, nbr, d, q)
         if len(order) == n:
             break
-        burnt = [False] * n
-        for v in order:
-            burnt[v] = True
-        unburnt = [v for v in range(n) if not burnt[v]]
-        for v in unburnt:
-            for k in range(indptr[v], indptr[v + 1]):
-                w = nbr[k]
-                if burnt[w]:
-                    d[v] -= 1
-                    d[w] += 1
-        sets.append(tuple(unburnt))
+        for v in range(n):
+            if burnt[v]:
+                d[v] += indptr[v + 1] - indptr[v] - cnt[v]
+            else:
+                d[v] -= cnt[v]
+        sets.append(tuple(v for v in range(n) if not burnt[v]))
     return d, sets
 
 

@@ -20,7 +20,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import metric, reduction, treebij
 from .jacobian import (
@@ -148,17 +147,6 @@ def _divisor(gf, spec):
         return parse_divisor_arg(spec, gf)
     except (ValueError, OSError) as exc:
         raise InputError(f"bad divisor {spec!r}: {exc}")
-
-
-def _frs(x):
-    """Fractions to 'num/den' strings, ints stay ints, recursively."""
-    if isinstance(x, Fraction):
-        return format_fraction(x)
-    if isinstance(x, (list, tuple)):
-        return [_frs(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _frs(v) for k, v in x.items()}
-    return x
 
 
 def _metric_divisor_json(D):

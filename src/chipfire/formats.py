@@ -47,6 +47,8 @@ class GraphFile:
 def parse_fraction(token):
     if "/" in token:
         num, _, den = token.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {token!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(token))
 
@@ -59,10 +61,12 @@ def format_fraction(x):
 
 
 def parse_point(token, gamma=None):
-    """Parse `v:<i>`, `e:<edge>@<offset>`, or a bare vertex index."""
+    """Parse `v:<i>`, `e:<edge>@<offset>`, or a bare vertex index.
+
+    With gamma the point is range-checked (ValueError) and edge endpoints
+    canonicalize to vertices.
+    """
     token = token.strip()
-    if token.startswith("v:"):
-        return GraphPoint.vertex(int(token[2:]))
     if token.startswith("e:"):
         body = token[2:]
         edge_s, sep, off_s = body.partition("@")
@@ -71,9 +75,25 @@ def parse_point(token, gamma=None):
         edge = int(edge_s)
         offset = parse_fraction(off_s)
         if gamma is not None:
-            return gamma.point(edge, offset)  # canonicalizes endpoints
+            return gamma.point(edge, offset)
         return GraphPoint("e", edge, offset)
-    return GraphPoint.vertex(int(token))
+    index = int(token[2:] if token.startswith("v:") else token)
+    if gamma is not None:
+        return gamma.vertex_point(index)
+    return GraphPoint.vertex(index)
+
+
+def _parse_metric_divisor(tokens, gamma):
+    """The MetricDivisor of `point=weight` tokens; ValueError on a bad one."""
+    entries = []
+    for tok in tokens:
+        point_s, sep, w_s = tok.partition("=")
+        if not sep:
+            raise ValueError(
+                f"metric divisor entries look like point=weight, got {tok!r}"
+            )
+        entries.append((parse_point(point_s, gamma), int(w_s)))
+    return MetricDivisor(entries)
 
 
 def format_point(p):
@@ -130,7 +150,7 @@ def parse(text):
             if len(args) == 3:
                 try:
                     length = parse_fraction(args[2])
-                except (ValueError, ZeroDivisionError):
+                except ValueError:
                     raise GraphFormatError(f"bad edge length {args[2]!r}", lineno)
                 if length <= 0:
                     raise GraphFormatError("edge length must be positive", lineno)
@@ -161,23 +181,10 @@ def parse(text):
         if name in divisors:
             raise GraphFormatError(f"duplicate divisor {name!r}", lineno)
         if with_len:
-            entries = []
-            for tok in tokens:
-                point_s, sep, w_s = tok.partition("=")
-                if not sep:
-                    raise GraphFormatError(
-                        f"metric divisor entries look like point=weight, got {tok!r}",
-                        lineno,
-                    )
-                try:
-                    p = parse_point(point_s, graph)
-                    w = int(w_s)
-                except ValueError as exc:
-                    raise GraphFormatError(str(exc), lineno)
-                if p.kind == "v" and not (0 <= p.index < n):
-                    raise GraphFormatError("point vertex out of range", lineno)
-                entries.append((p, w))
-            divisors[name] = MetricDivisor(entries)
+            try:
+                divisors[name] = _parse_metric_divisor(tokens, graph)
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), lineno)
         else:
             if len(tokens) != n:
                 raise GraphFormatError(
@@ -230,15 +237,7 @@ def parse_divisor_arg(spec, gf):
     if not tokens:
         raise ValueError("empty divisor specification")
     if gf.is_metric:
-        entries = []
-        for tok in tokens:
-            point_s, sep, w_s = tok.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"metric divisor entries look like point=weight, got {tok!r}"
-                )
-            entries.append((parse_point(point_s, gf.graph), int(w_s)))
-        return MetricDivisor(entries)
+        return _parse_metric_divisor(tokens, gf.graph)
     n = gf.graph.n
     if len(tokens) != n:
         raise ValueError(f"divisor needs {n} coefficients, got {len(tokens)}")

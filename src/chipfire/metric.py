@@ -9,12 +9,14 @@ exact (Fractions); nothing here uses floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices).  Burning, moves and
-potentials are all computed on the model and mapped back to points.  A
-divisor is made effective off q by one rounded j_q-potential, which leaves a
-number of chips per model vertex bounded by the model alone; Luo moves then
-only move chips.  Since Delta fixes a function up to a constant, the
-reduction's script is built once afterwards, as the potential of
-(result - D) from one exact single-column solve.
+potentials are all computed on the model and mapped back to points.  Every
+potential is the j_q-potential of one divisor from one exact single-column
+solve on a fresh model, and j_q, r, E_q and b_q are read off such a
+potential; nothing is cached.  A divisor is made effective off q by one
+rounded j_q-potential, which leaves a number of chips per model vertex
+bounded by the model alone; Luo moves then only move chips.  Since Delta
+fixes a function up to a constant, the reduction's script is built once
+afterwards, as the potential of (result - D).
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ class _Model:
     the maximal subsegments between consecutive model vertices.
     """
 
-    __slots__ = ("gamma", "points", "vid_of", "medges", "adj", "graph")
+    __slots__ = ("gamma", "points", "vid_of", "medges", "graph")
 
     def __init__(self, gamma, extra_points):
         self.gamma = gamma
@@ -420,10 +422,6 @@ class _Model:
             )
             for (o1, a), (o2, b) in zip(stops, stops[1:]):
                 self.medges.append((a, b, e, o1, o2))
-        self.adj = [[] for _ in self.points]
-        for idx, (a, b, _e, _o1, _o2) in enumerate(self.medges):
-            self.adj[a].append((b, idx))
-            self.adj[b].append((a, idx))
         self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
 
     def chips(self, D):
@@ -452,9 +450,11 @@ def _tropical_from_model(gamma, model, values, kinks=()):
     return TropicalFunction(gamma, values[: gamma.n], breaks).pruned()
 
 
-def _reduced_laplacian(model, q_vid):
-    """(keep, L): the model vertices other than q, and the model Laplacian
-    with conductance 1/length restricted to them."""
+def _grounded_potential(model, q_vid, chips):
+    """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
+    affine on model edges: the j_q-potential of chips under conductance
+    1/length, from one single-column exact solve of the model Laplacian
+    with q's row and column removed."""
     keep = [v for v in range(len(model.points)) if v != q_vid]
     row_of = {v: i for i, v in enumerate(keep)}
     lap = [[_ZERO] * len(keep) for _ in keep]
@@ -465,14 +465,6 @@ def _reduced_laplacian(model, q_vid):
                 lap[row_of[u]][row_of[u]] += c
                 if w != q_vid:
                     lap[row_of[u]][row_of[w]] -= c
-    return keep, lap
-
-
-def _grounded_potential(model, q_vid, chips):
-    """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
-    affine on model edges: the j_q-potential of chips under conductance
-    1/length, from one single-column exact solve."""
-    keep, lap = _reduced_laplacian(model, q_vid)
     x = [_ZERO] * len(model.points)
     for v, (value,) in zip(keep, exact.solve(lap, [[chips[v]] for v in keep])):
         x[v] = value
@@ -521,53 +513,45 @@ def _burn_model(gamma, q, D):
     return model, _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
 
 
-def _components(model, burnt_set):
-    n = len(model.points)
-    unburnt = [v for v in range(n) if v not in burnt_set]
-    seen = set()
-    comps = []
-    for start in unburnt:
-        if start in seen:
+def _components(model, order):
+    """Yield the components the fire from q could not enter, in canonical
+    order, building each only when asked for.
+
+    Each is walked over the model graph from the lowest unburnt model vertex
+    no earlier walk reached, which is then its smallest point, so the
+    components come out by their first point; segments and boundary are read
+    off the component's own incident edges.
+    """
+    G = model.graph
+    burnt = [False] * G.n
+    for v in order:
+        burnt[v] = True
+    reached = list(burnt)
+    for start in range(G.n):
+        if reached[start]:
             continue
-        comp = []
-        stack = [start]
-        seen.add(start)
+        reached[start] = True
+        comp, stack, inner, outdeg = [], [start], set(), {}
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w, _ in model.adj[v]:
-                if w not in burnt_set and w not in seen:
-                    seen.add(w)
+            for w, idx in zip(G.neighbors(v), G.incident(v)):
+                if burnt[w]:
+                    outdeg[v] = outdeg.get(v, 0) + 1
+                    continue
+                inner.add(idx)
+                if not reached[w]:
+                    reached[w] = True
                     stack.append(w)
         comp.sort()
-        comps.append(comp)
-    comps.sort()  # by smallest vid = canonical point order
-    out = []
-    for comp in comps:
-        comp_set = set(comp)
-        segments = []
-        total = Fraction(0)
-        for a, b, e, o1, o2 in model.medges:
-            if a in comp_set and b in comp_set:
-                segments.append((e, o1, o2))
-                total += o2 - o1
-        boundary = []
-        cut = 0
-        for v in comp:
-            od = sum(1 for w, _ in model.adj[v] if w in burnt_set)
-            if od:
-                boundary.append((model.points[v], od))
-                cut += od
-        out.append(
-            UnburntComponent(
-                points=tuple(model.points[v] for v in comp),
-                segments=tuple(segments),
-                boundary=tuple(boundary),
-                total_length=total,
-                cut_size=cut,
-            )
+        segments = tuple(model.medges[idx][2:] for idx in sorted(inner))
+        yield UnburntComponent(
+            points=tuple(model.points[v] for v in comp),
+            segments=segments,
+            boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
+            total_length=sum((o2 - o1 for _e, o1, o2 in segments), _ZERO),
+            cut_size=sum(outdeg.values()),
         )
-    return out
 
 
 def metric_dhar(gamma, q, D):
@@ -581,12 +565,11 @@ def metric_dhar(gamma, q, D):
     if any(w < 0 and p != q for p, w in D):
         raise ValueError("divisor must be effective off q")
     model, order = _burn_model(gamma, q, D)
-    burnt = set(order)
-    comps = _components(model, burnt)
+    comps = tuple(_components(model, order))
     return MetricDharOutcome(
         reduced=not comps,
         burn_order=tuple(model.points[v] for v in order),
-        components=tuple(comps),
+        components=comps,
     )
 
 
@@ -697,7 +680,7 @@ def metric_reduce(gamma, q, D):
         model, order = _burn_model(gamma, q, E)
         if len(order) == len(model.points):
             break
-        comp = _components(model, set(order))[0]
+        comp = next(_components(model, order))
         inside = {model.vid_of[p] for p in comp.points}
         leaving = [
             edge for edge in model.medges if (edge[0] in inside) != (edge[1] in inside)
@@ -736,74 +719,48 @@ def metric_reduce(gamma, q, D):
 # Exact potential theory on the model.
 
 class MetricPotentials:
-    """Exact j_q / resistance / E_q / b_q solver for a fixed base point q.
+    """Exact j_q / resistance / E_q / b_q for a fixed base point q.
 
-    Each query subdivides Gamma at the points involved, inverts the
-    weighted (conductance = 1/length) reduced Laplacian exactly, and reads
-    the answers off the table.  Tables are cached per point set.
+    Each query subdivides Gamma at q and the points it names and reads its
+    answer off the potential of one divisor, grounded at q under conductance
+    1/length: one single-column exact solve per query, with no cache.
     """
 
     def __init__(self, gamma, q):
         self.gamma = gamma
         self.q = _as_point(q)
-        self._cache = {}
 
-    def _table(self, points):
-        key = frozenset(points)
-        if key in self._cache:
-            return self._cache[key]
-        model = _Model(self.gamma, [self.q, *points])
-        q_vid = model.vid_of[self.q]
-        size = len(model.points)
-        keep, lap = _reduced_laplacian(model, q_vid)
-        inv = exact.invert(lap)
-        table = [[Fraction(0)] * size for _ in range(size)]
-        for i, p in enumerate(keep):
-            for j, v in enumerate(keep):
-                table[p][v] = inv[i][j]
-        out = (model, q_vid, table)
-        self._cache[key] = out
-        return out
+    def _grounded(self, D, *points):
+        """(model at q, supp(D) and points; the j_q-potential of D on it)."""
+        model = _Model(self.gamma, [self.q, *D.support, *points])
+        return model, _grounded_potential(model, model.vid_of[self.q], model.chips(D))
 
     def j(self, x, y):
         """j_q(x, y): potential at y, current in at x and out at q."""
         x, y = _as_point(x), _as_point(y)
-        model, _q_vid, table = self._table((x, y))
-        return table[model.vid_of[x]][model.vid_of[y]]
+        model, phi = self._grounded(MetricDivisor({x: 1}), y)
+        return phi[model.vid_of[y]]
 
     def resistance(self, x, y=None):
         """Effective resistance r(x, y); y defaults to the base point."""
         x = _as_point(x)
         y = self.q if y is None else _as_point(y)
-        model, _q_vid, table = self._table((x, y))
-        a, b = model.vid_of[x], model.vid_of[y]
-        return table[a][a] - 2 * table[a][b] + table[b][b]
+        model, phi = self._grounded(MetricDivisor([(x, 1), (y, -1)]), x, y)
+        return phi[model.vid_of[x]] - phi[model.vid_of[y]]
 
     def q_energy(self, D):
-        """E_q(D) = <D - deg(D) q, D - deg(D) q> through the j-kernel."""
-        model, q_vid, table = self._table(D.support)
-        vec = model.chips(D)
-        vec[q_vid] -= D.degree
-        support = [v for v, w in enumerate(vec) if w]
-        return sum(
-            vec[p] * vec[v] * table[p][v] for p in support for v in support
-        )
+        """E_q(D) = <D - deg(D) q, D - deg(D) q> = sum of D(p) phi_D(p), with
+        phi_D the j_q-potential of D."""
+        model, phi = self._grounded(D)
+        return sum(w * phi[model.vid_of[p]] for p, w in D)
 
     def b(self, D):
-        """b_q(D) = integral over Gamma of j_q(., y) against D - deg(D) q."""
-        model, q_vid, table = self._table(D.support)
-        vec = model.chips(D)
-        vec[q_vid] -= D.degree
-        total = Fraction(0)
-        for p, w in enumerate(vec):
-            if not w:
-                continue
-            row = table[p]
-            acc = Fraction(0)
-            for a, b_, _e, o1, o2 in model.medges:
-                acc += (o2 - o1) * (row[a] + row[b_]) / 2
-            total += w * acc
-        return total
+        """b_q(D) = integral over Gamma of phi_D, the j_q-potential of D."""
+        model, phi = self._grounded(D)
+        return sum(
+            ((o2 - o1) * (phi[a] + phi[b]) / 2 for a, b, _e, o1, o2 in model.medges),
+            _ZERO,
+        )
 
 
 def metric_potentials(gamma, q):

@@ -313,6 +313,19 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
     assert "line 2" in loops.stderr
     badq = run_cli(["reduce", k3_file, "--q", "7", "--divisor", "start"])
     assert badq.returncode == 2
+    seg = tmp_path / "seg.graph"
+    seg.write_text("graph 2\nedge 0 1 1\n")
+    for command, q, divisor in (
+        ("metric-reduce", "v:0", "v:9=1"),
+        ("metric-reduce", "v:7", "v:1=1"),
+        ("metric-check", "v:0", "v:9=1"),
+        ("metric-reduce", "v:0", "v:-1=1"),
+        ("metric-reduce", "e:0@1/0", "v:1=1"),
+        ("metric-reduce", "v:0", "e:0@1/0=1"),
+    ):
+        out = run_cli([command, str(seg), "--q", q, "--divisor", divisor])
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
