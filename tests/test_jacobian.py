@@ -6,10 +6,13 @@ Core claims:
       divisibility chain; it handles rectangular input.  U, S, V and u_inv
       are pinned by one digest over the SMALL and RANDOM corpora.
     - The critical group order equals the spanning-tree count and the
-      element map (exponents -> reduced divisor) is a bijection.
+      element map (exponents -> reduced divisor) is a bijection.  The
+      invariant factors of every (G, q) in SMALL and RANDOM are pinned by
+      one digest; generators are not, since a presentation is not unique.
     - group_add realizes the group law on reduced representatives.
     - The seeded sampler is reproducible, prefix-stable, and returns
-      spanning trees.
+      spanning trees; 600 draws on each of four small graphs are pinned by
+      one digest.
     - winnable/rank agree with brute-force search on small graphs and with
       known values.
 """
@@ -22,7 +25,13 @@ import numpy as np
 import pytest
 
 from chipfire.exact import det
-from chipfire.graph import Divisor, apply_laplacian, complete_graph, cycle_graph
+from chipfire.graph import (
+    Divisor,
+    Graph,
+    apply_laplacian,
+    complete_graph,
+    cycle_graph,
+)
 from chipfire.jacobian import (
     RANK_ENUMERATION_CAP,
     count_spanning_trees,
@@ -43,6 +52,16 @@ from chipfire.treebij import enumerate_spanning_trees, is_spanning_tree
 from corpus import RANDOM, SMALL, random_divisor
 
 SMITH_DIGEST = "a944e5a7388c73b0ed9216f55ab85ea0b1d03b6897547fa3ce369b151db6b2f7"
+JACOBIAN_DIGEST = "590298f05d477e9f4f78f57e9990e9057c349fa94cb8d90c3b9d8d7058bb8374"
+SAMPLER_DIGEST = "f3396a9e4437824d9f2d747c00f73ad3dfab833a1e5be29c7bfb18a80cf8b926"
+
+# the benchmark's Kirchhoff multigraph: 5 vertices with a parallel pair
+KIRCHHOFF = Graph(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 4), (3, 4)])
+
+
+def _digest(records):
+    blob = json.dumps(records, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _check_snf(M):
@@ -146,6 +165,15 @@ def test_snf_preserves_determinant_magnitude():
 
 
 # -- Critical group ---------------------------------------------------------------
+
+def test_invariant_factors_match_pinned_digest():
+    records = [
+        list(jacobian(G, q).invariant_factors)
+        for G in SMALL + RANDOM
+        for q in G.vertices
+    ]
+    assert _digest(records) == JACOBIAN_DIGEST
+
 
 def test_tree_count_oracles():
     assert count_spanning_trees(complete_graph(3)) == 3
@@ -269,6 +297,14 @@ def test_group_add_rejects_bad_input():
 
 
 # -- Sampling -------------------------------------------------------------------------
+
+def test_sampler_draws_match_pinned_digest():
+    records = [
+        [sorted(t.tree_edges) for t in sample_spanning_tree(G, 0, 20110701, count=600)]
+        for G in (complete_graph(3), complete_graph(4), cycle_graph(5), KIRCHHOFF)
+    ]
+    assert _digest(records) == SAMPLER_DIGEST
+
 
 def test_sampler_reproducible_and_prefix_stable():
     G = complete_graph(4)
