@@ -24,7 +24,6 @@ from .graph import (
 )
 from .jacobian import (
     JacobianPresentation,
-    SmithDecomposition,
     count_spanning_trees,
     group_add,
     jacobian,

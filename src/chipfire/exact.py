@@ -26,9 +26,9 @@ def _as_int_rows(matrix):
     rows = []
     scale = 1
     for row in matrix:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row))
-        rows.append([int(x * mult) for x in row])
+        mult = lcm(*(int(x.denominator) for x in row))
+        # int() turns numpy integers into Python ints, which cannot overflow
+        rows.append([int(x.numerator) * (mult // int(x.denominator)) for x in row])
         scale *= mult
     return rows, scale
 

@@ -1,19 +1,23 @@
 """Smith normal form, the Jacobian group, tree sampling, and the dollar game.
 
 The Jacobian Jac(G) = Div0(G) / im(Delta) is presented by the Smith normal
-form of the reduced Laplacian: S = U M V with U, V unimodular and S
-diagonal with a divisibility chain.  Cokernel classes map through U^{-1}:
-the standard basis vector e_i of coker(S) pulls back to column i of U^{-1},
-whose image divisor has order S[i][i].  The product of the invariant
-factors is the number of spanning trees (matrix-tree), which also powers
-the uniform tree sampler: pick a uniform group element, reduce it, and burn
-the reduced divisor into its tree.
+form of the reduced Laplacian M: row operations U and column operations
+bring M to a diagonal S with a divisibility chain.  Cokernel classes map
+through U^{-1}: the standard basis vector e_i of coker(S) pulls back to
+column i of U^{-1}, whose image divisor has order S[i][i].  The product of
+the invariant factors is kappa = |det M|, the number of spanning trees
+(matrix-tree).  Since kappa Z^k lies inside the lattice M Z^k, the Smith
+form runs modulo kappa (Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987;
+Iliopoulos, SIAM J. Comput. 18, 1989): no entry of S or U^{-1} grows past
+kappa, and neither U nor the column operations are kept.  The uniform tree
+sampler picks a uniform group element, reduces it, and burns the reduced
+divisor into its tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -23,109 +27,77 @@ from .reduction import dhar, reduce
 from .treebij import divisor_to_tree
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """S = U M V with U, V unimodular, S diagonal, diagonal divisibility.
-
-    u_inv is carried along because cokernel generators live in its columns.
-    Matrices are tuples of tuples of ints; S has the same shape as M.
-    """
-
-    U: tuple
-    S: tuple
-    V: tuple
-    u_inv: tuple
-
-    @property
-    def diagonal(self):
-        return tuple(
-            self.S[i][i] for i in range(min(len(self.S), len(self.S[0]) if self.S else 0))
-        )
-
-
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 def smith_normal_form(M):
-    """Exact Smith normal form of an integer matrix (any shape).
+    """Smith form of a square nonsingular integer matrix, modulo d = |det M|.
 
-    Pivots are chosen as the smallest nonzero absolute value in the work
-    region (lexicographic tie-break), diagonal entries are made nonnegative
-    and repaired into a divisibility chain.
+    Returns (diagonal, u_inv): the diagonal s_1 | s_2 | ... has product d,
+    and column i of u_inv, U^{-1} with entries reduced mod d, generates the
+    Z/s_i factor of Z^k / M Z^k.  An entry of S or u_inv is reduced (x % d)
+    only once |x| > d.  Pivots are the smallest nonzero |entry| in the work
+    region (lexicographic tie-break).  Raises ValueError if M is singular.
     """
     S = [[int(x) for x in row] for row in M]
-    rows = len(S)
-    cols = len(S[0]) if rows else 0
-    U = _identity(rows)
-    Uinv = _identity(rows)
-    V = _identity(cols)
+    n = len(S)
+    d = abs(int(exact.det(S)))
+    if d == 0:
+        raise ValueError("singular matrix")
+    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
         for r in Uinv:
             r[i], r[j] = r[j], r[i]
 
-    def row_negate(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
     def row_addmul(i, j, k):
-        # row_i += k * row_j  (on S and U); Uinv: col_j -= k * col_i
-        S[i] = [a + k * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+        # row_i += k * row_j on S; Uinv: col_j -= k * col_i
+        row = [a + k * b for a, b in zip(S[i], S[j])]
+        S[i] = [x if -d <= x <= d else x % d for x in row]
         for r in Uinv:
-            r[j] -= k * r[i]
+            x = r[j] - k * r[i]
+            r[j] = x if -d <= x <= d else x % d
 
     def col_swap(i, j):
         for r in S:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
 
     def col_addmul(i, j, k):
-        # col_i += k * col_j (on S and V)
+        # col_i += k * col_j on S
         for r in S:
-            r[i] += k * r[j]
-        for r in V:
-            r[i] += k * r[j]
+            x = r[i] + k * r[j]
+            r[i] = x if -d <= x <= d else x % d
 
     def pick_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] != 0:
-                    if best is None or abs(S[i][j]) < abs(S[best[0]][best[1]]):
-                        best = (i, j)
-        return best
+        cells = [(abs(S[i][j]), i, j) for i in range(t, n) for j in range(t, n) if S[i][j]]
+        return min(cells)[1:] if cells else None
 
     def clear(t):
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, n):
                 if S[i][t] != 0:
                     k = S[i][t] // S[t][t]
                     row_addmul(i, t, -k)
                     if S[i][t] != 0:
                         row_swap(t, i)  # strictly smaller remainder becomes pivot
                         dirty = True
-            for j in range(t + 1, cols):
+            for j in range(t + 1, n):
                 if S[t][j] != 0:
                     k = S[t][j] // S[t][t]
                     col_addmul(j, t, -k)
                     if S[t][j] != 0:
                         col_swap(t, j)
                         dirty = True
+        if S[t][t] < 0:  # negate row t; gcd below takes |S[t][t]|
+            for r in Uinv:
+                r[t] = -r[t]
+        S[t][t] = gcd(S[t][t], d)  # fold in the lattice column d e_t
 
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
+    for t in range(n):
         pos = pick_pivot(t)
         if pos is None:
+            for i in range(t, n):
+                S[i][i] = d  # the rest of the work region is 0 mod d
             break
         i, j = pos
         if i != t:
@@ -133,33 +105,20 @@ def smith_normal_form(M):
         if j != t:
             col_swap(t, j)
         clear(t)
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if S[i][i] < 0:
-            row_negate(i)
 
     # Repair divisibility: if d_i does not divide d_{i+1}, fold the next
     # column in and re-clear; the pivot gcd strictly drops, so this ends.
     i = 0
-    while i + 1 < rank:
+    while i + 1 < n:
         if S[i + 1][i + 1] % S[i][i] != 0:
             col_addmul(i, i + 1, 1)
-            for t in range(i, rank):
+            for t in range(i, n):
                 clear(t)
-                if S[t][t] < 0:
-                    row_negate(t)
             i = 0  # re-check the chain from the start
         else:
             i += 1
 
-    return SmithDecomposition(
-        U=tuple(tuple(r) for r in U),
-        S=tuple(tuple(r) for r in S),
-        V=tuple(tuple(r) for r in V),
-        u_inv=tuple(tuple(r) for r in Uinv),
-    )
+    return tuple(S[i][i] for i in range(n)), tuple(tuple(r) for r in Uinv)
 
 
 @dataclass(frozen=True)
@@ -205,17 +164,16 @@ def jacobian(G, q):
     keep = [v for v in G.vertices if v != q]
     if not keep:
         return JacobianPresentation(q=q, n=G.n, invariant_factors=(), generators=())
-    M = reduced_laplacian(G, q).tolist()
-    dec = smith_normal_form(M)
+    diagonal, u_inv = smith_normal_form(reduced_laplacian(G, q).tolist())
     gens = []
     factors = []
-    for i, s in enumerate(dec.diagonal):
-        if s <= 1:
+    for i, s in enumerate(diagonal):
+        if s == 1:
             continue
-        factors.append(int(s))
+        factors.append(s)
         coeffs = [0] * G.n
         for a, v in enumerate(keep):
-            coeffs[v] = dec.u_inv[a][i]
+            coeffs[v] = u_inv[a][i]
         coeffs[q] = -sum(coeffs)
         gens.append(Divisor(coeffs))
     return JacobianPresentation(

@@ -77,6 +77,17 @@ def random_multigraph(n, extra, rng):
     return Graph(n, edges)
 
 
+def tree_plus_edges(n, m, rng):
+    """The benchmark's multigraph from a random.Random: vertex i joined to a
+    random earlier vertex, then random non-loop edges up to m in total."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
 def kruskal_tree(G, order):
     """The spanning tree Kruskal's algorithm takes from an edge-index order,
     as a frozenset of edge indices."""

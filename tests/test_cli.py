@@ -7,6 +7,8 @@ Core claims:
       exit codes are 0 (success), 1 (negative decision), 2 (bad input),
       3 (internal failure: a RuntimeError or a self-check AssertionError).
     - JSON reports are deterministic apart from wall_time_ms.
+    - `jacobian` returns within a timeout on graphs where an unbounded
+      Smith form stalled.
 """
 
 import json
@@ -14,6 +16,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -28,8 +31,11 @@ from chipfire.formats import (
     parse_point,
     serialize,
 )
-from chipfire.graph import Divisor
+from chipfire.graph import Divisor, Graph
+from chipfire.jacobian import count_spanning_trees
 from chipfire.metric import GraphPoint
+
+from corpus import tree_plus_edges
 
 K3_TEXT = """# triangle
 graph 3
@@ -54,13 +60,14 @@ _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 ))
 
 
-def run_cli(args, text=None):
+def run_cli(args, text=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "chipfire.cli", *args],
         capture_output=True,
         text=True,
         input=text,
         env=_ENV,
+        timeout=timeout,
     )
 
 
@@ -232,6 +239,31 @@ def test_cli_count_trees_and_jacobian(k3_file):
     rep = json.loads(out.stdout)
     assert rep["outputs"]["invariant_factors"] == [3]
     assert rep["outputs"]["order"] == 3
+
+
+# (graph, q) on which a Smith form over Z without entry bounds ran for
+# minutes: random_multigraph(10, 30) at seeds 46, 56 and 70, and an 8-vertex
+# multigraph with 52,129 spanning trees
+SMITH_STALLS = [
+    (tree_plus_edges(10, 30, Random(46)), 0),
+    (tree_plus_edges(10, 30, Random(56)), 0),
+    (tree_plus_edges(10, 30, Random(70)), 0),
+    (Graph(8, [(1, 0), (2, 0), (3, 2), (4, 2), (5, 1), (6, 1), (7, 2), (0, 6),
+               (0, 5), (0, 6), (7, 4), (1, 7), (4, 6), (7, 0), (3, 5), (7, 1),
+               (4, 3), (4, 3), (0, 3), (4, 3), (7, 6), (0, 5), (3, 1), (1, 4)]), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "G, q", SMITH_STALLS, ids=["seed46", "seed56", "seed70", "eight_vertices_q5"]
+)
+def test_cli_jacobian_returns_on_former_smith_stalls(tmp_path, G, q):
+    p = tmp_path / "g.cf"
+    p.write_text("".join([f"graph {G.n}\n"] + [f"edge {u} {v}\n" for u, v in G.edges]))
+    # a stall fails on the timeout instead of hanging the suite
+    out = run_cli(["jacobian", str(p), "--q", str(q), "--format", "json"], timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["outputs"]["order"] == count_spanning_trees(G)
 
 
 def test_cli_sample_tree_deterministic(k3_file):

@@ -2,7 +2,8 @@
 
 Core claims:
     - det agrees with known values and with numpy (rounded) on random
-      integer matrices, and handles Fraction entries exactly.
+      integer matrices, and handles Fraction and numpy int64 entries
+      exactly, without int64 overflow.
     - solve returns the exact rational solution and raises on singular
       systems; invert produces an exact two-sided inverse.
     - Property (hypothesis, sympy as the oracle): on integer and Fraction
@@ -37,6 +38,14 @@ def test_det_needs_row_swap():
 def test_det_fraction_entries():
     M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
     assert det(M) == Fraction(1, 2) * Fraction(1, 5) - Fraction(1, 3) * Fraction(1, 4)
+
+
+def test_det_numpy_int64_entries_do_not_overflow():
+    # the Bareiss products of 2**40 entries pass 2**63: they must run on
+    # Python ints, not on the numpy scalars they came in as
+    M = np.array([[2**40, 0], [0, 2**40]], dtype=np.int64)
+    assert det(M) == 2**80
+    assert det(list(M)) == 2**80
 
 
 def test_det_hilbert_matrix():
