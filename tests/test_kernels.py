@@ -10,6 +10,10 @@ Core claims:
       dozen seeded trees and q, and the fired sets of step 3 on a
       200-vertex multigraph.  It was computed with the lowest-index rescan
       kernels, before they were replaced by heaps.
+    - A third digest pins the borrow counts, the divisor after step 2, the
+      fired sets and the result of `reduce` on a 1000-vertex, 3000-edge
+      multigraph with q = 0, for chips in +-120 and in +-2^70.  It was
+      computed with the one-borrow-vertex-at-a-time worklist of step 2.
     - A tree -> divisor -> tree round trip on 4000 vertices and 12,000 edges
       returns the same tree in well under two seconds.
     - Chip counts far beyond 64 bits reduce exactly.
@@ -18,6 +22,7 @@ Core claims:
 import hashlib
 import json
 import time
+from random import Random
 
 import numpy as np
 
@@ -26,10 +31,18 @@ from chipfire.graph import Divisor, complete_graph
 from chipfire.reduction import dhar, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, tree_to_divisor
 
-from corpus import RANDOM, SMALL, kruskal_tree, random_divisor, random_multigraph
+from corpus import (
+    RANDOM,
+    SMALL,
+    kruskal_tree,
+    random_divisor,
+    random_multigraph,
+    tree_plus_edges,
+)
 
 KERNEL_DIGEST = "a28d0fadcc8461de525a2888f488eda327d5880db982c787b93c43368952561e"
 LARGE_DIGEST = "5042944d2d2b45d063892c425d791813a96b3ed467e96f977e24462319356bed"
+REDUCE_1000_DIGEST = "e009e4f467a4c86503d7b96c9a6d6d1e87f8f055fe66b7e09292e25b39c2462a"
 
 
 def _kernel_record(G, q, D, rng):
@@ -99,6 +112,28 @@ def _large_records():
 def test_large_graph_kernel_outputs_match_pinned_digest():
     blob = json.dumps(_large_records(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == LARGE_DIGEST
+
+
+def _reduce_1000_records():
+    rng = Random(0)
+    G = tree_plus_edges(1000, 3000, rng)
+    records = []
+    for span in (120, 2**70):
+        D = Divisor(rng.randint(-span, span) for _ in range(G.n))
+        rep = reduce_divisor(G, 0, D)
+        records.append({
+            "borrow_counts": list(rep.borrow_counts),
+            "after_step2": list(rep.after_step2),
+            "fired_sets": [list(A) for A in rep.fired_sets],
+            "result": list(rep.result),
+            "moves": rep.moves_step2,
+        })
+    return records
+
+
+def test_reduce_on_1000_vertices_matches_pinned_digest():
+    blob = json.dumps(_reduce_1000_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == REDUCE_1000_DIGEST
 
 
 def test_bijection_round_trip_on_4000_vertices_is_fast():
