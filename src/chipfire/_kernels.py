@@ -51,33 +51,82 @@ def burn(G, dvals, q):
 
 
 # ---------------------------------------------------------------------------
-# Step 2: borrow at vertices with a negative chip count (other than q) until
-# none remains.  Borrowing at v adds deg(v) chips at v and removes one chip
-# across each incident edge.  Borrowing is abelian: every order of legal
-# borrows ends with the same counts, so a worklist of negative vertices
-# replaces the lowest-index rescan, and v takes all ceil(-d(v) / deg(v))
-# borrows it needs at once (each of them is legal, as d(v) stays negative
-# until the last).
+# Step 2: borrow at vertices off q until no chip count off q is negative.
+# Borrowing at v adds deg(v) chips at v and removes one chip across each
+# incident edge.  Borrowing is abelian, and the borrow vector it ends with is
+# the least c >= 0 with c(q) = 0 and d + Q c >= 0 off q (least action,
+# Fey-Levine-Peres 2010).  So c* = L_(q) (d2 - d) for a d2 in the box
+# [0, deg - 1] off q, which makes floor(L_(q) (t - d)) for a target t in the
+# box a good guess (reduction._borrow_guess), and any guess c0 >= 0 can be
+# corrected to c* exactly (Friedrich-Levine 2013), in two phases:
+#
+#   ascent   borrow at negative vertices off a worklist until none is left;
+#            v takes all ceil(-d(v) / deg(v)) borrows it needs at once (each
+#            is legal, as d(v) stays negative until the last).  No borrow
+#            passes a feasible c' >= c0, as d(v) < 0 gives
+#            deg(v) (c'(v) - c(v)) >= -d(v); so this ends at the least
+#            feasible c >= c0, and c >= c*.
+#   descent  while some set A in supp(c), q not in A, can fire without
+#            making a vertex of A negative, fire it back.  The burn seeded
+#            at q and at every v with c(v) = 0 (given -1 chips, so they burn
+#            at once) leaves the largest such A unburnt; A fires back k
+#            times, k = min over v in A of c(v) and of d(v) // cnt(v) where
+#            cnt(v) > 0, and the burn's counts give the new chips as in
+#            step 3.  Every move is legal, so c stays feasible, and sum(c)
+#            drops by at least |A|, so the loop ends.  When it ends, c = c*:
+#            if c > c* somewhere, the set A where c - c* is largest lies in
+#            supp(c) - q, and d(v) = d*(v) + Q(c - c*)(v) >= outdeg_A(v) on
+#            A, so A could still fire back.
+#
+# With no guess the descent never runs: the ascent alone is the worklist
+# borrowing from c = 0.
 
-def borrow_until_effective(G, dvals, q):
-    """(new chips, per-vertex borrow counts, total borrows)."""
+def borrow_until_effective(G, dvals, q, guess=None):
+    """(new chips, borrow counts, total borrows, descent set firings).
+
+    guess, when given, is a starting borrow vector c0 >= 0 with c0(q) = 0;
+    the counts are the same for every guess.  The last entry counts the
+    descent rounds, each of which fires one set back k times.
+    """
     indptr, nbr = G._indptr, G._nbr
     d = list(dvals)
-    counts = [0] * len(d)
-    total = 0
+    n = len(d)
+    counts = [0] * n if guess is None else list(guess)
+    for v, k in enumerate(counts):
+        if k:
+            lo, hi = indptr[v], indptr[v + 1]
+            d[v] += k * (hi - lo)
+            for w in nbr[lo:hi]:
+                d[w] -= k
     work = [v for v, c in enumerate(d) if c < 0 and v != q]
     while work:
         v = work.pop()
         lo, hi = indptr[v], indptr[v + 1]
         k = -(d[v] // (hi - lo))
         counts[v] += k
-        total += k
         d[v] += k * (hi - lo)
         for w in nbr[lo:hi]:
             if 0 <= d[w] < k and w != q:
                 work.append(w)
             d[w] -= k
-    return d, counts, total
+    unborrows = 0
+    descend = guess is not None and any(guess)
+    while descend:
+        seeded = [-1 if c == 0 else x for x, c in zip(d, counts)]  # c(q) = 0
+        order, burnt, cnt = _burn(indptr, nbr, seeded, q)
+        if len(order) == n:
+            break
+        A = [v for v in range(n) if not burnt[v]]
+        k = min(counts[v] for v in A)
+        k = min(k, min(d[v] // cnt[v] for v in A if cnt[v]))
+        for v in range(n):
+            if burnt[v]:
+                d[v] += k * (indptr[v + 1] - indptr[v] - cnt[v])
+            else:
+                d[v] -= k * cnt[v]
+                counts[v] -= k
+        unborrows += 1
+    return d, counts, sum(counts), unborrows
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,7 @@ def _cmd_reduce(gf, args):
     moves = {
         "step1_floor_rounds": rep.floor_rounds,
         "step2_borrows": rep.moves_step2,
+        "step2_unborrow_sets": rep.step2_unborrow_sets,
         "step3_set_firings": rep.moves_step3,
         "step3_vertices_fired": rep.total_set_fire_vertices,
         "total_single_vertex_moves": rep.total_moves,

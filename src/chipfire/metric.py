@@ -100,7 +100,7 @@ class GraphPoint:
     used for burn sequences and component selection.
     """
 
-    __slots__ = ("kind", "index", "edge", "offset", "_key")
+    __slots__ = ("kind", "index", "edge", "offset", "_key", "_hash")
 
     def __init__(self, kind, a, b=None):
         if kind == "v":
@@ -117,6 +117,7 @@ class GraphPoint:
             self._key = (1, self.edge, self.offset)
         else:
             raise ValueError("kind must be 'v' or 'e'")
+        self._hash = hash(self._key)
 
     @classmethod
     def vertex(cls, i):
@@ -132,7 +133,7 @@ class GraphPoint:
         return self._key <= other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         if self.kind == "v":
@@ -507,12 +508,6 @@ class MetricDharOutcome:
     components: tuple
 
 
-def _burn_model(gamma, q, D):
-    """(model, burn order of its vertex ids) for the fire from q."""
-    model = _model_for(gamma, q, D)
-    return model, _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
-
-
 def _components(model, order):
     """Yield the components the fire from q could not enter, in canonical
     order, building each only when asked for.
@@ -564,7 +559,8 @@ def metric_dhar(gamma, q, D):
     q = _as_point(q)
     if any(w < 0 and p != q for p, w in D):
         raise ValueError("divisor must be effective off q")
-    model, order = _burn_model(gamma, q, D)
+    model = _model_for(gamma, q, D)
+    order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
     comps = tuple(_components(model, order))
     return MetricDharOutcome(
         reduced=not comps,
@@ -676,8 +672,13 @@ def metric_reduce(gamma, q, D):
     E0, f0 = metric_make_effective(gamma, q, D)
     E = E0
     log = []
+    model = interior = None
     for _ in range(_MAX_LUO_ITERATIONS):
-        model, order = _burn_model(gamma, q, E)
+        # the model depends only on the interior points of {q} and supp(E)
+        points = frozenset(p for p in (q, *E.support) if p.kind == "e")
+        if points != interior:
+            model, interior = _model_for(gamma, q, E), points
+        order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
         if len(order) == len(model.points):
             break
         comp = next(_components(model, order))

@@ -9,10 +9,20 @@ fired sets are logged so the b_q accounting can be replayed exactly.
 The floor of the lattice step is exact without the exact j-table: float64
 solves of Q_(q) are refined on exact integer residuals until a bound from
 potential theory certifies every coordinate (see _floor_step), with a
-single-column exact solve as the fallback.  Borrowing works off a list of
-the negative vertices.  Step 1 reads the float64 view of the j-table; its
-exact numerators are built only by the energy and bound checks
-(verify_minimizer, move_bounds, step_bound_*).
+single-column exact solve as the fallback.  Step 1 reads the float64 view
+of the j-table; its exact numerators are built only by the energy and bound
+checks (verify_minimizer, move_bounds, step_bound_*).
+
+Step 2 starts from one guess read off the same float inverse.  Its borrow
+vector c* is the least c >= 0 with c(q) = 0 and d1 + Q c >= 0 off q (least
+action), so c* = L_(q) (d2 - d1) with d2 in the box [0, deg - 1] off q, and
+x = L_(q) (t - d1) for a target t in that box is a float estimate of c*
+(see _borrow_guess).  The kernel corrects floor(x) exactly: it borrows at
+negative vertices until the divisor is effective off q (then c >= c*) and
+fires back legal sets inside supp(c) until none is left (then c <= c*).
+The borrow counts, after_step2 and everything downstream are those of
+borrowing from c = 0, whatever the guess; graphs with fewer than 16
+vertices start from c = 0, which is faster there (see _borrow_step).
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -60,6 +70,8 @@ class ReductionReport:
     result = input - Delta(script); moves_step2 counts borrowing moves,
     moves_step3 counts set firings, total_set_fire_vertices is the sum of
     the fired set sizes (i.e. step 3 measured in single-vertex moves).
+    step2_unborrow_sets counts the sets step 2 fired back to correct its
+    guess (see _borrow_step); moves_step2 is the net borrow count.
     after_step1/after_step2 are the intermediate divisors the running-time
     bounds refer to.  floor_path is how step 1 found its floor ("float":
     certified from refined float solves, "exact": the exact-solve fallback)
@@ -69,6 +81,7 @@ class ReductionReport:
     result: Divisor
     script: FiringScript
     moves_step2: int
+    step2_unborrow_sets: int
     moves_step3: int
     total_set_fire_vertices: int
     fired_sets: tuple
@@ -108,8 +121,8 @@ def make_effective(G, q, D):
     Returns (divisor, script) with divisor = D - Delta(script).
     """
     _check(G, q, D)
-    d1, f1, _path, _rounds = _floor_step(G, q, D)
-    d2, counts, _total = _kernels.borrow_until_effective(G, list(d1), q)
+    d1, f1, _path, _rounds, inv = _floor_step(G, q, D)
+    d2, counts, _total, _unborrows = _borrow_step(G, q, d1, inv)
     f = [f1[v] - counts[v] for v in G.vertices]
     script = FiringScript(f, q)
     result = Divisor(d2)
@@ -134,21 +147,23 @@ def _floor_step(G, q, D):
     R = 0, or a zero exact residual at round(x~) (principal divisors), stops
     at once.  path is "float"; it is "exact" when a round fails to halve
     the bound and a single-column exact solve finishes the job.  rounds
-    counts the float solves.
+    counts the float solves.  The float inverse is returned for step 2's
+    guess; it is None when D is zero off q and no solve was needed.
     """
+    table = j_function(G, q)
     b = [0 if v == q else c for v, c in enumerate(D)]
-    f1, path, rounds = _refined_floor(G, j_function(G, q), b)
-    d1 = D - apply_laplacian(G, f1)
-    return d1, f1, path, rounds
-
-
-def _refined_floor(G, table, b):
-    """(floor(x), path, rounds) for Q_(q) x = b off q, q = table.q; b[q] = 0."""
     if not any(b):
-        return [0] * G.n, "float", 0
-    q = table.q
-    keep = [v for v in G.vertices if v != q]
+        return D, [0] * G.n, "float", 0, None
     inv = table.float_inverse()
+    f1, path, rounds = _refined_floor(G, q, inv, b)
+    d1 = D - apply_laplacian(G, f1)
+    return d1, f1, path, rounds, inv
+
+
+def _refined_floor(G, q, inv, b):
+    """(floor(x), path, rounds) for Q_(q) x = b off q, b[q] = 0, from float
+    solves with inv, a float64 Q_(q)^{-1}."""
+    keep = [v for v in G.vertices if v != q]
     ecc = max(_bfs_ecc(G, q))
     two_t = 2 * prod(G.deg[v] for v in keep)
     X, S, R = [0] * G.n, 0, b
@@ -196,11 +211,53 @@ def _residual(G, q, b, X, S):
     return [0 if v == q else (c << S) - QX[v] for v, c in enumerate(b)]
 
 
+# Below this many vertices the zero guess is faster: step 2 takes a few
+# dozen borrows there, which cost less than the float guess's matvec and
+# confirming burn.  The two cost the same near n = 16 on random multigraphs
+# with m = 2n.
+_GUESS_MIN_VERTICES = 16
+
+
+def _borrow_step(G, q, d1, inv):
+    """Step 2: the borrowing kernel from the float guess, or from the zero
+    guess on small graphs and when d1 is already effective off q."""
+    guess = None
+    if G.n >= _GUESS_MIN_VERTICES and not d1.is_effective(skip=q):
+        guess = _borrow_guess(G, q, d1, inv)
+    return _kernels.borrow_until_effective(G, list(d1), q, guess)
+
+
+def _borrow_guess(G, q, d1, inv):
+    """Step 2's starting borrow vector, read off step 1's inverse.
+
+    The borrow vector is c* = L_(q) (d2 - d1), and d2 lies in [0, deg - 1]
+    off q, so c0 = floor(inv (t - d1)) is near c* for a target t in that box
+    near d2.  Step 2 mostly ends at a reduced divisor, which has at most
+    g = m - n + 1 chips off q (0.66 g to 0.95 g, mean 0.85 g, on random
+    multigraphs with m = 3n; exactly g on cycles), so t spreads 5g/6 chips
+    over the vertices off q in proportion to deg - 1.  With m = 3n that is
+    about (deg - 1) / 3.  A target that ignores g overshoots c* by
+    L_(q) (t - d2), which on long thin graphs, where the row sums of L_(q)
+    grow like n^2, costs the kernel's descent thousands of set firings.
+    Entries below 1 or not finite count as 0.
+    """
+    keep = [v for v in G.vertices if v != q]
+    deg = G.deg
+    box = sum(deg[v] - 1 for v in keep)
+    share = 5 * (G.m - G.n + 1) / (6 * max(box, 1))
+    x = inv @ np.array([(deg[v] - 1) * share - d1[v] for v in keep])
+    guess = [0] * G.n
+    for v, c in zip(keep, x.tolist()):
+        if 1 <= c < inf:  # False for NaN
+            guess[v] = int(c)
+    return guess
+
+
 def reduce(G, q, D):
     """The unique q-reduced divisor equivalent to D, with a full move log."""
     _check(G, q, D)
-    d1, f1, path, rounds = _floor_step(G, q, D)
-    d2, counts, borrows = _kernels.borrow_until_effective(G, list(d1), q)
+    d1, f1, path, rounds, inv = _floor_step(G, q, D)
+    d2, counts, borrows, unborrows = _borrow_step(G, q, d1, inv)
     d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
     f = [f1[v] - counts[v] for v in G.vertices]
     for A in sets:
@@ -214,6 +271,7 @@ def reduce(G, q, D):
         result=result,
         script=script,
         moves_step2=borrows,
+        step2_unborrow_sets=unborrows,
         moves_step3=len(sets),
         total_set_fire_vertices=sum(len(A) for A in sets),
         fired_sets=tuple(tuple(A) for A in sets),

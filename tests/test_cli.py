@@ -209,6 +209,25 @@ def test_cli_reduce_json_reports_the_floor_path(k3_file, monkeypatch, capsys):
     assert forced["outputs"]["result"] == report["outputs"]["result"] == [0, 1, 4]
 
 
+def test_cli_reduce_json_reports_the_step2_descent(tmp_path, capsys):
+    # step 2's float guess overshoots here and one set is fired back
+    rng = Random(1)
+    G = tree_plus_edges(16, 32, rng)
+    chips = [rng.randint(-9, 9) for _ in range(G.n)]
+    p = tmp_path / "g16.cf"
+    p.write_text(
+        f"graph {G.n}\n"
+        + "".join(f"edge {u} {v}\n" for u, v in G.edges)
+        + "divisor d " + " ".join(map(str, chips)) + "\n"
+    )
+    args = ["reduce", str(p), "--q", "0", "--divisor", "d", "--format", "json"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["move_counts"]["step2_unborrow_sets"] == 1
+    assert report["move_counts"]["step2_borrows"] == 23
+    assert report["outputs"]["result"] == [12, 0, 0, 4, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 2]
+
+
 def test_cli_check_reduced_exit_codes(k3_file):
     ok = run_cli(["check-reduced", k3_file, "--q", "2", "--divisor", "0 1 4"])
     assert ok.returncode == 0

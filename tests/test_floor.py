@@ -131,8 +131,14 @@ def test_no_progress_in_the_float_solve_falls_back_to_the_exact_solve(monkeypatc
         forced = reduce_divisor(G, q, D)
         assert forced.floor_path == "exact"
         assert forced.floor_rounds == 1
+        # the zero inverse also gives step 2 a zero guess, so it takes the
+        # same borrows without descent rounds
+        assert forced.step2_unborrow_sets == 0
         assert dataclasses.replace(
-            forced, floor_path=rep.floor_path, floor_rounds=rep.floor_rounds
+            forced,
+            floor_path=rep.floor_path,
+            floor_rounds=rep.floor_rounds,
+            step2_unborrow_sets=rep.step2_unborrow_sets,
         ) == rep
 
 

@@ -48,7 +48,7 @@ REDUCE_1000_DIGEST = "e009e4f467a4c86503d7b96c9a6d6d1e87f8f055fe66b7e09292e25b39
 def _kernel_record(G, q, D, rng):
     """Every kernel output for one (G, q, D), as JSON-ready lists."""
     chips = [int(x) for x in rng.integers(0, 4, size=G.n)]
-    d2, counts, total = _kernels.borrow_until_effective(G, list(D), q)
+    d2, counts, total, _unborrows = _kernels.borrow_until_effective(G, list(D), q)
     d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
     rep = reduce_divisor(G, q, D)
     tree, tree_r = _kernels.tree_from_reduced(G, list(rep.result), q)
@@ -103,7 +103,7 @@ def _large_records():
     for _ in range(4):
         q = int(rng.integers(0, H.n))
         D = random_divisor(H.n, rng, -3, 8)
-        d2, _counts, _total = _kernels.borrow_until_effective(H, list(D), q)
+        d2, _counts, _total, _unborrows = _kernels.borrow_until_effective(H, list(D), q)
         d3, sets = _kernels.fire_until_reduced(H, list(d2), q)
         records.append({"q": q, "fire": [list(d2), list(d3), [list(A) for A in sets]]})
     return records
