@@ -3,10 +3,11 @@
 One fraction-free elimination serves everything here.  A Bareiss pass
 (Bareiss, Math. Comp. 22, 1968) over the integer-scaled rows of [A | B]
 leaves the determinant d as its last pivot (up to sign and row scaling), and
-an integer back-substitution with exact `//` division yields X = d A^{-1} B.  det, solve, invert and
-adjugate all read their answer off that (det, X) pair, so no Fraction
-arithmetic runs inside either loop and results stay exact for arbitrarily
-large entries (cofactors of Laplacians grow fast even on small graphs).
+an integer back-substitution with exact `//` division yields X = d A^{-1} B.
+det, solve and adjugate all read their answer off that (det, X) pair, so no
+Fraction arithmetic runs inside either loop and results stay exact for
+arbitrarily large entries (cofactors of Laplacians grow fast even on small
+graphs).
 """
 
 from __future__ import annotations
@@ -90,11 +91,6 @@ def solve(matrix, rhs_columns):
     if x is None:
         raise ValueError("singular matrix")
     return [[Fraction(v, d) for v in row] for row in x]
-
-
-def invert(matrix):
-    """Exact inverse as rows of Fractions; ValueError if singular."""
-    return solve(matrix, _identity(len(matrix)))
 
 
 def adjugate(matrix):

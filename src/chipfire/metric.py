@@ -4,8 +4,11 @@ exact reduction.
 Points live on a metric graph Gamma (a graph with positive rational edge
 lengths) either at vertices or at interior offsets of an edge.  Tropical
 functions are continuous piecewise linear with integer slopes; their
-Laplacian puts -(sum of outgoing slopes) at every kink.  All arithmetic is
-exact (Fractions); nothing here uses floats.
+Laplacian puts -(sum of outgoing slopes) at every kink.  A TropicalFunction
+is a canonical value: it keeps only its true kinks from the moment it is
+built, and there is no algebra on functions, since every script is built
+once as a potential.  All arithmetic is exact (Fractions); nothing here uses
+floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices).  Burning, moves and
@@ -209,38 +212,49 @@ class TropicalFunction:
 
     Stored as one value per vertex plus sorted interior breakpoints
     (offset, value) per edge; between anchors the function is linear.
-    Construction validates slope integrality and offset sanity; continuity
-    is automatic because endpoint values are shared via the vertices.
+    Construction validates offset sanity and slope integrality and keeps only
+    the breakpoints where the slope changes, so a caller's collinear
+    breakpoints are dropped from .breaks and equal functions have equal
+    fields.  Continuity is automatic because endpoint values are shared via
+    the vertices.
     """
 
     __slots__ = ("gamma", "vertex_values", "breaks")
 
     def __init__(self, gamma, vertex_values, breaks=None):
         self.gamma = gamma
-        vv = tuple(Fraction(x) for x in vertex_values)
-        if len(vv) != gamma.n:
+        self.vertex_values = tuple(Fraction(x) for x in vertex_values)
+        if len(self.vertex_values) != gamma.n:
             raise ValueError("need one value per vertex")
         if breaks is None:
             breaks = [()] * gamma.m
         if len(breaks) != gamma.m:
             raise ValueError("need one breakpoint list per edge")
-        clean = []
-        for e in range(gamma.m):
-            lst = tuple((Fraction(o), Fraction(val)) for o, val in breaks[e])
-            last = Fraction(0)
-            for o, _ in lst:
-                if not (0 < o < gamma.lengths[e]):
-                    raise ValueError("breakpoint offset outside edge interior")
-                if o <= last:
-                    raise ValueError("breakpoints must be strictly increasing")
-                last = o
-            clean.append(lst)
-        self.vertex_values = vv
-        self.breaks = tuple(clean)
-        for e in range(gamma.m):
-            for s in self._slopes(e):
-                if s.denominator != 1:
-                    raise ValueError("slopes must be integers")
+        self.breaks = tuple(self._kinks(e, breaks[e]) for e in range(gamma.m))
+
+    def _kinks(self, e, points):
+        """The (offset, value) `points` on edge e where the slope changes,
+        after checking every offset and that every slope is an integer."""
+        u, v = self.gamma.graph.edges[e]
+        length = self.gamma.lengths[e]
+        anchors = [(_ZERO, self.vertex_values[u])]
+        for o, val in points:
+            o = Fraction(o)
+            if not (0 < o < length):
+                raise ValueError("breakpoint offset outside edge interior")
+            if o <= anchors[-1][0]:
+                raise ValueError("breakpoints must be strictly increasing")
+            anchors.append((o, Fraction(val)))
+        anchors.append((length, self.vertex_values[v]))
+        kinks, last = [], None
+        for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
+            s = (v2 - v1) / (o2 - o1)
+            if s.denominator != 1:
+                raise ValueError("slopes must be integers")
+            if last is not None and s != last:
+                kinks.append((o1, v1))
+            last = s
+        return tuple(kinks)
 
     def _anchors(self, e):
         u, v = self.gamma.graph.edges[e]
@@ -276,83 +290,12 @@ class TropicalFunction:
             not b for b in self.breaks
         )
 
-    def _merged(self, other, op):
-        vv = [op(a, b) for a, b in zip(self.vertex_values, other.vertex_values)]
-        breaks = []
-        for e in range(self.gamma.m):
-            offs = sorted(
-                {o for o, _ in self.breaks[e]} | {o for o, _ in other.breaks[e]}
-            )
-            pts = [
-                (o, op(self.evaluate(GraphPoint("e", e, o)),
-                       other.evaluate(GraphPoint("e", e, o))))
-                for o in offs
-            ]
-            breaks.append(pts)
-        out = TropicalFunction(self.gamma, vv, breaks)
-        return out.pruned()
-
-    def __add__(self, other):
-        if self.gamma != other.gamma:
-            raise ValueError("functions live on different metric graphs")
-        return self._merged(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        if self.gamma != other.gamma:
-            raise ValueError("functions live on different metric graphs")
-        return self._merged(other, lambda a, b: a - b)
-
-    def scaled(self, k):
-        k = int(k)
-        vv = [k * x for x in self.vertex_values]
-        breaks = [
-            [(o, k * val) for o, val in self.breaks[e]] for e in range(self.gamma.m)
-        ]
-        return TropicalFunction(self.gamma, vv, breaks)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def pruned(self):
-        """Drop interior breakpoints where the slope does not change."""
-        breaks = []
-        for e in range(self.gamma.m):
-            anchors = self._anchors(e)
-            keep = []
-            for i in range(1, len(anchors) - 1):
-                o0, v0 = keep[-1] if keep else anchors[0]
-                o1, v1 = anchors[i]
-                o2, v2 = anchors[i + 1]
-                s_in = (v1 - v0) / (o1 - o0)
-                s_out = (v2 - v1) / (o2 - o1)
-                if s_in != s_out:
-                    keep.append((o1, v1))
-            breaks.append(keep)
-        return TropicalFunction(self.gamma, self.vertex_values, breaks)
-
-    @property
-    def global_min(self):
-        """Minimum value; attained at a vertex or breakpoint."""
-        vals = list(self.vertex_values)
-        for e in range(self.gamma.m):
-            vals.extend(v for _, v in self.breaks[e])
-        return min(vals)
-
-    @property
-    def global_max(self):
-        vals = list(self.vertex_values)
-        for e in range(self.gamma.m):
-            vals.extend(v for _, v in self.breaks[e])
-        return max(vals)
-
     def __eq__(self, other):
-        if not isinstance(other, TropicalFunction):
-            return False
-        a, b = self.pruned(), other.pruned()
         return (
-            a.gamma == b.gamma
-            and a.vertex_values == b.vertex_values
-            and a.breaks == b.breaks
+            isinstance(other, TropicalFunction)
+            and self.gamma == other.gamma
+            and self.vertex_values == other.vertex_values
+            and self.breaks == other.breaks
         )
 
     def __repr__(self):
@@ -448,7 +391,7 @@ def _tropical_from_model(gamma, model, values, kinks=()):
     for e, offset, value in kinks:
         anchors[e][offset] = value
     breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
-    return TropicalFunction(gamma, values[: gamma.n], breaks).pruned()
+    return TropicalFunction(gamma, values[: gamma.n], breaks)
 
 
 def _grounded_potential(model, q_vid, chips):

@@ -19,11 +19,7 @@ from operator import mul
 import numpy as np
 
 from . import exact
-from .graph import (
-    apply_laplacian,
-    canonical_plus,
-    reduced_laplacian,
-)
+from .graph import apply_laplacian, reduced_laplacian
 
 
 class GeneralizedInverse:
@@ -258,11 +254,6 @@ def pentagon_move(G, D, v):
     chi = [0] * G.n
     chi[v] = -y
     return D + apply_laplacian(G, chi)
-
-
-def k_plus(G):
-    """Alias for the all-(deg-1) divisor used in the move bounds."""
-    return canonical_plus(G)
 
 
 __all__ = [

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import inf, isfinite, prod
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def _floor_step(G, q, D):
     coordinate near an integer is that integer, as x is a multiple of 1/kappa.
     R = 0, or a zero exact residual at round(x~) (principal divisors), stops
     at once.  path is "float"; it is "exact" when a round fails to halve
-    the bound and a single-column exact solve finishes the job.  rounds
-    counts the float solves.  The float inverse is returned for step 2's
+    the bound or a float solve is not finite, and a single-column exact
+    solve finishes the job.  rounds counts the float solves.  The float inverse is returned for step 2's
     guess; it is None when D is zero off q and no solve was needed.
     """
     table = j_function(G, q)
@@ -174,7 +174,11 @@ def _refined_floor(G, q, inv, b):
         # one float solve of R, rounded to integers Y of at most 52 bits
         t = max(0, max(map(abs, R)).bit_length() - 62)
         y = inv @ np.array([float(R[v] >> t) for v in keep])
-        e = int(np.frexp(np.max(np.abs(y)))[1])
+        rounds += 1
+        top = np.max(np.abs(y))  # NaN or inf when any entry is
+        if not isfinite(top):
+            break
+        e = int(np.frexp(top)[1])
         Y = np.rint(np.ldexp(y, 52 - e)).astype(np.int64).tolist()
         u = t + e - 52  # the correction to x~ is Y 2^u / 2^S
         if u < 0:
@@ -183,7 +187,6 @@ def _refined_floor(G, q, inv, b):
             u = 0
         for v, c in zip(keep, Y):
             X[v] += c << u
-        rounds += 1
         R = _residual(G, q, b, X, S)
         err = ecc * sum(map(abs, R))  # 0 when x~ = x: every floor certified
         unit = 1 << S

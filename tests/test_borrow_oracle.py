@@ -9,7 +9,9 @@ Core claims:
     - The float guess survives an inverse of zeros, NaN or +-inf entries
       (no OverflowError) and is corrected from an inverse 1000x too large;
       `reduce` with a non-finite or zero inverse returns the same report as
-      with the true one, apart from its path fields.
+      with the true one, apart from its path fields.  A non-finite float
+      solve sends step 1 straight to the exact floor, with no cast of NaN or
+      inf to an integer.
     - On a 2000-vertex path, whose Q_(q) is ill-conditioned, the rounded
       float guess is off at some vertices and is corrected to the borrow
       counts of the zero guess.
@@ -19,15 +21,16 @@ and rescans from index 0, so it costs O(n) per borrow.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chipfire import _kernels, potential
-from chipfire.graph import Divisor, Graph
+from chipfire import _kernels, exact, potential
+from chipfire.graph import Divisor, Graph, reduced_laplacian
 from chipfire.potential import j_function
-from chipfire.reduction import _borrow_guess, reduce as reduce_divisor
+from chipfire.reduction import _borrow_guess, _refined_floor, reduce as reduce_divisor
 
 from corpus import random_multigraph
 
@@ -133,6 +136,22 @@ def test_reduce_with_a_degenerate_inverse_matches_the_true_one(monkeypatch):
             floor_rounds=want.floor_rounds,
             step2_unborrow_sets=want.step2_unborrow_sets,
         ) == want
+
+
+def test_a_non_finite_float_solve_goes_to_the_exact_floor_without_a_cast():
+    rng = np.random.default_rng(1204)
+    G = random_multigraph(20, 30, rng)
+    b = [0] + [int(x) for x in rng.integers(-30, 31, size=G.n - 1)]
+    keep = range(1, G.n)
+    sol = exact.solve(reduced_laplacian(G, 0).tolist(), [[b[v]] for v in keep])
+    want = [0] + [x.numerator // x.denominator for (x,) in sol]
+    for inv in _bad_inverses(G.n - 1)[1:]:  # all NaN, then NaN and +-inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            floors, path, _rounds = _refined_floor(G, 0, inv, b)
+        assert (floors, path) == (want, "exact")
+        messages = [str(w.message) for w in caught]
+        assert not [m for m in messages if "invalid value encountered in cast" in m]
 
 
 def test_a_2000_vertex_path_is_corrected_to_the_zero_guess_borrows():

@@ -5,7 +5,7 @@ Core claims:
       integer matrices, and handles Fraction and numpy int64 entries
       exactly, without int64 overflow.
     - solve returns the exact rational solution and raises on singular
-      systems; invert produces an exact two-sided inverse.
+      systems.
     - Property (hypothesis, sympy as the oracle): on integer and Fraction
       matrices, with zero leading pivots, negative determinants, singular,
       0 x 0 and 1 x 1 input, det equals sympy's det; a nonsingular A gives
@@ -20,7 +20,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from chipfire.exact import adjugate, det, invert, mat_vec, solve
+from chipfire.exact import adjugate, det, mat_vec, solve
 
 
 def test_det_known_values():
@@ -94,22 +94,6 @@ def test_solve_singular_raises():
         solve([[1, 2], [2, 4]], [[1], [0]])
 
 
-def test_invert_roundtrip():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        while True:
-            M = [[int(x) for x in row] for row in rng.integers(-5, 6, size=(n, n))]
-            if det(M) != 0:
-                break
-        inv = invert(M)
-        prod = [
-            [sum(Fraction(M[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
 
@@ -177,4 +161,3 @@ def test_elimination_matches_sympy(system):
     X = [[d * x for x in row] for row in solve(A, B)]
     assert X == _mul(adj, B)
     assert _mul(A, X) == [[d * x for x in row] for row in B]
-    assert invert(A) == [[x / d for x in row] for row in adj]

@@ -268,3 +268,4 @@ def test_canonical_plus_oracle():
     for H in RANDOM[:6]:
         K = canonical_plus(H)
         assert K.degree == 2 * H.m - H.n
+        assert all(K[v] == H.degree(v) - 1 for v in H.vertices)

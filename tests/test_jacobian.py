@@ -37,6 +37,7 @@ from chipfire.graph import (
     Divisor,
     Graph,
     apply_laplacian,
+    canonical_plus,
     complete_graph,
     cycle_graph,
 )
@@ -53,7 +54,7 @@ from chipfire.jacobian import (
     winnable,
 )
 from chipfire.graph import reduced_laplacian
-from chipfire.potential import effective_resistance, k_plus
+from chipfire.potential import effective_resistance
 from chipfire.reduction import is_reduced, reduce as reduce_divisor
 from chipfire.treebij import enumerate_spanning_trees, is_spanning_tree
 
@@ -420,8 +421,8 @@ def test_to_critical_arithmetic_involution():
         q = 0
         D = reduce_divisor(G, q, random_divisor(G.n, rng, lo=0, hi=3)).result
         C = to_critical(G, q, D)
-        assert C == k_plus(G) - D
-        assert (k_plus(G) - C) == D
+        assert C == canonical_plus(G) - D
+        assert (canonical_plus(G) - C) == D
         assert C.degree == 2 * G.m - G.n - D.degree
         if is_reduced(G, q, C):
             assert to_critical(G, q, C) == D

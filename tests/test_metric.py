@@ -3,7 +3,8 @@
 Core claims:
     - GraphPoint canonicalization folds edge endpoints onto vertices and
       MetricDivisor arithmetic is exact on sparse point supports.
-    - TropicalFunction validates integer slopes and breakpoint order;
+    - TropicalFunction validates integer slopes and breakpoint order and
+      keeps only the breakpoints where the slope changes;
       metric_laplacian of a distance function from q is (far point) - (q).
     - metric_dhar certifies reducedness; stalled components carry their
       length and cut data.
@@ -157,20 +158,21 @@ def test_tropical_evaluate_and_extremes():
     assert f.evaluate(_vp(0)) == 0
     assert f.evaluate(gamma.point(0, Fraction(1, 2))) == Fraction(1, 2)
     assert f.evaluate(gamma.point(0, Fraction(1, 4))) == Fraction(1, 4)
-    assert f.global_max == Fraction(1, 2)
-    assert f.global_min == 0
 
 
-def test_tropical_arithmetic_and_pruning():
+def test_tropical_construction_keeps_only_kinks():
     gamma = segment()
-    f = TropicalFunction(gamma, [0, 1])
-    g = TropicalFunction(gamma, [1, 0])
-    s = f + g
-    assert s.evaluate(gamma.point(0, Fraction(1, 3))) == 1
-    assert s.pruned().breaks == ((),)  # collinear anchors vanish
-    assert (f - f).is_zero()
-    assert f.scaled(3).evaluate(_vp(1)) == 3
-    assert (-f).global_min == -1
+    # a collinear breakpoint is dropped when the function is built
+    line = TropicalFunction(gamma, [0, 1], [((Fraction(1, 3), Fraction(1, 3)),)])
+    assert line.breaks == ((),)
+    assert line.evaluate(gamma.point(0, Fraction(1, 3))) == Fraction(1, 3)
+    # a real kink is kept; of two collinear ones around it only it survives
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    tent = TropicalFunction(
+        gamma, [0, 0], [((quarter, quarter), (half, half), (3 * quarter, quarter))]
+    )
+    assert tent.breaks == (((half, half),),)
+    assert TropicalFunction(gamma, [0, 0]).is_zero()
 
 
 def test_tropical_equality_modulo_pruning():
@@ -345,15 +347,25 @@ def test_metric_reduce_luo_drops_exact():
 
 def test_metric_reduce_least_action_sign():
     # every Luo move attains its maximum at q (q is burnt, so it sits at
-    # distance >= eps from the stalled set); hence the negated sum of the
-    # moves attains its global minimum at q
+    # distance >= eps from the stalled set); hence so does their sum, the
+    # script minus the make-effective script.  A difference of piecewise
+    # linear functions takes its maximum at a vertex or a breakpoint of one
+    # of them
     gamma = MetricGraph(cycle_graph(3), [1, 1, Fraction(1, 2)])
     q = _vp(0)
     D = MetricDivisor({_vp(2): 3, gamma.point(0, Fraction(1, 2)): 1})
     report = metric_reduce(gamma, q, D)
     assert report.iterations
-    neg_total = -(report.script - report.make_effective_script)
-    assert neg_total.evaluate(q) == neg_total.global_min
+    f, g = report.script, report.make_effective_script
+    points = [_vp(v) for v in range(gamma.n)] + [
+        gamma.point(e, o)
+        for h in (f, g)
+        for e, kinks in enumerate(h.breaks)
+        for o, _value in kinks
+    ]
+    moves = [f.evaluate(p) - g.evaluate(p) for p in points]
+    assert len(points) > gamma.n
+    assert f.evaluate(q) - g.evaluate(q) == max(moves)
 
 
 # -- Exact potentials ----------------------------------------------------------------------------
@@ -472,19 +484,20 @@ def test_reduced_minimizes_b_among_equivalents():
         assert pots.b(cand) > base
     assert tried >= 3  # the family really produced competitors
 
-    # borrowing at q: always leaves the divisor effective off q
+    # borrowing at q: k times the cap min(dist(q, .), eps) always leaves the
+    # divisor effective off q
     eps = Fraction(1, 4)
-    breaks = []
-    for e, (u, v) in enumerate(G.edges):
-        if u == 0:
-            breaks.append(((eps, eps),))
-        elif v == 0:
-            breaks.append((((gamma.lengths[e] - eps), eps),))
-        else:
-            breaks.append(())
-    cap = TropicalFunction(gamma, [0 if i == 0 else eps for i in range(G.n)], breaks)
     for k in (1, 2):
-        cand = result + metric_laplacian(gamma, cap.scaled(k))
+        breaks = []
+        for e, (u, v) in enumerate(G.edges):
+            if u == 0:
+                breaks.append(((eps, k * eps),))
+            elif v == 0:
+                breaks.append((((gamma.lengths[e] - eps), k * eps),))
+            else:
+                breaks.append(())
+        values = [0 if i == 0 else k * eps for i in range(G.n)]
+        cand = result + metric_laplacian(gamma, TropicalFunction(gamma, values, breaks))
         assert cand.is_effective(skip=q)
         assert pots.b(cand) > base
 

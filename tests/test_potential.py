@@ -41,7 +41,6 @@ from chipfire.potential import (
     effective_resistance,
     energy_pairing,
     j_function,
-    k_plus,
     moore_penrose,
     pentagon_move,
     q_energy,
@@ -374,8 +373,3 @@ def test_pentagon_move_requires_negative():
         pentagon_move(G, Divisor((1, 0, 0, 0, 0)), 0)
 
 
-def test_k_plus_oracle():
-    assert k_plus(complete_graph(3)) == Divisor((1, 1, 1))
-    for G in RANDOM[:5]:
-        K = k_plus(G)
-        assert all(K[v] == G.degree(v) - 1 for v in G.vertices)
