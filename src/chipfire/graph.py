@@ -234,6 +234,12 @@ class FiringScript(VertexFunction):
         return f"FiringScript({list(self.values)!r}, q={self.q})"
 
 
+def check_vertex(G, q):
+    """Refuse q up front unless it is a vertex of G (negative indices too)."""
+    if not (0 <= q < G.n):
+        raise ValueError("base vertex out of range")
+
+
 def _laplacian(deg, u, v, dtype):
     """diag(deg) minus 1 at (u[i], v[i]) and (v[i], u[i]) for every i."""
     Q = np.diag(np.array(deg, dtype=dtype))
@@ -256,6 +262,7 @@ def reduced_laplacian(G, q, dtype=np.int64):
     the full Q: edges at q count only in the degrees, and every other
     vertex w takes row and column w - (w > q).
     """
+    check_vertex(G, q)
     u = np.array(G._eu, dtype=np.intp)
     v = np.array(G._ev, dtype=np.intp)
     off = (u != q) & (v != q)
@@ -320,6 +327,7 @@ def is_linearly_equivalent(G, D1, D2, q):
     Solves the reduced system L_(q) [D1 - D2] and accepts iff the solution
     is integral; degrees must match first.
     """
+    check_vertex(G, q)
     if len(D1) != G.n or len(D2) != G.n:
         raise ValueError("divisor size does not match graph")
     if D1.degree != D2.degree:

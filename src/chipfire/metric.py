@@ -5,16 +5,18 @@ Points live on a metric graph Gamma (a graph with positive rational edge
 lengths) either at vertices or at interior offsets of an edge.  Tropical
 functions are continuous piecewise linear with integer slopes; their
 Laplacian puts -(sum of outgoing slopes) at every kink.  A TropicalFunction
-is a canonical value: it keeps only its true kinks from the moment it is
-built, and there is no algebra on functions, since every script is built
-once as a potential.  All arithmetic is exact (Fractions); nothing here uses
-floats.
+is a canonical value: it keeps only its true kinks, and the integer slope
+of each piece between them, from the moment it is built, and there is no
+algebra on functions, since every script is built once as a potential.  All
+arithmetic is exact (Fractions for offsets and values, integers for the
+linear algebra); nothing here uses floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
-the divisor in play (plus q and all vertices).  Burning, moves and
-potentials are all computed on the model and mapped back to points.  Every
-potential is the j_q-potential of one divisor from one exact single-column
-solve on a fresh model, and j_q, r, E_q and b_q are read off such a
+the divisor in play (plus q and all vertices), which refuses a point not on
+Gamma.  Burning, moves and potentials are all computed on the model and
+mapped back to points.  Every potential is the j_q-potential of one divisor
+from one exact single-column solve of a fresh model's grounded Laplacian,
+scaled to integer conductances, and j_q, r, E_q and b_q are read off such a
 potential; nothing is cached.  A divisor is made effective off q by one
 rounded j_q-potential, which leaves a number of chips per model vertex
 bounded by the model alone; Luo moves then only move chips.  Since Delta
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from . import exact, _kernels
 from .graph import Graph
@@ -215,11 +217,12 @@ class TropicalFunction:
     Construction validates offset sanity and slope integrality and keeps only
     the breakpoints where the slope changes, so a caller's collinear
     breakpoints are dropped from .breaks and equal functions have equal
-    fields.  Continuity is automatic because endpoint values are shared via
-    the vertices.
+    fields.  The integer slope of each piece between them stays in _slopes
+    for metric_laplacian.  Continuity is automatic because endpoint values
+    are shared via the vertices.
     """
 
-    __slots__ = ("gamma", "vertex_values", "breaks")
+    __slots__ = ("gamma", "vertex_values", "breaks", "_slopes")
 
     def __init__(self, gamma, vertex_values, breaks=None):
         self.gamma = gamma
@@ -230,10 +233,13 @@ class TropicalFunction:
             breaks = [()] * gamma.m
         if len(breaks) != gamma.m:
             raise ValueError("need one breakpoint list per edge")
-        self.breaks = tuple(self._kinks(e, breaks[e]) for e in range(gamma.m))
+        pieces = [self._kinks(e, breaks[e]) for e in range(gamma.m)]
+        self.breaks = tuple(kinks for kinks, _ in pieces)
+        self._slopes = tuple(slopes for _, slopes in pieces)
 
     def _kinks(self, e, points):
-        """The (offset, value) `points` on edge e where the slope changes,
+        """(kinks, slopes): the (offset, value) `points` on edge e where the
+        slope changes, and the integer slope of each piece between them,
         after checking every offset and that every slope is an integer."""
         u, v = self.gamma.graph.edges[e]
         length = self.gamma.lengths[e]
@@ -246,15 +252,18 @@ class TropicalFunction:
                 raise ValueError("breakpoints must be strictly increasing")
             anchors.append((o, Fraction(val)))
         anchors.append((length, self.vertex_values[v]))
-        kinks, last = [], None
+        kinks, slopes = [], []
         for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
             s = (v2 - v1) / (o2 - o1)
             if s.denominator != 1:
                 raise ValueError("slopes must be integers")
-            if last is not None and s != last:
+            s = s.numerator
+            if not slopes:
+                slopes.append(s)
+            elif s != slopes[-1]:
                 kinks.append((o1, v1))
-            last = s
-        return tuple(kinks)
+                slopes.append(s)
+        return tuple(kinks), tuple(slopes)
 
     def _anchors(self, e):
         u, v = self.gamma.graph.edges[e]
@@ -263,13 +272,6 @@ class TropicalFunction:
             + list(self.breaks[e])
             + [(self.gamma.lengths[e], self.vertex_values[v])]
         )
-
-    def _slopes(self, e):
-        anchors = self._anchors(e)
-        return [
-            (v2 - v1) / (o2 - o1)
-            for (o1, v1), (o2, v2) in zip(anchors, anchors[1:])
-        ]
 
     @classmethod
     def zero(cls, gamma):
@@ -315,17 +317,13 @@ def metric_laplacian(gamma, f):
         if w:
             weights[point] = weights.get(point, 0) + w
 
-    for e in range(gamma.m):
-        u, v = gamma.graph.edges[e]
-        anchors = f._anchors(e)
-        slopes = f._slopes(e)
+    for e, (u, v) in enumerate(gamma.graph.edges):
+        slopes = f._slopes[e]
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
-        bump(GraphPoint.vertex(u), -int(slopes[0]))
-        bump(GraphPoint.vertex(v), int(slopes[-1]))
-        for i in range(1, len(anchors) - 1):
-            o, _ = anchors[i]
-            sigma = slopes[i - 1] - slopes[i]
-            bump(gamma.point(e, o), int(sigma))
+        bump(GraphPoint.vertex(u), -slopes[0])
+        bump(GraphPoint.vertex(v), slopes[-1])
+        for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
+            bump(gamma.point(e, o), s1 - s2)
     return MetricDivisor(weights)
 
 
@@ -337,7 +335,9 @@ class _Model:
 
     Model vertex ids follow the canonical point order: original vertices
     0..n-1 first, then interior points by (edge, offset).  Model edges are
-    the maximal subsegments between consecutive model vertices.
+    the maximal subsegments between consecutive model vertices, each of
+    positive length: a point not on Gamma (an index out of range, or an edge
+    offset not strictly inside its edge) raises ValueError.
     """
 
     __slots__ = ("gamma", "points", "vid_of", "medges", "graph")
@@ -347,7 +347,12 @@ class _Model:
         per_edge = {}
         for p in extra_points:
             p = _as_point(p)
-            if p.kind == "e":
+            # gamma's own constructors raise off Gamma and fold edge ends
+            if p.kind == "v":
+                gamma.vertex_point(p.index)
+            elif gamma.point(p.edge, p.offset) != p:
+                raise ValueError("edge point offset not strictly inside its edge")
+            else:
                 per_edge.setdefault(p.edge, set()).add(p.offset)
         interior = []
         for e in sorted(per_edge):
@@ -398,19 +403,24 @@ def _grounded_potential(model, q_vid, chips):
     """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
     affine on model edges: the j_q-potential of chips under conductance
     1/length, from one single-column exact solve of the model Laplacian
-    with q's row and column removed."""
+    with q's row and column removed.  The system is scaled to integers: with
+    scale the lcm of the numerators of the model edge lengths, an edge of
+    length a/b has conductance scale*b/a and the right-hand side is
+    scale*chips, which leaves x as it is."""
+    lengths = [o2 - o1 for *_, o1, o2 in model.medges]
+    scale = lcm(*(x.numerator for x in lengths))
     keep = [v for v in range(len(model.points)) if v != q_vid]
     row_of = {v: i for i, v in enumerate(keep)}
-    lap = [[_ZERO] * len(keep) for _ in keep]
-    for a, b, _e, o1, o2 in model.medges:
-        c = 1 / (o2 - o1)
+    lap = [[0] * len(keep) for _ in keep]
+    for (a, b, *_), length in zip(model.medges, lengths):
+        c = scale // length.numerator * length.denominator
         for u, w in ((a, b), (b, a)):
             if u != q_vid:
                 lap[row_of[u]][row_of[u]] += c
                 if w != q_vid:
                     lap[row_of[u]][row_of[w]] -= c
     x = [_ZERO] * len(model.points)
-    for v, (value,) in zip(keep, exact.solve(lap, [[chips[v]] for v in keep])):
+    for v, (value,) in zip(keep, exact.solve(lap, [[scale * chips[v]] for v in keep])):
         x[v] = value
     return x
 
@@ -529,9 +539,9 @@ def metric_make_effective(gamma, q, D):
     ends with 0 <= E(p) < 2 c(p), whatever the size of D.
     """
     q = _as_point(q)
+    model = _model_for(gamma, q, D)  # first, so an effective D off Gamma is refused
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma)
-    model = _model_for(gamma, q, D)
     q_vid = model.vid_of[q]
     chips = model.chips(D)
     c = [_ZERO] * len(chips)

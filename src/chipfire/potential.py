@@ -19,7 +19,7 @@ from operator import mul
 import numpy as np
 
 from . import exact
-from .graph import apply_laplacian, reduced_laplacian
+from .graph import apply_laplacian, check_vertex, reduced_laplacian
 
 
 class GeneralizedInverse:
@@ -52,8 +52,6 @@ class GeneralizedInverse:
 
 def reduced_inverse(G, q):
     """L_(q) = j_q: the inverse of Q with row/col q deleted, zero-padded at q."""
-    if not (0 <= q < G.n):
-        raise ValueError("base vertex out of range")
     table = j_function(G, q)
     L = [[Fraction(x, table.den) for x in row] for row in table.num]
     return GeneralizedInverse("reduced", L, q=q)
@@ -116,6 +114,7 @@ class PotentialTable:
     __slots__ = ("G", "q", "n", "_num", "_den")
 
     def __init__(self, G, q):
+        check_vertex(G, q)
         self.G = G
         self.q = q
         self.n = G.n
@@ -209,6 +208,7 @@ def j_function(G, q):
 
 def effective_resistance(G, p, q):
     """r(p, q), exact."""
+    check_vertex(G, p)  # j_function checks q when p != q
     if p == q:
         return Fraction(0)
     return j_function(G, q).resistance(p)
@@ -248,6 +248,7 @@ def pentagon_move(G, D, v):
     Replaces D by D + (-D(v)) Delta(chi_v); on a cycle this sends the
     pattern (x, y, z) around v to (x + y, -y, z + y).
     """
+    check_vertex(G, v)
     y = D[v]
     if y >= 0:
         raise ValueError("move requires a negative coefficient")

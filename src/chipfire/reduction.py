@@ -40,6 +40,7 @@ from .graph import (
     FiringScript,
     apply_laplacian,
     canonical_plus,
+    check_vertex,
     laplacian,
     reduced_laplacian,
 )
@@ -98,8 +99,7 @@ class ReductionReport:
 
 
 def _check(G, q, D):
-    if not (0 <= q < G.n):
-        raise ValueError("base vertex out of range")
+    check_vertex(G, q)
     if len(D) != G.n:
         raise ValueError("divisor size does not match graph")
 
@@ -133,7 +133,7 @@ def make_effective(G, q, D):
 
 def _floor_step(G, q, D):
     """Step 1: subtract Delta(floor(x)) for x = L_(q) [D], the solution of
-    Q_(q) x = D off q; returns (divisor, floor vector, path, rounds).
+    Q_(q) x = D off q; returns (divisor, floor vector, path, rounds, inv).
 
     x = L_(q) D = sum_v j_q(., v) D(v) is refined from float64 solves with
     the j-table's float view on exact integer residuals (Wan, J.
@@ -147,8 +147,9 @@ def _floor_step(G, q, D):
     R = 0, or a zero exact residual at round(x~) (principal divisors), stops
     at once.  path is "float"; it is "exact" when a round fails to halve
     the bound or a float solve is not finite, and a single-column exact
-    solve finishes the job.  rounds counts the float solves.  The float inverse is returned for step 2's
-    guess; it is None when D is zero off q and no solve was needed.
+    solve finishes the job.  rounds counts the float solves.  inv, the float
+    inverse, is returned for step 2's guess; it is None when D is zero off q
+    and no solve was needed.
     """
     table = j_function(G, q)
     b = [0 if v == q else c for v, c in enumerate(D)]
@@ -371,8 +372,7 @@ class MoveBounds:
 
 def move_bounds(G, q):
     """All running-time bounds for reduction toward q."""
-    if not (0 <= q < G.n):
-        raise ValueError("base vertex out of range")
+    check_vertex(G, q)
     n = G.n
     if n == 1:
         zero = Fraction(0)

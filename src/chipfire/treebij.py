@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .graph import Divisor
+from .graph import Divisor, check_vertex
 from .reduction import dhar
 
 
@@ -161,6 +161,7 @@ def tree_to_divisor(G, q, tree, d=None):
     g = m - n + 1, for which the chip count at q equals the external
     activity of the tree.
     """
+    check_vertex(G, q)
     edges = tree.tree_edges if isinstance(tree, SpanningTree) else frozenset(tree)
     if not is_spanning_tree(G, edges):
         raise ValueError("edge set is not a spanning tree")
@@ -176,6 +177,7 @@ def tree_to_divisor(G, q, tree, d=None):
 
 def processed_edges_of_tree(G, q, tree_edges):
     """The R set produced when burning tree -> divisor (for cross-checks)."""
+    check_vertex(G, q)
     tree_edges = set(tree_edges)
     mask = [e in tree_edges for e in range(G.m)]
     _a, in_r = _kernels.divisor_from_tree(G, mask, q)

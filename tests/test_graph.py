@@ -10,6 +10,8 @@ Core claims:
       exactly the cut edges.
     - is_linearly_equivalent finds an integral script iff one exists and the
       returned script satisfies D1 - Delta(script) == D2.
+    - Every public function that takes a base vertex refuses q = -1 and
+      q = n with ValueError("base vertex out of range").
 """
 
 import numpy as np
@@ -269,3 +271,71 @@ def test_canonical_plus_oracle():
         K = canonical_plus(H)
         assert K.degree == 2 * H.m - H.n
         assert all(K[v] == H.degree(v) - 1 for v in H.vertices)
+
+
+# -- Base vertex range -------------------------------------------------------
+
+def _base_vertex_calls():
+    """(name, call(G, q)) for every public function that takes a base vertex,
+    on G = C4 with divisors that fit it."""
+    from chipfire.jacobian import (
+        group_add, jacobian, sample_spanning_tree, to_critical, winnable,
+    )
+    from chipfire.potential import (
+        PotentialTable, b_q, effective_resistance, j_function, pentagon_move,
+        q_energy, reduced_inverse,
+    )
+    from chipfire.reduction import (
+        dhar, is_reduced, make_effective, move_bounds, reduce, step_bound_borrows,
+        step_bound_fires, verify_minimizer,
+    )
+    from chipfire.treebij import (
+        divisor_to_tree, processed_edges_of_tree, tree_to_divisor,
+    )
+
+    D = Divisor([1, 0, 0, -1])
+    zero = Divisor([0, 0, 0, 0])
+    tree = {0, 1, 2}
+    return [
+        ("reduced_laplacian", lambda G, q: reduced_laplacian(G, q)),
+        ("is_linearly_equivalent", lambda G, q: is_linearly_equivalent(G, D, zero, q)),
+        ("j_function", lambda G, q: j_function(G, q)),
+        ("PotentialTable", lambda G, q: PotentialTable(G, q)),
+        ("reduced_inverse", lambda G, q: reduced_inverse(G, q)),
+        ("effective_resistance_p", lambda G, q: effective_resistance(G, q, 0)),
+        ("effective_resistance_q", lambda G, q: effective_resistance(G, 0, q)),
+        ("q_energy", lambda G, q: q_energy(G, q, D)),
+        ("b_q", lambda G, q: b_q(G, q, D)),
+        ("pentagon_move", lambda G, q: pentagon_move(G, Divisor([0, 0, 1, -2]), q)),
+        ("dhar", lambda G, q: dhar(G, q, D)),
+        ("is_reduced", lambda G, q: is_reduced(G, q, zero)),
+        ("make_effective", lambda G, q: make_effective(G, q, D)),
+        ("reduce", lambda G, q: reduce(G, q, D)),
+        ("verify_minimizer", lambda G, q: verify_minimizer(G, q, zero)),
+        ("move_bounds", lambda G, q: move_bounds(G, q)),
+        ("step_bound_borrows", lambda G, q: step_bound_borrows(G, q, D)),
+        ("step_bound_fires", lambda G, q: step_bound_fires(G, q, zero)),
+        ("tree_to_divisor", lambda G, q: tree_to_divisor(G, q, tree)),
+        ("divisor_to_tree", lambda G, q: divisor_to_tree(G, q, zero)),
+        ("processed_edges_of_tree", lambda G, q: processed_edges_of_tree(G, q, tree)),
+        ("jacobian", lambda G, q: jacobian(G, q)),
+        ("sample_spanning_tree", lambda G, q: sample_spanning_tree(G, q, 0)),
+        ("group_add", lambda G, q: group_add(G, q, zero, zero)),
+        ("winnable", lambda G, q: winnable(G, Divisor([1, 0, 0, 0]), q)),
+        ("to_critical", lambda G, q: to_critical(G, q, zero)),
+    ]
+
+
+_BASE_VERTEX_CALLS = _base_vertex_calls()
+
+
+@pytest.mark.parametrize("q", [-1, 4])
+@pytest.mark.parametrize(
+    "call", [c for _, c in _BASE_VERTEX_CALLS], ids=[n for n, _ in _BASE_VERTEX_CALLS]
+)
+def test_out_of_range_base_vertex_is_refused(call, q):
+    # -1 must not wrap around to the last vertex, and n must not reach an
+    # IndexError, AssertionError or a singular solve deep inside
+    G = cycle_graph(4)
+    with pytest.raises(ValueError, match="base vertex out of range"):
+        call(G, q)

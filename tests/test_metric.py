@@ -5,7 +5,10 @@ Core claims:
       MetricDivisor arithmetic is exact on sparse point supports.
     - TropicalFunction validates integer slopes and breakpoint order and
       keeps only the breakpoints where the slope changes;
-      metric_laplacian of a distance function from q is (far point) - (q).
+      metric_laplacian of a distance function from q is (far point) - (q),
+      and a collinear breakpoint carries no chip.
+    - Every metric operation refuses a vertex or edge index out of range
+      and an edge offset not strictly inside its edge, as q or in supp(D).
     - metric_dhar certifies reducedness; stalled components carry their
       length and cut data.
     - metric_make_effective returns (E, f) with E = D + Delta(f) effective
@@ -17,6 +20,9 @@ Core claims:
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
       N-fold subdivision.
+    - On a triangle with coprime rational lengths and an interior point,
+      r(u, v) = l (l' + l'') / (l + l' + l'') for the two arcs l and l' + l''
+      between u and v, and j_q(x, x) = r(x, q).
     - The reduced divisor minimizes b_q among random equivalent divisors
       that stay effective off q.
     - Every output of metric_make_effective and metric_reduce on the METRIC
@@ -196,6 +202,14 @@ def test_metric_laplacian_degree_zero_and_kinks():
     assert got == MetricDivisor(
         {gamma.point(0, Fraction(1, 2)): 2, _vp(0): -1, _vp(1): -1}
     )
+    # a collinear breakpoint puts no chip: slope 2 up to offset 2 (through
+    # the collinear point at 1), then slope -3 on a length-3 edge
+    gamma = MetricGraph(path_graph(2), [3])
+    f = TropicalFunction(gamma, [0, 1], [((1, 2), (2, 4))])
+    assert f.breaks == (((2, 4),),)
+    got = metric_laplacian(gamma, f)
+    assert got.degree == 0
+    assert got == MetricDivisor({_vp(0): -2, gamma.point(0, 2): 5, _vp(1): -3})
 
 
 def test_metric_laplacian_matches_combinatorial_on_unit():
@@ -382,6 +396,70 @@ def test_segment_potentials_oracle():
     # r(x, y) = |x - y|
     assert pots.resistance(x, y) == Fraction(3, 4) - Fraction(1, 3)
     assert pots.resistance(_vp(1)) == 1
+
+
+def test_triangle_resistance_oracle():
+    # on a cycle, two points cut it into arcs l and l' + l'', in parallel:
+    # r = l (l' + l'') / (l + l' + l'').  Coprime lengths and an interior
+    # point make the model's integer conductances differ on every segment.
+    lengths = [Fraction(97, 3), Fraction(101, 7), Fraction(13)]
+    gamma = MetricGraph(cycle_graph(3), lengths)  # edges (0,1), (1,2), (0,2)
+    offset = Fraction(5, 11)
+    x = gamma.point(1, offset)
+    total = sum(lengths)
+    # arc position of each point going 0 -> 1 -> x -> 2 -> 0
+    where = {
+        _vp(0): 0,
+        _vp(1): lengths[0],
+        x: lengths[0] + offset,
+        _vp(2): lengths[0] + lengths[1],
+    }
+    for q in where:
+        pots = metric_potentials(gamma, q)
+        for u in where:
+            for v in where:
+                arc = abs(where[u] - where[v])
+                assert pots.resistance(u, v) == arc * (total - arc) / total
+            assert pots.j(u, u) == pots.resistance(u)
+
+
+# -- Points off Gamma ---------------------------------------------------------------------------
+
+_OFF_GAMMA = {
+    "vertex_n": (GraphPoint.vertex(4), "vertex index out of range"),
+    "vertex_negative": (GraphPoint.vertex(-1), "vertex index out of range"),
+    "edge_index": (GraphPoint("e", 9, Fraction(1, 2)), "edge index out of range"),
+    "offset_zero": (GraphPoint("e", 0, 0), "strictly inside"),
+    "offset_length": (GraphPoint("e", 0, 1), "strictly inside"),
+    "offset_beyond": (GraphPoint("e", 0, 3), "offset outside the edge"),
+}
+
+_OFF_GAMMA_CALLS = {
+    "dhar_q": lambda g, p: metric_dhar(g, p, MetricDivisor({})),
+    "dhar_D": lambda g, p: metric_dhar(g, _vp(0), MetricDivisor({p: 1})),
+    "make_effective_q": lambda g, p: metric_make_effective(
+        g, p, MetricDivisor({_vp(0): -1, _vp(1): 2})
+    ),
+    "make_effective_D": lambda g, p: metric_make_effective(g, _vp(0), MetricDivisor({p: 1})),
+    "reduce_q": lambda g, p: metric_reduce(g, p, MetricDivisor({_vp(1): 2})),
+    "reduce_D": lambda g, p: metric_reduce(g, _vp(0), MetricDivisor({p: 2})),
+    "j_q": lambda g, p: metric_potentials(g, p).j(_vp(0), _vp(1)),
+    "j_x": lambda g, p: metric_potentials(g, _vp(0)).j(p, _vp(1)),
+    "j_y": lambda g, p: metric_potentials(g, _vp(0)).j(_vp(1), p),
+    "resistance": lambda g, p: metric_potentials(g, _vp(0)).resistance(p),
+    "q_energy": lambda g, p: metric_potentials(g, _vp(0)).q_energy(MetricDivisor({p: 1})),
+    "b": lambda g, p: metric_potentials(g, _vp(0)).b(MetricDivisor({p: 1})),
+}
+
+
+@pytest.mark.parametrize("point", _OFF_GAMMA.values(), ids=_OFF_GAMMA.keys())
+@pytest.mark.parametrize("call", _OFF_GAMMA_CALLS.values(), ids=_OFF_GAMMA_CALLS.keys())
+def test_points_off_gamma_are_refused(call, point):
+    # refused when the model is built, not as a KeyError, a ZeroDivisionError
+    # or a "disconnected" model further in, nor as a negative j_q
+    p, message = point
+    with pytest.raises(ValueError, match=message):
+        call(unit_metric(cycle_graph(4)), p)
 
 
 def test_unit_metric_j_matches_combinatorial():
