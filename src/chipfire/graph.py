@@ -22,9 +22,12 @@ class Graph:
     Vertices are 0..n-1.  Edges are unordered pairs given in a fixed order;
     parallel edges simply repeat.  Loops and disconnected inputs are
     rejected.  n = 1 with no edges is the smallest legal graph.
+
+    _table holds the PotentialTable of the last base vertex that
+    `potential.j_function` was asked for (None before the first call).
     """
 
-    __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx", "_eu", "_ev")
+    __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx", "_eu", "_ev", "_table")
 
     def __init__(self, n, edges):
         n = int(n)
@@ -68,6 +71,7 @@ class Graph:
         # Edge endpoints by index, for the edge-scanning bijection burns.
         self._eu = [u for u, _ in self.edges]
         self._ev = [v for _, v in self.edges]
+        self._table = None
 
         if not self._connected():
             raise ValueError("graph must be connected")
@@ -209,13 +213,16 @@ class FiringScript(VertexFunction):
     """Vertex function normalized to vanish at the base vertex q.
 
     Adding a constant does not change Delta(f), so scripts are stored in the
-    unique representative with f(q) = 0.
+    unique representative with f(q) = 0.  q outside 0..len(values)-1 raises
+    ValueError.
     """
 
     __slots__ = ("q",)
 
     def __init__(self, values, q):
         values = [int(x) for x in values]
+        if not (0 <= q < len(values)):
+            raise ValueError("base vertex out of range")
         base = values[q]
         super().__init__(x - base for x in values)
         self.q = q
@@ -263,11 +270,32 @@ def reduced_laplacian(G, q, dtype=np.int64):
     vertex w takes row and column w - (w > q).
     """
     check_vertex(G, q)
-    u = np.array(G._eu, dtype=np.intp)
-    v = np.array(G._ev, dtype=np.intp)
+    return _reduced_laplacian(G.deg, G._eu, G._ev, q, dtype)
+
+
+def _reduced_laplacian(deg, eu, ev, q, dtype):
+    """reduced_laplacian from the degrees and edge endpoints alone."""
+    u = np.array(eu, dtype=np.intp)
+    v = np.array(ev, dtype=np.intp)
     off = (u != q) & (v != q)
     u, v = u[off], v[off]
-    return _laplacian(G.deg[:q] + G.deg[q + 1:], u - (u > q), v - (v > q), dtype)
+    return _laplacian(deg[:q] + deg[q + 1:], u - (u > q), v - (v > q), dtype)
+
+
+def bfs_distances(G, s):
+    """Hop distance from s to every vertex, in vertex order."""
+    dist = [-1] * G.n
+    dist[s] = 0
+    queue = [s]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in G.neighbors(v):
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def apply_laplacian(G, f):

@@ -6,6 +6,9 @@ All values are exact rationals.  One fraction-free elimination of Q_(q)
 tree count, so the inner loops of b_q / E_q stay in integer arithmetic.  A
 table builds it on first use; its float64 view (`float_inverse`) needs no
 elimination and is what the reduction's lattice step refines to exact floors.
+`j_function(G, q)` returns the one table the graph keeps, for the last base
+vertex asked for, so K reductions against one (G, q) build the float
+inverse and the exact numerators once each.
 Every generalized inverse is read off such tables: L_(q) = j_q, the
 Moore-Penrose inverse is P L_(0) P with P = I - J/n, and L_mu = sum mu_i L_(i)
 comes from the resistances r(p, v) read off L_(0).
@@ -14,12 +17,13 @@ comes from the resistances r(p, v) read off L_(0).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import numpy as np
 
 from . import exact
-from .graph import apply_laplacian, check_vertex, reduced_laplacian
+from .graph import _reduced_laplacian, apply_laplacian, bfs_distances, check_vertex
 
 
 class GeneralizedInverse:
@@ -108,17 +112,32 @@ class PotentialTable:
     enters at p and exits at q, grounded at q.  The exact values are an
     integer numerator matrix `num` over a common denominator `den` (the
     spanning tree count), built by one exact adjugate on first use;
-    `float_inverse` reads j_q / den in float64 without them.
+    `float_inverse` reads j_q / den in float64 without them, also once.
+
+    The reduction's step-1 constants are set at construction: keep, the
+    vertices off q in order; ecc, the eccentricity of q, which bounds every
+    j_q(p, v); and two_t = 2 prod_{v != q} deg(v), twice a bound on the tree
+    count.  A table keeps the degrees and edge endpoints of G, not G, so the
+    graph that holds it (see j_function) forms no reference cycle with it
+    and frees it, float inverse included, when it is dropped.
     """
 
-    __slots__ = ("G", "q", "n", "_num", "_den")
+    __slots__ = (
+        "q", "n", "keep", "ecc", "two_t", "_deg", "_eu", "_ev", "_inv", "_num", "_den",
+    )
 
     def __init__(self, G, q):
         check_vertex(G, q)
-        self.G = G
         self.q = q
         self.n = G.n
-        self._num = self._den = None
+        self.keep = tuple(v for v in G.vertices if v != q)
+        self.ecc = max(bfs_distances(G, q))
+        self.two_t = 2 * prod(G.deg[v] for v in self.keep)
+        self._deg, self._eu, self._ev = G.deg, G._eu, G._ev
+        self._inv = self._num = self._den = None
+
+    def _reduced_laplacian(self, dtype):
+        return _reduced_laplacian(self._deg, self._eu, self._ev, self.q, dtype)
 
     @property
     def num(self):
@@ -139,7 +158,7 @@ class PotentialTable:
         that is Delta(g_q) = sum_v (v) - n (q).
         """
         q = self.q
-        Qq = reduced_laplacian(self.G, q).tolist()
+        Qq = self._reduced_laplacian(np.int64).tolist()
         den, adj = exact.adjugate(Qq)
         sums = [sum(row) for row in adj]
         if any(sum(map(mul, row, sums)) != den for row in Qq):
@@ -151,8 +170,15 @@ class PotentialTable:
 
     def float_inverse(self):
         """Q_(q)^{-1} = j_q / den in float64 from one float inverse, rows and
-        columns in vertex order without q; the exact numerators stay unbuilt."""
-        return np.linalg.inv(reduced_laplacian(self.G, self.q, np.float64))
+        columns in vertex order without q; the exact numerators stay unbuilt.
+
+        Built on the first call and returned, read-only, on every later one.
+        """
+        if self._inv is None:
+            inv = np.linalg.inv(self._reduced_laplacian(np.float64))
+            inv.flags.writeable = False
+            self._inv = inv
+        return self._inv
 
     def j(self, p, v):
         return Fraction(self.num[p][v], self.den)
@@ -201,9 +227,15 @@ class PotentialTable:
 def j_function(G, q):
     """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
 
-    The exact numerators are built on first use of the table's num or den.
+    Returns the table G keeps when it is for q, and otherwise builds one for
+    q and keeps it in its place, so a graph holds at most one table.  The
+    exact numerators are built on first use of the table's num or den, the
+    float inverse on the first float_inverse() call.
     """
-    return PotentialTable(G, q)
+    table = G._table
+    if table is None or table.q != q:
+        table = G._table = PotentialTable(G, q)
+    return table
 
 
 def effective_resistance(G, p, q):

@@ -11,7 +11,11 @@ solves of Q_(q) are refined on exact integer residuals until a bound from
 potential theory certifies every coordinate (see _floor_step), with a
 single-column exact solve as the fallback.  Step 1 reads the float64 view
 of the j-table; its exact numerators are built only by the energy and bound
-checks (verify_minimizer, move_bounds, step_bound_*).
+checks (verify_minimizer, move_bounds, step_bound_*).  j_function(G, q)
+returns the table G keeps for its last base vertex, so repeated reductions
+against one (G, q), as in the tree sampler, build the float inverse and the
+step-1 constants ecc(q) and 2T once, and the checks after them build the
+exact numerators once.
 
 Step 2 starts from one guess read off the same float inverse.  Its borrow
 vector c* is the least c >= 0 with c(q) = 0 and d1 + Q c >= 0 off q (least
@@ -30,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, prod
+from math import inf, isfinite
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .graph import (
     Divisor,
     FiringScript,
     apply_laplacian,
+    bfs_distances,
     canonical_plus,
     check_vertex,
     laplacian,
@@ -156,17 +161,16 @@ def _floor_step(G, q, D):
     if not any(b):
         return D, [0] * G.n, "float", 0, None
     inv = table.float_inverse()
-    f1, path, rounds = _refined_floor(G, q, inv, b)
+    f1, path, rounds = _refined_floor(G, table, inv, b)
     d1 = D - apply_laplacian(G, f1)
     return d1, f1, path, rounds, inv
 
 
-def _refined_floor(G, q, inv, b):
+def _refined_floor(G, table, inv, b):
     """(floor(x), path, rounds) for Q_(q) x = b off q, b[q] = 0, from float
-    solves with inv, a float64 Q_(q)^{-1}."""
-    keep = [v for v in G.vertices if v != q]
-    ecc = max(_bfs_ecc(G, q))
-    two_t = 2 * prod(G.deg[v] for v in keep)
+    solves with inv, a float64 Q_(q)^{-1}; q, the vertices off it, ecc(q)
+    and 2T are read off table, the PotentialTable of (G, q)."""
+    q, keep, ecc, two_t = table.q, table.keep, table.ecc, table.two_t
     X, S, R = [0] * G.n, 0, b
     err = ecc * sum(map(abs, R))
     rounds = 0
@@ -298,14 +302,21 @@ def random_equivalent(G, q, D, rng, attempts=20):
     and falls back to borrowing at q (g constant off q), which always
     preserves effectivity off q.
     """
+    d = list(D)
     for _ in range(attempts):
         g = [rng.randint(0, 2) for _ in G.vertices]
         g[q] = 0
         if all(x == 0 for x in g):
             continue
-        cand = D + apply_laplacian(G, g)
-        if cand != D and cand.is_effective(skip=q):
-            return cand
+        # cand = D + Delta(g), built as a list: only the accepted one
+        # becomes a Divisor
+        cand = d[:]
+        for u, v in G.edges:
+            x = g[u] - g[v]
+            cand[u] += x
+            cand[v] -= x
+        if cand != d and all(c >= 0 for v, c in enumerate(cand) if v != q):
+            return Divisor(cand)
     c = rng.randint(1, 3)
     g = [c] * G.n
     g[q] = 0
@@ -330,23 +341,8 @@ def verify_minimizer(G, q, D, trials=64, seed=0):
     return True
 
 
-def _bfs_ecc(G, s):
-    dist = [-1] * G.n
-    dist[s] = 0
-    queue = [s]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in G.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def diameter(G):
-    return max(max(_bfs_ecc(G, s)) for s in G.vertices)
+    return max(max(bfs_distances(G, s)) for s in G.vertices)
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def test_a_non_finite_float_solve_goes_to_the_exact_floor_without_a_cast():
     for inv in _bad_inverses(G.n - 1)[1:]:  # all NaN, then NaN and +-inf
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            floors, path, _rounds = _refined_floor(G, 0, inv, b)
+            floors, path, _rounds = _refined_floor(G, j_function(G, 0), inv, b)
         assert (floors, path) == (want, "exact")
         messages = [str(w.message) for w in caught]
         assert not [m for m in messages if "invalid value encountered in cast" in m]

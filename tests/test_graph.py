@@ -123,6 +123,13 @@ def test_firing_script_normalized_at_q():
     assert s.q == 0
 
 
+@pytest.mark.parametrize("q", [-1, 3])
+def test_firing_script_refuses_an_out_of_range_base_vertex(q):
+    # -1 would normalise at the last vertex and 3 would raise IndexError
+    with pytest.raises(ValueError, match="base vertex out of range"):
+        FiringScript([1, 2, 3], q)
+
+
 # -- Laplacian -----------------------------------------------------------------
 
 def test_laplacian_structure():
