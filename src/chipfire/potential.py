@@ -130,9 +130,9 @@ class PotentialTable:
         check_vertex(G, q)
         self.q = q
         self.n = G.n
-        self.keep = tuple(v for v in G.vertices if v != q)
+        self.keep = tuple(range(q)) + tuple(range(q + 1, G.n))
         self.ecc = max(bfs_distances(G, q))
-        self.two_t = 2 * prod(G.deg[v] for v in self.keep)
+        self.two_t = 2 * prod(G.deg[:q] + G.deg[q + 1:])
         self._deg, self._eu, self._ev = G.deg, G._eu, G._ev
         self._inv = self._num = self._den = None
 
