@@ -16,7 +16,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     fire_set,
-    is_linearly_equivalent,
     laplacian,
     outdeg,
     path_graph,
@@ -66,6 +65,7 @@ from .reduction import (
     MoveBounds,
     ReductionReport,
     dhar,
+    is_linearly_equivalent,
     is_reduced,
     make_effective,
     move_bounds,

@@ -9,7 +9,8 @@ the wall_time_ms field.
 Exit codes: 0 success, 1 negative decision (not reduced / not winnable /
 rank below threshold), 2 malformed input or violated precondition, 3
 internal failure (a RuntimeError, or an AssertionError from a library
-self-check).
+self-check).  Under --format json an exit-2 or exit-3 failure also prints
+one JSON object {"command", "exit_code", "error"} to stdout.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _cmd_bounds(gf, args):
         "rmax_coarse": format_fraction(mb.rmax_coarse),
         "foster": format_fraction(mb.foster),
         "spectral": mb.spectral,
-        "spectral_is_approximate": True,
+        "spectral_is_approximate": mb.spectral_is_approximate,
         "diameter": format_fraction(mb.diameter),
     }
     return {"q": q}, None, bounds, 0
@@ -465,17 +466,25 @@ def build_parser():
     return parser
 
 
+def _failed(args, code, label, exc):
+    """Report an exit-2 or exit-3 failure on stderr and, under --format json,
+    as one JSON object on stdout; returns the exit code."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    if args.format == "json":
+        failure = {"command": args.command, "exit_code": code, "error": str(exc)}
+        print(json.dumps(failure, sort_keys=True))
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, code = run(args)
     except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(args, 2, "error", exc)
     except (RuntimeError, AssertionError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 3
+        return _failed(args, 3, "failure", exc)
     if args.format == "json":
         print(report.to_json())
     else:

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact
-
 
 class Graph:
     """Finite connected loopless multigraph with indexed edges.
@@ -249,12 +247,14 @@ def check_vertex(G, q):
 
 def _laplacian(deg, u, v, dtype):
     """diag(deg) minus 1 at (u[i], v[i]) and (v[i], u[i]) for every i."""
-    Q = np.diag(np.array(deg, dtype=dtype))
+    k = len(deg)
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
-    np.add.at(Q, (u, v), -1)
-    np.add.at(Q, (v, u), -1)
-    return Q
+    # minus the adjacency matrix, one count per flat index u k + v and v k + u
+    flat = np.concatenate((u * k + v, v * k + u))
+    Q = -np.bincount(flat, minlength=k * k).astype(dtype, copy=False)
+    Q[:: k + 1] += np.asarray(deg, dtype=dtype)  # the diagonal
+    return Q.reshape(k, k)
 
 
 def laplacian(G):
@@ -347,36 +347,6 @@ def outdeg(G, A, v):
     if v not in A:
         raise ValueError(f"vertex {v} must belong to the firing set")
     return sum(1 for w in G.neighbors(v) if w not in A)
-
-
-def is_linearly_equivalent(G, D1, D2, q):
-    """FiringScript f with D1 - Delta(f) = D2, or None.
-
-    Solves the reduced system L_(q) [D1 - D2] and accepts iff the solution
-    is integral; degrees must match first.
-    """
-    check_vertex(G, q)
-    if len(D1) != G.n or len(D2) != G.n:
-        raise ValueError("divisor size does not match graph")
-    if D1.degree != D2.degree:
-        return None
-    diff = D1 - D2
-    if all(c == 0 for c in diff):
-        return FiringScript([0] * G.n, q)
-    keep = [v for v in G.vertices if v != q]
-    Qq = reduced_laplacian(G, q).tolist()
-    rhs = [[diff[v]] for v in keep]
-    sol = exact.solve(Qq, rhs)
-    f = [0] * G.n
-    for idx, v in enumerate(keep):
-        x = sol[idx][0]
-        if x.denominator != 1:
-            return None
-        f[v] = int(x)
-    script = FiringScript(f, q)
-    if D1 - apply_laplacian(G, script) != D2:
-        raise AssertionError("equivalence solve produced a wrong script")
-    return script
 
 
 def complete_graph(n):

@@ -26,7 +26,10 @@ negative vertices until the divisor is effective off q (then c >= c*) and
 fires back legal sets inside supp(c) until none is left (then c <= c*).
 The borrow counts, after_step2 and everything downstream are those of
 borrowing from c = 0, whatever the guess; graphs with fewer than 16
-vertices start from c = 0, which is faster there (see _borrow_step).
+vertices start from c = 0, which is faster there (see _steps_1_2).
+
+D1 ~ D2 is decided by step 1 alone: D1 - D2 is principal exactly when its
+floor step leaves zero (see is_linearly_equivalent).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class ReductionReport:
     moves_step3 counts set firings, total_set_fire_vertices is the sum of
     the fired set sizes (i.e. step 3 measured in single-vertex moves).
     step2_unborrow_sets counts the sets step 2 fired back to correct its
-    guess (see _borrow_step); moves_step2 is the net borrow count.
+    guess (see _steps_1_2); moves_step2 is the net borrow count.
     after_step1/after_step2 are the intermediate divisors the running-time
     bounds refer to.  floor_path is how step 1 found its floor ("float":
     certified from refined float solves, "exact": the exact-solve fallback)
@@ -126,14 +129,25 @@ def make_effective(G, q, D):
     Returns (divisor, script) with divisor = D - Delta(script).
     """
     _check(G, q, D)
-    d1, f1, _path, _rounds, inv = _floor_step(G, q, D)
-    d2, counts, _total, _unborrows = _borrow_step(G, q, d1, inv)
-    f = [f1[v] - counts[v] for v in G.vertices]
+    _d1, d2, f, *_ = _steps_1_2(G, q, D)
     script = FiringScript(f, q)
     result = Divisor(d2)
     if D - apply_laplacian(G, script) != result:
         raise AssertionError("make_effective script mismatch")
     return result, script
+
+
+def is_linearly_equivalent(G, D1, D2, q):
+    """FiringScript f with D1 - Delta(f) = D2, or None.
+
+    Step 1 on D = D1 - D2 leaves d1 = D - Delta(floor(L_(q) D)), which is
+    zero everywhere exactly when D is principal (a degree mismatch leaves
+    d1(q) nonzero); then floor(L_(q) D) is the script, checked exactly.
+    """
+    _check(G, q, D1)
+    _check(G, q, D2)
+    d1, f, _path, _rounds, _inv = _floor_step(G, q, D1 - D2)
+    return None if any(d1) else FiringScript(f, q)
 
 
 def _floor_step(G, q, D):
@@ -226,13 +240,21 @@ def _residual(G, q, b, X, S):
 _GUESS_MIN_VERTICES = 16
 
 
-def _borrow_step(G, q, d1, inv):
-    """Step 2: the borrowing kernel from the float guess, or from the zero
-    guess on small graphs and when d1 is already effective off q."""
+def _steps_1_2(G, q, D):
+    """Steps 1-2 of make_effective and reduce: (d1, d2, f, counts, borrows,
+    unborrows, floor path, floor rounds) with d2 = D - Delta(f) effective
+    off q and f = floor(L_(q) [D]) - counts.  Step 2 runs the borrowing
+    kernel from the float guess, or from the zero guess on small graphs and
+    when d1 is already effective off q."""
+    d1, f1, path, rounds, inv = _floor_step(G, q, D)
     guess = None
     if G.n >= _GUESS_MIN_VERTICES and not d1.is_effective(skip=q):
         guess = _borrow_guess(G, q, d1, inv)
-    return _kernels.borrow_until_effective(G, list(d1), q, guess)
+    d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
+        G, list(d1), q, guess
+    )
+    f = [a - c for a, c in zip(f1, counts)]
+    return d1, d2, f, counts, borrows, unborrows, path, rounds
 
 
 def _borrow_guess(G, q, d1, inv):
@@ -264,10 +286,8 @@ def _borrow_guess(G, q, d1, inv):
 def reduce(G, q, D):
     """The unique q-reduced divisor equivalent to D, with a full move log."""
     _check(G, q, D)
-    d1, f1, path, rounds, inv = _floor_step(G, q, D)
-    d2, counts, borrows, unborrows = _borrow_step(G, q, d1, inv)
+    d1, d2, f, counts, borrows, unborrows, path, rounds = _steps_1_2(G, q, D)
     d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
-    f = [f1[v] - counts[v] for v in G.vertices]
     for A in sets:
         for v in A:
             f[v] += 1

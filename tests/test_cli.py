@@ -6,6 +6,8 @@ Core claims:
     - Every subcommand produces correct output in text and json modes;
       exit codes are 0 (success), 1 (negative decision), 2 (bad input),
       3 (internal failure: a RuntimeError or a self-check AssertionError).
+      Under --format json an exit-2 or exit-3 failure also prints one JSON
+      object {command, exit_code, error} to stdout.
     - JSON reports are deterministic apart from wall_time_ms.
     - `jacobian` returns within a timeout on graphs where an unbounded
       Smith form stalled.
@@ -390,6 +392,27 @@ def test_cli_internal_failure_exit_3(k3_file, monkeypatch, capsys, exc):
     assert code == 3
     assert out.out == ""
     assert out.err == "failure: self-check tripped\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code, label",
+    [(ValueError, 2, "error"), (RuntimeError, 3, "failure"), (AssertionError, 3, "failure")],
+)
+def test_cli_failure_under_json_prints_one_json_object(
+    k3_file, monkeypatch, capsys, exc, code, label
+):
+    def broken(gf, args):
+        raise exc("self-check tripped")
+
+    monkeypatch.setitem(cli._HANDLERS, "reduce", broken)
+    args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
+    assert cli.main(args) == code
+    out = capsys.readouterr()
+    assert json.loads(out.out) == {
+        "command": "reduce", "exit_code": code, "error": "self-check tripped"
+    }
+    assert out.out.count("\n") == 1
+    assert out.err == f"{label}: self-check tripped\n"
 
 
 def test_cli_metric_command_on_plain_file(k3_file):

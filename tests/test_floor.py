@@ -13,6 +13,9 @@ Core claims:
     - reduce and make_effective never build the exact j-table: step 1 reads
       only its float view.
     - A 1000-vertex multigraph with 2^70 chips reduces in about a second.
+    - is_linearly_equivalent, decided by step 1 on D1 - D2, gives the script
+      or None that one exact solve of L_(q) [D1 - D2] gives, up to 200
+      vertices, with neither an exact solve nor the exact j-table.
 """
 
 import dataclasses
@@ -20,9 +23,13 @@ import dataclasses
 import numpy as np
 
 from chipfire import exact, potential
-from chipfire.graph import Divisor, Graph, apply_laplacian, reduced_laplacian
+from chipfire.graph import (
+    Divisor, FiringScript, Graph, apply_laplacian, reduced_laplacian,
+)
 from chipfire.potential import j_function
-from chipfire.reduction import dhar, make_effective, reduce as reduce_divisor
+from chipfire.reduction import (
+    dhar, is_linearly_equivalent, make_effective, reduce as reduce_divisor,
+)
 
 from corpus import random_multigraph
 
@@ -163,3 +170,69 @@ def test_reduce_on_1000_vertices_with_chips_beyond_64_bits():
     rep = reduce_divisor(G, 0, D)
     assert dhar(G, 0, rep.result).reduced
     assert rep.result.degree == D.degree
+
+
+def _exact_solve_scripts(G, q, pairs):
+    """The script of each pair (D1, D2) from one exact solve of
+    Q_(q) x = D1 - D2 off q for all pairs at once: None when the degrees
+    differ or x is not integral."""
+    keep = [v for v in G.vertices if v != q]
+    rhs = [[D1[v] - D2[v] for D1, D2 in pairs] for v in keep]
+    sol = exact.solve(reduced_laplacian(G, q).tolist(), rhs)
+    scripts = []
+    for j, (D1, D2) in enumerate(pairs):
+        xs = [row[j] for row in sol]
+        if D1.degree != D2.degree or any(x.denominator != 1 for x in xs):
+            scripts.append(None)
+            continue
+        f = [0] * G.n
+        for v, x in zip(keep, xs):
+            f[v] = x.numerator
+        scripts.append(FiringScript(f, q))
+    return scripts
+
+
+def _unit(n, v):
+    return Divisor(int(w == v) for w in range(n))
+
+
+def test_linear_equivalence_matches_one_exact_solve(monkeypatch):
+    rng = np.random.default_rng(612)
+    cases = []
+    for n in list(range(2, 31)) + [60, 120, 200]:
+        G = _fresh_graph(n, rng)
+        # n - 1 is a leaf joined to its parent p by a bridge, so
+        # (n - 1) - (p) is principal; (u) - (w) for random u != w mostly is not
+        p = G.neighbors(n - 1)[0]
+        for q in sorted({0, n - 1, int(rng.integers(0, n))}):
+            pairs, scripts = [], []
+            for D in _divisors(G, rng)[:2]:
+                f = FiringScript(rng.integers(-2**40, 2**40, size=n).tolist(), q)
+                E = D - apply_laplacian(G, f)
+                u, w = (int(x) for x in rng.choice(n, size=2, replace=False))
+                pairs += [
+                    (D, E),
+                    (D, E + _unit(n, u) - _unit(n, w)),
+                    (D, E + _unit(n, n - 1) - _unit(n, p)),
+                    (D, E + _unit(n, u)),
+                ]
+                scripts.append(f)
+            expected = _exact_solve_scripts(G, q, pairs)
+            assert expected[0::4] == scripts
+            cases.append((G, q, pairs, expected))
+
+    def refuse(*args):
+        raise AssertionError("exact elimination run")
+
+    monkeypatch.setattr(exact, "solve", refuse)
+    monkeypatch.setattr(exact, "adjugate", refuse)
+    answers = set()
+    for G, q, pairs, expected in cases:
+        got = [is_linearly_equivalent(G, D1, D2, q) for D1, D2 in pairs]
+        assert got == expected
+        for (D1, D2), script in zip(pairs, got):
+            if script is not None:
+                assert D1 - apply_laplacian(G, script) == D2
+        answers.update(s is None for s in got[1::4])
+    # the (u) - (w) pairs follow the oracle both ways
+    assert answers == {True, False}

@@ -29,12 +29,12 @@ from chipfire.graph import (
     cycle_graph,
     fire_set,
     indicator,
-    is_linearly_equivalent,
     laplacian,
     outdeg,
     path_graph,
     reduced_laplacian,
 )
+from chipfire.reduction import is_linearly_equivalent
 
 from corpus import NAMED, RANDOM, SMALL, random_divisor, random_multigraph
 
@@ -293,8 +293,8 @@ def _base_vertex_calls():
         q_energy, reduced_inverse,
     )
     from chipfire.reduction import (
-        dhar, is_reduced, make_effective, move_bounds, reduce, step_bound_borrows,
-        step_bound_fires, verify_minimizer,
+        dhar, is_linearly_equivalent, is_reduced, make_effective, move_bounds,
+        reduce, step_bound_borrows, step_bound_fires, verify_minimizer,
     )
     from chipfire.treebij import (
         divisor_to_tree, processed_edges_of_tree, tree_to_divisor,
