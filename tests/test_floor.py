@@ -201,8 +201,9 @@ def test_linear_equivalence_matches_one_exact_solve(monkeypatch):
     cases = []
     for n in list(range(2, 31)) + [60, 120, 200]:
         G = _fresh_graph(n, rng)
-        # n - 1 is a leaf joined to its parent p by a bridge, so
-        # (n - 1) - (p) is principal; (u) - (w) for random u != w mostly is not
+        # for n >= 3, n - 1 is a leaf joined to its neighbor p by a bridge,
+        # so (n - 1) - (p) is principal; (u) - (w) for random u != w mostly
+        # is not
         p = G.neighbors(n - 1)[0]
         for q in sorted({0, n - 1, int(rng.integers(0, n))}):
             pairs, scripts = [], []
