@@ -210,7 +210,8 @@ def tree_from_reduced(G, dvals, q):
 
 
 def divisor_from_tree(G, tree_mask, q):
-    """Burn a spanning tree into (chip counts with a[q]=0, R mask)."""
+    """Burn a spanning tree into (chip counts with a[q]=0, R mask); (None,
+    None) if stalled, when the masked edges do not connect every vertex."""
     eu, ev, n = G._eu, G._ev, G.n
     indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
     m = len(eu)
@@ -224,7 +225,7 @@ def divisor_from_tree(G, tree_mask, q):
     while reached < n:
         f = _next_crossing(heap, in_x, eu, ev)
         if f < 0:
-            raise AssertionError("connected graph ran out of crossing edges")
+            return None, None  # stalled: no masked edge leaves X
         if tree_mask[f]:
             t = ev[f] if in_x[eu[f]] else eu[f]
             a[t] = rcount[t]

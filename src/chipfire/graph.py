@@ -300,13 +300,17 @@ def bfs_distances(G, s):
 
 def apply_laplacian(G, f):
     """Divisor Delta(f); f is a VertexFunction or any integer sequence."""
-    vals = list(f)
+    return Divisor(_laplacian_list(G, list(f)))
+
+
+def _laplacian_list(G, vals):
+    """Delta(f) as a list of Python ints, for f given as a list of ints."""
     out = [0] * G.n
     for u, v in G.edges:
         d = vals[u] - vals[v]
         out[u] += d
         out[v] -= d
-    return Divisor(out)
+    return out
 
 
 def apply_laplacian_rational(G, f):

@@ -149,11 +149,17 @@ class JacobianPresentation:
         Plain integer combination; reduce it to get the canonical class
         representative.
         """
+        return Divisor(self._chips(exponents))
+
+    def _chips(self, exponents):
+        """sum(a_i * g_i) as a list of Python ints."""
         if len(exponents) != len(self.generators):
             raise ValueError("wrong number of exponents")
-        acc = Divisor([0] * self.n)
+        acc = [0] * self.n
         for a, g in zip(exponents, self.generators):
-            acc = acc + int(a) * g
+            a = int(a)
+            if a:
+                acc = [x + a * c for x, c in zip(acc, g.coeffs)]
         return acc
 
 
@@ -186,8 +192,12 @@ def count_spanning_trees(G):
     return abs(exact.det(reduced_laplacian(G, 0).tolist()))
 
 
-def _uniform_below(gen, bound):
-    """Uniform integer in [0, bound) via 64-bit rejection; bound may be big."""
+def _uniform_below(bitgen, bound):
+    """Uniform integer in [0, bound) via 64-bit rejection; bound may be big.
+
+    bitgen is a numpy BitGenerator.  Each 64-bit word is one raw output,
+    the word Generator.integers(0, 2**64 - 1, endpoint=True) returns too.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
     bits = max(1, bound.bit_length())
@@ -196,8 +206,8 @@ def _uniform_below(gen, bound):
     limit = span - span % bound
     while True:
         x = 0
-        for w in gen.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True, size=words):
-            x = (x << 64) | int(w)
+        for _ in range(words):
+            x = (x << 64) | bitgen.random_raw()
         if x < limit:
             return x % bound
 
@@ -208,14 +218,24 @@ def sample_spanning_tree(G, q, seed, count=1):
     Sample i draws from a Philox stream with key=seed and counter
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
-    and reducing then burning carries it to a uniform tree.
+    and reducing then burning carries it to a uniform tree.  The element's
+    entries off q are first taken mod kappa = |Jac(G)|: kappa((v) - (q)) is
+    principal, so the class, and the reduced divisor, stay the same.
     """
     pres = jacobian(G, q)
+    kappa = pres.order
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state  # counter 0 and an empty buffer
+    counter = state["state"]["counter"]
     out = []
     for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
-        exps = [_uniform_below(gen, f) for f in pres.invariant_factors]
-        red = reduce(G, q, pres.element(exps)).result
+        counter[2] = i
+        bitgen.state = state
+        exps = [_uniform_below(bitgen, f) for f in pres.invariant_factors]
+        chips = [c % kappa for c in pres._chips(exps)]
+        chips[q] = 0
+        chips[q] = -sum(chips)
+        red = reduce(G, q, Divisor(chips)).result
         out.append(divisor_to_tree(G, q, red))
     return out
 

@@ -45,6 +45,7 @@ from . import _kernels, exact
 from .graph import (
     Divisor,
     FiringScript,
+    _laplacian_list,
     apply_laplacian,
     bfs_distances,
     canonical_plus,
@@ -130,11 +131,9 @@ def make_effective(G, q, D):
     """
     _check(G, q, D)
     _d1, d2, f, *_ = _steps_1_2(G, q, D)
-    script = FiringScript(f, q)
-    result = Divisor(d2)
-    if D - apply_laplacian(G, script) != result:
+    if _minus_laplacian(G, D, f) != d2:
         raise AssertionError("make_effective script mismatch")
-    return result, script
+    return Divisor(d2), FiringScript(f, q)
 
 
 def is_linearly_equivalent(G, D1, D2, q):
@@ -173,11 +172,10 @@ def _floor_step(G, q, D):
     table = j_function(G, q)
     b = [0 if v == q else c for v, c in enumerate(D)]
     if not any(b):
-        return D, [0] * G.n, "float", 0, None
+        return list(D), [0] * G.n, "float", 0, None
     inv = table.float_inverse()
     f1, path, rounds = _refined_floor(G, table, inv, b)
-    d1 = D - apply_laplacian(G, f1)
-    return d1, f1, path, rounds, inv
+    return _minus_laplacian(G, D, f1), f1, path, rounds, inv
 
 
 def _refined_floor(G, table, inv, b):
@@ -194,7 +192,7 @@ def _refined_floor(G, table, inv, b):
         t = max(0, max(map(abs, R)).bit_length() - 62)
         y = inv @ np.array([float(R[v] >> t) for v in keep])
         rounds += 1
-        top = np.max(np.abs(y))  # NaN or inf when any entry is
+        top = np.abs(y).max()  # NaN or inf when any entry is
         if not isfinite(top):
             break
         e = int(np.frexp(top)[1])
@@ -229,8 +227,13 @@ def _refined_floor(G, table, inv, b):
 
 def _residual(G, q, b, X, S):
     """2^S b - Q X off q (0 at q), exact in Python ints; X[q] = 0."""
-    QX = apply_laplacian(G, X)
-    return [0 if v == q else (c << S) - QX[v] for v, c in enumerate(b)]
+    QX = _laplacian_list(G, X)
+    return [0 if v == q else (c << S) - x for v, (c, x) in enumerate(zip(b, QX))]
+
+
+def _minus_laplacian(G, D, f):
+    """D - Delta(f) as a list of Python ints; f is a list of ints."""
+    return [c - x for c, x in zip(D, _laplacian_list(G, f))]
 
 
 # Below this many vertices the zero guess is faster: step 2 takes a few
@@ -243,15 +246,18 @@ _GUESS_MIN_VERTICES = 16
 def _steps_1_2(G, q, D):
     """Steps 1-2 of make_effective and reduce: (d1, d2, f, counts, borrows,
     unborrows, floor path, floor rounds) with d2 = D - Delta(f) effective
-    off q and f = floor(L_(q) [D]) - counts.  Step 2 runs the borrowing
-    kernel from the float guess, or from the zero guess on small graphs and
-    when d1 is already effective off q."""
+    off q and f = floor(L_(q) [D]) - counts, all lists.  Step 2 runs the
+    borrowing kernel from the float guess, or from the zero guess on small
+    graphs and when d1 is already effective off q."""
     d1, f1, path, rounds, inv = _floor_step(G, q, D)
     guess = None
-    if G.n >= _GUESS_MIN_VERTICES and not d1.is_effective(skip=q):
+    if G.n >= _GUESS_MIN_VERTICES and any(
+        c < 0 for v, c in enumerate(d1) if v != q
+    ):
         guess = _borrow_guess(G, q, d1, inv)
+    # the kernels copy their input, so d1 and d2 are passed as they are
     d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
-        G, list(d1), q, guess
+        G, d1, q, guess
     )
     f = [a - c for a, c in zip(f1, counts)]
     return d1, d2, f, counts, borrows, unborrows, path, rounds
@@ -287,17 +293,15 @@ def reduce(G, q, D):
     """The unique q-reduced divisor equivalent to D, with a full move log."""
     _check(G, q, D)
     d1, d2, f, counts, borrows, unborrows, path, rounds = _steps_1_2(G, q, D)
-    d3, sets = _kernels.fire_until_reduced(G, list(d2), q)
+    d3, sets = _kernels.fire_until_reduced(G, d2, q)
     for A in sets:
         for v in A:
             f[v] += 1
-    script = FiringScript(f, q)
-    result = Divisor(d3)
-    if D - apply_laplacian(G, script) != result:
+    if _minus_laplacian(G, D, f) != d3:
         raise AssertionError("reduction script mismatch")
     return ReductionReport(
-        result=result,
-        script=script,
+        result=Divisor(d3),
+        script=FiringScript(f, q),
         moves_step2=borrows,
         step2_unborrow_sets=unborrows,
         moves_step3=len(sets),

@@ -159,26 +159,41 @@ def tree_to_divisor(G, q, tree, d=None):
 
     `tree` is a SpanningTree or an edge-index set; d defaults to the genus
     g = m - n + 1, for which the chip count at q equals the external
-    activity of the tree.
+    activity of the tree.  The edge set must be n - 1 distinct indices in
+    range; the burn then certifies the rest, since n - 1 edges whose burn
+    reaches every vertex form a spanning tree.  Raises ValueError otherwise.
     """
     check_vertex(G, q)
     edges = tree.tree_edges if isinstance(tree, SpanningTree) else frozenset(tree)
-    if not is_spanning_tree(G, edges):
+    a, _in_r = _kernels.divisor_from_tree(G, _tree_mask(G, edges), q)
+    if a is None:
         raise ValueError("edge set is not a spanning tree")
     if d is None:
         d = G.genus()
-    mask = [False] * G.m
-    for e in edges:
-        mask[e] = True
-    a, _in_r = _kernels.divisor_from_tree(G, mask, q)
     a[q] = d - sum(a[v] for v in G.vertices if v != q)
     return Divisor(a)
 
 
+def _tree_mask(G, edges):
+    """Edge mask of n - 1 distinct in-range indices; ValueError otherwise."""
+    if len(edges) != G.n - 1:
+        raise ValueError("edge set is not a spanning tree")
+    mask = [False] * G.m
+    for e in edges:
+        if not 0 <= e < G.m:
+            raise ValueError("edge set is not a spanning tree")
+        mask[e] = True
+    return mask
+
+
 def processed_edges_of_tree(G, q, tree_edges):
-    """The R set produced when burning tree -> divisor (for cross-checks)."""
+    """The R set produced when burning tree -> divisor (for cross-checks).
+
+    Raises ValueError when the edges do not form a spanning tree.
+    """
     check_vertex(G, q)
-    tree_edges = set(tree_edges)
-    mask = [e in tree_edges for e in range(G.m)]
+    mask = _tree_mask(G, frozenset(tree_edges))
     _a, in_r = _kernels.divisor_from_tree(G, mask, q)
+    if in_r is None:
+        raise ValueError("edge set is not a spanning tree")
     return frozenset(e for e in range(G.m) if in_r[e])

@@ -15,7 +15,9 @@ Core claims:
     - The seeded sampler is reproducible, prefix-stable, and returns
       spanning trees; 600 draws on each of four small graphs are pinned by
       one digest, and 600 draws on a 10-vertex multigraph match Kirchhoff's
-      edge marginals r(u, v).
+      edge marginals r(u, v).  Its raw Philox words give the draws of
+      Generator.integers, and its trees are those of the unreduced element
+      on a 40-vertex multigraph with an 88-bit invariant factor.
     - winnable/rank agree with brute-force search on small graphs and with
       known values.
 """
@@ -43,6 +45,7 @@ from chipfire.graph import (
 )
 from chipfire.jacobian import (
     RANK_ENUMERATION_CAP,
+    _uniform_below,
     count_spanning_trees,
     group_add,
     jacobian,
@@ -56,7 +59,7 @@ from chipfire.jacobian import (
 from chipfire.graph import reduced_laplacian
 from chipfire.potential import effective_resistance
 from chipfire.reduction import is_reduced, reduce as reduce_divisor
-from chipfire.treebij import enumerate_spanning_trees, is_spanning_tree
+from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
 from corpus import RANDOM, SMALL, random_divisor, tree_plus_edges
 
@@ -326,6 +329,60 @@ def test_sampler_hits_every_tree():
     G = complete_graph(3)
     seen = {t.tree_edges for t in sample_spanning_tree(G, 0, seed=3, count=60)}
     assert seen == set(enumerate_spanning_trees(G))
+
+
+def _uniform_below_from_integers(gen, bound):
+    """The reference draw: each 64-bit word from a numpy Generator's
+    integers(0, 2**64 - 1, endpoint=True), rejection as in _uniform_below."""
+    words = (max(1, bound.bit_length()) + 63) // 64
+    span = 1 << (64 * words)
+    limit = span - span % bound
+    while True:
+        x = 0
+        for w in gen.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True, size=words):
+            x = (x << 64) | int(w)
+        if x < limit:
+            return x % bound
+
+
+# 2**63 + 1 rejects nearly half its words; the last two take two and five
+# words per draw
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 1000, 2**63 + 1, 2**64 - 1, 2**64 + 13, 3**200]
+)
+def test_uniform_below_raw_words_match_generator_integers(bound):
+    words = (max(1, bound.bit_length()) + 63) // 64
+    for key in (0, 7, 20110701):
+        for i in (0, 1, 5):
+            counter = [0, 0, i, 0]
+            bitgen = np.random.Philox(key=key, counter=counter)
+            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            raw = np.random.Philox(key=key, counter=counter).random_raw(400).tolist()
+            got = [_uniform_below(bitgen, bound) for _ in range(20)]
+            assert got == [_uniform_below_from_integers(gen, bound) for _ in range(20)]
+            # both consumed the same words
+            nxt = bitgen.random_raw()
+            assert nxt == gen.bit_generator.random_raw()
+            used = raw.index(nxt)
+            assert used >= 20 * words
+            if bound == 2**63 + 1:
+                assert used > 25  # about 40: some draws were rejected
+
+
+def test_sampler_trees_match_reducing_the_unreduced_element():
+    # largest invariant factor 88 bits, so each exponent takes two words;
+    # SAMPLER_DIGEST covers only one-word factors
+    G = tree_plus_edges(40, 120, Random(1))
+    q, seed, count = 7, 11, 6
+    pres = jacobian(G, q)
+    assert max(pres.invariant_factors).bit_length() > 64
+    want = []
+    for i in range(count):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
+        exps = [_uniform_below_from_integers(gen, f) for f in pres.invariant_factors]
+        red = reduce_divisor(G, q, pres.element(exps)).result
+        want.append(divisor_to_tree(G, q, red))
+    assert sample_spanning_tree(G, q, seed, count=count) == want
 
 
 # -- Winnability and rank ----------------------------------------------------------------

@@ -10,12 +10,17 @@ Core claims:
       d - g + (number of externally active edges).
     - Trees enumerated by brute force are counted by the reduced
       Laplacian determinant.
+    - tree_to_divisor and processed_edges_of_tree refuse exactly the edge
+      sets is_spanning_tree refuses: cycles, too few or too many edges,
+      out-of-range indices, on 3000 random index sets and named cases.
 """
+
+from random import Random
 
 import numpy as np
 import pytest
 
-from chipfire.graph import Divisor, complete_graph, cycle_graph
+from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph
 from chipfire.jacobian import count_spanning_trees
 from chipfire.reduction import is_reduced, reduce as reduce_divisor
 from chipfire.treebij import (
@@ -87,6 +92,59 @@ def test_tree_to_divisor_rejects_non_tree():
     G = complete_graph(3)
     with pytest.raises(ValueError):
         tree_to_divisor(G, 0, (0, 1, 2))
+
+
+def _refuses(G, q, edges):
+    """True iff both tree -> divisor entry points raise ValueError."""
+    refused = []
+    for call in (tree_to_divisor, processed_edges_of_tree):
+        try:
+            call(G, q, edges)
+        except ValueError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    assert refused[0] == refused[1]
+    return refused[0]
+
+
+def test_tree_to_divisor_refuses_the_named_non_trees():
+    G = complete_graph(4)  # edges 01 02 03 12 13 23
+    assert not _refuses(G, 0, {0, 1, 2})  # the star at 0
+    assert _refuses(G, 0, {0, 1, 3})  # 01 02 12: a triangle, 3 left out
+    assert _refuses(G, 0, {0, 1})  # n - 2 edges
+    assert _refuses(G, 0, {0, 1, 2, 3})  # n edges
+    assert _refuses(G, 0, [0, 0, 1])  # two distinct indices
+    assert _refuses(G, 0, {0, 1, 6})  # index m
+    assert _refuses(G, 0, {0, 1, -1})  # negative index
+    parallel = Graph(3, [(0, 1), (0, 1), (1, 2)])
+    assert _refuses(parallel, 2, {0, 1})  # a parallel pair is a cycle
+    assert not _refuses(parallel, 2, {1, 2})
+    single = Graph(1, [])
+    assert tree_to_divisor(single, 0, ()) == Divisor((0,))
+    assert processed_edges_of_tree(single, 0, ()) == frozenset()
+    assert _refuses(single, 0, {0})
+
+
+def test_tree_to_divisor_refuses_exactly_what_is_spanning_tree_refuses():
+    # n - 2, n - 1 and n random edge indices, some with one index out of
+    # range, on the random multigraphs (parallel edges included)
+    rng = Random(20261019)
+    seen = set()
+    for G in RANDOM:
+        for _ in range(150):
+            k = G.n - 1 + rng.randint(-1, 1)
+            edges = rng.sample(range(G.m), min(max(k, 0), G.m))
+            if edges and rng.random() < 0.1:
+                edges[0] = rng.choice((-1, G.m, G.m + 3))
+            q = rng.randrange(G.n)
+            want = not is_spanning_tree(G, edges)
+            assert _refuses(G, q, edges) == want
+            if not want:
+                D = tree_to_divisor(G, q, edges)
+                assert divisor_to_tree(G, q, D).tree_edges == frozenset(edges)
+            seen.add((len(edges) - G.n + 1, want))
+    assert {(0, False), (0, True), (-1, True), (1, True)} <= seen
 
 
 # -- The bijection over the corpus -----------------------------------------------------
