@@ -1,7 +1,7 @@
 """The burning kernels behind reduction and the tree bijection.
 
-The burning loops (Dhar scans, borrowing, set-firing fixpoints and the two
-tree-bijection burns) run on the graph's CSR incidence lists with Python
+The burning loops (Dhar scans, borrowing, the set-firing fixpoint and the
+two tree-bijection burns) run on the graph's CSR incidence lists with Python
 ints, so chip counts of any size stay exact.  Every kernel uses the same
 deterministic tie-breaks (lowest vertex index, lowest edge index), which
 make burn orders, fired sets and the bijection canonical.  The burns keep
@@ -72,14 +72,16 @@ def burn(G, dvals, q):
 #            at once) leaves the largest such A unburnt; A fires back k
 #            times, k = min over v in A of c(v) and of d(v) // cnt(v) where
 #            cnt(v) > 0, and the burn's counts give the new chips as in
-#            step 3.  Every move is legal, so c stays feasible, and sum(c)
-#            drops by at least |A|, so the loop ends.  When it ends, c = c*:
+#            fire_until_reduced.  Every move is legal, so c stays feasible,
+#            and sum(c) drops by at least |A|, so the loop ends.  When it ends, c = c*:
 #            if c > c* somewhere, the set A where c - c* is largest lies in
 #            supp(c) - q, and d(v) = d*(v) + Q(c - c*)(v) >= outdeg_A(v) on
 #            A, so A could still fire back.
 #
 # With no guess the descent never runs: the ascent alone is the worklist
-# borrowing from c = 0.
+# borrowing from c = 0.  Either way step 2 ends at c*, and the divisor it
+# leaves is q-reduced (reduction's module docstring has the proof), so
+# `reduce` has no step 3.
 
 def borrow_until_effective(G, dvals, q, guess=None):
     """(new chips, borrow counts, total borrows, descent set firings).
@@ -130,10 +132,14 @@ def borrow_until_effective(G, dvals, q, guess=None):
 
 
 # ---------------------------------------------------------------------------
-# Step 3: run the burn; if vertices stay unburnt, fire all of them as one
-# set and repeat.  Firing the unburnt set sends one chip across each edge to
-# the burnt set, so the burn's own counts give the new chips in one pass: an
-# unburnt v loses cnt[v], a burnt v gains deg(v) - cnt[v].
+# The paper's step 3, the set-firing fixpoint: run the burn; if vertices
+# stay unburnt, fire all of them as one set and repeat.  Firing the unburnt
+# set sends one chip across each edge to the burnt set, so the burn's own
+# counts give the new chips in one pass: an unburnt v loses cnt[v], a burnt
+# v gains deg(v) - cnt[v].  From any divisor effective off q it ends at the
+# q-reduced one.  `reduce` does not call it, as its step 2 already ends
+# there; the tests use it as an independent oracle of reducedness and of
+# the b_q drop per fired set.
 
 def fire_until_reduced(G, dvals, q):
     """(new chips, list of fired sets in order)."""

@@ -10,6 +10,7 @@ f(v) - f(w).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -19,7 +20,9 @@ class Graph:
 
     Vertices are 0..n-1.  Edges are unordered pairs given in a fixed order;
     parallel edges simply repeat.  Loops and disconnected inputs are
-    rejected.  n = 1 with no edges is the smallest legal graph.
+    rejected.  n = 1 with no edges is the smallest legal graph.  n and the
+    endpoints must be integers (numpy integers too); a float or a Fraction
+    raises TypeError instead of being truncated.
 
     _table holds the PotentialTable of the last base vertex that
     `potential.j_function` was asked for (None before the first call).
@@ -28,13 +31,13 @@ class Graph:
     __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx", "_eu", "_ev", "_table")
 
     def __init__(self, n, edges):
-        n = int(n)
+        n = index(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = []
         for e in edges:
             u, v = e
-            u, v = int(u), int(v)
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} out of range for n={n}")
             if u == v:
@@ -128,12 +131,16 @@ class Graph:
 
 
 class Divisor:
-    """Integer chip configuration on the vertices of a graph."""
+    """Integer chip configuration on the vertices of a graph.
+
+    Coefficients must be integers (numpy integers too); a float or a
+    Fraction raises TypeError instead of being truncated.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(index, coeffs))
 
     @property
     def degree(self):
@@ -162,7 +169,8 @@ class Divisor:
         return Divisor(-c for c in self.coeffs)
 
     def __rmul__(self, k):
-        return Divisor(int(k) * c for c in self.coeffs)
+        k = index(k)
+        return Divisor(k * c for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, Divisor) and self.coeffs == other.coeffs
@@ -175,12 +183,13 @@ class Divisor:
 
 
 class VertexFunction:
-    """Integer-valued function on vertices (a firing potential)."""
+    """Integer-valued function on vertices (a firing potential); values
+    that are not integers raise TypeError, as in Divisor."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = tuple(int(x) for x in values)
+        self.values = tuple(map(index, values))
 
     def __getitem__(self, v):
         return self.values[v]
@@ -212,18 +221,30 @@ class FiringScript(VertexFunction):
 
     Adding a constant does not change Delta(f), so scripts are stored in the
     unique representative with f(q) = 0.  q outside 0..len(values)-1 raises
+    ValueError.  Scripts at the same q add to the script at that q, and
+    negation keeps q; adding scripts at different base vertices raises
     ValueError.
     """
 
     __slots__ = ("q",)
 
     def __init__(self, values, q):
-        values = [int(x) for x in values]
+        values = list(map(index, values))
         if not (0 <= q < len(values)):
             raise ValueError("base vertex out of range")
         base = values[q]
         super().__init__(x - base for x in values)
         self.q = q
+
+    def __add__(self, other):
+        if isinstance(other, FiringScript) and other.q != self.q:
+            raise ValueError("scripts have different base vertices")
+        return FiringScript(
+            [a + b for a, b in zip(self.values, other.values, strict=True)], self.q
+        )
+
+    def __neg__(self):
+        return FiringScript([-x for x in self.values], self.q)
 
     def __eq__(self, other):
         return (
@@ -243,6 +264,12 @@ def check_vertex(G, q):
     """Refuse q up front unless it is a vertex of G (negative indices too)."""
     if not (0 <= q < G.n):
         raise ValueError("base vertex out of range")
+
+
+def check_divisor(G, D):
+    """Refuse D up front unless it has one entry per vertex of G."""
+    if len(D) != G.n:
+        raise ValueError("divisor size does not match graph")
 
 
 def _laplacian(deg, u, v, dtype):
@@ -338,6 +365,7 @@ def fire_set(G, D, A):
     Each vertex of A sends one chip along each edge leaving A; edges inside
     A cancel.
     """
+    check_divisor(G, D)
     A = set(A)
     for v in A:
         if not (0 <= v < G.n):

@@ -22,7 +22,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import exact
-from .graph import Divisor, FiringScript, check_vertex, reduced_laplacian
+from .graph import Divisor, FiringScript, check_divisor, check_vertex, reduced_laplacian
 from .reduction import dhar, reduce
 from .treebij import divisor_to_tree
 
@@ -257,8 +257,7 @@ def winnable(G, D, q=0):
     representative is effective at q too.
     """
     check_vertex(G, q)
-    if len(D) != G.n:
-        raise ValueError("divisor size does not match graph")
+    check_divisor(G, D)
     if D.is_effective():
         return FiringScript([0] * G.n, q)
     if D.degree < 0:
@@ -292,6 +291,7 @@ def rank_at_least(G, D, c):
     Short-circuits on the first failing E in lexicographic order.  Raises
     ValueError when there are more than RANK_ENUMERATION_CAP such E.
     """
+    check_divisor(G, D)
     if c < 0:
         raise ValueError("rank threshold must be >= 0")
     if D.degree < c:

@@ -26,12 +26,13 @@ afterwards, as the potential of (result - D).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
 from . import exact, _kernels
-from .graph import Graph
+from .graph import Graph, check_divisor
 
 
 class MetricGraph:
@@ -102,7 +103,8 @@ class GraphPoint:
     Construct through MetricGraph.point / GraphPoint.vertex so endpoint
     offsets canonicalize to vertices.  Points order vertices first (by
     index), then edge points by (edge, offset); this is the canonical order
-    used for burn sequences and component selection.
+    used for burn sequences and component selection.  The vertex and edge
+    indices must be integers; a float or a Fraction raises TypeError.
     """
 
     __slots__ = ("kind", "index", "edge", "offset", "_key", "_hash")
@@ -110,14 +112,14 @@ class GraphPoint:
     def __init__(self, kind, a, b=None):
         if kind == "v":
             self.kind = "v"
-            self.index = int(a)
+            self.index = operator.index(a)
             self.edge = None
             self.offset = None
             self._key = (0, self.index, _ZERO)
         elif kind == "e":
             self.kind = "e"
             self.index = None
-            self.edge = int(a)
+            self.edge = operator.index(a)
             self.offset = Fraction(b)
             self._key = (1, self.edge, self.offset)
         else:
@@ -149,11 +151,12 @@ class GraphPoint:
 def _as_point(p):
     if isinstance(p, GraphPoint):
         return p
-    return GraphPoint.vertex(int(p))
+    return GraphPoint.vertex(p)
 
 
 class MetricDivisor:
-    """Finitely supported integer divisor on the points of a metric graph."""
+    """Finitely supported integer divisor on the points of a metric graph;
+    weights that are not integers raise TypeError."""
 
     __slots__ = ("entries",)
 
@@ -165,7 +168,7 @@ class MetricDivisor:
         acc = {}
         for p, w in items:
             p = _as_point(p)
-            w = int(w)
+            w = operator.index(w)
             if w:
                 acc[p] = acc.get(p, 0) + w
         self.entries = tuple(sorted(((p, w) for p, w in acc.items() if w != 0)))
@@ -728,6 +731,7 @@ def unit_metric(G):
 
 def divisor_to_metric(gamma, D):
     """Lift a vertex-supported divisor onto the metric graph."""
+    check_divisor(gamma, D)
     return MetricDivisor(
         {GraphPoint.vertex(v): c for v, c in enumerate(D) if c}
     )

@@ -23,7 +23,9 @@ from operator import mul
 import numpy as np
 
 from . import exact
-from .graph import _reduced_laplacian, apply_laplacian, bfs_distances, check_vertex
+from .graph import (
+    _reduced_laplacian, apply_laplacian, bfs_distances, check_divisor, check_vertex,
+)
 
 
 class GeneralizedInverse:
@@ -197,6 +199,7 @@ class PotentialTable:
         h, when given, must be positive off q; its value at q is irrelevant
         since j_q(q, .) = 0.
         """
+        check_divisor(self, D)  # against the table's n, its graph's
         if h is None:
             total = 0
             for v, c in enumerate(D):
@@ -214,6 +217,7 @@ class PotentialTable:
 
     def energy(self, D):
         """E_q(D) = <D - deg(D) (q), D - deg(D) (q)> = v^T L_(q) v."""
+        check_divisor(self, D)
         vec = list(D)
         vec[self.q] -= sum(vec)
         support = [v for v, c in enumerate(vec) if c]
@@ -251,6 +255,8 @@ def energy_pairing(G, D1, D2, inverse=None):
 
     Independent of the generalized inverse used; defaults to L_(0).
     """
+    check_divisor(G, D1)
+    check_divisor(G, D2)
     if D1.degree != 0 or D2.degree != 0:
         raise ValueError("energy pairing requires degree-zero divisors")
     if inverse is None:
@@ -281,6 +287,7 @@ def pentagon_move(G, D, v):
     pattern (x, y, z) around v to (x + y, -y, z + y).
     """
     check_vertex(G, v)
+    check_divisor(G, D)
     y = D[v]
     if y >= 0:
         raise ValueError("move requires a negative coefficient")

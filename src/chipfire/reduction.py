@@ -1,10 +1,21 @@
 """Dhar's burning algorithm and q-reduction of divisors.
 
-The reduction pipeline has three steps: a lattice step that subtracts
+The paper reduces in three steps: a lattice step that subtracts
 Q * floor(L_(q) [D]) to bring all off-q coefficients into (-deg, deg), a
 borrowing loop that clears negatives off q, and iterated Dhar burns that
-fire each stalled unburnt set until everything burns.  Move counts and the
-fired sets are logged so the b_q accounting can be replayed exactly.
+fire each stalled unburnt set, at most b_q(D_2) vertices in all.  Here
+steps 1-2 already end q-reduced, so `reduce` runs those two only:
+
+    After step 1, off q, d1 = Q_(q) phi with phi = x - floor(x) in [0, 1),
+    x = L_(q) [D].  Step 2 ends at d2 = Q_(q) (phi + c*), where c* is the
+    least c >= 0 with Q_(q) (phi + c) >= 0 (least action, see below).
+    Suppose a nonempty A in V - q could fire legally from d2.  What it
+    leaves is effective off q, so Q_(q) (phi + c* - chi_A) >= 0.  L_(q) =
+    Q_(q)^{-1} is entrywise >= 0, so phi + c* - chi_A >= 0.  The integer
+    vector c* - chi_A is then > -1, so it is >= 0 and feasible.  It lies
+    below c*, which contradicts least action.  So d2 passes Dhar's test.
+
+The borrow counts are logged so the b_q accounting can be replayed exactly.
 
 The floor of the lattice step is exact without the exact j-table: float64
 solves of Q_(q) are refined on exact integer residuals until a bound from
@@ -24,9 +35,9 @@ x = L_(q) (t - d1) for a target t in that box is a float estimate of c*
 (see _borrow_guess).  The kernel corrects floor(x) exactly: it borrows at
 negative vertices until the divisor is effective off q (then c >= c*) and
 fires back legal sets inside supp(c) until none is left (then c <= c*).
-The borrow counts, after_step2 and everything downstream are those of
-borrowing from c = 0, whatever the guess; graphs with fewer than 16
-vertices start from c = 0, which is faster there (see _steps_1_2).
+The borrow counts and the result are those of borrowing from c = 0,
+whatever the guess; graphs with fewer than 16 vertices start from c = 0,
+which is faster there (see reduce).
 
 D1 ~ D2 is decided by step 1 alone: D1 - D2 is principal exactly when its
 floor step leaves zero (see is_linearly_equivalent).
@@ -49,6 +60,7 @@ from .graph import (
     apply_laplacian,
     bfs_distances,
     canonical_plus,
+    check_divisor,
     check_vertex,
     laplacian,
     reduced_laplacian,
@@ -77,40 +89,38 @@ class DharOutcome:
 class ReductionReport:
     """Full log of a reduction run.
 
-    result = input - Delta(script); moves_step2 counts borrowing moves,
-    moves_step3 counts set firings, total_set_fire_vertices is the sum of
-    the fired set sizes (i.e. step 3 measured in single-vertex moves).
+    result = input - Delta(script) is the divisor step 2 ends at, which is
+    q-reduced.  moves_step2 is the net borrow count sum(c*), and
     step2_unborrow_sets counts the sets step 2 fired back to correct its
-    guess (see _steps_1_2); moves_step2 is the net borrow count.
-    after_step1/after_step2 are the intermediate divisors the running-time
-    bounds refer to.  floor_path is how step 1 found its floor ("float":
-    certified from refined float solves, "exact": the exact-solve fallback)
-    and floor_rounds the number of float solves it took.
+    guess (see reduce).  after_step1 is the intermediate divisor the
+    running-time bounds refer to.  floor_path is how step 1 found its floor
+    ("float": certified from refined float solves, "exact": the exact-solve
+    fallback) and floor_rounds the number of float solves it took.
+
+    after_step2, fired_sets, moves_step3 and total_set_fire_vertices name
+    the paper's step 3, which has nothing to fire: they read result, (), 0
+    and 0, and total_moves is moves_step2.
     """
 
     result: Divisor
     script: FiringScript
     moves_step2: int
     step2_unborrow_sets: int
-    moves_step3: int
-    total_set_fire_vertices: int
-    fired_sets: tuple
     borrow_counts: tuple
     after_step1: Divisor
-    after_step2: Divisor
     floor_path: str
     floor_rounds: int
 
-    @property
-    def total_moves(self):
-        """Single-vertex moves: borrows plus vertices fired across sets."""
-        return self.moves_step2 + self.total_set_fire_vertices
+    after_step2 = property(lambda self: self.result)
+    fired_sets = property(lambda self: ())
+    moves_step3 = property(lambda self: 0)
+    total_set_fire_vertices = property(lambda self: 0)
+    total_moves = property(lambda self: self.moves_step2)
 
 
 def _check(G, q, D):
     check_vertex(G, q)
-    if len(D) != G.n:
-        raise ValueError("divisor size does not match graph")
+    check_divisor(G, D)
 
 
 def dhar(G, q, D):
@@ -125,15 +135,13 @@ def dhar(G, q, D):
 
 
 def make_effective(G, q, D):
-    """Steps 1-2 only: an equivalent divisor that is effective off q.
+    """An equivalent divisor that is effective off q, from steps 1-2.
 
-    Returns (divisor, script) with divisor = D - Delta(script).
+    Returns (divisor, script) with divisor = D - Delta(script).  That is
+    reduce's (result, script), so the divisor is also q-reduced.
     """
-    _check(G, q, D)
-    _d1, d2, f, *_ = _steps_1_2(G, q, D)
-    if _minus_laplacian(G, D, f) != d2:
-        raise AssertionError("make_effective script mismatch")
-    return Divisor(d2), FiringScript(f, q)
+    rep = reduce(G, q, D)
+    return rep.result, rep.script
 
 
 def is_linearly_equivalent(G, D1, D2, q):
@@ -243,32 +251,12 @@ def _minus_laplacian(G, D, f):
 _GUESS_MIN_VERTICES = 16
 
 
-def _steps_1_2(G, q, D):
-    """Steps 1-2 of make_effective and reduce: (d1, d2, f, counts, borrows,
-    unborrows, floor path, floor rounds) with d2 = D - Delta(f) effective
-    off q and f = floor(L_(q) [D]) - counts, all lists.  Step 2 runs the
-    borrowing kernel from the float guess, or from the zero guess on small
-    graphs and when d1 is already effective off q."""
-    d1, f1, path, rounds, inv = _floor_step(G, q, D)
-    guess = None
-    if G.n >= _GUESS_MIN_VERTICES and any(
-        c < 0 for v, c in enumerate(d1) if v != q
-    ):
-        guess = _borrow_guess(G, q, d1, inv)
-    # the kernels copy their input, so d1 and d2 are passed as they are
-    d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
-        G, d1, q, guess
-    )
-    f = [a - c for a, c in zip(f1, counts)]
-    return d1, d2, f, counts, borrows, unborrows, path, rounds
-
-
 def _borrow_guess(G, q, d1, inv):
     """Step 2's starting borrow vector, read off step 1's inverse.
 
     The borrow vector is c* = L_(q) (d2 - d1), and d2 lies in [0, deg - 1]
     off q, so c0 = floor(inv (t - d1)) is near c* for a target t in that box
-    near d2.  Step 2 mostly ends at a reduced divisor, which has at most
+    near d2.  Step 2 ends at the reduced divisor, which has at most
     g = m - n + 1 chips off q (0.66 g to 0.95 g, mean 0.85 g, on random
     multigraphs with m = 3n; exactly g on cycles), so t spreads 5g/6 chips
     over the vertices off q in proportion to deg - 1.  With m = 3n that is
@@ -290,26 +278,35 @@ def _borrow_guess(G, q, d1, inv):
 
 
 def reduce(G, q, D):
-    """The unique q-reduced divisor equivalent to D, with a full move log."""
+    """The unique q-reduced divisor equivalent to D, with a full move log.
+
+    Step 1 is _floor_step.  Step 2 runs the borrowing kernel from the float
+    guess, or from the zero guess on small graphs and when d1 is already
+    effective off q; either way it ends at c*, so at the q-reduced divisor
+    (see the module docstring).  The script f = floor(L_(q) [D]) - c* is
+    checked exactly against the result.
+    """
     _check(G, q, D)
-    d1, d2, f, counts, borrows, unborrows, path, rounds = _steps_1_2(G, q, D)
-    d3, sets = _kernels.fire_until_reduced(G, d2, q)
-    for A in sets:
-        for v in A:
-            f[v] += 1
-    if _minus_laplacian(G, D, f) != d3:
+    d1, f1, path, rounds, inv = _floor_step(G, q, D)
+    guess = None
+    if G.n >= _GUESS_MIN_VERTICES and any(
+        c < 0 for v, c in enumerate(d1) if v != q
+    ):
+        guess = _borrow_guess(G, q, d1, inv)
+    # the kernel copies its input, so d1 is passed as it is
+    d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
+        G, d1, q, guess
+    )
+    f = [a - c for a, c in zip(f1, counts)]
+    if _minus_laplacian(G, D, f) != d2:
         raise AssertionError("reduction script mismatch")
     return ReductionReport(
-        result=Divisor(d3),
+        result=Divisor(d2),
         script=FiringScript(f, q),
         moves_step2=borrows,
         step2_unborrow_sets=unborrows,
-        moves_step3=len(sets),
-        total_set_fire_vertices=sum(len(A) for A in sets),
-        fired_sets=tuple(tuple(A) for A in sets),
         borrow_counts=tuple(counts),
         after_step1=Divisor(d1),
-        after_step2=Divisor(d2),
         floor_path=path,
         floor_rounds=rounds,
     )
@@ -439,5 +436,7 @@ def step_bound_borrows(G, q, after_step1):
 
 
 def step_bound_fires(G, q, after_step2):
-    """b_q(D_2): cap on the total number of vertices fired in step 3."""
+    """b_q(D_2): the paper's cap on the total number of vertices fired in
+    step 3.  reduce fires none, so on its D_2 the cap is met with 0; from a
+    D_2 effective off q, _kernels.fire_until_reduced also stays under it."""
     return j_function(G, q).b(after_step2)

@@ -129,12 +129,11 @@ def external_activity(G, tree_edges):
 def divisor_to_tree(G, q, D):
     """Burn a q-reduced divisor into its spanning tree.
 
-    Rejects divisors that fail Dhar's criterion.  The returned tree carries
+    Rejects divisors that fail Dhar's criterion; dhar also refuses a q or a
+    divisor size that does not fit G.  The returned tree carries
     the activity split read off the burn: active = never processed,
     passive = processed but not kept.
     """
-    if len(D) != G.n:
-        raise ValueError("divisor size does not match graph")
     if not dhar(G, q, D).reduced:
         raise ValueError("divisor is not q-reduced")
     tree, in_r = _kernels.tree_from_reduced(G, list(D), q)

@@ -12,8 +12,10 @@ Core claims:
    enumeration agree on the whole corpus in under a minute
  - reduction output passes Dhar and the subset definition, and strictly
    minimizes E_q and b_q among random equivalent divisors
- - every set firing drops b_q by exactly the set size; totals sit below
-   the exact and resistance bounds; the bound chain is ordered
+ - every set firing drops b_q by exactly the set size, checked on the
+   set-firing fixpoint from K+ and K+ plus effective divisors, where sets
+   fire (reduce itself fires none); totals sit below the exact and
+   resistance bounds and the b_q(D_2) cap; the bound chain is ordered
  - every spanning tree round-trips through the bijection with the
    independently computed activity split and a_q = d - g + ex(T)
  - enumerating the Jacobian covers each tree exactly once; seeded
@@ -38,12 +40,14 @@ import numpy as np
 
 import conftest
 import corpus
+from chipfire import _kernels
 from chipfire import (
     Divisor,
     GraphPoint,
     MetricDivisor,
     MetricGraph,
     apply_laplacian,
+    canonical_plus,
     complete_graph,
     count_spanning_trees,
     cycle_graph,
@@ -68,7 +72,7 @@ from chipfire import (
     winnable,
 )
 from chipfire.jacobian import rank_at_least
-from chipfire.reduction import random_equivalent
+from chipfire.reduction import random_equivalent, step_bound_fires
 from chipfire.treebij import processed_edges_of_tree
 
 SEED = 20240817
@@ -140,6 +144,7 @@ def test_acceptance_3_move_accounting():
     with criterion(3, "moves: each firing drops b_q by |A|; totals under exact and resistance bounds; chain ordered"):
         rng = random.Random(SEED + 1)
         nrng = np.random.default_rng(SEED + 1)
+        fired = 0
         for G in GATE_CORPUS:
             q = rng.randrange(G.n)
             table = j_function(G, q)
@@ -157,6 +162,20 @@ def test_acceptance_3_move_accounting():
                 if G.n > 1:
                     assert rep.total_moves < mb.exact
                     assert rep.total_moves < mb.resistance
+            # reduce fires no set, so walk the fixpoint kernel where sets fire
+            K = canonical_plus(G)
+            for start in (K, K + Divisor(nrng.integers(0, 4, size=G.n).tolist())):
+                end, sets = _kernels.fire_until_reduced(G, list(start), q)
+                cur = start
+                for A in sets:
+                    nxt = fire_set(G, cur, A)
+                    assert q not in A
+                    assert table.b(cur) - table.b(nxt) == len(A)
+                    cur = nxt
+                assert list(cur) == end == list(reduce(G, q, start).result)
+                assert sum(map(len, sets)) <= step_bound_fires(G, q, start)
+                fired += len(sets)
+        assert fired > 0
 
 
 def test_acceptance_4_tree_bijection():

@@ -14,6 +14,8 @@ Core claims:
       q = n with ValueError("base vertex out of range").
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,61 @@ def test_firing_script_refuses_an_out_of_range_base_vertex(q):
     # -1 would normalise at the last vertex and 3 would raise IndexError
     with pytest.raises(ValueError, match="base vertex out of range"):
         FiringScript([1, 2, 3], q)
+
+
+def test_firing_scripts_add_and_negate_at_their_base_vertex():
+    f = FiringScript([1, 2, 3], 0)
+    g = FiringScript([4, 0, 9], 0)
+    assert f + f == FiringScript([0, 2, 4], 0)
+    assert f + g == FiringScript([5, 2, 12], 0)
+    assert -f == FiringScript([0, -1, -2], 0)
+    assert (-f).q == 0 and (f + g).q == 0
+    assert f + -f == FiringScript([0, 0, 0], 0)
+    # Delta is linear, so the sum fires what the two scripts fire in turn
+    G = complete_graph(3)
+    D = Divisor((5, 0, 0))
+    assert D - apply_laplacian(G, f + g) == (
+        D - apply_laplacian(G, f) - apply_laplacian(G, g)
+    )
+    with pytest.raises(ValueError, match="different base vertices"):
+        f + FiringScript([1, 2, 3], 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Graph(2.9, [(0, 1)]),
+        lambda: Graph(2, [(0, 1.5)]),
+        lambda: Graph(2, [(Fraction(0), 1)]),
+        lambda: Divisor([0.5, 1.9]),
+        lambda: Divisor([Fraction(1), 0]),
+        lambda: 2.5 * Divisor([1, 2]),
+        lambda: Fraction(2) * Divisor([1, 2]),
+        lambda: VertexFunction([1.0, 2]),
+        lambda: FiringScript([0, Fraction(3, 2)], 0),
+    ],
+    ids=[
+        "graph_n", "graph_endpoint", "graph_endpoint_fraction", "divisor",
+        "divisor_fraction", "rmul", "rmul_fraction", "vertex_function",
+        "firing_script",
+    ],
+)
+def test_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numpy_integers_are_accepted():
+    G = Graph(np.int64(3), [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+    assert G == Graph(3, [(0, 1), (1, 2)])
+    D = Divisor(np.array([1, -2, 3]))
+    assert D == Divisor([1, -2, 3])
+    assert all(type(c) is int for c in D)
+    # np.int64(2) * D would broadcast D as an array first, so call __rmul__
+    assert D.__rmul__(np.int64(2)) == Divisor([2, -4, 6])
+    f = FiringScript(np.array([4, 5, 6]), np.int64(1))
+    assert f.values == (-1, 0, 1) and all(type(x) is int for x in f)
+    assert VertexFunction(np.arange(3)).values == (0, 1, 2)
 
 
 # -- Laplacian -----------------------------------------------------------------
@@ -346,3 +403,44 @@ def test_out_of_range_base_vertex_is_refused(call, q):
     G = cycle_graph(4)
     with pytest.raises(ValueError, match="base vertex out of range"):
         call(G, q)
+
+
+# -- Divisor size ------------------------------------------------------------
+
+def _divisor_size_calls():
+    """(name, call(G, D)) for the functions that took a divisor of the wrong
+    size without a check of their own; D is degree zero with D(0) = -1."""
+    from chipfire.jacobian import rank_at_least
+    from chipfire.metric import divisor_to_metric, unit_metric
+    from chipfire.potential import (
+        b_q, energy_pairing, j_function, pentagon_move, q_energy, total_energy,
+    )
+
+    return [
+        ("b_q", lambda G, D: b_q(G, 0, D)),
+        ("q_energy", lambda G, D: q_energy(G, 0, D)),
+        ("total_energy", lambda G, D: total_energy(G, D)),
+        ("energy_pairing", lambda G, D: energy_pairing(G, D, D)),
+        ("fire_set", lambda G, D: fire_set(G, D, {1})),
+        ("pentagon_move", lambda G, D: pentagon_move(G, D, 0)),
+        ("table_energy", lambda G, D: j_function(G, 0).energy(D)),
+        ("table_b", lambda G, D: j_function(G, 0).b(D)),
+        ("rank_at_least", lambda G, D: rank_at_least(G, D, 0)),
+        ("divisor_to_metric", lambda G, D: divisor_to_metric(unit_metric(G), D)),
+    ]
+
+
+_DIVISOR_SIZE_CALLS = _divisor_size_calls()
+
+
+@pytest.mark.parametrize("chips", [[-1, 1, 0], [-1, 1, 0, 0, 0]], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "call", [c for _, c in _DIVISOR_SIZE_CALLS], ids=[n for n, _ in _DIVISOR_SIZE_CALLS]
+)
+def test_divisor_of_the_wrong_size_is_refused(call, chips):
+    # a short divisor must not be read as zero-padded, and a long one must
+    # not reach an IndexError or a strict zip deep inside
+    G = complete_graph(4)
+    with pytest.raises(ValueError, match="divisor size does not match graph"):
+        call(G, Divisor(chips))
+    call(G, Divisor([-1, 1, 0, 0]))  # the right size goes through

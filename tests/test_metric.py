@@ -133,6 +133,29 @@ def test_metric_divisor_merges_duplicate_points():
     assert D == MetricDivisor({_vp(1): 3})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MetricDivisor({_vp(0): 1.5}),
+        lambda: MetricDivisor([(_vp(0), Fraction(2))]),
+        lambda: MetricDivisor({1.0: 1}),
+        lambda: GraphPoint.vertex(1.9),
+        lambda: GraphPoint("e", Fraction(0), Fraction(1, 2)),
+    ],
+    ids=["weight", "weight_fraction", "vertex_key", "vertex", "edge"],
+)
+def test_metric_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_metric_numpy_integers_are_accepted():
+    half = Fraction(1, 2)
+    assert MetricDivisor({np.int64(1): np.int32(2)}) == MetricDivisor({_vp(1): 2})
+    assert GraphPoint.vertex(np.int64(1)) == _vp(1)
+    assert GraphPoint("e", np.int64(0), half) == segment().point(0, half)
+
+
 def test_divisor_to_metric():
     G = complete_graph(3)
     gamma = unit_metric(G)

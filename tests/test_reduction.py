@@ -1,4 +1,4 @@
-"""Dhar's criterion and the three-step reduction pipeline.
+"""Dhar's criterion and the two-step reduction pipeline.
 
 Core claims:
     - dhar agrees with the brute-force definition: reduced iff effective off
@@ -7,8 +7,13 @@ Core claims:
     - reduce produces a reduced divisor, a script with
       D - Delta(script) == result, and is idempotent; the reduced
       representative of a class is unique.
-    - Replaying the move log: every borrow raises b_q by 1, every fired set
-      lowers it by its size; the step counts respect their b_q caps.
+    - Steps 1-2 alone end q-reduced on paths, cycles, stars, ladders, K_n,
+      heavy parallel edges and random multigraphs, for K+-like divisors and
+      chips up to +-2^200, on both floor paths and with the float guess
+      forced at every size: the paper's set-firing step 3 fires nothing.
+    - Replaying the move log: every borrow raises b_q by 1; the set-firing
+      fixpoint from K+ and K+ plus effective divisors, where sets do fire,
+      lowers b_q by |A| per fired set A and stays under the b_q(D_2) cap.
     - The move-count upper bounds are correctly ordered and all dominate the
       actual count.
     - Step 2 is confluent: any borrowing order reaches the same divisor with
@@ -22,10 +27,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chipfire import _kernels, potential, reduction
 from chipfire.graph import (
     Divisor,
     Graph,
     apply_laplacian,
+    canonical_plus,
     complete_graph,
     cycle_graph,
     fire_set,
@@ -47,7 +54,7 @@ from chipfire.reduction import (
     verify_minimizer,
 )
 
-from corpus import RANDOM, SMALL, random_divisor
+from corpus import RANDOM, SMALL, random_divisor, random_multigraph
 
 
 def _brute_force_reduced(G, q, D):
@@ -134,6 +141,85 @@ def test_reduce_produces_equivalent_reduced_divisor():
             assert dhar(G, q, r.result).reduced
             assert D - apply_laplacian(G, r.script) == r.result
             assert r.result.degree == D.degree
+
+
+def _ladder(k):
+    """2 x k ladder: two paths of k vertices joined by k rungs."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
+def _heavy(n, rng):
+    """A random tree with every edge repeated 1 to 8 times, plus one chord."""
+    edges = []
+    for v in range(1, n):
+        edges += [(int(rng.integers(0, v)), v)] * int(rng.integers(1, 9))
+    return Graph(n, edges + [(0, n - 1)] * int(rng.integers(1, 9)))
+
+
+def _family_graphs(rng):
+    """Paths, cycles, stars, ladders, K_n, heavy parallel edges and random
+    multigraphs, from 2 to 40 vertices, so both guess rules run by default."""
+    graphs = []
+    for n in (2, 5, 9, 17, 24, 40):
+        graphs += [
+            path_graph(n),
+            cycle_graph(max(n, 3)),
+            Graph(n, [(0, v) for v in range(1, n)]),
+            _ladder(max(n // 2, 2)),
+            _heavy(n, rng),
+            random_multigraph(n, n + 1, rng),
+        ]
+    return graphs + [complete_graph(n) for n in (3, 6, 12, 18)]
+
+
+def _family_divisors(G, rng):
+    """Chips in +-3, +-120 and +-2^200, and K+ shifted by small noise and by
+    a random principal divisor."""
+    n = G.n
+    K = canonical_plus(G)
+    f = rng.integers(-50, 51, size=n).tolist()
+    return [
+        Divisor(rng.integers(-3, 4, size=n).tolist()),
+        Divisor(rng.integers(-120, 121, size=n).tolist()),
+        Divisor(int(x) * 2**140 + int(y) for x, y in zip(
+            rng.integers(-2**60, 2**60, size=n), rng.integers(0, 2**60, size=n)
+        )),
+        K + Divisor(rng.integers(-1, 3, size=n).tolist()),
+        K - apply_laplacian(G, f),
+    ]
+
+
+@pytest.mark.parametrize("path", ["float floor", "float guess at every size", "exact floor"])
+def test_steps_1_2_end_q_reduced(monkeypatch, path):
+    # the proof in reduction's docstring: step 2 ends at the least-action
+    # borrow vector, and L_(q) >= 0 leaves no set that could still fire
+    rng = np.random.default_rng(107)
+    cases = [
+        (G, int(rng.integers(0, G.n)), D)
+        for G in _family_graphs(rng)
+        for _ in range(3)
+        for D in _family_divisors(G, rng)
+    ]
+    if path == "float guess at every size":
+        monkeypatch.setattr(reduction, "_GUESS_MIN_VERTICES", 1)
+    if path == "exact floor":
+        monkeypatch.setattr(
+            potential.PotentialTable,
+            "float_inverse",
+            lambda table: np.zeros((table.n - 1, table.n - 1)),
+        )
+    unborrows = 0
+    for G, q, D in cases:
+        r = reduce_divisor(G, q, D)
+        if r.floor_rounds:  # D zero off q needs no solve
+            assert r.floor_path == ("exact" if path == "exact floor" else "float")
+        assert dhar(G, q, r.result).reduced
+        assert _kernels.fire_until_reduced(G, list(r.result), q) == (list(r.result), [])
+        assert D - apply_laplacian(G, r.script) == r.result
+        unborrows += r.step2_unborrow_sets
+    # the guess's descent, which takes c back down to c*, ran
+    assert (unborrows > 0) == (path != "exact floor")
 
 
 def test_reduce_idempotent():
@@ -238,6 +324,7 @@ def test_random_equivalent_draws_match_pinned_digest():
 
 def test_replay_move_log_exact_b_drops():
     rng = np.random.default_rng(89)
+    fired = 0
     for G in SMALL[4:18] + RANDOM[:8]:
         q = int(rng.integers(0, G.n))
         D = random_divisor(G.n, rng)
@@ -254,6 +341,22 @@ def test_replay_move_log_exact_b_drops():
             assert q not in A
             cur = nxt
         assert cur == r.result
+        # reduce fires no set, so replay the set-firing fixpoint from K+ and
+        # K+ plus an effective divisor, where sets do fire
+        K = canonical_plus(G)
+        for start in (K, K + Divisor(rng.integers(0, 4, size=G.n).tolist())):
+            end, sets = _kernels.fire_until_reduced(G, list(start), q)
+            cur = start
+            for A in sets:
+                nxt = fire_set(G, cur, A)
+                assert table.b(nxt) == table.b(cur) - len(A)
+                assert q not in A
+                cur = nxt
+            assert list(cur) == end == list(reduce_divisor(G, q, start).result)
+            total = sum(len(A) for A in sets)
+            assert total <= step_bound_fires(G, q, start)
+            fired += total
+    assert fired > 0
 
 
 def test_step_bounds_hold():
