@@ -67,7 +67,6 @@ from .reduction import (
     dhar,
     is_linearly_equivalent,
     is_reduced,
-    make_effective,
     move_bounds,
     reduce,
     verify_minimizer,

@@ -179,16 +179,12 @@ def _cmd_reduce(gf, args):
     outputs = {
         "result": list(rep.result),
         "script": list(rep.script),
-        "fired_sets": [list(A) for A in rep.fired_sets],
         "floor_path": rep.floor_path,
     }
     moves = {
         "step1_floor_rounds": rep.floor_rounds,
         "step2_borrows": rep.moves_step2,
         "step2_unborrow_sets": rep.step2_unborrow_sets,
-        "step3_set_firings": rep.moves_step3,
-        "step3_vertices_fired": rep.total_set_fire_vertices,
-        "total_single_vertex_moves": rep.total_moves,
     }
     return outputs, moves, None, 0
 
@@ -197,10 +193,7 @@ def _cmd_to_tree(gf, args):
     G = _need_plain(gf, "to-tree")
     q = _vertex_q(G, args.q)
     D = _divisor(gf, args.divisor)
-    try:
-        tree = treebij.divisor_to_tree(G, q, D)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    tree = treebij.divisor_to_tree(G, q, D)
     outputs = {
         "tree_edges": sorted(tree.tree_edges),
         "ext_active": sorted(tree.ext_active),
@@ -216,10 +209,7 @@ def _cmd_from_tree(gf, args):
         edges = [int(t) for t in args.tree.replace(",", " ").split()]
     except ValueError:
         raise InputError(f"bad tree spec {args.tree!r}")
-    try:
-        D = treebij.tree_to_divisor(G, q, frozenset(edges), d=args.degree)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    D = treebij.tree_to_divisor(G, q, frozenset(edges), d=args.degree)
     return {"divisor": list(D)}, None, None, 0
 
 
@@ -258,10 +248,7 @@ def _cmd_group_add(gf, args):
     q = _vertex_q(G, args.q)
     D1 = _divisor(gf, args.divisor)
     D2 = _divisor(gf, args.divisor2)
-    try:
-        result = group_add(G, q, D1, D2)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    result = group_add(G, q, D1, D2)
     return {"result": list(result)}, None, None, 0
 
 
@@ -307,10 +294,7 @@ def _cmd_metric_check(gf, args):
     gamma = _need_metric(gf, "metric-check")
     q = _point_q(gamma, args.q)
     D = _divisor(gf, args.divisor)
-    try:
-        out = metric.metric_dhar(gamma, q, D)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    out = metric.metric_dhar(gamma, q, D)
     outputs = {
         "reduced": out.reduced,
         "burn_order": [format_point(p) for p in out.burn_order],

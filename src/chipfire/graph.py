@@ -138,6 +138,9 @@ class Divisor:
     """
 
     __slots__ = ("coeffs",)
+    # numpy defers its binary operators, so np.int64(2) * D calls __rmul__
+    # instead of broadcasting D as an array
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         self.coeffs = tuple(map(index, coeffs))

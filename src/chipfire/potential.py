@@ -207,6 +207,8 @@ class PotentialTable:
                     total += c * sum(row[v] for row in self.num)
             return Fraction(total, self.den)
         h = [Fraction(x) for x in h]
+        if len(h) != self.n:
+            raise ValueError("weight vector size does not match graph")
         if any(h[p] <= 0 for p in range(self.n) if p != self.q):
             raise ValueError("weights must be positive off the base vertex")
         total = Fraction(0)

@@ -96,10 +96,6 @@ class ReductionReport:
     running-time bounds refer to.  floor_path is how step 1 found its floor
     ("float": certified from refined float solves, "exact": the exact-solve
     fallback) and floor_rounds the number of float solves it took.
-
-    after_step2, fired_sets, moves_step3 and total_set_fire_vertices name
-    the paper's step 3, which has nothing to fire: they read result, (), 0
-    and 0, and total_moves is moves_step2.
     """
 
     result: Divisor
@@ -110,12 +106,6 @@ class ReductionReport:
     after_step1: Divisor
     floor_path: str
     floor_rounds: int
-
-    after_step2 = property(lambda self: self.result)
-    fired_sets = property(lambda self: ())
-    moves_step3 = property(lambda self: 0)
-    total_set_fire_vertices = property(lambda self: 0)
-    total_moves = property(lambda self: self.moves_step2)
 
 
 def _check(G, q, D):
@@ -132,16 +122,6 @@ def dhar(G, q, D):
     negative = tuple(v for v in G.vertices if v != q and D[v] < 0)
     reduced = not unburnt and not negative
     return DharOutcome(reduced, tuple(order), unburnt, negative)
-
-
-def make_effective(G, q, D):
-    """An equivalent divisor that is effective off q, from steps 1-2.
-
-    Returns (divisor, script) with divisor = D - Delta(script).  That is
-    reduce's (result, script), so the divisor is also q-reduced.
-    """
-    rep = reduce(G, q, D)
-    return rep.result, rep.script
 
 
 def is_linearly_equivalent(G, D1, D2, q):
@@ -323,6 +303,7 @@ def random_equivalent(G, q, D, rng, attempts=20):
     and falls back to borrowing at q (g constant off q), which always
     preserves effectivity off q.
     """
+    _check(G, q, D)
     d = list(D)
     for _ in range(attempts):
         g = [rng.randint(0, 2) for _ in G.vertices]
@@ -435,8 +416,8 @@ def step_bound_borrows(G, q, after_step1):
     return j_function(G, q).b(canonical_plus(G) - after_step1)
 
 
-def step_bound_fires(G, q, after_step2):
+def step_bound_fires(G, q, D2):
     """b_q(D_2): the paper's cap on the total number of vertices fired in
     step 3.  reduce fires none, so on its D_2 the cap is met with 0; from a
     D_2 effective off q, _kernels.fire_until_reduced also stays under it."""
-    return j_function(G, q).b(after_step2)
+    return j_function(G, q).b(D2)

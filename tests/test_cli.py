@@ -193,6 +193,18 @@ def test_cli_reduce_json_deterministic(k3_file):
     assert "graph_sha256" in da["inputs"]
 
 
+def test_cli_reduce_json_layout(k3_file, capsys):
+    # every key is a value steps 1-2 compute; none stands for a step that
+    # never runs
+    args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["outputs"]) == {"floor_path", "result", "script"}
+    assert set(report["move_counts"]) == {
+        "step1_floor_rounds", "step2_borrows", "step2_unborrow_sets",
+    }
+
+
 def test_cli_reduce_json_reports_the_floor_path(k3_file, monkeypatch, capsys):
     args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
     assert cli.main(args) == 0

@@ -15,6 +15,7 @@ Core claims:
 """
 
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -180,8 +181,7 @@ def test_numpy_integers_are_accepted():
     D = Divisor(np.array([1, -2, 3]))
     assert D == Divisor([1, -2, 3])
     assert all(type(c) is int for c in D)
-    # np.int64(2) * D would broadcast D as an array first, so call __rmul__
-    assert D.__rmul__(np.int64(2)) == Divisor([2, -4, 6])
+    assert np.int64(2) * D == Divisor([2, -4, 6])
     f = FiringScript(np.array([4, 5, 6]), np.int64(1))
     assert f.values == (-1, 0, 1) and all(type(x) is int for x in f)
     assert VertexFunction(np.arange(3)).values == (0, 1, 2)
@@ -350,8 +350,9 @@ def _base_vertex_calls():
         q_energy, reduced_inverse,
     )
     from chipfire.reduction import (
-        dhar, is_linearly_equivalent, is_reduced, make_effective, move_bounds,
-        reduce, step_bound_borrows, step_bound_fires, verify_minimizer,
+        dhar, is_linearly_equivalent, is_reduced, move_bounds,
+        random_equivalent, reduce, step_bound_borrows, step_bound_fires,
+        verify_minimizer,
     )
     from chipfire.treebij import (
         divisor_to_tree, processed_edges_of_tree, tree_to_divisor,
@@ -373,8 +374,8 @@ def _base_vertex_calls():
         ("pentagon_move", lambda G, q: pentagon_move(G, Divisor([0, 0, 1, -2]), q)),
         ("dhar", lambda G, q: dhar(G, q, D)),
         ("is_reduced", lambda G, q: is_reduced(G, q, zero)),
-        ("make_effective", lambda G, q: make_effective(G, q, D)),
         ("reduce", lambda G, q: reduce(G, q, D)),
+        ("random_equivalent", lambda G, q: random_equivalent(G, q, zero, Random(0))),
         ("verify_minimizer", lambda G, q: verify_minimizer(G, q, zero)),
         ("move_bounds", lambda G, q: move_bounds(G, q)),
         ("step_bound_borrows", lambda G, q: step_bound_borrows(G, q, D)),
@@ -415,6 +416,7 @@ def _divisor_size_calls():
     from chipfire.potential import (
         b_q, energy_pairing, j_function, pentagon_move, q_energy, total_energy,
     )
+    from chipfire.reduction import random_equivalent
 
     return [
         ("b_q", lambda G, D: b_q(G, 0, D)),
@@ -427,6 +429,7 @@ def _divisor_size_calls():
         ("table_b", lambda G, D: j_function(G, 0).b(D)),
         ("rank_at_least", lambda G, D: rank_at_least(G, D, 0)),
         ("divisor_to_metric", lambda G, D: divisor_to_metric(unit_metric(G), D)),
+        ("random_equivalent", lambda G, D: random_equivalent(G, 0, D, Random(0))),
     ]
 
 

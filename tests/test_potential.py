@@ -277,6 +277,14 @@ def test_b_weight_validation():
         table.b(Divisor((1, 1, 0)), h=[1, 0, 1])
 
 
+@pytest.mark.parametrize("h", [[1, 1, 1], [1] * 6], ids=["short", "long"])
+def test_b_weights_of_the_wrong_size_are_refused(h):
+    # a short h used to reach an IndexError and a long one was read as its
+    # first n entries
+    with pytest.raises(ValueError, match="weight vector size does not match graph"):
+        b_q(complete_graph(4), 0, Divisor((1, 0, 0, 0)), h=h)
+
+
 def test_b_with_positive_weights():
     G = cycle_graph(4)
     table = j_function(G, 0)

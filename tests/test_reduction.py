@@ -45,7 +45,6 @@ from chipfire.reduction import (
     dhar,
     diameter,
     is_reduced,
-    make_effective,
     move_bounds,
     random_equivalent,
     reduce as reduce_divisor,
@@ -124,11 +123,11 @@ def test_reduce_triangle_oracles():
     assert r2.script.values == (1, 1, 0)
 
 
-def test_make_effective_triangle_oracle():
+def test_reduce_effective_off_q_triangle_oracle():
     G = complete_graph(3)
-    result, script = make_effective(G, 2, Divisor((-1, 0, 1)))
-    assert result == Divisor((0, 1, -1))
-    assert script.values == (-1, -1, 0)
+    r = reduce_divisor(G, 2, Divisor((-1, 0, 1)))
+    assert r.result == Divisor((0, 1, -1))
+    assert r.script.values == (-1, -1, 0)
 
 
 def test_reduce_produces_equivalent_reduced_divisor():
@@ -242,7 +241,7 @@ def test_reduce_fixed_point_boundary_case():
     r = reduce_divisor(G, 0, D)
     assert r.result == D
     assert set(r.script.values) == {0}
-    assert r.total_moves == r.moves_step2 == 1  # step 1 fired v2, one borrow undoes it
+    assert r.moves_step2 == 1  # step 1 fired v2, one borrow undoes it
 
 
 def test_reduced_representative_unique_in_bounded_family():
@@ -332,15 +331,7 @@ def test_replay_move_log_exact_b_drops():
         table = j_function(G, q)
         # step 2: borrows raise b_q by exactly 1 each
         assert r.moves_step2 == sum(r.borrow_counts)
-        assert table.b(r.after_step2) == table.b(r.after_step1) + r.moves_step2
-        # step 3: each fired set drops b_q by its size
-        cur = r.after_step2
-        for A in r.fired_sets:
-            nxt = fire_set(G, cur, A)
-            assert table.b(nxt) == table.b(cur) - len(A)
-            assert q not in A
-            cur = nxt
-        assert cur == r.result
+        assert table.b(r.result) == table.b(r.after_step1) + r.moves_step2
         # reduce fires no set, so replay the set-firing fixpoint from K+ and
         # K+ plus an effective divisor, where sets do fire
         K = canonical_plus(G)
@@ -366,7 +357,6 @@ def test_step_bounds_hold():
         D = random_divisor(G.n, rng)
         r = reduce_divisor(G, q, D)
         assert r.moves_step2 <= step_bound_borrows(G, q, r.after_step1)
-        assert r.total_set_fire_vertices <= step_bound_fires(G, q, r.after_step2)
 
 
 def test_move_bounds_triangle_oracle():
@@ -395,14 +385,14 @@ def test_move_bounds_ordering_and_domination():
         for _ in range(4):
             D = random_divisor(G.n, rng)
             r = reduce_divisor(G, q, D)
-            assert r.total_moves < b.exact
+            assert r.moves_step2 < b.exact
 
 
 def test_single_vertex_degenerate():
     G = Graph(1, [])
     D = Divisor((5,))
     r = reduce_divisor(G, 0, D)
-    assert r.result == D and r.total_moves == 0
+    assert r.result == D and r.moves_step2 == 0
     assert dhar(G, 0, D).reduced
     b = move_bounds(G, 0)
     assert b.exact == 0 and b.resistance == 0 and b.diameter == 0
@@ -437,5 +427,5 @@ def test_borrowing_order_does_not_matter():
             counts[v] += 1
             guard += 1
             assert guard < 10000
-        assert Divisor(cur) == r.after_step2
+        assert Divisor(cur) == r.result
         assert tuple(counts) == r.borrow_counts

@@ -39,7 +39,7 @@ def _record(G, q, D):
     return (
         rep,
         step_bound_borrows(G, q, rep.after_step1),
-        step_bound_fires(G, q, rep.after_step2),
+        step_bound_fires(G, q, rep.result),
     )
 
 
@@ -126,7 +126,7 @@ def test_reduce_then_the_exact_checks_build_one_adjugate(monkeypatch):
     monkeypatch.setattr(exact, "adjugate", counting)
     rep = reduce_divisor(G, 4, D)
     step_bound_borrows(G, 4, rep.after_step1)
-    step_bound_fires(G, 4, rep.after_step2)
+    step_bound_fires(G, 4, rep.result)
     assert verify_minimizer(G, 4, rep.result, trials=8)
     assert calls == [G.n - 1]
 
