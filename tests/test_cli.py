@@ -13,6 +13,7 @@ Core claims:
       Smith form stalled.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,49 @@ def test_cli_reduce_json_layout(k3_file, capsys):
     assert set(report["move_counts"]) == {
         "step1_floor_rounds", "step2_borrows", "step2_unborrow_sets",
     }
+
+
+# sha256 over the JSON stdout and exit code of every subcommand on the K3
+# and segment fixtures, plus three exit-2 failures; wall_time_ms and the
+# graph's tmp path are dropped first, and the float spectral bound rounded
+CLI_JSON_DIGEST = "9fab919f1830cf37a5c4febe15a2624f5a051bd119be5c8424c24eb5c54f99ed"
+
+# (fixture, argv after the graph file); a failure's error line names no path
+CLI_JSON_RUNS = [
+    ("k3", ["check-reduced", "--q", "2", "--divisor", "start"]),
+    ("k3", ["reduce", "--q", "2", "--divisor", "start"]),
+    ("k3", ["to-tree", "--q", "2", "--divisor", "0 1 4"]),
+    ("k3", ["from-tree", "--q", "0", "--tree", "0 1"]),
+    ("k3", ["count-trees"]),
+    ("k3", ["jacobian"]),
+    ("k3", ["sample-tree", "--q", "0", "--seed", "1", "--count", "3"]),
+    ("k3", ["group-add", "--q", "2", "--divisor", "1 0 -1", "--divisor2", "1 0 -1"]),
+    ("k3", ["winnable", "--divisor", "-1 0 0"]),
+    ("k3", ["rank", "--divisor", "flat", "--c", "2"]),
+    ("k3", ["bounds", "--q", "2"]),
+    ("seg", ["metric-check", "--q", "v:0", "--divisor", "twoa"]),
+    ("seg", ["metric-reduce", "--q", "v:0", "--divisor", "v:1=-1 e:0@2/5=2"]),
+    ("k3", ["reduce", "--q", "7", "--divisor", "start"]),
+    ("k3", ["metric-reduce", "--q", "v:0", "--divisor", "start"]),
+    ("k3", ["sample-tree", "--q", "0", "--seed", "1", "--count", "0"]),
+]
+
+
+def test_cli_json_digest(k3_file, seg_file, capsys):
+    files = {"k3": k3_file, "seg": seg_file}
+    records = []
+    for fixture, (command, *rest) in CLI_JSON_RUNS:
+        code = cli.main([command, files[fixture], *rest, "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_ms", None)
+        report.get("inputs", {}).pop("graph", None)
+        if report.get("bounds"):
+            # a float64 eigenvalue: its last bits depend on the LAPACK build
+            report["bounds"]["spectral"] = round(report["bounds"]["spectral"], 9)
+        records.append([code, report])
+    assert [code for code, _ in records] == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2, 2, 2]
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == CLI_JSON_DIGEST
 
 
 def test_cli_reduce_json_reports_the_floor_path(k3_file, monkeypatch, capsys):
