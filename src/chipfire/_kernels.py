@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+from .graph import _laplacian_list
+
 
 # ---------------------------------------------------------------------------
 # Dhar burn: q burns first; v burns when (edges to burnt) > D(v).
@@ -94,12 +96,8 @@ def borrow_until_effective(G, dvals, q, guess=None):
     d = list(dvals)
     n = len(d)
     counts = [0] * n if guess is None else list(guess)
-    for v, k in enumerate(counts):
-        if k:
-            lo, hi = indptr[v], indptr[v + 1]
-            d[v] += k * (hi - lo)
-            for w in nbr[lo:hi]:
-                d[w] -= k
+    if guess is not None:
+        d = [a + b for a, b in zip(d, _laplacian_list(G, counts))]
     work = [v for v, c in enumerate(d) if c < 0 and v != q]
     while work:
         v = work.pop()

@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import metric, reduction, treebij
 from .jacobian import (
@@ -41,10 +41,6 @@ from .formats import (
 )
 
 
-class InputError(ValueError):
-    """Bad input from the user; maps to exit code 2."""
-
-
 @dataclass
 class RunReport:
     """What a CLI run did: inputs (with digests), seed, outputs, counters."""
@@ -57,19 +53,8 @@ class RunReport:
     bounds: dict
     wall_time_ms: float
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "move_counts": self.move_counts,
-            "bounds": self.bounds,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_text(self):
         lines = [f"command: {self.command}"]
@@ -106,23 +91,23 @@ def _load_graph_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         gf = parse(text)
     except GraphFormatError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
     return gf, _digest(text)
 
 
 def _need_plain(gf, command):
     if gf.is_metric:
-        raise InputError(f"{command} needs a combinatorial graph (no edge lengths)")
+        raise ValueError(f"{command} needs a combinatorial graph (no edge lengths)")
     return gf.graph
 
 
 def _need_metric(gf, command):
     if not gf.is_metric:
-        raise InputError(f"{command} needs a metric graph (edges with lengths)")
+        raise ValueError(f"{command} needs a metric graph (edges with lengths)")
     return gf.graph
 
 
@@ -130,24 +115,24 @@ def _vertex_q(G, q):
     try:
         q = int(q)
     except (TypeError, ValueError):
-        raise InputError(f"base vertex must be an integer, got {q!r}")
+        raise ValueError(f"base vertex must be an integer, got {q!r}")
     if not (0 <= q < G.n):
-        raise InputError(f"base vertex {q} out of range 0..{G.n - 1}")
+        raise ValueError(f"base vertex {q} out of range 0..{G.n - 1}")
     return q
 
 
 def _point_q(gamma, spec):
     try:
         return parse_point(str(spec), gamma)
-    except (ValueError, IndexError) as exc:
-        raise InputError(f"bad point {spec!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad point {spec!r}: {exc}")
 
 
 def _divisor(gf, spec):
     try:
         return parse_divisor_arg(spec, gf)
     except (ValueError, OSError) as exc:
-        raise InputError(f"bad divisor {spec!r}: {exc}")
+        raise ValueError(f"bad divisor {spec!r}: {exc}")
 
 
 def _metric_divisor_json(D):
@@ -208,7 +193,7 @@ def _cmd_from_tree(gf, args):
     try:
         edges = [int(t) for t in args.tree.replace(",", " ").split()]
     except ValueError:
-        raise InputError(f"bad tree spec {args.tree!r}")
+        raise ValueError(f"bad tree spec {args.tree!r}")
     D = treebij.tree_to_divisor(G, q, frozenset(edges), d=args.degree)
     return {"divisor": list(D)}, None, None, 0
 
@@ -234,7 +219,7 @@ def _cmd_sample_tree(gf, args):
     G = _need_plain(gf, "sample-tree")
     q = _vertex_q(G, args.q)
     if args.count < 1:
-        raise InputError("--count must be >= 1")
+        raise ValueError("--count must be >= 1")
     trees = sample_spanning_tree(G, q, seed=args.seed, count=args.count)
     outputs = {
         "trees": [sorted(t.tree_edges) for t in trees],
@@ -268,7 +253,7 @@ def _cmd_rank(gf, args):
     G = _need_plain(gf, "rank")
     D = _divisor(gf, args.divisor)
     if args.c < 0:
-        raise InputError("--c must be >= 0")
+        raise ValueError("--c must be >= 0")
     ok = rank_at_least(G, D, args.c)
     return {"c": args.c, "rank_at_least": ok}, None, None, 0 if ok else 1
 

@@ -74,24 +74,8 @@ class Graph:
         self._ev = [v for _, v in self.edges]
         self._table = None
 
-        if not self._connected():
+        if -1 in bfs_distances(self, 0):
             raise ValueError("graph must be connected")
-
-    def _connected(self):
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
 
     @property
     def m(self):
@@ -264,8 +248,9 @@ class FiringScript(VertexFunction):
 
 
 def check_vertex(G, q):
-    """Refuse q up front unless it is a vertex of G (negative indices too)."""
-    if not (0 <= q < G.n):
+    """Refuse q up front unless it is a vertex of G: ValueError out of range
+    (negative indices too), TypeError for a float or Fraction (not truncated)."""
+    if not (0 <= index(q) < G.n):
         raise ValueError("base vertex out of range")
 
 

@@ -17,7 +17,8 @@ divisor into its tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
+from operator import index
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def smith_normal_form(M):
     only once |x| > d.  Pivots are the smallest nonzero |entry| in the work
     region (lexicographic tie-break).  Raises ValueError if M is singular.
     """
-    S = [[int(x) for x in row] for row in M]
+    S = [[index(x) for x in row] for row in M]
     n = len(S)
     d = abs(exact.det(S))
     if d == 0:
@@ -138,10 +139,7 @@ class JacobianPresentation:
 
     @property
     def order(self):
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
     def element(self, exponents):
         """The divisor sum(a_i * g_i) for exponents (a_1, ..., a_s).
@@ -157,7 +155,7 @@ class JacobianPresentation:
             raise ValueError("wrong number of exponents")
         acc = [0] * self.n
         for a, g in zip(exponents, self.generators):
-            a = int(a)
+            a = index(a)
             if a:
                 acc = [x + a * c for x, c in zip(acc, g.coeffs)]
         return acc
@@ -224,7 +222,7 @@ def sample_spanning_tree(G, q, seed, count=1):
     """
     pres = jacobian(G, q)
     kappa = pres.order
-    bitgen = np.random.Philox(key=seed)
+    bitgen = np.random.Philox(key=index(seed))
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []

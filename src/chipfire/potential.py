@@ -238,6 +238,7 @@ def j_function(G, q):
     exact numerators are built on first use of the table's num or den, the
     float inverse on the first float_inverse() call.
     """
+    check_vertex(G, q)
     table = G._table
     if table is None or table.q != q:
         table = G._table = PotentialTable(G, q)

@@ -11,7 +11,8 @@ Core claims:
     - is_linearly_equivalent finds an integral script iff one exists and the
       returned script satisfies D1 - Delta(script) == D2.
     - Every public function that takes a base vertex refuses q = -1 and
-      q = n with ValueError("base vertex out of range").
+      q = n with ValueError("base vertex out of range"), and a float or
+      Fraction q with TypeError, whatever table the graph has cached.
 """
 
 from fractions import Fraction
@@ -37,6 +38,7 @@ from chipfire.graph import (
     path_graph,
     reduced_laplacian,
 )
+from chipfire.potential import j_function
 from chipfire.reduction import is_linearly_equivalent
 
 from corpus import NAMED, RANDOM, SMALL, random_divisor, random_multigraph
@@ -54,9 +56,14 @@ def test_rejects_out_of_range_vertex():
         Graph(2, [(0, 2)])
 
 
-def test_rejects_disconnected():
-    with pytest.raises(ValueError):
-        Graph(4, [(0, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "n, edges",
+    [(4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (3, [(0, 1)])],
+    ids=["two_components", "vertex_0_isolated", "last_vertex_isolated"],
+)
+def test_rejects_disconnected(n, edges):
+    with pytest.raises(ValueError, match="graph must be connected"):
+        Graph(n, edges)
 
 
 def test_rejects_empty_vertex_set():
@@ -403,6 +410,20 @@ def test_out_of_range_base_vertex_is_refused(call, q):
     # IndexError, AssertionError or a singular solve deep inside
     G = cycle_graph(4)
     with pytest.raises(ValueError, match="base vertex out of range"):
+        call(G, q)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("q", [1.0, Fraction(1)], ids=["float", "fraction"])
+@pytest.mark.parametrize(
+    "call", [c for _, c in _BASE_VERTEX_CALLS], ids=[n for n, _ in _BASE_VERTEX_CALLS]
+)
+def test_float_base_vertex_is_refused(call, q, cached):
+    # q == 1 by value, so a table cached for vertex 1 must not let it through
+    G = cycle_graph(4)
+    if cached:
+        j_function(G, 1)
+    with pytest.raises(TypeError):
         call(G, q)
 
 

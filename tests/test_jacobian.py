@@ -18,6 +18,8 @@ Core claims:
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
       on a 40-vertex multigraph with an 88-bit invariant factor.
+    - A float Smith-form entry, Jacobian exponent or sampler seed raises
+      TypeError instead of being truncated; numpy integers are accepted.
     - winnable/rank agree with brute-force search on small graphs and with
       known values.
 """
@@ -196,6 +198,21 @@ def test_jacobian_order_is_tree_count():
 def test_jacobian_cycle_group_is_cyclic():
     pres = jacobian(cycle_graph(6), 0)
     assert pres.invariant_factors == (6,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: smith_normal_form([[x, 0], [0, 3]]),
+        lambda x: jacobian(cycle_graph(5), 0).element([x]),
+        lambda x: sample_spanning_tree(complete_graph(3), 0, x, count=3),
+    ],
+    ids=["smith_normal_form_entry", "element_exponent", "sampler_seed"],
+)
+def test_floats_are_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call(2.5)
+    assert call(np.int64(2)) == call(2)
 
 
 def test_generators_have_degree_zero():
