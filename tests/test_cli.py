@@ -8,7 +8,8 @@ Core claims:
       3 (internal failure: a RuntimeError or a self-check AssertionError).
       Under --format json an exit-2 or exit-3 failure also prints one JSON
       object {command, exit_code, error} to stdout.
-    - JSON reports are deterministic apart from wall_time_ms.
+    - JSON reports are deterministic apart from wall_time_ms, and every
+      subcommand's report is pinned by one digest.
     - `jacobian` returns within a timeout on graphs where an unbounded
       Smith form stalled.
 """
