@@ -24,6 +24,8 @@ def _identity(n):
 def _eliminate(matrix, rhs_columns):
     """(det(A), det(A) A^{-1} B) as ints; (0, None) when A is singular."""
     n = len(matrix)
+    if len(rhs_columns) != n or any(len(r) != n for r in matrix):
+        raise ValueError(f"need an n x n matrix and n right-hand-side rows, n = {n}")
     k = len(rhs_columns[0]) if n else 0
     # index() turns numpy integers into Python ints, which cannot overflow
     a = [[index(x) for x in (*r, *b)] for r, b in zip(matrix, rhs_columns)]

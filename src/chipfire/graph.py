@@ -9,7 +9,6 @@ f(v) - f(w).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
 import numpy as np
@@ -328,21 +327,12 @@ def _laplacian_list(G, vals):
     return out
 
 
-def apply_laplacian_rational(G, f):
-    """Delta(f) for rational-valued f; returns a list of Fractions."""
-    vals = [Fraction(x) for x in f]
-    out = [Fraction(0)] * G.n
-    for u, v in G.edges:
-        d = vals[u] - vals[v]
-        out[u] += d
-        out[v] -= d
-    return out
-
-
 def indicator(n, A):
     """Characteristic vector of a vertex set A as a VertexFunction."""
     chi = [0] * n
     for v in A:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range")
         chi[v] = 1
     return VertexFunction(chi)
 
@@ -354,10 +344,6 @@ def fire_set(G, D, A):
     A cancel.
     """
     check_divisor(G, D)
-    A = set(A)
-    for v in A:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range")
     return D - apply_laplacian(G, indicator(G.n, A))
 
 

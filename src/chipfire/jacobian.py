@@ -164,8 +164,6 @@ class JacobianPresentation:
 def jacobian(G, q):
     """Presentation of Jac(G) from the Smith form of the reduced Laplacian."""
     keep = [v for v in G.vertices if v != q]
-    if not keep:
-        return JacobianPresentation(q=q, n=G.n, invariant_factors=(), generators=())
     diagonal, u_inv = smith_normal_form(reduced_laplacian(G, q).tolist())
     gens = []
     factors = []
@@ -185,8 +183,6 @@ def jacobian(G, q):
 
 def count_spanning_trees(G):
     """Matrix-tree count: |det| of the Laplacian with one row/col deleted."""
-    if G.n == 1:
-        return 1
     return abs(exact.det(reduced_laplacian(G, 0).tolist()))
 
 

@@ -22,7 +22,7 @@ solves of Q_(q) are refined on exact integer residuals until a bound from
 potential theory certifies every coordinate (see _floor_step), with a
 single-column exact solve as the fallback.  Step 1 reads the float64 view
 of the j-table; its exact numerators are built only by the energy and bound
-checks (verify_minimizer, move_bounds, step_bound_*).  j_function(G, q)
+checks (verify_minimizer, move_bounds, step_bound_borrows).  j_function(G, q)
 returns the table G keeps for its last base vertex, so repeated reductions
 against one (G, q), as in the tree sampler, build the float inverse and the
 step-1 constants ecc(q) and 2T once, and the checks after them build the
@@ -414,10 +414,3 @@ def move_bounds(G, q):
 def step_bound_borrows(G, q, after_step1):
     """b_q(K+ - D_1): cap on the number of step-2 borrowing moves."""
     return j_function(G, q).b(canonical_plus(G) - after_step1)
-
-
-def step_bound_fires(G, q, D2):
-    """b_q(D_2): the paper's cap on the total number of vertices fired in
-    step 3.  reduce fires none, so on its D_2 the cap is met with 0; from a
-    D_2 effective off q, _kernels.fire_until_reduced also stays under it."""
-    return j_function(G, q).b(D2)

@@ -183,16 +183,3 @@ def _tree_mask(G, edges):
             raise ValueError("edge set is not a spanning tree")
         mask[e] = True
     return mask
-
-
-def processed_edges_of_tree(G, q, tree_edges):
-    """The R set produced when burning tree -> divisor (for cross-checks).
-
-    Raises ValueError when the edges do not form a spanning tree.
-    """
-    check_vertex(G, q)
-    mask = _tree_mask(G, frozenset(tree_edges))
-    _a, in_r = _kernels.divisor_from_tree(G, mask, q)
-    if in_r is None:
-        raise ValueError("edge set is not a spanning tree")
-    return frozenset(e for e in range(G.m) if in_r[e])

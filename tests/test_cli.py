@@ -17,6 +17,7 @@ Core claims:
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -96,6 +97,8 @@ def test_fraction_round_trip():
         assert format_fraction(parse_fraction(tok)) == tok
     with pytest.raises(ValueError):
         parse_fraction("1.5.2")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
 
 
 def test_point_round_trip():
@@ -107,6 +110,8 @@ def test_point_round_trip():
         assert parse_point(tok) == want
     assert format_point(GraphPoint("e", 2, Fraction(1, 3))) == "e:2@1/3"
     assert format_point(GraphPoint.vertex(4)) == "v:4"
+    with pytest.raises(ValueError, match="missing '@offset'"):
+        parse_point("e:0")
 
 
 # -- Parsing ----------------------------------------------------------------------
@@ -164,6 +169,34 @@ def test_parse_rejects_duplicates():
         parse("graph 2\nedge 0 1\ndivisor a 1 0\ndivisor a 0 1\n")
 
 
+# (text, 1-based line or None for a whole-file fault, message)
+_PARSE_REFUSALS = [
+    ("graph\n", 1, "needs a vertex count"),
+    ("graph x\n", 1, "bad vertex count"),
+    ("graph 0\n", 1, ">= 1"),
+    ("edge 0 1\ngraph 2\n", 1, "edge before graph line"),
+    ("graph 2\nedge 0\n", 2, "edge line needs"),
+    ("graph 2\nedge a 1\n", 2, "must be integers"),
+    ("graph 2\nedge 0 2\n", 2, "out of range 0..1"),
+    ("graph 2\nedge 0 1 x\n", 2, "bad edge length"),
+    ("graph 2\nedge 0 1 0\n", 2, "must be positive"),
+    ("graph 2\nedge 0 1\ndivisor\n", 3, "needs a name"),
+    ("graph 2\nvertex 0\n", 2, "unknown directive"),
+    ("# only a comment\n", None, "missing graph line"),
+    ("graph 3\nedge 0 1\n", None, "must be connected"),
+    ("graph 2\nedge 0 1 1\ndivisor d v:0\n", 3, "point=weight"),
+    ("graph 2\nedge 0 1\ndivisor d 1 x\n", 3, "must be integers"),
+    ("graph 2\nedge 0 1 1\ndivisor d v:5=1\n", 3, "out of range"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", _PARSE_REFUSALS)
+def test_parse_refusals_carry_line_and_cause(text, line, message):
+    with pytest.raises(GraphFormatError, match=re.escape(message)) as err:
+        parse(text)
+    assert err.value.line == line
+
+
 def test_parse_divisor_arg_forms(tmp_path):
     gf = parse(K3_TEXT)
     assert parse_divisor_arg("start", gf) == Divisor((5, 0, 0))
@@ -172,6 +205,10 @@ def test_parse_divisor_arg_forms(tmp_path):
     ext = tmp_path / "d.txt"
     ext.write_text("0 4 -4")
     assert parse_divisor_arg(f"@{ext}", gf) == Divisor((0, 4, -4))
+    with pytest.raises(ValueError, match="empty divisor specification"):
+        parse_divisor_arg(" , ", gf)
+    with pytest.raises(ValueError, match="needs 3 coefficients, got 2"):
+        parse_divisor_arg("1 2", gf)
 
 
 # -- Subcommands ------------------------------------------------------------------

@@ -11,6 +11,8 @@ Core claims:
       input, det equals sympy's det as an int; a nonsingular A gives an
       adjugate equal to sympy's and X = det(A) A^{-1} B with A X = d B; a
       singular A makes solve and adjugate raise ValueError.
+    - A wide, tall or ragged matrix, or a right-hand side whose height is
+      not n, raises ValueError in det, solve, adjugate and the Smith form.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from chipfire.exact import adjugate, det, mat_vec, solve
+from chipfire.jacobian import smith_normal_form
 
 
 def test_det_known_values():
@@ -50,6 +53,27 @@ def test_non_integer_entries_are_refused(entry):
         solve([[2, 1], [1, 3]], [[entry], [1]])
     with pytest.raises(TypeError):
         adjugate([[1, 0], [0, entry]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: det([[1, 2, 3], [4, 5, 6]]),
+        lambda: adjugate([[1, 2, 3], [4, 5, 6]]),
+        lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]]),
+        lambda: solve([[2, 0], [0, 3]], [[1], [1], [1]]),
+        lambda: det([[1, 2], [3, 4], [5, 6]]),
+        lambda: det([[1, 2], [3]]),
+    ],
+    ids=[
+        "det_wide", "adjugate_wide", "smith_wide", "solve_extra_rhs_row",
+        "det_tall", "det_ragged",
+    ],
+)
+def test_non_square_input_is_refused(call):
+    # neither an answer for the leading square block nor an IndexError
+    with pytest.raises(ValueError, match="n x n matrix"):
+        call()
 
 
 def test_numpy_int64_entries_are_accepted():

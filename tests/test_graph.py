@@ -27,7 +27,6 @@ from chipfire.graph import (
     Graph,
     VertexFunction,
     apply_laplacian,
-    apply_laplacian_rational,
     canonical_plus,
     complete_graph,
     cycle_graph,
@@ -37,6 +36,7 @@ from chipfire.graph import (
     outdeg,
     path_graph,
     reduced_laplacian,
+    _laplacian_list,
 )
 from chipfire.potential import j_function
 from chipfire.reduction import is_linearly_equivalent
@@ -250,16 +250,21 @@ def test_apply_laplacian_matches_matrix():
         assert list(got) == list(want)
 
 
-def test_apply_laplacian_rational_fraction_input():
-    from fractions import Fraction
-
+def test_laplacian_list_fraction_input():
+    # the Laplacian only adds and subtracts, so Fractions pass through exactly
     G = complete_graph(3)
-    vals = apply_laplacian_rational(G, [Fraction(1, 3), 0, 0])
+    vals = _laplacian_list(G, [Fraction(1, 3), 0, 0])
     assert vals == [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]
 
 
 def test_indicator():
     assert indicator(4, {1, 3}).values == (0, 1, 0, 1)
+    # -1 must not set the last vertex, and n must not reach an IndexError
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            indicator(4, {v})
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        fire_set(complete_graph(4), Divisor((0, 0, 0, 0)), [4])
 
 
 def test_fire_set_oracle():
@@ -355,12 +360,9 @@ def _base_vertex_calls():
     )
     from chipfire.reduction import (
         dhar, is_linearly_equivalent, is_reduced, move_bounds,
-        random_equivalent, reduce, step_bound_borrows, step_bound_fires,
-        verify_minimizer,
+        random_equivalent, reduce, step_bound_borrows, verify_minimizer,
     )
-    from chipfire.treebij import (
-        divisor_to_tree, processed_edges_of_tree, tree_to_divisor,
-    )
+    from chipfire.treebij import divisor_to_tree, tree_to_divisor
 
     D = Divisor([1, 0, 0, -1])
     zero = Divisor([0, 0, 0, 0])
@@ -383,10 +385,8 @@ def _base_vertex_calls():
         ("verify_minimizer", lambda G, q: verify_minimizer(G, q, zero)),
         ("move_bounds", lambda G, q: move_bounds(G, q)),
         ("step_bound_borrows", lambda G, q: step_bound_borrows(G, q, D)),
-        ("step_bound_fires", lambda G, q: step_bound_fires(G, q, zero)),
         ("tree_to_divisor", lambda G, q: tree_to_divisor(G, q, tree)),
         ("divisor_to_tree", lambda G, q: divisor_to_tree(G, q, zero)),
-        ("processed_edges_of_tree", lambda G, q: processed_edges_of_tree(G, q, tree)),
         ("jacobian", lambda G, q: jacobian(G, q)),
         ("sample_spanning_tree", lambda G, q: sample_spanning_tree(G, q, 0)),
         ("group_add", lambda G, q: group_add(G, q, zero, zero)),

@@ -47,6 +47,7 @@ from chipfire.graph import (
 )
 from chipfire.jacobian import (
     RANK_ENUMERATION_CAP,
+    JacobianPresentation,
     _uniform_below,
     count_spanning_trees,
     group_add,
@@ -185,6 +186,15 @@ def test_tree_count_oracles():
         assert count_spanning_trees(cycle_graph(k)) == k
 
 
+def test_one_vertex_graph_takes_the_general_path():
+    # the reduced Laplacian is 0 x 0: det 1, an empty Smith form, no factors
+    G = Graph(1, [])
+    assert jacobian(G, 0) == JacobianPresentation(0, 1, (), ())
+    assert count_spanning_trees(G) == 1
+    trees = sample_spanning_tree(G, 0, 20110701, count=2)
+    assert [t.tree_edges for t in trees] == [frozenset(), frozenset()]
+
+
 def test_jacobian_order_is_tree_count():
     for G in SMALL + RANDOM[:10]:
         pres = jacobian(G, 0)
@@ -312,6 +322,11 @@ def test_group_add_rejects_bad_input():
         group_add(G, 0, Divisor((1, 0, 0)), Divisor((0, 0, 0)))  # nonzero degree
     with pytest.raises(ValueError):
         group_add(G, 2, Divisor((1, 1, -2)), Divisor((0, 0, 0)))  # not reduced
+    # the summands' own sources: one exponent per factor, drawn below it
+    with pytest.raises(ValueError, match="wrong number of exponents"):
+        jacobian(cycle_graph(4), 0).element([1, 2])
+    with pytest.raises(ValueError, match="bound must be positive"):
+        _uniform_below(np.random.Philox(key=0), 0)
 
 
 # -- Sampling -------------------------------------------------------------------------

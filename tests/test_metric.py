@@ -99,6 +99,8 @@ def test_point_canonicalization():
     assert mid.kind == "e" and mid.offset == Fraction(1, 2)
     with pytest.raises(ValueError):
         gamma.point(0, 2)
+    with pytest.raises(ValueError, match="kind must be"):
+        GraphPoint("x", 0)
 
 
 def test_point_ordering_vertices_first():
@@ -178,6 +180,12 @@ def test_tropical_validation():
             [0, 1],
             [((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4)))],
         )  # unordered breakpoints
+    with pytest.raises(ValueError, match="one value per vertex"):
+        TropicalFunction(gamma, [0, 0, 0])
+    with pytest.raises(ValueError, match="one breakpoint list per edge"):
+        TropicalFunction(gamma, [0, 1], [(), ()])
+    with pytest.raises(ValueError, match="does not live on this metric graph"):
+        metric_laplacian(MetricGraph(path_graph(2), [2]), TropicalFunction(gamma, [0, 1]))
 
 
 def test_tropical_evaluate_and_extremes():

@@ -49,7 +49,6 @@ from chipfire.reduction import (
     random_equivalent,
     reduce as reduce_divisor,
     step_bound_borrows,
-    step_bound_fires,
     verify_minimizer,
 )
 
@@ -345,7 +344,7 @@ def test_replay_move_log_exact_b_drops():
                 cur = nxt
             assert list(cur) == end == list(reduce_divisor(G, q, start).result)
             total = sum(len(A) for A in sets)
-            assert total <= step_bound_fires(G, q, start)
+            assert total <= table.b(start)
             fired += total
     assert fired > 0
 

@@ -23,11 +23,10 @@ from hypothesis import given, settings, strategies as st
 from chipfire import exact, potential
 from chipfire.graph import Divisor, Graph
 from chipfire.jacobian import sample_spanning_tree
-from chipfire.potential import j_function
+from chipfire.potential import b_q, j_function
 from chipfire.reduction import (
     reduce as reduce_divisor,
     step_bound_borrows,
-    step_bound_fires,
     verify_minimizer,
 )
 
@@ -39,7 +38,7 @@ def _record(G, q, D):
     return (
         rep,
         step_bound_borrows(G, q, rep.after_step1),
-        step_bound_fires(G, q, rep.result),
+        b_q(G, q, rep.result),
     )
 
 
@@ -126,7 +125,7 @@ def test_reduce_then_the_exact_checks_build_one_adjugate(monkeypatch):
     monkeypatch.setattr(exact, "adjugate", counting)
     rep = reduce_divisor(G, 4, D)
     step_bound_borrows(G, 4, rep.after_step1)
-    step_bound_fires(G, 4, rep.result)
+    b_q(G, 4, rep.result)
     assert verify_minimizer(G, 4, rep.result, trials=8)
     assert calls == [G.n - 1]
 

@@ -10,9 +10,9 @@ Core claims:
       d - g + (number of externally active edges).
     - Trees enumerated by brute force are counted by the reduced
       Laplacian determinant.
-    - tree_to_divisor and processed_edges_of_tree refuse exactly the edge
-      sets is_spanning_tree refuses: cycles, too few or too many edges,
-      out-of-range indices, on 3000 random index sets and named cases.
+    - tree_to_divisor refuses exactly the edge sets is_spanning_tree
+      refuses: cycles, too few or too many edges, out-of-range indices, on
+      3000 random index sets and named cases.
 """
 
 from random import Random
@@ -20,6 +20,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from chipfire import _kernels
 from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph
 from chipfire.jacobian import count_spanning_trees
 from chipfire.reduction import is_reduced, reduce as reduce_divisor
@@ -29,7 +30,6 @@ from chipfire.treebij import (
     enumerate_spanning_trees,
     external_activity,
     is_spanning_tree,
-    processed_edges_of_tree,
     tree_to_divisor,
 )
 
@@ -95,17 +95,12 @@ def test_tree_to_divisor_rejects_non_tree():
 
 
 def _refuses(G, q, edges):
-    """True iff both tree -> divisor entry points raise ValueError."""
-    refused = []
-    for call in (tree_to_divisor, processed_edges_of_tree):
-        try:
-            call(G, q, edges)
-        except ValueError:
-            refused.append(True)
-        else:
-            refused.append(False)
-    assert refused[0] == refused[1]
-    return refused[0]
+    """True iff tree_to_divisor raises ValueError."""
+    try:
+        tree_to_divisor(G, q, edges)
+    except ValueError:
+        return True
+    return False
 
 
 def test_tree_to_divisor_refuses_the_named_non_trees():
@@ -122,7 +117,6 @@ def test_tree_to_divisor_refuses_the_named_non_trees():
     assert not _refuses(parallel, 2, {1, 2})
     single = Graph(1, [])
     assert tree_to_divisor(single, 0, ()) == Divisor((0,))
-    assert processed_edges_of_tree(single, 0, ()) == frozenset()
     assert _refuses(single, 0, {0})
 
 
@@ -192,7 +186,9 @@ def test_processed_edges_match_tree_plus_passive():
                 )
                 D = tree_to_divisor(G, q, st)
                 burn = divisor_to_tree(G, q, D)
-                processed = processed_edges_of_tree(G, q, tree)
+                mask = [e in tree for e in range(G.m)]
+                in_r = _kernels.divisor_from_tree(G, mask, q)[1]
+                processed = {e for e, r in enumerate(in_r) if r}
                 assert burn.processed_edges == processed
                 assert processed == frozenset(tree) | burn.ext_passive
 
