@@ -166,51 +166,53 @@ def fire_until_reduced(G, dvals, q):
 # starts to cross, and is processed when popped.  X only grows, so an edge
 # whose other end has joined X since its push never crosses again: popping
 # past those leaves the lowest crossing edge on top, and an empty heap means
-# no edge crosses.
-
-def _next_crossing(heap, in_x, eu, ev):
-    """Pop the lowest-index crossing edge off the heap; -1 if none is left."""
-    while heap:
-        f = heappop(heap)
-        if in_x[eu[f]] != in_x[ev[f]]:
-            return f
-    return -1
-
-
-def _join(t, in_x, heap, indptr, nbr, eidx):
-    """Add t to X and push its edges that now cross."""
-    in_x[t] = True
-    for k in range(indptr[t], indptr[t + 1]):
-        if not in_x[nbr[k]]:
-            heappush(heap, eidx[k])
-
+# no edge crosses.  Each loop round joins one vertex t and pops edges until
+# one brings in the next; a processed edge is only ever counted at its end
+# outside X, the only count either burn reads.
 
 def tree_from_reduced(G, dvals, q):
-    """Burn a reduced divisor into (tree edge list, R mask); None if stalled."""
+    """Burn a reduced divisor into (tree edge list, R mask); (None, None) if
+    stalled.
+
+    t joins X on the (a[t] + 1)-th processed edge from X, so X grows as
+    Dhar's burn does, and the scan stalls exactly when a vertex off q has
+    negative chips or stays unburnt, i.e. when the divisor is not q-reduced.
+    """
     eu, ev, n = G._eu, G._ev, G.n
     indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
     a = list(dvals)
-    m = len(eu)
     in_x = [False] * n
-    heap = []
-    _join(q, in_x, heap, indptr, nbr, eidx)
-    reached = 1
-    in_r = [False] * m
+    in_r = [False] * len(eu)
     rcount = [0] * n
     tree = []
-    while reached < n:
-        f = _next_crossing(heap, in_x, eu, ev)
-        if f < 0:
-            return None, None  # stalled: input was not reduced
-        t = ev[f] if in_x[eu[f]] else eu[f]
-        if a[t] == rcount[t]:
-            _join(t, in_x, heap, indptr, nbr, eidx)
-            reached += 1
-            tree.append(f)
-        in_r[f] = True
-        rcount[eu[f]] += 1
-        rcount[ev[f]] += 1
-    return tree, in_r
+    heap = []
+    t = q
+    reached = 1
+    while True:
+        in_x[t] = True
+        for k in range(indptr[t], indptr[t + 1]):
+            if not in_x[nbr[k]]:
+                heappush(heap, eidx[k])
+        if reached == n:
+            return tree, in_r
+        while heap:
+            f = heappop(heap)
+            t = eu[f]
+            if in_x[t]:
+                t = ev[f]
+                if in_x[t]:
+                    continue
+            elif not in_x[ev[f]]:
+                continue
+            in_r[f] = True
+            c = rcount[t]
+            if a[t] == c:
+                break
+            rcount[t] = c + 1
+        else:
+            return None, None
+        reached += 1
+        tree.append(f)
 
 
 def divisor_from_tree(G, tree_mask, q):
@@ -218,24 +220,32 @@ def divisor_from_tree(G, tree_mask, q):
     None) if stalled, when the masked edges do not connect every vertex."""
     eu, ev, n = G._eu, G._ev, G.n
     indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
-    m = len(eu)
     in_x = [False] * n
-    heap = []
-    _join(q, in_x, heap, indptr, nbr, eidx)
-    reached = 1
-    in_r = [False] * m
-    rcount = [0] * n
+    in_r = [False] * len(eu)
     a = [0] * n
-    while reached < n:
-        f = _next_crossing(heap, in_x, eu, ev)
-        if f < 0:
-            return None, None  # stalled: no masked edge leaves X
-        if tree_mask[f]:
-            t = ev[f] if in_x[eu[f]] else eu[f]
-            a[t] = rcount[t]
-            _join(t, in_x, heap, indptr, nbr, eidx)
-            reached += 1
-        in_r[f] = True
-        rcount[eu[f]] += 1
-        rcount[ev[f]] += 1
-    return a, in_r
+    heap = []
+    t = q
+    reached = 1
+    while True:
+        in_x[t] = True
+        for k in range(indptr[t], indptr[t + 1]):
+            if not in_x[nbr[k]]:
+                heappush(heap, eidx[k])
+        if reached == n:
+            return a, in_r
+        while heap:
+            f = heappop(heap)
+            t = eu[f]
+            if in_x[t]:
+                t = ev[f]
+                if in_x[t]:
+                    continue
+            elif not in_x[ev[f]]:
+                continue
+            in_r[f] = True
+            if tree_mask[f]:
+                break
+            a[t] += 1
+        else:
+            return None, None
+        reached += 1

@@ -215,6 +215,9 @@ def sample_spanning_tree(G, q, seed, count=1):
     and reducing then burning carries it to a uniform tree.  The element's
     entries off q are first taken mod kappa = |Jac(G)|: kappa((v) - (q)) is
     principal, so the class, and the reduced divisor, stay the same.
+    Each reduced element is certified with Dhar's burn before it is burnt
+    into its tree: a failure there is an internal fault (AssertionError),
+    not a refused input.
     """
     pres = jacobian(G, q)
     kappa = pres.order
@@ -230,6 +233,8 @@ def sample_spanning_tree(G, q, seed, count=1):
         chips[q] = 0
         chips[q] = -sum(chips)
         red = reduce(G, q, Divisor(chips)).result
+        if not dhar(G, q, red).reduced:
+            raise AssertionError("reduce returned a divisor that is not q-reduced")
         out.append(divisor_to_tree(G, q, red))
     return out
 

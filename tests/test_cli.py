@@ -22,6 +22,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -331,7 +332,7 @@ def test_cli_check_reduced_exit_codes(k3_file):
     assert no.returncode == 1
 
 
-def test_cli_tree_round_trip(k3_file):
+def test_cli_tree_round_trip(k3_file, capsys):
     out = run_cli(["to-tree", k3_file, "--q", "0", "--divisor", "0 0 1"])
     assert out.returncode == 0
     tree_line = [l for l in out.stdout.splitlines() if l.startswith("tree_edges:")][0]
@@ -339,12 +340,41 @@ def test_cli_tree_round_trip(k3_file):
     back = run_cli(["from-tree", k3_file, "--q", "0", "--tree", " ".join(edges), "--degree", "1"])
     assert back.returncode == 0
     assert "divisor: 0 0 1" in back.stdout
+    # edges 01, 12, 02: the path 0-1-2 leaves edge 2 externally active, so
+    # its divisor of degree g = 1 keeps its one chip at q
+    assert cli.main(["from-tree", k3_file, "--q", "0", "--tree", "0,1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["divisor"] == [1, 0, 0]
+    assert cli.main(["to-tree", k3_file, "--q", "0", "--divisor", "1 0 0", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["tree_edges"] == [0, 1] and out["ext_active"] == [2]
 
 
-def test_cli_to_tree_rejects_unreduced(k3_file):
+def test_cli_to_tree_rejects_unreduced(k3_file, capsys):
     out = run_cli(["to-tree", k3_file, "--q", "2", "--divisor", "start"])
     assert out.returncode == 2
     assert out.stderr.strip()
+    # vertex 1 never burns: the edge scan stalls, which is the refusal
+    args = ["to-tree", k3_file, "--q", "2", "--divisor", "1 1 0", "--format", "json"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().out == (
+        '{"command": "to-tree", "error": "divisor is not q-reduced", "exit_code": 2}\n'
+    )
+
+
+def test_cli_sample_tree_self_check_exits_3(k3_file, monkeypatch, capsys):
+    # an unreduced divisor from reduce is an internal fault, not bad input
+    unreduced = Divisor([-2, 1, 1])
+    monkeypatch.setattr(
+        sys.modules["chipfire.jacobian"], "reduce",
+        lambda G, q, D: SimpleNamespace(result=unreduced),
+    )
+    args = ["sample-tree", k3_file, "--q", "0", "--seed", "1", "--format", "json"]
+    assert cli.main(args) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "sample-tree",
+        "error": "reduce returned a divisor that is not q-reduced",
+        "exit_code": 3,
+    }
 
 
 def test_cli_count_trees_and_jacobian(k3_file):

@@ -427,14 +427,15 @@ def test_float_base_vertex_is_refused(call, q, cached):
 # -- Divisor size ------------------------------------------------------------
 
 def _divisor_size_calls():
-    """(name, call(G, D)) for the functions that took a divisor of the wrong
-    size without a check of their own; D is degree zero with D(0) = -1."""
+    """(name, call(G, D)) for the functions that refuse a divisor of the
+    wrong size up front; D is degree zero with D(0) = -1."""
     from chipfire.jacobian import rank_at_least
     from chipfire.metric import divisor_to_metric, unit_metric
     from chipfire.potential import (
         b_q, energy_pairing, j_function, pentagon_move, q_energy, total_energy,
     )
     from chipfire.reduction import random_equivalent
+    from chipfire.treebij import divisor_to_tree
 
     return [
         ("b_q", lambda G, D: b_q(G, 0, D)),
@@ -448,6 +449,7 @@ def _divisor_size_calls():
         ("rank_at_least", lambda G, D: rank_at_least(G, D, 0)),
         ("divisor_to_metric", lambda G, D: divisor_to_metric(unit_metric(G), D)),
         ("random_equivalent", lambda G, D: random_equivalent(G, 0, D, Random(0))),
+        ("divisor_to_tree", lambda G, D: divisor_to_tree(G, 0, D)),
     ]
 
 

@@ -17,7 +17,9 @@ Core claims:
       one digest, and 600 draws on a 10-vertex multigraph match Kirchhoff's
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
-      on a 40-vertex multigraph with an 88-bit invariant factor.
+      on a 40-vertex multigraph with an 88-bit invariant factor.  A
+      reduce that returned an unreduced divisor trips the sampler's
+      self-check (AssertionError).
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
       TypeError instead of being truncated; numpy integers are accepted.
     - winnable/rank agree with brute-force search on small graphs and with
@@ -26,8 +28,10 @@ Core claims:
 
 import hashlib
 import json
+import sys
 from math import gcd, prod
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +65,7 @@ from chipfire.jacobian import (
 )
 from chipfire.graph import reduced_laplacian
 from chipfire.potential import effective_resistance
-from chipfire.reduction import is_reduced, reduce as reduce_divisor
+from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
 from corpus import RANDOM, SMALL, random_divisor, tree_plus_edges
@@ -415,6 +419,23 @@ def test_sampler_trees_match_reducing_the_unreduced_element():
         red = reduce_divisor(G, q, pres.element(exps)).result
         want.append(divisor_to_tree(G, q, red))
     assert sample_spanning_tree(G, q, seed, count=count) == want
+
+
+def test_sampler_certifies_the_reduced_element(monkeypatch):
+    # a reduce that hands back an unreduced divisor is an internal fault:
+    # the sampler's own Dhar check raises AssertionError (CLI exit 3), not
+    # divisor_to_tree's ValueError (CLI exit 2, a refused input)
+    G = complete_graph(3)
+    unreduced = Divisor([-2, 1, 1])  # q = 0: neither 1 nor 2 ever burns
+    assert not dhar(G, 0, unreduced).reduced
+    module = sys.modules["chipfire.jacobian"]
+    monkeypatch.setattr(
+        module, "reduce", lambda G, q, D: SimpleNamespace(result=unreduced)
+    )
+    with pytest.raises(
+        AssertionError, match="reduce returned a divisor that is not q-reduced"
+    ):
+        sample_spanning_tree(G, 0, seed=1)
 
 
 # -- Winnability and rank ----------------------------------------------------------------

@@ -8,6 +8,9 @@ Core claims:
     - The activity split produced by the burn agrees with the independent
       cycle-maximum definition, and the chip count at q is
       d - g + (number of externally active edges).
+    - divisor_to_tree refuses (ValueError) exactly the divisors Dhar's
+      burn finds not q-reduced, on every graph in SMALL, every q and
+      seeded chips from -1 to deg(v); the trees it returns map back to D.
     - Trees enumerated by brute force are counted by the reduced
       Laplacian determinant.
     - tree_to_divisor refuses exactly the edge sets is_spanning_tree
@@ -23,7 +26,7 @@ import pytest
 from chipfire import _kernels
 from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph
 from chipfire.jacobian import count_spanning_trees
-from chipfire.reduction import is_reduced, reduce as reduce_divisor
+from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import (
     SpanningTree,
     divisor_to_tree,
@@ -173,6 +176,30 @@ def test_divisor_roundtrip_random():
         tree = divisor_to_tree(G, q, D)
         assert is_spanning_tree(G, tree.tree_edges)
         assert tree_to_divisor(G, q, tree) == D
+
+
+def test_divisor_to_tree_refuses_exactly_what_dhar_refuses():
+    # divisor_to_tree has no Dhar burn of its own: its edge scan stalls on
+    # exactly the divisors Dhar's criterion rejects, negative chips off q
+    # included, and what it accepts it maps back to D
+    rng = Random(20261020)
+    outcomes = set()
+    for G in SMALL:
+        for q in G.vertices:
+            for _ in range(30):
+                D = Divisor([rng.randint(-1, G.deg[v]) for v in G.vertices])
+                reduced = dhar(G, q, D).reduced
+                try:
+                    tree = divisor_to_tree(G, q, D)
+                except ValueError as exc:
+                    assert str(exc) == "divisor is not q-reduced"
+                    assert not reduced
+                    outcomes.add(False)
+                    continue
+                assert reduced
+                assert tree_to_divisor(G, q, tree, d=D.degree) == D
+                outcomes.add(True)
+    assert outcomes == {False, True}
 
 
 def test_processed_edges_match_tree_plus_passive():
