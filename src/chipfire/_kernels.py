@@ -166,9 +166,10 @@ def fire_until_reduced(G, dvals, q):
 # starts to cross, and is processed when popped.  X only grows, so an edge
 # whose other end has joined X since its push never crosses again: popping
 # past those leaves the lowest crossing edge on top, and an empty heap means
-# no edge crosses.  Each loop round joins one vertex t and pops edges until
-# one brings in the next; a processed edge is only ever counted at its end
-# outside X, the only count either burn reads.
+# no edge crosses.  A popped edge has an end in X, so it crosses unless its
+# other end is in X too.  Each loop round joins one vertex t and pops edges
+# until one brings in the next; a processed edge is only ever counted at its
+# end outside X, the only count either burn reads.
 
 def tree_from_reduced(G, dvals, q):
     """Burn a reduced divisor into (tree edge list, R mask); (None, None) if
@@ -202,8 +203,6 @@ def tree_from_reduced(G, dvals, q):
                 t = ev[f]
                 if in_x[t]:
                     continue
-            elif not in_x[ev[f]]:
-                continue
             in_r[f] = True
             c = rcount[t]
             if a[t] == c:
@@ -240,8 +239,6 @@ def divisor_from_tree(G, tree_mask, q):
                 t = ev[f]
                 if in_x[t]:
                     continue
-            elif not in_x[ev[f]]:
-                continue
             in_r[f] = True
             if tree_mask[f]:
                 break
