@@ -450,7 +450,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, code = run(args)
-    except (GraphFormatError, ValueError) as exc:
+    except ValueError as exc:  # GraphFormatError is a ValueError
         return _failed(args, 2, "error", exc)
     except (RuntimeError, AssertionError) as exc:
         return _failed(args, 3, "failure", exc)

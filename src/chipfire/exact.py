@@ -24,9 +24,15 @@ def _identity(n):
 def _eliminate(matrix, rhs_columns):
     """(det(A), det(A) A^{-1} B) as ints; (0, None) when A is singular."""
     n = len(matrix)
-    if len(rhs_columns) != n or any(len(r) != n for r in matrix):
-        raise ValueError(f"need an n x n matrix and n right-hand-side rows, n = {n}")
-    k = len(rhs_columns[0]) if n else 0
+    k = len(rhs_columns[0]) if len(rhs_columns) else 0
+    if (
+        len(rhs_columns) != n
+        or any(len(r) != n for r in matrix)
+        or any(len(b) != k for b in rhs_columns)
+    ):
+        raise ValueError(
+            f"need an n x n matrix and n right-hand-side rows of one width, n = {n}"
+        )
     # index() turns numpy integers into Python ints, which cannot overflow
     a = [[index(x) for x in (*r, *b)] for r, b in zip(matrix, rhs_columns)]
     sign = 1
@@ -84,5 +90,8 @@ def adjugate(matrix):
 
 
 def mat_vec(matrix, vec):
-    """Matrix-vector product over exact scalars."""
+    """Matrix-vector product over exact scalars; every row must be as long
+    as vec."""
+    if any(len(row) != len(vec) for row in matrix):
+        raise ValueError(f"need rows of length {len(vec)}, the vector's length")
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix]

@@ -23,7 +23,10 @@ from operator import index
 import numpy as np
 
 from . import exact
-from .graph import Divisor, FiringScript, check_divisor, check_vertex, reduced_laplacian
+from .graph import (
+    Divisor, FiringScript, canonical_plus, check_divisor, check_vertex,
+    reduced_laplacian,
+)
 from .reduction import dhar, reduce
 from .treebij import divisor_to_tree
 
@@ -327,8 +330,6 @@ def to_critical(G, q, D):
     Input must be q-reduced; the image is critical (superstable dual) and
     applying the map twice arithmetically returns D.
     """
-    from .graph import canonical_plus
-
     if not dhar(G, q, D).reduced:
         raise ValueError("divisor is not q-reduced")
     return canonical_plus(G) - D

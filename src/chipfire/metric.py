@@ -14,14 +14,16 @@ linear algebra); nothing here uses floats.
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices), which refuses a point not on
 Gamma.  Burning, moves and potentials are all computed on the model and
-mapped back to points.  Every potential is the j_q-potential of one divisor
-from one exact single-column solve of a fresh model's grounded Laplacian,
-scaled to integer conductances, and j_q, r, E_q and b_q are read off such a
-potential; nothing is cached.  A divisor is made effective off q by one
-rounded j_q-potential, which leaves a number of chips per model vertex
-bounded by the model alone; Luo moves then only move chips.  Since Delta
-fixes a function up to a constant, the reduction's script is built once
-afterwards, as the potential of (result - D).
+mapped back to points.  Every potential of a divisor comes from one helper,
+_grounded: the j_q-potential from one exact single-column solve of a fresh
+model's grounded Laplacian, scaled to integer conductances; j_q, r, E_q and
+b_q are read off such a potential, and nothing is cached.  A divisor is made
+effective off q by one rounded j_q-potential, which leaves a number of chips
+per model vertex bounded by the model alone; Luo moves then only move chips,
+each reading its eps and its moves off the cut that the walk of the stalled
+component lists.  Since Delta fixes a function up to a constant, the
+reduction's script is built once afterwards, as the potential of
+(result - D).
 """
 
 from __future__ import annotations
@@ -383,10 +385,6 @@ class _Model:
         return vec
 
 
-def _model_for(gamma, q, D):
-    return _Model(gamma, [q, *D.support])
-
-
 def _tropical_from_model(gamma, model, values, kinks=()):
     """The TropicalFunction with `values` (one per model vertex) at the model
     vertices, affine between them and the (edge, offset, value) `kinks`."""
@@ -428,11 +426,10 @@ def _grounded_potential(model, q_vid, chips):
     return x
 
 
-def _potential(gamma, q, delta, value_at_q):
-    """The function f with Delta(f) = delta and f(q) = value_at_q."""
-    model = _model_for(gamma, q, delta)
-    x = _grounded_potential(model, model.vid_of[q], model.chips(delta))
-    return _tropical_from_model(gamma, model, [value_at_q + v for v in x])
+def _grounded(gamma, q, D, *points):
+    """(model at q, supp(D) and points; the j_q-potential of D on it)."""
+    model = _Model(gamma, [q, *D.support, *points])
+    return model, _grounded_potential(model, model.vid_of[q], model.chips(D))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +462,15 @@ class MetricDharOutcome:
 
 
 def _components(model, order):
-    """Yield the components the fire from q could not enter, in canonical
-    order, building each only when asked for.
+    """Yield (component, cut) for the components the fire from q could not
+    enter, in canonical order, building each only when asked for.
 
     Each is walked over the model graph from the lowest unburnt model vertex
     no earlier walk reached, which is then its smallest point, so the
     components come out by their first point; segments and boundary are read
-    off the component's own incident edges.
+    off the component's own incident edges.  cut lists the edges leaving
+    the component, all of them toward burnt vertices, as (model edge index,
+    end inside).
     """
     G = model.graph
     burnt = [False] * G.n
@@ -482,13 +481,14 @@ def _components(model, order):
         if reached[start]:
             continue
         reached[start] = True
-        comp, stack, inner, outdeg = [], [start], set(), {}
+        comp, stack, inner, outdeg, cut = [], [start], set(), {}, []
         while stack:
             v = stack.pop()
             comp.append(v)
             for w, idx in zip(G.neighbors(v), G.incident(v)):
                 if burnt[w]:
                     outdeg[v] = outdeg.get(v, 0) + 1
+                    cut.append((idx, v))
                     continue
                 inner.add(idx)
                 if not reached[w]:
@@ -501,8 +501,8 @@ def _components(model, order):
             segments=segments,
             boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
             total_length=sum((o2 - o1 for _e, o1, o2 in segments), _ZERO),
-            cut_size=sum(outdeg.values()),
-        )
+            cut_size=len(cut),
+        ), cut
 
 
 def metric_dhar(gamma, q, D):
@@ -515,9 +515,9 @@ def metric_dhar(gamma, q, D):
     q = _as_point(q)
     if any(w < 0 and p != q for p, w in D):
         raise ValueError("divisor must be effective off q")
-    model = _model_for(gamma, q, D)
+    model = _Model(gamma, [q, *D.support])
     order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
-    comps = tuple(_components(model, order))
+    comps = tuple(comp for comp, _cut in _components(model, order))
     return MetricDharOutcome(
         reduced=not comps,
         burn_order=tuple(model.points[v] for v in order),
@@ -542,7 +542,7 @@ def metric_make_effective(gamma, q, D):
     ends with 0 <= E(p) < 2 c(p), whatever the size of D.
     """
     q = _as_point(q)
-    model = _model_for(gamma, q, D)  # first, so an effective D off Gamma is refused
+    model = _Model(gamma, [q, *D.support])  # an effective D off Gamma is refused too
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma)
     q_vid = model.vid_of[q]
@@ -633,21 +633,19 @@ def metric_reduce(gamma, q, D):
         # the model depends only on the interior points of {q} and supp(E)
         points = frozenset(p for p in (q, *E.support) if p.kind == "e")
         if points != interior:
-            model, interior = _model_for(gamma, q, E), points
+            model, interior = _Model(gamma, [q, *E.support]), points
         order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
         if len(order) == len(model.points):
             break
-        comp = next(_components(model, order))
-        inside = {model.vid_of[p] for p in comp.points}
-        leaving = [
-            edge for edge in model.medges if (edge[0] in inside) != (edge[1] in inside)
-        ]
-        eps = min(o2 - o1 for _a, _b, _e, o1, o2 in leaving)
+        comp, cut = next(_components(model, order))
+        leaving = [(model.medges[idx], v) for idx, v in cut]
+        eps = min(o2 - o1 for (_a, _b, _e, o1, o2), _v in leaving)
         moves = []
-        for a, _b, e, o1, o2 in leaving:
-            start, step = (o1, eps) if a in inside else (o2, -eps)
-            moves += [(gamma.point(e, start), -1), (gamma.point(e, start + step), 1)]
-        after = E + MetricDivisor(moves)
+        for (a, _b, e, o1, o2), v in leaving:
+            # the end inside X is a model vertex; the far end may fold onto one
+            far = o1 + eps if v == a else o2 - eps
+            moves += [(model.points[v], -1), (gamma.point(e, far), 1)]
+        after = MetricDivisor(list(E) + moves)
         drop = comp.total_length * eps + Fraction(comp.cut_size, 2) * eps * eps
         log.append(
             LuoIteration(
@@ -657,8 +655,10 @@ def metric_reduce(gamma, q, D):
         E = after
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
+    shift = sum(it.epsilon for it in log)
     try:
-        script = _potential(gamma, q, E - D, sum(it.epsilon for it in log))
+        model, x = _grounded(gamma, q, E - D)
+        script = _tropical_from_model(gamma, model, [shift + v for v in x])
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -687,33 +687,29 @@ class MetricPotentials:
         self.gamma = gamma
         self.q = _as_point(q)
 
-    def _grounded(self, D, *points):
-        """(model at q, supp(D) and points; the j_q-potential of D on it)."""
-        model = _Model(self.gamma, [self.q, *D.support, *points])
-        return model, _grounded_potential(model, model.vid_of[self.q], model.chips(D))
-
     def j(self, x, y):
         """j_q(x, y): potential at y, current in at x and out at q."""
         x, y = _as_point(x), _as_point(y)
-        model, phi = self._grounded(MetricDivisor({x: 1}), y)
+        model, phi = _grounded(self.gamma, self.q, MetricDivisor({x: 1}), y)
         return phi[model.vid_of[y]]
 
     def resistance(self, x, y=None):
         """Effective resistance r(x, y); y defaults to the base point."""
         x = _as_point(x)
         y = self.q if y is None else _as_point(y)
-        model, phi = self._grounded(MetricDivisor([(x, 1), (y, -1)]), x, y)
+        dipole = MetricDivisor([(x, 1), (y, -1)])
+        model, phi = _grounded(self.gamma, self.q, dipole, x, y)
         return phi[model.vid_of[x]] - phi[model.vid_of[y]]
 
     def q_energy(self, D):
         """E_q(D) = <D - deg(D) q, D - deg(D) q> = sum of D(p) phi_D(p), with
         phi_D the j_q-potential of D."""
-        model, phi = self._grounded(D)
+        model, phi = _grounded(self.gamma, self.q, D)
         return sum(w * phi[model.vid_of[p]] for p, w in D)
 
     def b(self, D):
         """b_q(D) = integral over Gamma of phi_D, the j_q-potential of D."""
-        model, phi = self._grounded(D)
+        model, phi = _grounded(self.gamma, self.q, D)
         return sum(
             ((o2 - o1) * (phi[a] + phi[b]) / 2 for a, b, _e, o1, o2 in model.medges),
             _ZERO,

@@ -256,7 +256,8 @@ def effective_resistance(G, p, q):
 def energy_pairing(G, D1, D2, inverse=None):
     """<D1, D2> = [D1]^T L [D2] for degree-zero divisors.
 
-    Independent of the generalized inverse used; defaults to L_(0).
+    Independent of the generalized inverse used; defaults to L_(0).  An
+    inverse of another size than G raises ValueError.
     """
     check_divisor(G, D1)
     check_divisor(G, D2)
@@ -264,6 +265,8 @@ def energy_pairing(G, D1, D2, inverse=None):
         raise ValueError("energy pairing requires degree-zero divisors")
     if inverse is None:
         inverse = reduced_inverse(G, 0)
+    elif inverse.n != G.n:
+        raise ValueError(f"inverse has size {inverse.n}, graph has {G.n} vertices")
     Lv = inverse.apply(list(D2))
     return sum(Fraction(D1[p]) * Lv[p] for p in range(G.n))
 

@@ -8,6 +8,10 @@ Core claims:
       3 (internal failure: a RuntimeError or a self-check AssertionError).
       Under --format json an exit-2 or exit-3 failure also prints one JSON
       object {command, exit_code, error} to stdout.
+    - A metric file given to reduce, a base vertex, divisor entry or tree
+      edge that is not an integer, and a negative rank bound are each
+      refused with exit 2 and their own message; metric-reduce stopped at
+      its Luo-move safety cap exits 3.
     - JSON reports are deterministic apart from wall_time_ms, and every
       subcommand's report is pinned by one digest.
     - `jacobian` returns within a timeout on graphs where an unbounded
@@ -503,6 +507,49 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
         out = run_cli([command, str(seg), "--q", q, "--divisor", divisor])
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["reduce", "{seg}", "--q", "0", "--divisor", "1 0"],
+         "reduce needs a combinatorial graph (no edge lengths)"),
+        (["reduce", "{k3}", "--q", "x", "--divisor", "start"],
+         "base vertex must be an integer, got 'x'"),
+        (["reduce", "{k3}", "--q", "0", "--divisor", "1,x,0"],
+         "bad divisor '1,x,0': "),
+        (["from-tree", "{k3}", "--q", "0", "--tree", "0,a"],
+         "bad tree spec '0,a'"),
+        (["rank", "{k3}", "--divisor", "flat", "--c", "-1"],
+         "--c must be >= 0"),
+    ],
+    ids=["reduce_metric_file", "q_not_int", "divisor_not_int", "tree_not_int", "c_negative"],
+)
+def test_cli_refusals_name_their_cause(k3_file, seg_file, capsys, args, error):
+    args = [a.format(k3=k3_file, seg=seg_file) for a in args] + ["--format", "json"]
+    assert cli.main(args) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["command"] == args[0] and report["exit_code"] == 2
+    # the divisor refusal ends with the int() parser's own message
+    if error.endswith(": "):
+        assert report["error"].startswith(error)
+    else:
+        assert report["error"] == error
+
+
+def test_cli_metric_reduce_safety_cap_exits_3(seg_file, monkeypatch, capsys):
+    monkeypatch.setattr("chipfire.metric._MAX_LUO_ITERATIONS", 1)
+    args = ["metric-reduce", seg_file, "--q", "v:0", "--divisor", "twoa", "--format", "json"]
+    assert cli.main(args) == 3
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": "metric-reduce",
+        "error": "reduction did not terminate within the safety cap",
+        "exit_code": 3,
+    }
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])

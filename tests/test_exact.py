@@ -12,7 +12,9 @@ Core claims:
       adjugate equal to sympy's and X = det(A) A^{-1} B with A X = d B; a
       singular A makes solve and adjugate raise ValueError.
     - A wide, tall or ragged matrix, or a right-hand side whose height is
-      not n, raises ValueError in det, solve, adjugate and the Smith form.
+      not n or whose rows differ in width, raises ValueError in det, solve,
+      adjugate and the Smith form; mat_vec refuses rows of another length
+      than the vector.
 """
 
 from fractions import Fraction
@@ -64,10 +66,11 @@ def test_non_integer_entries_are_refused(entry):
         lambda: solve([[2, 0], [0, 3]], [[1], [1], [1]]),
         lambda: det([[1, 2], [3, 4], [5, 6]]),
         lambda: det([[1, 2], [3]]),
+        lambda: solve([[2, 0], [0, 3]], [[2], [3, 9]]),
     ],
     ids=[
         "det_wide", "adjugate_wide", "smith_wide", "solve_extra_rhs_row",
-        "det_tall", "det_ragged",
+        "det_tall", "det_ragged", "solve_ragged_rhs",
     ],
 )
 def test_non_square_input_is_refused(call):
@@ -142,6 +145,9 @@ def test_solve_singular_raises():
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+    # a short vector is refused, not read as if padded with zeros
+    with pytest.raises(ValueError, match="rows of length 2"):
+        mat_vec([[1, 2, 3], [4, 5, 6]], [1, 1])
 
 
 def _mul(A, B):

@@ -15,7 +15,7 @@ Core claims:
       off q (a hand-derived oracle here; the bounds are property-tested in
       test_metric_make_effective.py); metric_reduce terminates with an exact
       per-move b_q drop of l(X) eps + cut/2 eps^2 and a script reproducing
-      the result.
+      the result, or raises RuntimeError at its safety cap on Luo moves.
     - On unit edge lengths the metric machinery agrees with the
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
@@ -377,6 +377,13 @@ def test_metric_reduce_eps_ignores_other_components():
     assert [it.epsilon for it in report.iterations] == [1, 1]
     assert report.result == MetricDivisor({q: 2})
     assert report.script.vertex_values == (1, 1, 2, 1, 1)
+
+
+def test_metric_reduce_stops_at_the_safety_cap(monkeypatch):
+    # two chips at the far end of the unit segment need two Luo moves
+    monkeypatch.setattr("chipfire.metric._MAX_LUO_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="safety cap"):
+        metric_reduce(segment(), _vp(0), MetricDivisor({_vp(1): 2}))
 
 
 def test_metric_reduce_luo_drops_exact():

@@ -6,6 +6,8 @@ Core claims:
     - j_q values are symmetric nonnegative rationals with denominator
       dividing the tree count; r(p, q) = j_q(p, p) matches frozen values.
     - Foster's theorem: effective resistances over edges sum to n - 1.
+    - The energy pairing is the same under every generalized inverse and
+      refuses an inverse of another size than the graph.
     - b_q and the q-energy respond to single moves by exact integers:
       borrowing off q adds 1, firing a set off q subtracts its size.
     - The pentagon move drops the total energy by exactly 2 deg(v) |y|.
@@ -355,6 +357,14 @@ def test_energy_pairing_rules():
     # independent of the chosen generalized inverse on degree-zero pairs
     assert a == energy_pairing(G, D1, D2, inverse=moore_penrose(G))
     assert a == energy_pairing(G, D1, D2, inverse=reduced_inverse(G, 2))
+    # an inverse of another graph's size is refused, neither read in part
+    # (K4's on K3) nor run off its end (K2's on K3)
+    K3 = complete_graph(3)
+    E1, E2 = Divisor((1, -1, 0)), Divisor((0, 1, -1))
+    assert energy_pairing(K3, E1, E2) == Fraction(-1, 3)
+    for size in (4, 2):
+        with pytest.raises(ValueError, match="inverse has size"):
+            energy_pairing(K3, E1, E2, inverse=reduced_inverse(complete_graph(size), 0))
 
 
 def test_pentagon_move_drops_total_energy():
