@@ -2,15 +2,21 @@
 
 Subcommands wrap the library: check-reduced, reduce, to-tree, from-tree,
 count-trees, jacobian, sample-tree, group-add, winnable, rank, bounds,
-metric-check, metric-reduce.  Every command emits a RunReport in text or
-JSON; reports are deterministic given the same inputs and seed, except for
-the wall_time_ms field.
+metric-check, metric-reduce.  Each is declared once, by its add() call in
+build_parser, which names its options and its handler; run resolves the
+file kind, --q (a vertex, or a point for the metric commands) and
+--divisor for every command before the handler runs.  Every command emits
+a RunReport in text or JSON; reports are deterministic given the same
+inputs and seed, except for the wall_time_ms field.
 
 Exit codes: 0 success, 1 negative decision (not reduced / not winnable /
 rank below threshold), 2 malformed input or violated precondition, 3
 internal failure (a RuntimeError, or an AssertionError from a library
 self-check).  Under --format json an exit-2 or exit-3 failure also prints
-one JSON object {"command", "exit_code", "error"} to stdout.
+one JSON object {"command", "exit_code", "error"} to stdout, with one
+exception: an error that argparse catches itself (a missing required
+option, or an option value of the wrong type such as --seed x) exits 2
+with its usage message on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -99,33 +105,20 @@ def _load_graph_file(path):
     return gf, _digest(text)
 
 
-def _need_plain(gf, command):
+def _base(gf, spec):
+    """The --q of a run: a point of a metric graph, a vertex of a plain one."""
     if gf.is_metric:
-        raise ValueError(f"{command} needs a combinatorial graph (no edge lengths)")
-    return gf.graph
-
-
-def _need_metric(gf, command):
-    if not gf.is_metric:
-        raise ValueError(f"{command} needs a metric graph (edges with lengths)")
-    return gf.graph
-
-
-def _vertex_q(G, q):
+        try:
+            return parse_point(spec, gf.graph)
+        except ValueError as exc:
+            raise ValueError(f"bad point {spec!r}: {exc}")
     try:
-        q = int(q)
-    except (TypeError, ValueError):
-        raise ValueError(f"base vertex must be an integer, got {q!r}")
-    if not (0 <= q < G.n):
-        raise ValueError(f"base vertex {q} out of range 0..{G.n - 1}")
+        q = int(spec)
+    except ValueError:
+        raise ValueError(f"base vertex must be an integer, got {spec!r}")
+    if not (0 <= q < gf.graph.n):
+        raise ValueError(f"base vertex {q} out of range 0..{gf.graph.n - 1}")
     return q
-
-
-def _point_q(gamma, spec):
-    try:
-        return parse_point(str(spec), gamma)
-    except ValueError as exc:
-        raise ValueError(f"bad point {spec!r}: {exc}")
 
 
 def _divisor(gf, spec):
@@ -140,13 +133,12 @@ def _metric_divisor_json(D):
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns (outputs, move_counts, bounds, exit_code).
+# Command handlers: each takes the graph file, the base point q and the
+# divisor D that run resolved (None where the command has no such option)
+# and returns (outputs, move_counts, bounds, exit_code).
 
-def _cmd_check_reduced(gf, args):
-    G = _need_plain(gf, "check-reduced")
-    q = _vertex_q(G, args.q)
-    D = _divisor(gf, args.divisor)
-    out = reduction.dhar(G, q, D)
+def _cmd_check_reduced(gf, q, D, args):
+    out = reduction.dhar(gf.graph, q, D)
     outputs = {
         "reduced": out.reduced,
         "burn_order": list(out.burn_order),
@@ -156,11 +148,8 @@ def _cmd_check_reduced(gf, args):
     return outputs, None, None, 0 if out.reduced else 1
 
 
-def _cmd_reduce(gf, args):
-    G = _need_plain(gf, "reduce")
-    q = _vertex_q(G, args.q)
-    D = _divisor(gf, args.divisor)
-    rep = reduction.reduce(G, q, D)
+def _cmd_reduce(gf, q, D, args):
+    rep = reduction.reduce(gf.graph, q, D)
     outputs = {
         "result": list(rep.result),
         "script": list(rep.script),
@@ -174,11 +163,8 @@ def _cmd_reduce(gf, args):
     return outputs, moves, None, 0
 
 
-def _cmd_to_tree(gf, args):
-    G = _need_plain(gf, "to-tree")
-    q = _vertex_q(G, args.q)
-    D = _divisor(gf, args.divisor)
-    tree = treebij.divisor_to_tree(G, q, D)
+def _cmd_to_tree(gf, q, D, args):
+    tree = treebij.divisor_to_tree(gf.graph, q, D)
     outputs = {
         "tree_edges": sorted(tree.tree_edges),
         "ext_active": sorted(tree.ext_active),
@@ -187,26 +173,21 @@ def _cmd_to_tree(gf, args):
     return outputs, None, None, 0
 
 
-def _cmd_from_tree(gf, args):
-    G = _need_plain(gf, "from-tree")
-    q = _vertex_q(G, args.q)
+def _cmd_from_tree(gf, q, D, args):
     try:
         edges = [int(t) for t in args.tree.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"bad tree spec {args.tree!r}")
-    D = treebij.tree_to_divisor(G, q, frozenset(edges), d=args.degree)
-    return {"divisor": list(D)}, None, None, 0
+    divisor = treebij.tree_to_divisor(gf.graph, q, frozenset(edges), d=args.degree)
+    return {"divisor": list(divisor)}, None, None, 0
 
 
-def _cmd_count_trees(gf, args):
-    G = _need_plain(gf, "count-trees")
-    return {"count": count_spanning_trees(G)}, None, None, 0
+def _cmd_count_trees(gf, q, D, args):
+    return {"count": count_spanning_trees(gf.graph)}, None, None, 0
 
 
-def _cmd_jacobian(gf, args):
-    G = _need_plain(gf, "jacobian")
-    q = _vertex_q(G, args.q)
-    pres = jacobian_presentation(G, q)
+def _cmd_jacobian(gf, q, D, args):
+    pres = jacobian_presentation(gf.graph, q)
     outputs = {
         "invariant_factors": list(pres.invariant_factors),
         "generators": [list(g) for g in pres.generators],
@@ -215,12 +196,10 @@ def _cmd_jacobian(gf, args):
     return outputs, None, None, 0
 
 
-def _cmd_sample_tree(gf, args):
-    G = _need_plain(gf, "sample-tree")
-    q = _vertex_q(G, args.q)
+def _cmd_sample_tree(gf, q, D, args):
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    trees = sample_spanning_tree(G, q, seed=args.seed, count=args.count)
+    trees = sample_spanning_tree(gf.graph, q, seed=args.seed, count=args.count)
     outputs = {
         "trees": [sorted(t.tree_edges) for t in trees],
         "count": args.count,
@@ -228,20 +207,13 @@ def _cmd_sample_tree(gf, args):
     return outputs, None, None, 0
 
 
-def _cmd_group_add(gf, args):
-    G = _need_plain(gf, "group-add")
-    q = _vertex_q(G, args.q)
-    D1 = _divisor(gf, args.divisor)
-    D2 = _divisor(gf, args.divisor2)
-    result = group_add(G, q, D1, D2)
+def _cmd_group_add(gf, q, D, args):
+    result = group_add(gf.graph, q, D, _divisor(gf, args.divisor2))
     return {"result": list(result)}, None, None, 0
 
 
-def _cmd_winnable(gf, args):
-    G = _need_plain(gf, "winnable")
-    q = _vertex_q(G, args.q)
-    D = _divisor(gf, args.divisor)
-    script = winnable(G, D, q)
+def _cmd_winnable(gf, q, D, args):
+    script = winnable(gf.graph, D, q)
     outputs = {
         "winnable": script is not None,
         "script": None if script is None else list(script),
@@ -249,19 +221,15 @@ def _cmd_winnable(gf, args):
     return outputs, None, None, 0 if script is not None else 1
 
 
-def _cmd_rank(gf, args):
-    G = _need_plain(gf, "rank")
-    D = _divisor(gf, args.divisor)
+def _cmd_rank(gf, q, D, args):
     if args.c < 0:
         raise ValueError("--c must be >= 0")
-    ok = rank_at_least(G, D, args.c)
+    ok = rank_at_least(gf.graph, D, args.c)
     return {"c": args.c, "rank_at_least": ok}, None, None, 0 if ok else 1
 
 
-def _cmd_bounds(gf, args):
-    G = _need_plain(gf, "bounds")
-    q = _vertex_q(G, args.q)
-    mb = reduction.move_bounds(G, q)
+def _cmd_bounds(gf, q, D, args):
+    mb = reduction.move_bounds(gf.graph, q)
     bounds = {
         "exact": format_fraction(mb.exact),
         "resistance": format_fraction(mb.resistance),
@@ -275,11 +243,8 @@ def _cmd_bounds(gf, args):
     return {"q": q}, None, bounds, 0
 
 
-def _cmd_metric_check(gf, args):
-    gamma = _need_metric(gf, "metric-check")
-    q = _point_q(gamma, args.q)
-    D = _divisor(gf, args.divisor)
-    out = metric.metric_dhar(gamma, q, D)
+def _cmd_metric_check(gf, q, D, args):
+    out = metric.metric_dhar(gf.graph, q, D)
     outputs = {
         "reduced": out.reduced,
         "burn_order": [format_point(p) for p in out.burn_order],
@@ -295,11 +260,8 @@ def _cmd_metric_check(gf, args):
     return outputs, None, None, 0 if out.reduced else 1
 
 
-def _cmd_metric_reduce(gf, args):
-    gamma = _need_metric(gf, "metric-reduce")
-    q = _point_q(gamma, args.q)
-    D = _divisor(gf, args.divisor)
-    rep = metric.metric_reduce(gamma, q, D)
+def _cmd_metric_reduce(gf, q, D, args):
+    rep = metric.metric_reduce(gf.graph, q, D)
     outputs = {
         "result": _metric_divisor_json(rep.result),
         "after_make_effective": _metric_divisor_json(rep.after_make_effective),
@@ -327,28 +289,25 @@ def _cmd_metric_reduce(gf, args):
     return outputs, moves, None, 0
 
 
-_HANDLERS = {
-    "check-reduced": _cmd_check_reduced,
-    "reduce": _cmd_reduce,
-    "to-tree": _cmd_to_tree,
-    "from-tree": _cmd_from_tree,
-    "count-trees": _cmd_count_trees,
-    "jacobian": _cmd_jacobian,
-    "sample-tree": _cmd_sample_tree,
-    "group-add": _cmd_group_add,
-    "winnable": _cmd_winnable,
-    "rank": _cmd_rank,
-    "bounds": _cmd_bounds,
-    "metric-check": _cmd_metric_check,
-    "metric-reduce": _cmd_metric_reduce,
-}
-
-
 def run(args):
-    """Execute a parsed command; returns (RunReport, exit_code)."""
+    """Execute a parsed command; returns (RunReport, exit_code).
+
+    The file kind, --q and --divisor are resolved here for every command, in
+    that order, before its handler runs.
+    """
     gf, digest = _load_graph_file(args.graph)
     started = time.perf_counter()
-    outputs, moves, bounds, code = _HANDLERS[args.command](gf, args)
+    if args.metric != gf.is_metric:
+        kind = ("a metric graph (edges with lengths)" if args.metric
+                else "a combinatorial graph (no edge lengths)")
+        raise ValueError(f"{args.command} needs {kind}")
+    q = getattr(args, "q", None)
+    if q is not None:
+        q = _base(gf, q)
+    D = getattr(args, "divisor", None)
+    if D is not None:
+        D = _divisor(gf, D)
+    outputs, moves, bounds, code = args.handler(gf, q, D, args)
     elapsed = (time.perf_counter() - started) * 1000.0
     inputs = {"graph": args.graph, "graph_sha256": digest}
     for key in ("q", "divisor", "divisor2", "tree", "degree", "c", "count"):
@@ -377,10 +336,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, divisor=False, divisor2=False, q=True,
-            q_required=True, tree=False, degree=False, c=False, seed=False,
-            count=False):
+    def add(name, help_text, handler, *, metric=False, divisor=False,
+            divisor2=False, q=True, q_required=True, tree=False, degree=False,
+            c=False, seed=False, count=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, metric=metric)
         p.add_argument("graph", help="graph file")
         if q:
             p.add_argument(
@@ -411,26 +371,31 @@ def build_parser():
             p.add_argument("--count", type=int, default=1,
                            help="number of samples")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
 
-    add("check-reduced", "test whether a divisor is q-reduced", divisor=True)
-    add("reduce", "compute the q-reduced representative", divisor=True)
-    add("to-tree", "burn a reduced divisor into its spanning tree", divisor=True)
-    add("from-tree", "burn a spanning tree into its reduced divisor",
-        tree=True, degree=True)
-    add("count-trees", "matrix-tree count of spanning trees", q=False)
-    add("jacobian", "invariant factors and generators of Jac(G)",
-        q_required=False)
-    add("sample-tree", "uniform random spanning trees", seed=True, count=True)
-    add("group-add", "add two q-reduced degree-zero divisors",
-        divisor=True, divisor2=True)
-    add("winnable", "dollar game: find a winning script", divisor=True,
-        q_required=False)
-    add("rank", "test rank >= c", divisor=True, c=True, q=False)
-    add("bounds", "running-time bounds for reduction toward q")
-    add("metric-check", "metric burning test at a base point", divisor=True)
-    add("metric-reduce", "metric reduction with the full move log",
+    add("check-reduced", "test whether a divisor is q-reduced",
+        _cmd_check_reduced, divisor=True)
+    add("reduce", "compute the q-reduced representative", _cmd_reduce,
         divisor=True)
+    add("to-tree", "burn a reduced divisor into its spanning tree",
+        _cmd_to_tree, divisor=True)
+    add("from-tree", "burn a spanning tree into its reduced divisor",
+        _cmd_from_tree, tree=True, degree=True)
+    add("count-trees", "matrix-tree count of spanning trees",
+        _cmd_count_trees, q=False)
+    add("jacobian", "invariant factors and generators of Jac(G)",
+        _cmd_jacobian, q_required=False)
+    add("sample-tree", "uniform random spanning trees", _cmd_sample_tree,
+        seed=True, count=True)
+    add("group-add", "add two q-reduced degree-zero divisors",
+        _cmd_group_add, divisor=True, divisor2=True)
+    add("winnable", "dollar game: find a winning script", _cmd_winnable,
+        divisor=True, q_required=False)
+    add("rank", "test rank >= c", _cmd_rank, divisor=True, c=True, q=False)
+    add("bounds", "running-time bounds for reduction toward q", _cmd_bounds)
+    add("metric-check", "metric burning test at a base point",
+        _cmd_metric_check, metric=True, divisor=True)
+    add("metric-reduce", "metric reduction with the full move log",
+        _cmd_metric_reduce, metric=True, divisor=True)
 
     return parser
 

@@ -83,17 +83,26 @@ def parse_point(token, gamma=None):
     return GraphPoint.vertex(index)
 
 
-def _parse_metric_divisor(tokens, gamma):
-    """The MetricDivisor of `point=weight` tokens; ValueError on a bad one."""
-    entries = []
-    for tok in tokens:
-        point_s, sep, w_s = tok.partition("=")
-        if not sep:
-            raise ValueError(
-                f"metric divisor entries look like point=weight, got {tok!r}"
-            )
-        entries.append((parse_point(point_s, gamma), int(w_s)))
-    return MetricDivisor(entries)
+def _parse_divisor(tokens, graph):
+    """The divisor that tokens spell on graph: `point=weight` entries on a
+    metric graph, one integer coefficient per vertex on a plain one;
+    ValueError on a bad token or a wrong count."""
+    if isinstance(graph, MetricGraph):
+        entries = []
+        for tok in tokens:
+            point_s, sep, w_s = tok.partition("=")
+            if not sep:
+                raise ValueError(
+                    f"metric divisor entries look like point=weight, got {tok!r}"
+                )
+            entries.append((parse_point(point_s, graph), int(w_s)))
+        return MetricDivisor(entries)
+    if len(tokens) != graph.n:
+        raise ValueError(f"divisor needs {graph.n} coefficients, got {len(tokens)}")
+    try:
+        return Divisor(int(t) for t in tokens)
+    except ValueError as exc:
+        raise ValueError(f"divisor coefficients must be integers: {exc}")
 
 
 def format_point(p):
@@ -180,20 +189,10 @@ def parse(text):
     for lineno, name, tokens in divisor_lines:
         if name in divisors:
             raise GraphFormatError(f"duplicate divisor {name!r}", lineno)
-        if with_len:
-            try:
-                divisors[name] = _parse_metric_divisor(tokens, graph)
-            except ValueError as exc:
-                raise GraphFormatError(str(exc), lineno)
-        else:
-            if len(tokens) != n:
-                raise GraphFormatError(
-                    f"divisor {name!r} needs {n} coefficients", lineno
-                )
-            try:
-                divisors[name] = Divisor(int(t) for t in tokens)
-            except ValueError:
-                raise GraphFormatError("divisor coefficients must be integers", lineno)
+        try:
+            divisors[name] = _parse_divisor(tokens, graph)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), lineno)
     return GraphFile(graph=graph, divisors=divisors)
 
 
@@ -236,9 +235,4 @@ def parse_divisor_arg(spec, gf):
     tokens = spec.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty divisor specification")
-    if gf.is_metric:
-        return _parse_metric_divisor(tokens, gf.graph)
-    n = gf.graph.n
-    if len(tokens) != n:
-        raise ValueError(f"divisor needs {n} coefficients, got {len(tokens)}")
-    return Divisor(int(t) for t in tokens)
+    return _parse_divisor(tokens, gf.graph)

@@ -220,11 +220,14 @@ def sample_spanning_tree(G, q, seed, count=1):
     principal, so the class, and the reduced divisor, stay the same.
     Each reduced element is certified with Dhar's burn before it is burnt
     into its tree: a failure there is an internal fault (AssertionError),
-    not a refused input.
+    not a refused input.  A seed outside [0, 2**128), or a count that is
+    negative or not an integer, is refused before the Smith form is built.
     """
+    bitgen = np.random.Philox(key=index(seed))
+    if index(count) < 0:
+        raise ValueError("count must be >= 0")
     pres = jacobian(G, q)
     kappa = pres.order
-    bitgen = np.random.Philox(key=index(seed))
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []

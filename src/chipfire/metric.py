@@ -37,13 +37,22 @@ from . import exact, _kernels
 from .graph import Graph, check_divisor
 
 
+def _rational(x):
+    """Fraction(x); a float raises TypeError, since its binary value (0.1 is
+    3602879701896397/2**55) is rarely the length or offset meant."""
+    if isinstance(x, float):
+        raise TypeError(f"lengths and offsets must be exact, got the float {x!r}")
+    return Fraction(x)
+
+
 class MetricGraph:
-    """A connected loopless multigraph with positive rational edge lengths."""
+    """A connected loopless multigraph with positive rational edge lengths;
+    a float length raises TypeError."""
 
     __slots__ = ("graph", "lengths")
 
     def __init__(self, graph, lengths):
-        lengths = tuple(Fraction(x) for x in lengths)
+        lengths = tuple(_rational(x) for x in lengths)
         if len(lengths) != graph.m:
             raise ValueError("need one length per edge")
         if any(x <= 0 for x in lengths):
@@ -61,7 +70,7 @@ class MetricGraph:
 
     def point(self, edge, offset):
         """Canonical point at `offset` along edge (endpoints become vertices)."""
-        offset = Fraction(offset)
+        offset = _rational(offset)
         if not (0 <= edge < self.m):
             raise ValueError("edge index out of range")
         if offset < 0 or offset > self.lengths[edge]:
@@ -106,7 +115,8 @@ class GraphPoint:
     offsets canonicalize to vertices.  Points order vertices first (by
     index), then edge points by (edge, offset); this is the canonical order
     used for burn sequences and component selection.  The vertex and edge
-    indices must be integers; a float or a Fraction raises TypeError.
+    indices must be integers; a float or a Fraction raises TypeError, and so
+    does a float offset.
     """
 
     __slots__ = ("kind", "index", "edge", "offset", "_key", "_hash")
@@ -122,7 +132,7 @@ class GraphPoint:
             self.kind = "e"
             self.index = None
             self.edge = operator.index(a)
-            self.offset = Fraction(b)
+            self.offset = _rational(b)
             self._key = (1, self.edge, self.offset)
         else:
             raise ValueError("kind must be 'v' or 'e'")

@@ -7,7 +7,8 @@ Core claims:
       exit codes are 0 (success), 1 (negative decision), 2 (bad input),
       3 (internal failure: a RuntimeError or a self-check AssertionError).
       Under --format json an exit-2 or exit-3 failure also prints one JSON
-      object {command, exit_code, error} to stdout.
+      object {command, exit_code, error} to stdout, except a refusal that
+      argparse makes itself, which prints only its usage to stderr.
     - A metric file given to reduce, a base vertex, divisor entry or tree
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message; metric-reduce stopped at
@@ -554,10 +555,10 @@ def test_cli_metric_reduce_safety_cap_exits_3(seg_file, monkeypatch, capsys):
 
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
 def test_cli_internal_failure_exit_3(k3_file, monkeypatch, capsys, exc):
-    def broken(gf, args):
+    def broken(*_args):
         raise exc("self-check tripped")
 
-    monkeypatch.setitem(cli._HANDLERS, "reduce", broken)
+    monkeypatch.setattr(cli, "_cmd_reduce", broken)
     code = cli.main(["reduce", k3_file, "--q", "2", "--divisor", "start"])
     out = capsys.readouterr()
     assert code == 3
@@ -572,10 +573,10 @@ def test_cli_internal_failure_exit_3(k3_file, monkeypatch, capsys, exc):
 def test_cli_failure_under_json_prints_one_json_object(
     k3_file, monkeypatch, capsys, exc, code, label
 ):
-    def broken(gf, args):
+    def broken(*_args):
         raise exc("self-check tripped")
 
-    monkeypatch.setitem(cli._HANDLERS, "reduce", broken)
+    monkeypatch.setattr(cli, "_cmd_reduce", broken)
     args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
     assert cli.main(args) == code
     out = capsys.readouterr()
@@ -584,6 +585,19 @@ def test_cli_failure_under_json_prints_one_json_object(
     }
     assert out.out.count("\n") == 1
     assert out.err == f"{label}: self-check tripped\n"
+
+
+def test_cli_argparse_refusals_print_no_json(k3_file):
+    # argparse refuses these itself, before run: exit 2 with its usage on
+    # stderr, and no JSON object on stdout even under --format json
+    for args, cause in (
+        (["reduce", k3_file, "--q", "2"], "required: --divisor"),
+        (["sample-tree", k3_file, "--q", "0", "--seed", "x"], "invalid int value: 'x'"),
+    ):
+        out = run_cli([*args, "--format", "json"])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert cause in out.stderr
 
 
 def test_cli_metric_command_on_plain_file(k3_file):

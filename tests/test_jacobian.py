@@ -22,6 +22,8 @@ Core claims:
       self-check (AssertionError).
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
       TypeError instead of being truncated; numpy integers are accepted.
+      The sampler refuses a bad seed or count before it builds the Smith
+      form.
     - winnable/rank agree with brute-force search on small graphs and with
       known values.
 """
@@ -352,6 +354,20 @@ def test_sampler_reproducible_and_prefix_stable():
     assert a[:3] == prefix
     other = sample_spanning_tree(G, 0, seed=100, count=6)
     assert a != other  # overwhelmingly likely and fixed by the seeds
+
+
+def test_sampler_refuses_bad_seed_and_count_before_the_smith_form(monkeypatch):
+    def no_smith_form(*_args):
+        raise AssertionError("jacobian ran before the refusal")
+
+    # the package's `jacobian` attribute is the function, so reach the module
+    monkeypatch.setattr(sys.modules["chipfire.jacobian"], "jacobian", no_smith_form)
+    with pytest.raises(ValueError):
+        sample_spanning_tree(complete_graph(3), 0, seed=-1)
+    with pytest.raises(ValueError):
+        sample_spanning_tree(complete_graph(3), 0, seed=1, count=-1)
+    with pytest.raises(TypeError):
+        sample_spanning_tree(complete_graph(3), 0, seed=1, count=2.0)
 
 
 def test_sampler_returns_spanning_trees():

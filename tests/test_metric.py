@@ -143,8 +143,12 @@ def test_metric_divisor_merges_duplicate_points():
         lambda: MetricDivisor({1.0: 1}),
         lambda: GraphPoint.vertex(1.9),
         lambda: GraphPoint("e", Fraction(0), Fraction(1, 2)),
+        lambda: MetricGraph(path_graph(3), [0.1, 1]),
+        lambda: segment().point(0, 0.1),
+        lambda: GraphPoint("e", 0, np.float64(0.1)),
     ],
-    ids=["weight", "weight_fraction", "vertex_key", "vertex", "edge"],
+    ids=["weight", "weight_fraction", "vertex_key", "vertex", "edge",
+         "length", "offset", "point_offset"],
 )
 def test_metric_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError):
