@@ -7,9 +7,10 @@ functions are continuous piecewise linear with integer slopes; their
 Laplacian puts -(sum of outgoing slopes) at every kink.  A TropicalFunction
 is a canonical value: it keeps only its true kinks, and the integer slope
 of each piece between them, from the moment it is built, and there is no
-algebra on functions, since every script is built once as a potential.  All
-arithmetic is exact (Fractions for offsets and values, integers for the
-linear algebra); nothing here uses floats.
+algebra on functions: every script is built once, from its values at
+points between which it is affine.  All arithmetic is exact (Fractions for
+offsets and values, integers for the linear algebra); nothing here uses
+floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices), which refuses a point not on
@@ -21,9 +22,10 @@ b_q are read off such a potential, and nothing is cached.  A divisor is made
 effective off q by one rounded j_q-potential, which leaves a number of chips
 per model vertex bounded by the model alone; Luo moves then only move chips,
 each reading its eps and its moves off the cut that the walk of the stalled
-component lists.  Since Delta fixes a function up to a constant, the
-reduction's script is built once afterwards, as the potential of
-(result - D).
+component lists.  The reduction's script needs no solve: it is the
+make-effective script plus min(dist(., X), eps) for each move, summed as
+the moves run at the model's points and the points of supp(D), between
+which it is affine.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ class TropicalFunction:
 
     def __init__(self, gamma, vertex_values, breaks=None):
         self.gamma = gamma
-        self.vertex_values = tuple(Fraction(x) for x in vertex_values)
+        self.vertex_values = tuple(_rational(x) for x in vertex_values)
         if len(self.vertex_values) != gamma.n:
             raise ValueError("need one value per vertex")
         if breaks is None:
@@ -255,17 +257,18 @@ class TropicalFunction:
     def _kinks(self, e, points):
         """(kinks, slopes): the (offset, value) `points` on edge e where the
         slope changes, and the integer slope of each piece between them,
-        after checking every offset and that every slope is an integer."""
+        after checking every offset and that every slope is an integer; a
+        float offset or value raises TypeError."""
         u, v = self.gamma.graph.edges[e]
         length = self.gamma.lengths[e]
         anchors = [(_ZERO, self.vertex_values[u])]
         for o, val in points:
-            o = Fraction(o)
+            o = _rational(o)
             if not (0 < o < length):
                 raise ValueError("breakpoint offset outside edge interior")
             if o <= anchors[-1][0]:
                 raise ValueError("breakpoints must be strictly increasing")
-            anchors.append((o, Fraction(val)))
+            anchors.append((o, _rational(val)))
         anchors.append((length, self.vertex_values[v]))
         kinks, slopes = [], []
         for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
@@ -296,11 +299,7 @@ class TropicalFunction:
         p = _as_point(p)
         if p.kind == "v":
             return self.vertex_values[p.index]
-        anchors = self._anchors(p.edge)
-        for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
-            if o1 <= p.offset <= o2:
-                return v1 + (v2 - v1) * (p.offset - o1) / (o2 - o1)
-        raise AssertionError("offset not covered by anchors")
+        return _interpolate(self._anchors(p.edge), p.offset)
 
     def is_zero(self):
         return all(x == 0 for x in self.vertex_values) and all(
@@ -320,6 +319,15 @@ class TropicalFunction:
             f"TropicalFunction(values={[str(x) for x in self.vertex_values]}, "
             f"breaks={self.breaks!r})"
         )
+
+
+def _interpolate(anchors, offset):
+    """The value at `offset` of the function affine between the sorted
+    (offset, value) `anchors`."""
+    for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
+        if o1 <= offset <= o2:
+            return v1 + (v2 - v1) * (offset - o1) / (o2 - o1)
+    raise AssertionError("offset not covered by anchors")
 
 
 def metric_laplacian(gamma, f):
@@ -352,10 +360,11 @@ class _Model:
     0..n-1 first, then interior points by (edge, offset).  Model edges are
     the maximal subsegments between consecutive model vertices, each of
     positive length: a point not on Gamma (an index out of range, or an edge
-    offset not strictly inside its edge) raises ValueError.
+    offset not strictly inside its edge) raises ValueError.  lengths[i] is
+    the length of medges[i].
     """
 
-    __slots__ = ("gamma", "points", "vid_of", "medges", "graph")
+    __slots__ = ("gamma", "points", "vid_of", "medges", "lengths", "graph")
 
     def __init__(self, gamma, extra_points):
         self.gamma = gamma
@@ -386,6 +395,7 @@ class _Model:
             )
             for (o1, a), (o2, b) in zip(stops, stops[1:]):
                 self.medges.append((a, b, e, o1, o2))
+        self.lengths = [o2 - o1 for *_, o1, o2 in self.medges]
         self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
 
     def chips(self, D):
@@ -418,12 +428,11 @@ def _grounded_potential(model, q_vid, chips):
     scale the lcm of the numerators of the model edge lengths, an edge of
     length a/b has conductance scale*b/a and the right-hand side is
     scale*chips, which leaves x as it is."""
-    lengths = [o2 - o1 for *_, o1, o2 in model.medges]
-    scale = lcm(*(x.numerator for x in lengths))
+    scale = lcm(*(x.numerator for x in model.lengths))
     keep = [v for v in range(len(model.points)) if v != q_vid]
     row_of = {v: i for i, v in enumerate(keep)}
     lap = [[0] * len(keep) for _ in keep]
-    for (a, b, *_), length in zip(model.medges, lengths):
+    for (a, b, *_), length in zip(model.medges, model.lengths):
         c = scale // length.numerator * length.denominator
         for u, w in ((a, b), (b, a)):
             if u != q_vid:
@@ -505,12 +514,12 @@ def _components(model, order):
                     reached[w] = True
                     stack.append(w)
         comp.sort()
-        segments = tuple(model.medges[idx][2:] for idx in sorted(inner))
+        inner = sorted(inner)
         yield UnburntComponent(
             points=tuple(model.points[v] for v in comp),
-            segments=segments,
+            segments=tuple(model.medges[idx][2:] for idx in inner),
             boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
-            total_length=sum((o2 - o1 for _e, o1, o2 in segments), _ZERO),
+            total_length=sum((model.lengths[idx] for idx in inner), _ZERO),
             cut_size=len(cut),
         ), cut
 
@@ -558,16 +567,15 @@ def metric_make_effective(gamma, q, D):
     q_vid = model.vid_of[q]
     chips = model.chips(D)
     c = [_ZERO] * len(chips)
-    for a, b, _e, o1, o2 in model.medges:
-        k = 1 / (o2 - o1)
+    for (a, b, *_), length in zip(model.medges, model.lengths):
+        k = 1 / length
         k += k.denominator != 1
         c[a] += k
         c[b] += k
     target = [w - (ceil(c[v]) - 1) * (v != q_vid) for v, w in enumerate(chips)]
     values = [-ceil(x) for x in _grounded_potential(model, q_vid, target)]
     kinks = []
-    for a, b, e, o1, o2 in model.medges:
-        length = o2 - o1
+    for (a, b, e, o1, _o2), length in zip(model.medges, model.lengths):
         rise = values[b] - values[a]
         s = ceil(rise / length) - 1
         t = rise - s * length
@@ -630,31 +638,71 @@ def metric_reduce(gamma, q, D):
     leaving X, that is, move one chip from X eps along every edge leaving
     it.  Each move decreases b_q by exactly l(X) eps + (cut/2) eps^2;
     termination has no a-priori bound, so a generous safety cap guards the
-    loop.  The make-effective script is 0 at q and every move function is 0
-    on X and eps at the burnt point q, so the script is the potential of
-    (result - D) with value sum(eps) at q.
+    loop.  The script is the make-effective script f0 plus one function per
+    move, min(dist(., X), eps): 0 on X, min(t, eps) at distance t along an
+    edge leaving X, and eps everywhere else, q included, so its value at q
+    is sum(eps).  It is summed at the points of the loop's model and of
+    supp(D), which carry its Laplacian (result - D), and is affine between
+    them; D + Delta(script) == result is checked exactly.
     """
     q = _as_point(q)
     E0, f0 = metric_make_effective(gamma, q, D)
-    E = E0
-    log = []
+    E, log = E0, []
+    # The script so far: at the model's points in level (by model vertex),
+    # and in loose at the other points of supp(D), each inside the model
+    # edge home[p], and at the points the last move created.  Before the
+    # first model, loose holds them all.
+    start = (*map(GraphPoint.vertex, range(gamma.n)), q, *E0.support, *D.support)
+    loose = {p: f0.evaluate(p) for p in start}
     model = interior = None
     for _ in range(_MAX_LUO_ITERATIONS):
         # the model depends only on the interior points of {q} and supp(E)
         points = frozenset(p for p in (q, *E.support) if p.kind == "e")
         if points != interior:
+            if model is not None:
+                loose.update(zip(model.points, level))
             model, interior = _Model(gamma, [q, *E.support]), points
+            level = [loose.pop(p) for p in model.points]
+            home = {
+                p: next(
+                    idx
+                    for idx, (_a, _b, e, o1, o2) in enumerate(model.medges)
+                    if e == p.edge and o1 < p.offset < o2
+                )
+                for p in D.support
+                if p in loose
+            }
+            loose = {p: loose[p] for p in home}
         order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
         if len(order) == len(model.points):
             break
         comp, cut = next(_components(model, order))
-        leaving = [(model.medges[idx], v) for idx, v in cut]
-        eps = min(o2 - o1 for (_a, _b, _e, o1, o2), _v in leaving)
-        moves = []
-        for (a, _b, e, o1, o2), v in leaving:
+        eps = min(model.lengths[idx] for idx, _v in cut)
+        in_x = {model.vid_of[p] for p in comp.points}
+        moves, created = [], {}
+        for idx, v in cut:
+            a, b, e, o1, o2 = model.medges[idx]
             # the end inside X is a model vertex; the far end may fold onto one
-            far = o1 + eps if v == a else o2 - eps
-            moves += [(model.points[v], -1), (gamma.point(e, far), 1)]
+            far = gamma.point(e, o1 + eps if v == a else o2 - eps)
+            moves += [(model.points[v], -1), (far, 1)]
+            if far not in model.vid_of and far not in loose:
+                # the script before the move is affine around a new point
+                anchors = [(o1, level[a]), (o2, level[b])]
+                anchors += [(p.offset, loose[p]) for p, i in home.items() if i == idx]
+                created[far] = _interpolate(sorted(anchors), far.offset) + eps
+        level = [x if v in in_x else x + eps for v, x in enumerate(level)]
+        for p, idx in home.items():
+            a, b, _e, o1, o2 = model.medges[idx]
+            if a in in_x and b in in_x:
+                rise = _ZERO
+            elif a in in_x:
+                rise = min(p.offset - o1, eps)
+            elif b in in_x:
+                rise = min(o2 - p.offset, eps)
+            else:
+                rise = eps
+            loose[p] += rise
+        loose.update(created)
         after = MetricDivisor(list(E) + moves)
         drop = comp.total_length * eps + Fraction(comp.cut_size, 2) * eps * eps
         log.append(
@@ -665,10 +713,9 @@ def metric_reduce(gamma, q, D):
         E = after
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
-    shift = sum(it.epsilon for it in log)
+    kinks = [(p.edge, p.offset, x) for p, x in loose.items()]
     try:
-        model, x = _grounded(gamma, q, E - D)
-        script = _tropical_from_model(gamma, model, [shift + v for v in x])
+        script = _tropical_from_model(gamma, model, level, kinks)
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -721,7 +768,10 @@ class MetricPotentials:
         """b_q(D) = integral over Gamma of phi_D, the j_q-potential of D."""
         model, phi = _grounded(self.gamma, self.q, D)
         return sum(
-            ((o2 - o1) * (phi[a] + phi[b]) / 2 for a, b, _e, o1, o2 in model.medges),
+            (
+                length * (phi[a] + phi[b]) / 2
+                for (a, b, *_), length in zip(model.medges, model.lengths)
+            ),
             _ZERO,
         )
 

@@ -12,7 +12,7 @@ Core claims:
     - A metric file given to reduce, a base vertex, divisor entry or tree
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message; metric-reduce stopped at
-      its Luo-move safety cap exits 3.
+      its Luo-move safety cap, or failing its exact script check, exits 3.
     - JSON reports are deterministic apart from wall_time_ms, and every
       subcommand's report is pinned by one digest.
     - `jacobian` returns within a timeout on graphs where an unbounded
@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chipfire import cli, potential
+from chipfire import cli, metric, potential
 from chipfire.formats import (
     GraphFormatError,
     format_fraction,
@@ -549,6 +549,22 @@ def test_cli_metric_reduce_safety_cap_exits_3(seg_file, monkeypatch, capsys):
     assert json.loads(out) == {
         "command": "metric-reduce",
         "error": "reduction did not terminate within the safety cap",
+        "exit_code": 3,
+    }
+
+
+def test_cli_metric_reduce_self_check_exits_3(tmp_path, monkeypatch, capsys):
+    # the one move leaves a chip at e:0@2/3, a point it creates; a script
+    # one off there fails metric_reduce's exact check
+    tri = tmp_path / "tri.cf"
+    tri.write_text("graph 3\nedge 0 1 1\nedge 1 2 1/2\nedge 0 2 1/3\n")
+    interpolate = metric._interpolate
+    monkeypatch.setattr(metric, "_interpolate", lambda *args: interpolate(*args) + 1)
+    args = ["metric-reduce", str(tri), "--q", "v:0", "--divisor", "v:1=1 v:2=1", "--format", "json"]
+    assert cli.main(args) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "metric-reduce",
+        "error": "the moves and the script's Laplacian disagree",
         "exit_code": 3,
     }
 

@@ -3,8 +3,9 @@
 Core claims:
     - GraphPoint canonicalization folds edge endpoints onto vertices and
       MetricDivisor arithmetic is exact on sparse point supports.
-    - TropicalFunction validates integer slopes and breakpoint order and
-      keeps only the breakpoints where the slope changes;
+    - TropicalFunction validates integer slopes and breakpoint order,
+      refuses a float value or offset with TypeError, and keeps only the
+      breakpoints where the slope changes;
       metric_laplacian of a distance function from q is (far point) - (q),
       and a collinear breakpoint carries no chip.
     - Every metric operation refuses a vertex or edge index out of range
@@ -16,6 +17,11 @@ Core claims:
       test_metric_make_effective.py); metric_reduce terminates with an exact
       per-move b_q drop of l(X) eps + cut/2 eps^2 and a script reproducing
       the result, or raises RuntimeError at its safety cap on Luo moves.
+      The script summed from the moves is the potential of (result - D)
+      from one exact solve, shifted to sum(eps) at q, on the METRIC corpus
+      and on rational lengths where moves create points; the only exact
+      solve metric_reduce makes is make-effective's, and a wrong summed
+      value fails the exact check D + Delta(script) == result.
     - On unit edge lengths the metric machinery agrees with the
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
@@ -41,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chipfire import metric
 from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph, path_graph
 from chipfire.metric import (
     GraphPoint,
@@ -190,6 +197,26 @@ def test_tropical_validation():
         TropicalFunction(gamma, [0, 1], [(), ()])
     with pytest.raises(ValueError, match="does not live on this metric graph"):
         metric_laplacian(MetricGraph(path_graph(2), [2]), TropicalFunction(gamma, [0, 1]))
+
+
+@pytest.mark.parametrize(
+    "values, breaks",
+    [
+        ([0.1, 1.1], None),
+        ([0, 1], [((0.5, Fraction(1, 2)),)]),
+        ([0, 1], [((Fraction(1, 2), 0.5),)]),
+    ],
+    ids=["vertex value", "breakpoint offset", "breakpoint value"],
+)
+def test_tropical_refuses_floats(values, breaks):
+    # read at their binary values, 0.1 and 1.1 would not differ by 1
+    with pytest.raises(TypeError, match="must be exact"):
+        TropicalFunction(segment(), values, breaks)
+
+
+def test_tropical_takes_exact_decimals():
+    f = TropicalFunction(segment(), [Fraction("0.1"), Fraction("1.1")])
+    assert f._slopes == ((1,),)
 
 
 def test_tropical_evaluate_and_extremes():
@@ -422,6 +449,93 @@ def test_metric_reduce_least_action_sign():
     moves = [f.evaluate(p) - g.evaluate(p) for p in points]
     assert len(points) > gamma.n
     assert f.evaluate(q) - g.evaluate(q) == max(moves)
+
+
+def _triangle_case():
+    # lengths 1, 1/2, 1/3: three moves of eps 1/3 create e:0@2/3, then e:0@1/3
+    gamma = MetricGraph(cycle_graph(3), [1, Fraction(1, 2), Fraction(1, 3)])
+    return gamma, _vp(0), MetricDivisor({_vp(1): 3, _vp(2): -1})
+
+
+def _solved_script(gamma, q, D, report):
+    """The script as the potential of (result - D) from one exact solve,
+    shifted to sum(eps) at q."""
+    model, x = metric._grounded(gamma, q, report.result - D)
+    shift = sum((it.epsilon for it in report.iterations), Fraction(0))
+    return metric._tropical_from_model(gamma, model, [shift + v for v in x])
+
+
+def _created(q, D, report):
+    """The interior points a move put chips on that were in none of q,
+    supp(D) and the divisor before it."""
+    return {
+        p
+        for it in report.iterations
+        for p in it.after.support
+        if p.kind == "e" and p != q and p not in D.support and p not in it.before.support
+    }
+
+
+def test_summed_script_is_the_solved_potential_on_the_corpus():
+    for gamma, q, D in METRIC + [_triangle_case()]:
+        report = metric_reduce(gamma, q, D)
+        assert report.script == _solved_script(gamma, q, D, report)
+
+
+def test_summed_script_is_the_solved_potential_where_moves_create_points():
+    # rational lengths, vertex chips in -1..2 and two chips a third and two
+    # thirds along one edge, q the first of them or vertex 0
+    rng = np.random.default_rng(197)
+    created = created_at_interior_q = 0
+    for G in [g for g in RANDOM if g.m]:
+        lengths = [Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4))) for _ in range(G.m)]
+        gamma = MetricGraph(G, lengths)
+        e = int(rng.integers(0, G.m))
+        inner = [gamma.point(e, gamma.lengths[e] * k / 3) for k in (1, 2)]
+        q = inner[0] if rng.integers(0, 2) else _vp(0)
+        D = MetricDivisor(
+            [(_vp(v), int(rng.integers(-1, 3))) for v in G.vertices]
+            + [(p, 1) for p in inner]
+        )
+        report = metric_reduce(gamma, q, D)
+        assert report.script == _solved_script(gamma, q, D, report)
+        if _created(q, D, report):
+            created += 1
+            created_at_interior_q += q.kind == "e"
+    # the seed gives 9 such cases, 5 of them with q interior
+    assert created >= 8 and created_at_interior_q >= 4
+
+
+def test_metric_reduce_solves_only_to_make_effective(monkeypatch):
+    calls = []
+    solve = metric.exact.solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(metric.exact, "solve", counting)
+    effective = 0
+    for gamma, q, D in METRIC + [_triangle_case()]:
+        calls.clear()
+        metric_reduce(gamma, q, D)
+        assert len(calls) == (0 if D.is_effective(skip=q) else 1)
+        effective += D.is_effective(skip=q)
+    assert 0 < effective < len(METRIC)
+
+
+def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
+    # on the triangle, one chip at each of 1 and 2 end at 0 and e:0@2/3, a
+    # point the one move creates; one off its interpolated value, the
+    # script would put chips next to it that the move did not
+    gamma, q, _D = _triangle_case()
+    D = MetricDivisor({_vp(1): 1, _vp(2): 1})
+    report = metric_reduce(gamma, q, D)
+    assert report.result == MetricDivisor({q: 1, gamma.point(0, Fraction(2, 3)): 1})
+    interpolate = metric._interpolate
+    monkeypatch.setattr(metric, "_interpolate", lambda *args: interpolate(*args) + 1)
+    with pytest.raises(AssertionError, match="disagree"):
+        metric_reduce(gamma, q, D)
 
 
 # -- Exact potentials ----------------------------------------------------------------------------
