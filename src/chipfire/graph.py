@@ -9,6 +9,7 @@ f(v) - f(w).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import index
 
 import numpy as np
@@ -251,6 +252,14 @@ def check_vertex(G, q):
     (negative indices too), TypeError for a float or Fraction (not truncated)."""
     if not (0 <= index(q) < G.n):
         raise ValueError("base vertex out of range")
+
+
+def _rational(x):
+    """Fraction(x); a float raises TypeError, since its binary value (0.1 is
+    3602879701896397/2**55) is rarely the length, offset or weight meant."""
+    if isinstance(x, float):
+        raise TypeError(f"rational inputs must be exact, got the float {x!r}")
+    return Fraction(x)
 
 
 def check_divisor(G, D):

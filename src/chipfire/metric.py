@@ -36,15 +36,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from . import exact, _kernels
-from .graph import Graph, check_divisor
-
-
-def _rational(x):
-    """Fraction(x); a float raises TypeError, since its binary value (0.1 is
-    3602879701896397/2**55) is rarely the length or offset meant."""
-    if isinstance(x, float):
-        raise TypeError(f"lengths and offsets must be exact, got the float {x!r}")
-    return Fraction(x)
+from .graph import Graph, _rational, check_divisor
 
 
 class MetricGraph:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import exact
 from .graph import (
-    _reduced_laplacian, apply_laplacian, bfs_distances, check_divisor, check_vertex,
+    _rational, _reduced_laplacian, apply_laplacian, bfs_distances, check_divisor,
+    check_vertex,
 )
 
 
@@ -33,15 +34,16 @@ class GeneralizedInverse:
 
     kind is one of 'reduced' (q-reduced inverse L_(q)), 'moore_penrose',
     or 'weighted' (L_mu, optionally shifted to G_mu with G_mu mu = 0).
+    Entries of L and mu are exact rationals; a float raises TypeError.
     """
 
     __slots__ = ("kind", "L", "q", "mu")
 
     def __init__(self, kind, L, q=None, mu=None):
         self.kind = kind
-        self.L = tuple(tuple(Fraction(x) for x in row) for row in L)
+        self.L = tuple(tuple(_rational(x) for x in row) for row in L)
         self.q = q
-        self.mu = None if mu is None else tuple(Fraction(x) for x in mu)
+        self.mu = None if mu is None else tuple(_rational(x) for x in mu)
 
     @property
     def n(self):
@@ -78,7 +80,8 @@ def moore_penrose(G):
 
 
 def weighted_inverse(G, mu, shifted=False):
-    """L_mu = sum_i mu_i L_(i) for rational weights mu summing to 1.
+    """L_mu = sum_i mu_i L_(i) for rational weights mu summing to 1; a
+    float weight raises TypeError.
 
     Read off one j-table: j_i(p, v) = (r(p, i) + r(v, i) - r(p, v)) / 2, so
     L_mu[p][v] = (rho(p) + rho(v) - r(p, v)) / 2 with rho(p) = sum_i mu_i r(p, i).
@@ -86,7 +89,7 @@ def weighted_inverse(G, mu, shifted=False):
     G_mu = L_mu - c_mu J, which satisfies G_mu mu = 0.
     """
     n = G.n
-    mu = [Fraction(x) for x in mu]
+    mu = [_rational(x) for x in mu]
     if len(mu) != n:
         raise ValueError("weight vector size does not match graph")
     if sum(mu) != 1:
@@ -196,8 +199,8 @@ class PotentialTable:
     def b(self, D, h=None):
         """b_q(D) = <1, D>_q, or the h-weighted variant sum j_q(p,v) h(p) D(v).
 
-        h, when given, must be positive off q; its value at q is irrelevant
-        since j_q(q, .) = 0.
+        h, when given, must be exact and positive off q (a float raises
+        TypeError); its value at q is irrelevant since j_q(q, .) = 0.
         """
         check_divisor(self, D)  # against the table's n, its graph's
         if h is None:
@@ -206,7 +209,7 @@ class PotentialTable:
                 if c:
                     total += c * sum(row[v] for row in self.num)
             return Fraction(total, self.den)
-        h = [Fraction(x) for x in h]
+        h = [_rational(x) for x in h]
         if len(h) != self.n:
             raise ValueError("weight vector size does not match graph")
         if any(h[p] <= 0 for p in range(self.n) if p != self.q):

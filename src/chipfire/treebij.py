@@ -35,6 +35,14 @@ class SpanningTree:
         return self.tree_edges | self.ext_passive
 
 
+def _find(parent, x):
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def is_spanning_tree(G, edge_indices):
     """True iff the index set is acyclic and touches every vertex."""
     edge_indices = set(edge_indices)
@@ -44,16 +52,9 @@ def is_spanning_tree(G, edge_indices):
     if any(not (0 <= e < m) for e in edge_indices):
         return False
     parent = list(range(G.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in edge_indices:
         u, v = G.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -67,58 +68,26 @@ def enumerate_spanning_trees(G):
             yield frozenset(combo)
 
 
-def _tree_adjacency(G, tree_edges):
-    adj = [[] for _ in range(G.n)]
-    for e in tree_edges:
-        u, v = G.edges[e]
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    return adj
-
-
-def _tree_path_edges(adj, n, s, t):
-    """Edge indices along the unique tree path from s to t."""
-    prev = [None] * n
-    seen = [False] * n
-    seen[s] = True
-    queue = [s]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if v == t:
-            break
-        for w, e in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                prev[w] = (v, e)
-                queue.append(w)
-    path = []
-    v = t
-    while v != s:
-        v, e = prev[v]
-        path.append(e)
-    return path
-
-
 def external_activity(G, tree_edges):
     """Independent split of non-tree edges into (active, passive, count).
 
     An edge e not in T is externally active iff e has the largest index in
-    the unique cycle of T + e.
+    the unique cycle of T + e.  That cycle is e plus the tree path between
+    its ends, the only path in T that joins them, so e is active iff the
+    tree edges of smaller index already join its ends.  One union-find pass
+    over the edges in index order, joining each tree edge, decides every e.
     """
     tree_edges = frozenset(tree_edges)
     if not is_spanning_tree(G, tree_edges):
         raise ValueError("edge set is not a spanning tree")
-    adj = _tree_adjacency(G, tree_edges)
+    parent = list(range(G.n))
     active = set()
     passive = set()
-    for e in range(G.m):
+    for e, (u, v) in enumerate(G.edges):
+        ru, rv = _find(parent, u), _find(parent, v)
         if e in tree_edges:
-            continue
-        u, v = G.edges[e]
-        cycle = _tree_path_edges(adj, G.n, u, v)
-        if all(e > c for c in cycle):
+            parent[ru] = rv
+        elif ru == rv:
             active.add(e)
         else:
             passive.add(e)

@@ -39,6 +39,7 @@ from chipfire.graph import (
     _laplacian_list,
 )
 from chipfire.potential import (
+    GeneralizedInverse,
     b_q,
     effective_resistance,
     energy_pairing,
@@ -161,6 +162,26 @@ def test_weighted_inverse_rejects_bad_mu():
         weighted_inverse(G, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError, match="size"):
         weighted_inverse(cycle_graph(4), [1, 0, 0])
+
+
+def test_float_weights_and_entries_are_refused():
+    # a float is read at its binary value: [0.1, 0.2, 0.3, 0.4] does not sum
+    # to 1 and h = 0.1 made b_q 118895030162581095/2**57 instead of 33/40
+    G = cycle_graph(4)
+    D = Divisor((0, 1, 0, 0))
+    assert b_q(G, 0, D, h=[1, "1/10", 1, 1]) == Fraction(33, 40)
+    exact_mu = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    assert weighted_inverse(G, exact_mu).mu == tuple(exact_mu)
+    with pytest.raises(TypeError, match="must be exact"):
+        weighted_inverse(G, [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(TypeError, match="must be exact"):
+        b_q(G, 0, D, h=[1, 0.1, 1, 1])
+    with pytest.raises(TypeError, match="must be exact"):
+        j_function(G, 0).b(D, h=[1, 0.1, 1, 1])
+    with pytest.raises(TypeError, match="must be exact"):
+        GeneralizedInverse("reduced", [[0.5, 0], [0, 0]], q=1)
+    with pytest.raises(TypeError, match="must be exact"):
+        GeneralizedInverse("weighted", [[0, 0], [0, 0]], mu=[0.5, 0.5])
 
 
 def test_weighted_uniform_shifted_is_moore_penrose():

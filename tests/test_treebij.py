@@ -36,7 +36,7 @@ from chipfire.treebij import (
     tree_to_divisor,
 )
 
-from corpus import RANDOM, SMALL, random_divisor
+from corpus import RANDOM, SMALL, kruskal_tree, random_divisor, tree_plus_edges
 
 
 # -- Basics ---------------------------------------------------------------------
@@ -220,6 +220,15 @@ def test_processed_edges_match_tree_plus_passive():
                 assert processed == frozenset(tree) | burn.ext_passive
 
 
+def _active_by_definition(G, tree):
+    """Non-tree edges e that no tree edge f > e can swap for: T - f + e is a
+    spanning tree exactly when f lies on the cycle of T + e."""
+    return frozenset(
+        e for e in range(G.m) if e not in tree
+        and not any(f > e and is_spanning_tree(G, tree - {f} | {e}) for f in tree)
+    )
+
+
 def test_activity_split_matches_cycle_definition():
     for G in SMALL[2:] + RANDOM[:6]:
         for tree in enumerate_spanning_trees(G):
@@ -228,6 +237,26 @@ def test_activity_split_matches_cycle_definition():
             active, passive, _count = external_activity(G, tree)
             assert burn.ext_active == active
             assert burn.ext_passive == passive
+            assert active == _active_by_definition(G, tree)
+            assert active | passive == frozenset(range(G.m)) - tree
+
+
+def test_activity_split_matches_the_burn_past_8_vertices():
+    # seeded 100-400-vertex multigraphs with 3n edges, a few Kruskal trees
+    # each: too large to enumerate, so the burn meets the union-find split
+    rng = np.random.default_rng(2710)
+    for n in (100, 200, 400):
+        G = tree_plus_edges(n, 3 * n, Random(n))
+        for _ in range(3):
+            tree = kruskal_tree(G, rng.permutation(G.m))
+            q = int(rng.integers(0, n))
+            D = tree_to_divisor(G, q, tree)
+            burn = divisor_to_tree(G, q, D)
+            active, passive, count = external_activity(G, tree)
+            assert burn.tree_edges == tree
+            assert burn.ext_active == active
+            assert burn.ext_passive == passive
+            assert D[q] == count
 
 
 def test_chips_at_q_count_active_edges():
