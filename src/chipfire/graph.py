@@ -43,6 +43,9 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             norm.append((min(u, v), max(u, v)))
+        # a connected graph has m >= n - 1; refuse before allocating per vertex
+        if len(norm) < n - 1:
+            raise ValueError("graph must be connected")
         self.n = n
         self.edges = tuple(norm)
 

@@ -274,15 +274,22 @@ def winnable(G, D, q=0):
 
 
 def _effective_divisors(n, degree):
-    """All effective divisors of the given degree, lexicographically."""
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-    for coeffs in rec([], degree, n):
+    """All effective divisors of the given degree, lexicographically.
+
+    From (0, ..., 0, degree), each step takes the last positive c_j with
+    j > 0, adds one to c_(j-1) and puts the other c_j - 1 chips on the last
+    vertex; it stops at (degree, 0, ..., 0).  No recursion, so n is bounded
+    only by the caller's cap.
+    """
+    coeffs = [0] * (n - 1) + [degree]
+    while True:
         yield Divisor(coeffs)
+        j = next((i for i in range(n - 1, 0, -1) if coeffs[i]), 0)
+        if j == 0:
+            return
+        rest, coeffs[j] = coeffs[j] - 1, 0
+        coeffs[j - 1] += 1
+        coeffs[-1] = rest
 
 
 # rank_at_least tests one effective divisor of degree c after another, and

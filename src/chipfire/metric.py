@@ -22,10 +22,10 @@ b_q are read off such a potential, and nothing is cached.  A divisor is made
 effective off q by one rounded j_q-potential, which leaves a number of chips
 per model vertex bounded by the model alone; Luo moves then only move chips,
 each reading its eps and its moves off the cut that the walk of the stalled
-component lists.  The reduction's script needs no solve: it is the
-make-effective script plus min(dist(., X), eps) for each move, summed as
-the moves run at the model's points and the points of supp(D), between
-which it is affine.
+component lists.  The reduction's script needs no solve: it is read off
+the move log after the loop, the make-effective script plus min(dist(., X),
+eps) for each move, summed at the final model's points and the points of
+supp(D), between which it is affine.
 """
 
 from __future__ import annotations
@@ -630,71 +630,33 @@ def metric_reduce(gamma, q, D):
     leaving X, that is, move one chip from X eps along every edge leaving
     it.  Each move decreases b_q by exactly l(X) eps + (cut/2) eps^2;
     termination has no a-priori bound, so a generous safety cap guards the
-    loop.  The script is the make-effective script f0 plus one function per
-    move, min(dist(., X), eps): 0 on X, min(t, eps) at distance t along an
-    edge leaving X, and eps everywhere else, q included, so its value at q
-    is sum(eps).  It is summed at the points of the loop's model and of
-    supp(D), which carry its Laplacian (result - D), and is affine between
-    them; D + Delta(script) == result is checked exactly.
+    loop.  The loop only moves chips; the script is read off its log after
+    it: the make-effective script f0 plus min(dist(., X), eps) for each
+    move, which is eps at q, so the script is sum(eps) there.  It is summed
+    at the final model's points and the points of supp(D), which carry its
+    Laplacian (result - D), and is affine between them; D + Delta(script)
+    == result is checked exactly.
     """
     q = _as_point(q)
     E0, f0 = metric_make_effective(gamma, q, D)
     E, log = E0, []
-    # The script so far: at the model's points in level (by model vertex),
-    # and in loose at the other points of supp(D), each inside the model
-    # edge home[p], and at the points the last move created.  Before the
-    # first model, loose holds them all.
-    start = (*map(GraphPoint.vertex, range(gamma.n)), q, *E0.support, *D.support)
-    loose = {p: f0.evaluate(p) for p in start}
     model = interior = None
     for _ in range(_MAX_LUO_ITERATIONS):
         # the model depends only on the interior points of {q} and supp(E)
         points = frozenset(p for p in (q, *E.support) if p.kind == "e")
         if points != interior:
-            if model is not None:
-                loose.update(zip(model.points, level))
             model, interior = _Model(gamma, [q, *E.support]), points
-            level = [loose.pop(p) for p in model.points]
-            home = {
-                p: next(
-                    idx
-                    for idx, (_a, _b, e, o1, o2) in enumerate(model.medges)
-                    if e == p.edge and o1 < p.offset < o2
-                )
-                for p in D.support
-                if p in loose
-            }
-            loose = {p: loose[p] for p in home}
         order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
         if len(order) == len(model.points):
             break
         comp, cut = next(_components(model, order))
         eps = min(model.lengths[idx] for idx, _v in cut)
-        in_x = {model.vid_of[p] for p in comp.points}
-        moves, created = [], {}
+        moves = []
         for idx, v in cut:
-            a, b, e, o1, o2 = model.medges[idx]
+            a, _b, e, o1, o2 = model.medges[idx]
             # the end inside X is a model vertex; the far end may fold onto one
             far = gamma.point(e, o1 + eps if v == a else o2 - eps)
             moves += [(model.points[v], -1), (far, 1)]
-            if far not in model.vid_of and far not in loose:
-                # the script before the move is affine around a new point
-                anchors = [(o1, level[a]), (o2, level[b])]
-                anchors += [(p.offset, loose[p]) for p, i in home.items() if i == idx]
-                created[far] = _interpolate(sorted(anchors), far.offset) + eps
-        level = [x if v in in_x else x + eps for v, x in enumerate(level)]
-        for p, idx in home.items():
-            a, b, _e, o1, o2 = model.medges[idx]
-            if a in in_x and b in in_x:
-                rise = _ZERO
-            elif a in in_x:
-                rise = min(p.offset - o1, eps)
-            elif b in in_x:
-                rise = min(o2 - p.offset, eps)
-            else:
-                rise = eps
-            loose[p] += rise
-        loose.update(created)
         after = MetricDivisor(list(E) + moves)
         drop = comp.total_length * eps + Fraction(comp.cut_size, 2) * eps * eps
         log.append(
@@ -705,9 +667,14 @@ def metric_reduce(gamma, q, D):
         E = after
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
-    kinks = [(p.edge, p.offset, x) for p, x in loose.items()]
+    loose = [p for p in D.support if p not in model.vid_of]
+    sites = model.points + loose
+    values = [f0.evaluate(p) for p in sites]
+    for it in log:
+        _add_move(gamma, it.component, it.epsilon, sites, values)
+    kinks = [(p.edge, p.offset, x) for p, x in zip(loose, values[len(model.points):])]
     try:
-        script = _tropical_from_model(gamma, model, level, kinks)
+        script = _tropical_from_model(gamma, model, values, kinks)
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -719,6 +686,37 @@ def metric_reduce(gamma, q, D):
         make_effective_script=f0,
         iterations=tuple(log),
     )
+
+
+def _add_move(gamma, X, eps, sites, values):
+    """Add min(dist(p, X), eps) to values[i] for each point p = sites[i].
+
+    Every model edge leaving X is at least eps long, so a point off X within
+    eps of it is read along its own edge: 0 inside a segment of X, else the
+    offset to the nearest point of X there (an end of the edge counts when X
+    holds that vertex), capped at eps.  A vertex off X is eps or more away.
+    """
+    inside = set(X.points)
+    at_vertex, offsets, segments = set(), {}, {}
+    for p in X.points:
+        if p.kind == "v":
+            at_vertex.add(p.index)
+        else:
+            offsets.setdefault(p.edge, []).append(p.offset)
+    for e, o1, o2 in X.segments:
+        segments.setdefault(e, []).append((o1, o2))
+    for i, p in enumerate(sites):
+        if p in inside:
+            continue
+        if p.kind == "v":
+            values[i] += eps
+            continue
+        e, o = p.edge, p.offset
+        if any(o1 < o < o2 for o1, o2 in segments.get(e, ())):
+            continue
+        ends = zip(gamma.graph.edges[e], (_ZERO, gamma.lengths[e]))
+        near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
+        values[i] += min([eps] + [abs(o - x) for x in near])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Core claims:
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message; metric-reduce stopped at
       its Luo-move safety cap, or failing its exact script check, exits 3.
+    - A file naming 10**12 vertices and no edges is refused with exit 2 and
+      one JSON object, not with a MemoryError.
     - JSON reports are deterministic apart from wall_time_ms, and every
       subcommand's report is pinned by one digest.
     - `jacobian` returns within a timeout on graphs where an unbounded
@@ -448,6 +450,19 @@ def test_cli_rank(k3_file):
     big = run_cli(["rank", k3_file, "--divisor", "300 0 0", "--c", "250"])
     assert big.returncode == 2
     assert "cap" in big.stderr and big.stdout == ""
+
+
+def test_cli_huge_vertex_count_exits_2(tmp_path, capsys):
+    huge = tmp_path / "huge.cf"
+    huge.write_text("graph 1000000000000\n")
+    assert cli.main(["count-trees", str(huge), "--format", "json"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": "count-trees",
+        "error": f"{huge}: graph must be connected",
+        "exit_code": 2,
+    }
 
 
 def test_cli_bounds(k3_file):

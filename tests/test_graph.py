@@ -2,7 +2,9 @@
 
 Core claims:
     - Graph validates its input (loops, range, connectivity) and normalizes
-      edges to (min, max) while keeping their order.
+      edges to (min, max) while keeping their order; a vertex count above
+      m + 1 is refused as disconnected before anything is allocated per
+      vertex.
     - laplacian is symmetric with zero row sums and degree diagonal, and it
       and reduced_laplacian (int64 and float64, every q) equal the per-edge
       loop that fills Q entry by entry.
@@ -61,6 +63,12 @@ def test_rejects_disconnected():
     for n, edges in ((4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (3, [(0, 1)])):
         with pytest.raises(ValueError, match="graph must be connected"):
             Graph(n, edges)
+
+
+def test_rejects_too_few_edges_before_allocating_per_vertex():
+    # m < n - 1 is refused before [0] * n, which would not fit in memory
+    with pytest.raises(ValueError, match="graph must be connected"):
+        Graph(10**12, [])
 
 
 def test_rejects_empty_vertex_set():

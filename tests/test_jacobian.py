@@ -25,7 +25,9 @@ Core claims:
       The sampler refuses a bad seed or count before it builds the Smith
       form.
     - winnable/rank agree with brute-force search on small graphs and with
-      known values.
+      known values; rank_at_least enumerates the effective divisors of
+      degree c in lexicographic order without recursion, so a 1500-vertex
+      cycle inside the enumeration cap is answered.
 """
 
 import hashlib
@@ -54,6 +56,7 @@ from chipfire.graph import (
 from chipfire.jacobian import (
     RANK_ENUMERATION_CAP,
     JacobianPresentation,
+    _effective_divisors,
     _uniform_below,
     count_spanning_trees,
     group_add,
@@ -525,6 +528,32 @@ def test_rank_at_least_refuses_past_the_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         rank_at_least(G, Divisor((300, 0, 0)), 199)
     assert not rank_at_least(G, Divisor((198, 0, 0)), 199)  # degree too small
+
+
+def _recursive_effective_divisors(n, degree):
+    """The recursive enumeration _effective_divisors replaced: the first
+    coefficient outermost, the last taking what is left."""
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + [remaining]
+            return
+        for c in range(remaining + 1):
+            yield from rec(prefix + [c], remaining - c, slots - 1)
+    return [tuple(coeffs) for coeffs in rec([], degree, n)]
+
+
+def test_effective_divisors_keep_the_recursive_order():
+    for n in range(1, 6):
+        for degree in range(5):
+            got = [D.coeffs for D in _effective_divisors(n, degree)]
+            assert got == _recursive_effective_divisors(n, degree)
+
+
+def test_rank_at_least_on_a_1500_vertex_cycle():
+    # 1500 divisors of degree 1, under the cap; the first, v1499, leaves
+    # v0 - v1499, which is not winnable on a cycle
+    D = Divisor([1] + [0] * 1499)
+    assert rank_at_least(cycle_graph(1500), D, 1) is False
 
 
 def test_rank_canonical_divisors():

@@ -17,9 +17,10 @@ Core claims:
       test_metric_make_effective.py); metric_reduce terminates with an exact
       per-move b_q drop of l(X) eps + cut/2 eps^2 and a script reproducing
       the result, or raises RuntimeError at its safety cap on Luo moves.
-      The script summed from the moves is the potential of (result - D)
-      from one exact solve, shifted to sum(eps) at q, on the METRIC corpus
-      and on rational lengths where moves create points; the only exact
+      The script summed from the move log is the potential of (result - D)
+      from one exact solve, shifted to sum(eps) at q, on the METRIC corpus,
+      on rational lengths where moves create points, and on hypothesis
+      graphs with rational lengths and interior chips; the only exact
       solve metric_reduce makes is make-effective's, and a wrong summed
       value fails the exact check D + Delta(script) == result.
     - On unit edge lengths the metric machinery agrees with the
@@ -46,6 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chipfire import metric
 from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph, path_graph
@@ -504,6 +506,37 @@ def test_summed_script_is_the_solved_potential_where_moves_create_points():
             created_at_interior_q += q.kind == "e"
     # the seed gives 9 such cases, 5 of them with q interior
     assert created >= 8 and created_at_interior_q >= 4
+
+
+@st.composite
+def _rational_cases(draw):
+    """(gamma, q, D): a connected multigraph on 2-6 vertices with lengths
+    k/d (k <= 5, d <= 3), chips in -1..2 at the vertices and at 1-2
+    interior points, q a vertex or one of those points."""
+    n = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        edges.append((u, v + (v >= u)))
+    lengths = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3))) for _ in edges]
+    gamma = MetricGraph(Graph(n, edges), lengths)
+    pool = [_vp(v) for v in range(n)]
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.integers(0, gamma.m - 1))
+        d = draw(st.integers(2, 4))
+        pool.append(gamma.point(e, lengths[e] * draw(st.integers(1, d - 1)) / d))
+    q = draw(st.sampled_from(pool))
+    D = MetricDivisor([(p, draw(st.integers(-1, 2))) for p in pool])
+    return gamma, q, D
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_rational_cases())
+def test_summed_script_is_the_solved_potential_on_random_rational_graphs(case):
+    gamma, q, D = case
+    report = metric_reduce(gamma, q, D)
+    assert report.script == _solved_script(gamma, q, D, report)
 
 
 def test_metric_reduce_solves_only_to_make_effective(monkeypatch):
