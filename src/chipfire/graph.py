@@ -258,8 +258,11 @@ def check_vertex(G, q):
 
 
 def _rational(x):
-    """Fraction(x); a float raises TypeError, since its binary value (0.1 is
-    3602879701896397/2**55) is rarely the length, offset or weight meant."""
+    """Fraction(x), or x itself when it is exactly a Fraction; a float raises
+    TypeError, since its binary value (0.1 is 3602879701896397/2**55) is
+    rarely the length, offset or weight meant."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"rational inputs must be exact, got the float {x!r}")
     return Fraction(x)

@@ -300,8 +300,10 @@ RANK_ENUMERATION_CAP = 20_000
 def rank_at_least(G, D, c):
     """True iff D - E is winnable for every effective E of degree c.
 
-    Short-circuits on the first failing E in lexicographic order.  Raises
-    ValueError when there are more than RANK_ENUMERATION_CAP such E.
+    Raises ValueError when there are more than RANK_ENUMERATION_CAP such E.
+    Under the cap, deg(D) - c >= g answers True without a reduction: by
+    Riemann-Roch r(D - E) >= deg(D) - c - g >= 0 for every E.  Otherwise it
+    short-circuits on the first failing E in lexicographic order.
     """
     check_divisor(G, D)
     if c < 0:
@@ -314,6 +316,8 @@ def rank_at_least(G, D, c):
             f"rank >= {c} would test {count} divisors, "
             f"more than the cap of {RANK_ENUMERATION_CAP}"
         )
+    if D.degree - c >= G.genus():
+        return True
     for E in _effective_divisors(G.n, c):
         if winnable(G, D - E, 0) is None:
             return False

@@ -18,7 +18,9 @@ Gamma.  Burning, moves and potentials are all computed on the model and
 mapped back to points.  Every potential of a divisor comes from one helper,
 _grounded: the j_q-potential from one exact single-column solve of a fresh
 model's grounded Laplacian, scaled to integer conductances; j_q, r, E_q and
-b_q are read off such a potential, and nothing is cached.  A divisor is made
+b_q are read off such a potential.  Nothing is cached but the vertex points:
+a MetricGraph builds one GraphPoint per vertex with itself, and hands those
+out wherever a vertex is meant, to models and Laplacians.  A divisor is made
 effective off q by one rounded j_q-potential, which leaves a number of chips
 per model vertex bounded by the model alone; Luo moves then only move chips,
 each reading its eps and its moves off the cut that the walk of the stalled
@@ -41,9 +43,10 @@ from .graph import Graph, _rational, check_divisor
 
 class MetricGraph:
     """A connected loopless multigraph with positive rational edge lengths;
-    a float length raises TypeError."""
+    a float length raises TypeError.  Each vertex's GraphPoint is built
+    once, here, and handed out by point and vertex_point."""
 
-    __slots__ = ("graph", "lengths")
+    __slots__ = ("graph", "lengths", "_vertex_points")
 
     def __init__(self, graph, lengths):
         lengths = tuple(_rational(x) for x in lengths)
@@ -53,6 +56,7 @@ class MetricGraph:
             raise ValueError("edge lengths must be positive")
         self.graph = graph
         self.lengths = lengths
+        self._vertex_points = tuple(GraphPoint.vertex(v) for v in range(graph.n))
 
     @property
     def n(self):
@@ -71,15 +75,15 @@ class MetricGraph:
             raise ValueError("offset outside the edge")
         u, v = self.graph.edges[edge]
         if offset == 0:
-            return GraphPoint.vertex(u)
+            return self._vertex_points[u]
         if offset == self.lengths[edge]:
-            return GraphPoint.vertex(v)
+            return self._vertex_points[v]
         return GraphPoint("e", edge, offset)
 
     def vertex_point(self, v):
         if not (0 <= v < self.n):
             raise ValueError("vertex index out of range")
-        return GraphPoint.vertex(v)
+        return self._vertex_points[v]
 
     @property
     def total_length(self):
@@ -177,7 +181,11 @@ class MetricDivisor:
             w = operator.index(w)
             if w:
                 acc[p] = acc.get(p, 0) + w
-        self.entries = tuple(sorted(((p, w) for p, w in acc.items() if w != 0)))
+        # points in acc are distinct, so sorting on their keys alone keeps the
+        # canonical order without calling GraphPoint's comparisons
+        self.entries = tuple(
+            sorted(((p, w) for p, w in acc.items() if w), key=lambda pw: pw[0]._key)
+        )
 
     @property
     def degree(self):
@@ -264,10 +272,13 @@ class TropicalFunction:
         anchors.append((length, self.vertex_values[v]))
         kinks, slopes = [], []
         for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
-            s = (v2 - v1) / (o2 - o1)
-            if s.denominator != 1:
+            # rise/run in integers: no Fraction is built for the quotient
+            rise, run = v2 - v1, o2 - o1 if o1 else o2
+            s, r = divmod(
+                rise.numerator * run.denominator, rise.denominator * run.numerator
+            )
+            if r:
                 raise ValueError("slopes must be integers")
-            s = s.numerator
             if not slopes:
                 slopes.append(s)
             elif s != slopes[-1]:
@@ -278,7 +289,7 @@ class TropicalFunction:
     def _anchors(self, e):
         u, v = self.gamma.graph.edges[e]
         return (
-            [(Fraction(0), self.vertex_values[u])]
+            [(_ZERO, self.vertex_values[u])]
             + list(self.breaks[e])
             + [(self.gamma.lengths[e], self.vertex_values[v])]
         )
@@ -332,11 +343,12 @@ def metric_laplacian(gamma, f):
         if w:
             weights[point] = weights.get(point, 0) + w
 
+    vertex = gamma._vertex_points
     for e, (u, v) in enumerate(gamma.graph.edges):
         slopes = f._slopes[e]
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
-        bump(GraphPoint.vertex(u), -slopes[0])
-        bump(GraphPoint.vertex(v), slopes[-1])
+        bump(vertex[u], -slopes[0])
+        bump(vertex[v], slopes[-1])
         for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
             bump(gamma.point(e, o), s1 - s2)
     return MetricDivisor(weights)
@@ -353,7 +365,8 @@ class _Model:
     the maximal subsegments between consecutive model vertices, each of
     positive length: a point not on Gamma (an index out of range, or an edge
     offset not strictly inside its edge) raises ValueError.  lengths[i] is
-    the length of medges[i].
+    the length of medges[i]; an edge with no interior point is one model
+    edge of its own length.
     """
 
     __slots__ = ("gamma", "points", "vid_of", "medges", "lengths", "graph")
@@ -369,25 +382,22 @@ class _Model:
             elif gamma.point(p.edge, p.offset) != p:
                 raise ValueError("edge point offset not strictly inside its edge")
             else:
-                per_edge.setdefault(p.edge, set()).add(p.offset)
-        interior = []
-        for e in sorted(per_edge):
-            for off in sorted(per_edge[e]):
-                interior.append(GraphPoint("e", e, off))
-        self.points = [GraphPoint.vertex(v) for v in range(gamma.n)] + interior
-        self.vid_of = {p: i for i, p in enumerate(self.points)}
+                per_edge.setdefault(p.edge, {})[p.offset] = p
+        self.points = list(gamma._vertex_points)
         self.medges = []  # (vid_a, vid_b, edge, start_off, end_off)
-        for e in range(gamma.m):
-            u, v = gamma.graph.edges[e]
-            offs = sorted(per_edge.get(e, ()))
-            stops = (
-                [(Fraction(0), u)]
-                + [(o, self.vid_of[GraphPoint("e", e, o)]) for o in offs]
-                + [(gamma.lengths[e], v)]
-            )
-            for (o1, a), (o2, b) in zip(stops, stops[1:]):
+        self.lengths = []
+        for e, (u, v) in enumerate(gamma.graph.edges):
+            a, o1 = u, _ZERO
+            for o2, p in sorted(per_edge.get(e, {}).items()):
+                b = len(self.points)
+                self.points.append(p)
                 self.medges.append((a, b, e, o1, o2))
-        self.lengths = [o2 - o1 for *_, o1, o2 in self.medges]
+                self.lengths.append(o2 - o1)
+                a, o1 = b, o2
+            length = gamma.lengths[e]
+            self.medges.append((a, v, e, o1, length))
+            self.lengths.append(length - o1 if o1 else length)
+        self.vid_of = {p: i for i, p in enumerate(self.points)}
         self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
 
     def chips(self, D):
@@ -558,18 +568,20 @@ def metric_make_effective(gamma, q, D):
         return D, TropicalFunction.zero(gamma)
     q_vid = model.vid_of[q]
     chips = model.chips(D)
-    c = [_ZERO] * len(chips)
+    # c in integers: scale * c(p), with 1/len = b/a an integer iff a == 1
+    scale = lcm(*(x.numerator for x in model.lengths))
+    c = [0] * len(chips)
     for (a, b, *_), length in zip(model.medges, model.lengths):
-        k = 1 / length
-        k += k.denominator != 1
+        k = scale // length.numerator * length.denominator
+        k += scale * (length.numerator != 1)
         c[a] += k
         c[b] += k
-    target = [w - (ceil(c[v]) - 1) * (v != q_vid) for v, w in enumerate(chips)]
+    target = [w + (-c[v] // scale + 1) * (v != q_vid) for v, w in enumerate(chips)]
     values = [-ceil(x) for x in _grounded_potential(model, q_vid, target)]
     kinks = []
     for (a, b, e, o1, _o2), length in zip(model.medges, model.lengths):
         rise = values[b] - values[a]
-        s = ceil(rise / length) - 1
+        s = -(-rise * length.denominator // length.numerator) - 1
         t = rise - s * length
         chips[a] -= s + 1
         if t < length:
@@ -778,6 +790,4 @@ def unit_metric(G):
 def divisor_to_metric(gamma, D):
     """Lift a vertex-supported divisor onto the metric graph."""
     check_divisor(gamma, D)
-    return MetricDivisor(
-        {GraphPoint.vertex(v): c for v, c in enumerate(D) if c}
-    )
+    return MetricDivisor({gamma._vertex_points[v]: c for v, c in enumerate(D) if c})

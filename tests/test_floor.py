@@ -8,8 +8,8 @@ Core claims:
       and on principal divisors, whose floor step lands on 0 after one
       float solve.
     - Every one of those floors is certified on the float path.
-    - A float solve that makes no progress sends step 1 to the exact solve,
-      with an identical report.
+    - A float solve that makes no progress, or one that is not finite,
+      sends step 1 to the exact solve, with an identical report.
     - reduce never builds the exact j-table: step 1 reads only its float
       view.
     - A 1000-vertex multigraph with 2^70 chips reduces in about a second.
@@ -19,8 +19,10 @@ Core claims:
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
+import pytest
 
 from chipfire import exact, potential
 from chipfire.graph import (
@@ -141,6 +143,43 @@ def test_no_progress_in_the_float_solve_falls_back_to_the_exact_solve(monkeypatc
         # the zero inverse also gives step 2 a zero guess, so it takes the
         # same borrows without descent rounds
         assert forced.step2_unborrow_sets == 0
+        assert dataclasses.replace(
+            forced,
+            floor_path=rep.floor_path,
+            floor_rounds=rep.floor_rounds,
+            step2_unborrow_sets=rep.step2_unborrow_sets,
+        ) == rep
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_float_solve_falls_back_to_the_exact_solve(monkeypatch, bad):
+    # the true inverse with one non-finite entry off index 0: the first float
+    # solve is not finite, so step 1 takes the exact solve after one round,
+    # without casting the non-finite solve to integers
+    rng = np.random.default_rng(612)
+    cases = []
+    for n in (7, 30):
+        G = _fresh_graph(n, rng)
+        for D in _divisors(G, rng)[:2]:
+            cases.append((G, n - 1, D, reduce_divisor(G, n - 1, D)))
+    true_inverse = potential.PotentialTable.float_inverse
+
+    def poisoned(table):
+        inv = true_inverse(table).copy()
+        inv[table.n // 2, 1] = bad
+        return inv
+
+    monkeypatch.setattr(potential.PotentialTable, "float_inverse", poisoned)
+    for G, q, D, rep in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # NaN and inf * 0 in the matvec
+            forced = reduce_divisor(G, q, D)
+        assert not [w for w in caught if "encountered in cast" in str(w.message)]
+        assert forced.floor_path == "exact"
+        assert forced.floor_rounds == 1
+        assert forced.result == rep.result
+        assert forced.script == rep.script
+        assert forced.after_step1 == rep.after_step1
         assert dataclasses.replace(
             forced,
             floor_path=rep.floor_path,

@@ -52,6 +52,7 @@ from chipfire.graph import (
     canonical_plus,
     complete_graph,
     cycle_graph,
+    path_graph,
 )
 from chipfire.jacobian import (
     RANK_ENUMERATION_CAP,
@@ -554,6 +555,16 @@ def test_rank_at_least_on_a_1500_vertex_cycle():
     # v0 - v1499, which is not winnable on a cycle
     D = Divisor([1] + [0] * 1499)
     assert rank_at_least(cycle_graph(1500), D, 1) is False
+
+
+def test_rank_at_least_on_a_tree_needs_no_reduction(monkeypatch):
+    # deg(D) - c = 0 >= g = 0: Riemann-Roch answers for all 1500 divisors E
+    def no_reduce(*args, **kwargs):
+        raise AssertionError("rank_at_least reduced a divisor")
+
+    monkeypatch.setattr(sys.modules["chipfire.jacobian"], "reduce", no_reduce)
+    D = Divisor([1] + [0] * 1499)
+    assert rank_at_least(path_graph(1500), D, 1) is True
 
 
 def test_rank_canonical_divisors():

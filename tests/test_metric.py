@@ -1,8 +1,9 @@
 """Metric graphs, tropical functions and metric reduction.
 
 Core claims:
-    - GraphPoint canonicalization folds edge endpoints onto vertices and
-      MetricDivisor arithmetic is exact on sparse point supports.
+    - GraphPoint canonicalization folds edge endpoints onto vertices, which
+      are the metric graph's own vertex points, and MetricDivisor arithmetic
+      is exact on sparse point supports.
     - TropicalFunction validates integer slopes and breakpoint order,
       refuses a float value or offset with TypeError, and keeps only the
       breakpoints where the slope changes;
@@ -43,6 +44,7 @@ Core claims:
 
 import hashlib
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +52,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chipfire import metric
-from chipfire.graph import Divisor, Graph, complete_graph, cycle_graph, path_graph
+from chipfire.graph import (
+    Divisor, Graph, _rational, complete_graph, cycle_graph, path_graph,
+)
 from chipfire.metric import (
     GraphPoint,
     MetricDivisor,
@@ -110,6 +114,30 @@ def test_point_canonicalization():
         gamma.point(0, 2)
     with pytest.raises(ValueError, match="kind must be"):
         GraphPoint("x", 0)
+
+
+def test_metric_graph_hands_out_its_own_vertex_points():
+    gamma = MetricGraph(path_graph(3), [Fraction(1, 2), 3])
+    for e, (u, v) in enumerate(gamma.graph.edges):
+        assert gamma.point(e, 0) is gamma.vertex_point(u)
+        assert gamma.point(e, gamma.lengths[e]) is gamma.vertex_point(v)
+    for index in (-1, gamma.n):
+        with pytest.raises(ValueError, match="out of range"):
+            gamma.vertex_point(index)
+
+
+def test_rational_passes_a_fraction_through():
+    x = Fraction(3, 7)
+    assert _rational(x) is x
+    with pytest.raises(TypeError):
+        _rational(0.5)
+
+    class Half(Fraction):
+        pass
+
+    for value in (Half(1, 2), Decimal("0.5"), 3):
+        got = _rational(value)
+        assert type(got) is Fraction and got == Fraction(value)
 
 
 def test_point_ordering_vertices_first():
