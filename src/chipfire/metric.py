@@ -568,7 +568,8 @@ def metric_make_effective(gamma, q, D):
         return D, TropicalFunction.zero(gamma)
     q_vid = model.vid_of[q]
     chips = model.chips(D)
-    # c in integers: scale * c(p), with 1/len = b/a an integer iff a == 1
+    # c[p] is scale * c(p), an integer: for a length a/b, 1/len = b/a is an
+    # integer iff a == 1; ceil(c(p)) is then -(-c[p] // scale)
     scale = lcm(*(x.numerator for x in model.lengths))
     c = [0] * len(chips)
     for (a, b, *_), length in zip(model.medges, model.lengths):
