@@ -14,20 +14,22 @@ floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices), which refuses a point not on
-Gamma.  Burning, moves and potentials are all computed on the model and
-mapped back to points.  Every potential of a divisor comes from one helper,
+Gamma and keeps its edge lengths as integer ticks over one denominator.
+Burning, moves and potentials are all computed on the model and mapped
+back to points.  Every potential of a divisor comes from one helper,
 _grounded: the j_q-potential from one exact single-column solve of a fresh
 model's grounded Laplacian, scaled to integer conductances; j_q, r, E_q and
-b_q are read off such a potential.  Nothing is cached but the vertex points:
-a MetricGraph builds one GraphPoint per vertex with itself, and hands those
-out wherever a vertex is meant, to models and Laplacians.  A divisor is made
-effective off q by one rounded j_q-potential, which leaves a number of chips
-per model vertex bounded by the model alone; Luo moves then only move chips,
-each reading its eps and its moves off the cut that the walk of the stalled
-component lists.  The reduction's script needs no solve: it is read off
-the move log after the loop, the make-effective script plus min(dist(., X),
-eps) for each move, summed at the final model's points and the points of
-supp(D), between which it is affine.
+b_q are read off such a potential.  Across models nothing is cached but the
+vertex points, which a MetricGraph builds once and hands out wherever a
+vertex is meant.  A divisor is made effective off q by one rounded
+j_q-potential, which leaves a number of chips per model vertex bounded by
+the model alone.  Luo moves continue on that step's model, built anew only
+when the interior points in play change, and only move chips: each reads
+its eps and its moves off the cut that the walk of the stalled component
+lists, in ticks, and builds one Fraction per value it logs.  The script is
+read off the move log after the loop: the make-effective script plus
+min(dist(., X), eps) for each move, summed at the final model's points and
+the points of supp(D), between which it is affine.
 """
 
 from __future__ import annotations
@@ -337,20 +339,13 @@ def metric_laplacian(gamma, f):
     """Delta(f) as a MetricDivisor: -(sum of outgoing slopes) at each kink."""
     if f.gamma != gamma:
         raise ValueError("function does not live on this metric graph")
-    weights = {}
-
-    def bump(point, w):
-        if w:
-            weights[point] = weights.get(point, 0) + w
-
-    vertex = gamma._vertex_points
+    vertex, weights = gamma._vertex_points, []  # MetricDivisor merges them
     for e, (u, v) in enumerate(gamma.graph.edges):
         slopes = f._slopes[e]
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
-        bump(vertex[u], -slopes[0])
-        bump(vertex[v], slopes[-1])
+        weights += [(vertex[u], -slopes[0]), (vertex[v], slopes[-1])]
         for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
-            bump(gamma.point(e, o), s1 - s2)
+            weights.append((gamma.point(e, o), s1 - s2))
     return MetricDivisor(weights)
 
 
@@ -364,39 +359,46 @@ class _Model:
     0..n-1 first, then interior points by (edge, offset).  Model edges are
     the maximal subsegments between consecutive model vertices, each of
     positive length: a point not on Gamma (an index out of range, or an edge
-    offset not strictly inside its edge) raises ValueError.  lengths[i] is
-    the length of medges[i]; an edge with no interior point is one model
-    edge of its own length.
+    offset not strictly inside its edge) raises ValueError; an edge with no
+    interior point is one model edge.  Lengths are integer ticks over one
+    denominator: medges[i] is ticks[i] / den long, with den the lcm of the
+    denominators of Gamma's lengths and the interior offsets.
     """
 
-    __slots__ = ("gamma", "points", "vid_of", "medges", "lengths", "graph")
+    __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph")
 
     def __init__(self, gamma, extra_points):
-        self.gamma = gamma
         per_edge = {}
         for p in extra_points:
             p = _as_point(p)
-            # gamma's own constructors raise off Gamma and fold edge ends
             if p.kind == "v":
-                gamma.vertex_point(p.index)
-            elif gamma.point(p.edge, p.offset) != p:
-                raise ValueError("edge point offset not strictly inside its edge")
+                gamma.vertex_point(p.index)  # raises off Gamma
+            elif not (0 <= p.edge < gamma.m):
+                raise ValueError("edge index out of range")
+            elif not (0 < p.offset < gamma.lengths[p.edge]):
+                on_edge = 0 <= p.offset <= gamma.lengths[p.edge]
+                raise ValueError("edge point offset not strictly inside its edge"
+                                 if on_edge else "offset outside the edge")
             else:
                 per_edge.setdefault(p.edge, {})[p.offset] = p
+        self.den = den = lcm(
+            *(x.denominator for x in gamma.lengths),
+            *(o.denominator for offsets in per_edge.values() for o in offsets),
+        )
         self.points = list(gamma._vertex_points)
         self.medges = []  # (vid_a, vid_b, edge, start_off, end_off)
-        self.lengths = []
+        self.ticks = []
         for e, (u, v) in enumerate(gamma.graph.edges):
-            a, o1 = u, _ZERO
+            a, o1, t1 = u, _ZERO, 0
             for o2, p in sorted(per_edge.get(e, {}).items()):
-                b = len(self.points)
+                b, t2 = len(self.points), o2.numerator * (den // o2.denominator)
                 self.points.append(p)
                 self.medges.append((a, b, e, o1, o2))
-                self.lengths.append(o2 - o1)
-                a, o1 = b, o2
+                self.ticks.append(t2 - t1)
+                a, o1, t1 = b, o2, t2
             length = gamma.lengths[e]
             self.medges.append((a, v, e, o1, length))
-            self.lengths.append(length - o1 if o1 else length)
+            self.ticks.append(length.numerator * (den // length.denominator) - t1)
         self.vid_of = {p: i for i, p in enumerate(self.points)}
         self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
 
@@ -406,43 +408,53 @@ class _Model:
             vec[self.vid_of[p]] += w
         return vec
 
+    def along(self, idx, v, t):
+        """The point t > 0 ticks along model edge idx from its end v: the
+        other end if the edge is t ticks long, else a point strictly inside."""
+        a, b, e, o1, _o2 = self.medges[idx]
+        if t == self.ticks[idx]:
+            return self.points[b if v == a else a]
+        start = o1.numerator * (self.den // o1.denominator)
+        end = start + t if v == a else start + self.ticks[idx] - t
+        return GraphPoint("e", e, Fraction(end, self.den))
+
 
 def _tropical_from_model(gamma, model, values, kinks=()):
     """The TropicalFunction with `values` (one per model vertex) at the model
     vertices, affine between them and the (edge, offset, value) `kinks`."""
     anchors = [dict() for _ in range(gamma.m)]
+    n = gamma.n  # model vertex ids from n on are the interior points
     for a, b, e, o1, o2 in model.medges:
-        if o1 != 0:
+        if a >= n:
             anchors[e][o1] = values[a]
-        if o2 != gamma.lengths[e]:
+        if b >= n:
             anchors[e][o2] = values[b]
     for e, offset, value in kinks:
         anchors[e][offset] = value
     breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
-    return TropicalFunction(gamma, values[: gamma.n], breaks)
+    return TropicalFunction(gamma, values[:n], breaks)
 
 
 def _grounded_potential(model, q_vid, chips):
     """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
     affine on model edges: the j_q-potential of chips under conductance
     1/length, from one single-column exact solve of the model Laplacian
-    with q's row and column removed.  The system is scaled to integers: with
-    scale the lcm of the numerators of the model edge lengths, an edge of
-    length a/b has conductance scale*b/a and the right-hand side is
-    scale*chips, which leaves x as it is."""
-    scale = lcm(*(x.numerator for x in model.lengths))
+    with q's row and column removed.  The system is scaled to integers by
+    lcm(den, ticks) / den, which leaves x as it is: an edge of t ticks, with
+    conductance den/t, gets lcm(den, ticks) / t."""
+    full = lcm(model.den, *model.ticks)
     keep = [v for v in range(len(model.points)) if v != q_vid]
     row_of = {v: i for i, v in enumerate(keep)}
     lap = [[0] * len(keep) for _ in keep]
-    for (a, b, *_), length in zip(model.medges, model.lengths):
-        c = scale // length.numerator * length.denominator
+    for (a, b, *_), t in zip(model.medges, model.ticks):
+        c = full // t
         for u, w in ((a, b), (b, a)):
             if u != q_vid:
                 lap[row_of[u]][row_of[u]] += c
                 if w != q_vid:
                     lap[row_of[u]][row_of[w]] -= c
     x = [_ZERO] * len(model.points)
-    for v, (value,) in zip(keep, exact.solve(lap, [[scale * chips[v]] for v in keep])):
+    for v, (value,) in zip(keep, exact.solve(lap, [[full // model.den * chips[v]] for v in keep])):
         x[v] = value
     return x
 
@@ -491,7 +503,7 @@ def _components(model, order):
     components come out by their first point; segments and boundary are read
     off the component's own incident edges.  cut lists the edges leaving
     the component, all of them toward burnt vertices, as (model edge index,
-    end inside).
+    end inside).  total_length is one Fraction of the inner edges' tick sum.
     """
     G = model.graph
     burnt = [False] * G.n
@@ -521,7 +533,7 @@ def _components(model, order):
             points=tuple(model.points[v] for v in comp),
             segments=tuple(model.medges[idx][2:] for idx in inner),
             boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
-            total_length=sum((model.lengths[idx] for idx in inner), _ZERO),
+            total_length=Fraction(sum(model.ticks[idx] for idx in inner), model.den),
             cut_size=len(cut),
         ), cut
 
@@ -539,11 +551,8 @@ def metric_dhar(gamma, q, D):
     model = _Model(gamma, [q, *D.support])
     order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
     comps = tuple(comp for comp, _cut in _components(model, order))
-    return MetricDharOutcome(
-        reduced=not comps,
-        burn_order=tuple(model.points[v] for v in order),
-        components=comps,
-    )
+    burn_order = tuple(model.points[v] for v in order)
+    return MetricDharOutcome(reduced=not comps, burn_order=burn_order, components=comps)
 
 
 # ---------------------------------------------------------------------------
@@ -562,42 +571,44 @@ def metric_make_effective(gamma, q, D):
     integer (always on edges of length 1/k).  Then every model vertex p != q
     ends with 0 <= E(p) < 2 c(p), whatever the size of D.
     """
-    q = _as_point(q)
+    return _make_effective(gamma, _as_point(q), D)[:2]
+
+
+def _make_effective(gamma, q, D):
+    """(E, f, model): metric_make_effective's E and f, and the model at q and
+    supp(D) they were computed on, which metric_reduce starts its moves on."""
     model = _Model(gamma, [q, *D.support])  # an effective D off Gamma is refused too
     if D.is_effective(skip=q):
-        return D, TropicalFunction.zero(gamma)
+        return D, TropicalFunction.zero(gamma), model
     q_vid = model.vid_of[q]
     chips = model.chips(D)
-    # c[p] is scale * c(p), an integer: for a length a/b, 1/len = b/a is an
-    # integer iff a == 1; ceil(c(p)) is then -(-c[p] // scale)
-    scale = lcm(*(x.numerator for x in model.lengths))
+    # an edge of t ticks has 1/len = den/t, an integer iff t divides den; c[p]
+    # = scale * c(p) is an integer, and ceil(c(p)) = -(-c[p] // scale)
+    den = model.den
+    scale = lcm(den, *model.ticks) // den
     c = [0] * len(chips)
-    for (a, b, *_), length in zip(model.medges, model.lengths):
-        k = scale // length.numerator * length.denominator
-        k += scale * (length.numerator != 1)
+    for (a, b, *_), t in zip(model.medges, model.ticks):
+        k = scale * den // t + scale * (den % t != 0)
         c[a] += k
         c[b] += k
     target = [w + (-c[v] // scale + 1) * (v != q_vid) for v, w in enumerate(chips)]
     values = [-ceil(x) for x in _grounded_potential(model, q_vid, target)]
-    kinks = []
-    for (a, b, e, o1, _o2), length in zip(model.medges, model.lengths):
+    kinks = []  # (point, value): the kink t ticks from a, 0 < t < ticks
+    for i, ((a, b, *_), ticks) in enumerate(zip(model.medges, model.ticks)):
         rise = values[b] - values[a]
-        s = -(-rise * length.denominator // length.numerator) - 1
-        t = rise - s * length
+        s = -(-rise * den // ticks) - 1
+        t = rise * den - s * ticks
         chips[a] -= s + 1
-        if t < length:
+        if t < ticks:
             chips[b] += s
-            kinks.append((e, o1 + t, values[a] + (s + 1) * t))
+            kinks.append((model.along(i, a, t), Fraction(values[a] * den + (s + 1) * t, den)))
         else:
             chips[b] += s + 1
-    E = MetricDivisor(
-        list(zip(model.points, chips))
-        + [(gamma.point(e, offset), 1) for e, offset, _value in kinks]
-    )
-    f = _tropical_from_model(gamma, model, values, kinks)
+    E = MetricDivisor(list(zip(model.points, chips)) + [(p, 1) for p, _ in kinks])
+    f = _tropical_from_model(gamma, model, values, [(p.edge, p.offset, x) for p, x in kinks])
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
-    return E, f
+    return E, f, model
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +616,8 @@ def metric_make_effective(gamma, q, D):
 
 @dataclass(frozen=True)
 class LuoIteration:
-    """One move: raise f = min(dist(., X), eps) and add its Laplacian.
-
-    drop is the exact decrease of b_q: total_length(X) * eps
-    + cut_size(X)/2 * eps^2.
-    """
+    """One move: raise f = min(dist(., X), eps) and add its Laplacian; drop
+    is the exact decrease of b_q, total_length(X) eps + cut_size(X)/2 eps^2."""
 
     component: UnburntComponent
     epsilon: Fraction
@@ -636,24 +644,23 @@ _MAX_LUO_ITERATIONS = 100000
 def metric_reduce(gamma, q, D):
     """The q-reduced divisor equivalent to D, with the full move log.
 
-    First clears negatives off q with metric_make_effective (a no-op when D
-    is effective off q), then repeats Luo moves:
-    burn from q, take the first stalled component X in canonical order,
-    and add Delta(min(dist(., X), eps)) with eps the shortest model edge
-    leaving X, that is, move one chip from X eps along every edge leaving
-    it.  Each move decreases b_q by exactly l(X) eps + (cut/2) eps^2;
-    termination has no a-priori bound, so a generous safety cap guards the
-    loop.  The loop only moves chips; the script is read off its log after
-    it: the make-effective script f0 plus min(dist(., X), eps) for each
-    move, which is eps at q, so the script is sum(eps) there.  It is summed
-    at the final model's points and the points of supp(D), which carry its
-    Laplacian (result - D), and is affine between them; D + Delta(script)
-    == result is checked exactly.
+    First clears negatives off q as metric_make_effective does (a no-op
+    when D is effective off q), then repeats Luo moves on that step's model,
+    rebuilt only when the interior points of q and the support change: burn
+    from q, take the first stalled component X in canonical order, and add
+    Delta(min(dist(., X), eps)) with eps the shortest model edge leaving X,
+    that is, move one chip from X eps along every edge leaving it.  Each
+    move decreases b_q by exactly l(X) eps + (cut/2) eps^2; termination has
+    no a-priori bound, so a generous safety cap guards the loop.  The script
+    is read off the log after it: the make-effective script f0 plus
+    min(dist(., X), eps) for each move (eps at q), summed at the final
+    model's points and supp(D), which carry its Laplacian (result - D), and
+    affine between them; D + Delta(script) == result is checked exactly.
     """
     q = _as_point(q)
-    E0, f0 = metric_make_effective(gamma, q, D)
+    E0, f0, model = _make_effective(gamma, q, D)
     E, log = E0, []
-    model = interior = None
+    interior = frozenset(model.points[gamma.n:])
     for _ in range(_MAX_LUO_ITERATIONS):
         # the model depends only on the interior points of {q} and supp(E)
         points = frozenset(p for p in (q, *E.support) if p.kind == "e")
@@ -663,20 +670,18 @@ def metric_reduce(gamma, q, D):
         if len(order) == len(model.points):
             break
         comp, cut = next(_components(model, order))
-        eps = min(model.lengths[idx] for idx, _v in cut)
+        # eps is t ticks of the model's den; the inner edges sum to T ticks
+        den, ticks = model.den, model.ticks
+        t = min(ticks[idx] for idx, _v in cut)
+        T = comp.total_length.numerator * (den // comp.total_length.denominator)
         moves = []
-        for idx, v in cut:
-            a, _b, e, o1, o2 = model.medges[idx]
-            # the end inside X is a model vertex; the far end may fold onto one
-            far = gamma.point(e, o1 + eps if v == a else o2 - eps)
-            moves += [(model.points[v], -1), (far, 1)]
+        for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
+            moves += [(model.points[v], -1), (model.along(idx, v, t), 1)]
         after = MetricDivisor(list(E) + moves)
-        drop = comp.total_length * eps + Fraction(comp.cut_size, 2) * eps * eps
-        log.append(
-            LuoIteration(
-                component=comp, epsilon=eps, drop=drop, before=E, after=after
-            )
-        )
+        # the drop l(X) eps + (cut/2) eps^2 over the common denominator 2 den^2
+        drop = Fraction(2 * T * t + comp.cut_size * t * t, 2 * den * den)
+        eps = Fraction(t, den)
+        log.append(LuoIteration(component=comp, epsilon=eps, drop=drop, before=E, after=after))
         E = after
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
@@ -693,10 +698,7 @@ def metric_reduce(gamma, q, D):
     if script is None or D + metric_laplacian(gamma, script) != E:
         raise AssertionError("the moves and the script's Laplacian disagree")
     return MetricReductionReport(
-        result=E,
-        script=script,
-        after_make_effective=E0,
-        make_effective_script=f0,
+        result=E, script=script, after_make_effective=E0, make_effective_script=f0,
         iterations=tuple(log),
     )
 
@@ -770,13 +772,9 @@ class MetricPotentials:
     def b(self, D):
         """b_q(D) = integral over Gamma of phi_D, the j_q-potential of D."""
         model, phi = _grounded(self.gamma, self.q, D)
-        return sum(
-            (
-                length * (phi[a] + phi[b]) / 2
-                for (a, b, *_), length in zip(model.medges, model.lengths)
-            ),
-            _ZERO,
-        )
+        # phi is affine on a model edge of t ticks: t / den * (phi(a) + phi(b)) / 2
+        pieces = zip(model.medges, model.ticks)
+        return Fraction(sum(t * (phi[a] + phi[b]) for (a, b, *_), t in pieces), 2 * model.den)
 
 
 def metric_potentials(gamma, q):

@@ -24,6 +24,11 @@ Core claims:
       graphs with rational lengths and interior chips; the only exact
       solve metric_reduce makes is make-effective's, and a wrong summed
       value fails the exact check D + Delta(script) == result.
+    - metric_reduce goes on with make-effective's model and builds a new
+      one only when the interior points of q and the support change (one
+      model in all on a unit-length graph); every logged eps, drop and
+      component length is an exact Fraction, and a point a move puts
+      inside an edge is the canonical point there.
     - On unit edge lengths the metric machinery agrees with the
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
@@ -583,6 +588,60 @@ def test_metric_reduce_solves_only_to_make_effective(monkeypatch):
         assert len(calls) == (0 if D.is_effective(skip=q) else 1)
         effective += D.is_effective(skip=q)
     assert 0 < effective < len(METRIC)
+
+
+def _interior(q, D):
+    return frozenset(p for p in (q, *D.support) if p.kind == "e")
+
+
+def test_metric_reduce_builds_a_model_only_when_the_points_change(monkeypatch):
+    builds = []
+
+    class Counting(metric._Model):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(metric, "_Model", Counting)
+    # about 150 chips and one -10 vertex on the unit-length C10(1, 2): every
+    # move is one edge long, so no point inside an edge ever carries a chip
+    G = Graph(10, [(i, (i + s) % 10) for s in (1, 2) for i in range(10)])
+    gamma = unit_metric(G)
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        chips = np.bincount(rng.integers(0, 10, 150), minlength=10).tolist()
+        chips[int(rng.integers(1, 10))] = -10
+        builds.clear()
+        report = metric_reduce(gamma, _vp(0), divisor_to_metric(gamma, Divisor(chips)))
+        assert report.iterations and len(builds) == 1
+    # make-effective builds the model at q and supp(D), and the Luo loop goes
+    # on with it while the interior points of q and the support stay the same
+    reused = 0
+    for gamma, q, D in METRIC:
+        builds.clear()
+        report = metric_reduce(gamma, q, D)
+        steps = [report.after_make_effective] + [it.after for it in report.iterations]
+        points = [_interior(q, D)] + [_interior(q, E) for E in steps]
+        assert len(builds) == 1 + sum(a != b for a, b in zip(points, points[1:]))
+        reused += points[0] == points[1]
+    # 14 of the cases start their moves on make-effective's model
+    assert reused >= 10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_rational_cases())
+def test_luo_moves_log_exact_values_and_canonical_points(case):
+    # eps, the drop and each component's length are read off integer ticks;
+    # a chip moved less than a whole model edge lands strictly inside it
+    gamma, q, D = case
+    for it in metric_reduce(gamma, q, D).iterations:
+        X = it.component
+        assert type(it.epsilon) is Fraction and type(X.total_length) is Fraction
+        assert type(it.drop) is Fraction
+        assert it.drop == X.total_length * it.epsilon + Fraction(X.cut_size, 2) * it.epsilon**2
+        for p in it.after.support:
+            if p.kind == "e":
+                assert gamma.point(p.edge, p.offset) == p
 
 
 def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
