@@ -14,19 +14,19 @@ floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices), which refuses a point not on
-Gamma and keeps its edge lengths as integer ticks over one denominator.
-Burning, moves and potentials are all computed on the model and mapped
-back to points.  Every potential of a divisor comes from one helper,
-_grounded: the j_q-potential from one exact single-column solve of a fresh
-model's grounded Laplacian, scaled to integer conductances; j_q, r, E_q and
-b_q are read off such a potential.  Across models nothing is cached but the
-vertex points, which a MetricGraph builds once and hands out wherever a
-vertex is meant.  A divisor is made effective off q by one rounded
-j_q-potential, which leaves a number of chips per model vertex bounded by
-the model alone.  Luo moves continue on that step's model, built anew only
-when the interior points in play change, and only move chips: each reads
-its eps and its moves off the cut that the walk of the stalled component
-lists, in ticks, and builds one Fraction per value it logs.  The script is
+Gamma.  Each model keeps its edge lengths as integer ticks over one
+denominator of its own, so burning, moves and potentials compare and sum
+integers on the model and map the results back to points.  A MetricGraph
+builds its vertex points once and hands them out wherever a vertex is
+meant.  Every potential query builds the model at q and the points it
+names and reads j_q, r, E_q or b_q off one exact single-column solve of its
+grounded Laplacian (_grounded), scaled to integer conductances.  A divisor
+is made effective off q by one rounded j_q-potential, which leaves a number
+of chips per model vertex bounded by the model alone, and that step hands
+its model to the Luo moves; a new one is built only when the interior
+points of q and the support change.  Each move only moves chips, reads its
+eps and its moves in ticks off the cut that the walk of the stalled
+component lists, and builds one Fraction per value it logs.  The script is
 read off the move log after the loop: the make-effective script plus
 min(dist(., X), eps) for each move, summed at the final model's points and
 the points of supp(D), between which it is affine.
@@ -361,8 +361,8 @@ class _Model:
     positive length: a point not on Gamma (an index out of range, or an edge
     offset not strictly inside its edge) raises ValueError; an edge with no
     interior point is one model edge.  Lengths are integer ticks over one
-    denominator: medges[i] is ticks[i] / den long, with den the lcm of the
-    denominators of Gamma's lengths and the interior offsets.
+    denominator: ticks[i] / den is the length of medges[i], with den the lcm
+    of the denominators of Gamma's lengths and the interior offsets.
     """
 
     __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph")
