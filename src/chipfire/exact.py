@@ -87,11 +87,3 @@ def adjugate(matrix):
     if x is None:
         raise ValueError("singular matrix")
     return d, x
-
-
-def mat_vec(matrix, vec):
-    """Matrix-vector product over exact scalars; every row must be as long
-    as vec."""
-    if any(len(row) != len(vec) for row in matrix):
-        raise ValueError(f"need rows of length {len(vec)}, the vector's length")
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Divisor, Graph
-from .metric import GraphPoint, MetricDivisor, MetricGraph
+from .metric import MetricDivisor, MetricGraph
 
 
 class GraphFormatError(ValueError):
@@ -60,10 +60,9 @@ def format_fraction(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_point(token, gamma=None):
-    """Parse `v:<i>`, `e:<edge>@<offset>`, or a bare vertex index.
-
-    With gamma the point is range-checked (ValueError) and edge endpoints
+def parse_point(token, gamma):
+    """Parse `v:<i>`, `e:<edge>@<offset>`, or a bare vertex index as a point
+    of gamma: the point is range-checked (ValueError) and edge endpoints
     canonicalize to vertices.
     """
     token = token.strip()
@@ -72,15 +71,8 @@ def parse_point(token, gamma=None):
         edge_s, sep, off_s = body.partition("@")
         if not sep:
             raise ValueError(f"point {token!r} is missing '@offset'")
-        edge = int(edge_s)
-        offset = parse_fraction(off_s)
-        if gamma is not None:
-            return gamma.point(edge, offset)
-        return GraphPoint("e", edge, offset)
-    index = int(token[2:] if token.startswith("v:") else token)
-    if gamma is not None:
-        return gamma.vertex_point(index)
-    return GraphPoint.vertex(index)
+        return gamma.point(int(edge_s), parse_fraction(off_s))
+    return gamma.vertex_point(int(token[2:] if token.startswith("v:") else token))
 
 
 def _parse_divisor(tokens, graph):

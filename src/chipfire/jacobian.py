@@ -45,20 +45,18 @@ def smith_normal_form(M):
     d = abs(exact.det(S))
     if d == 0:
         raise ValueError("singular matrix")
-    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # of U^{-1}
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+        cols[i], cols[j] = cols[j], cols[i]
 
     def row_addmul(i, j, k):
-        # row_i += k * row_j on S; Uinv: col_j -= k * col_i
+        # row_i += k * row_j on S; U^{-1}: col_j -= k * col_i
         row = [a + k * b for a, b in zip(S[i], S[j])]
         S[i] = [x if -d <= x <= d else x % d for x in row]
-        for r in Uinv:
-            x = r[j] - k * r[i]
-            r[j] = x if -d <= x <= d else x % d
+        col = [a - k * b for a, b in zip(cols[j], cols[i])]
+        cols[j] = [x if -d <= x <= d else x % d for x in col]
 
     def col_swap(i, j):
         for r in S:
@@ -93,8 +91,7 @@ def smith_normal_form(M):
                         col_swap(t, j)
                         dirty = True
         if S[t][t] < 0:  # negate row t; gcd below takes |S[t][t]|
-            for r in Uinv:
-                r[t] = -r[t]
+            cols[t] = [-x for x in cols[t]]
         S[t][t] = gcd(S[t][t], d)  # fold in the lattice column d e_t
 
     for t in range(n):
@@ -122,7 +119,7 @@ def smith_normal_form(M):
         else:
             i += 1
 
-    return tuple(S[i][i] for i in range(n)), tuple(tuple(r) for r in Uinv)
+    return tuple(S[i][i] for i in range(n)), tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -300,24 +297,25 @@ RANK_ENUMERATION_CAP = 20_000
 def rank_at_least(G, D, c):
     """True iff D - E is winnable for every effective E of degree c.
 
-    Raises ValueError when there are more than RANK_ENUMERATION_CAP such E.
-    Under the cap, deg(D) - c >= g answers True without a reduction: by
-    Riemann-Roch r(D - E) >= deg(D) - c - g >= 0 for every E.  Otherwise it
-    short-circuits on the first failing E in lexicographic order.
+    deg(D) - c >= g answers True without a reduction, whatever the number
+    of such E: by Riemann-Roch r(D - E) >= deg(D) - c - g >= 0 for every E.
+    Otherwise raises ValueError when there are more than
+    RANK_ENUMERATION_CAP such E, and under the cap short-circuits on the
+    first failing E in lexicographic order.
     """
     check_divisor(G, D)
     if c < 0:
         raise ValueError("rank threshold must be >= 0")
     if D.degree < c:
         return False
+    if D.degree - c >= G.genus():
+        return True
     count = comb(G.n + c - 1, c)
     if count > RANK_ENUMERATION_CAP:
         raise ValueError(
             f"rank >= {c} would test {count} divisors, "
             f"more than the cap of {RANK_ENUMERATION_CAP}"
         )
-    if D.degree - c >= G.genus():
-        return True
     for E in _effective_divisors(G.n, c):
         if winnable(G, D - E, 0) is None:
             return False

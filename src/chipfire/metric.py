@@ -288,14 +288,6 @@ class TropicalFunction:
                 slopes.append(s)
         return tuple(kinks), tuple(slopes)
 
-    def _anchors(self, e):
-        u, v = self.gamma.graph.edges[e]
-        return (
-            [(_ZERO, self.vertex_values[u])]
-            + list(self.breaks[e])
-            + [(self.gamma.lengths[e], self.vertex_values[v])]
-        )
-
     @classmethod
     def zero(cls, gamma):
         return cls(gamma, [0] * gamma.n)
@@ -304,7 +296,13 @@ class TropicalFunction:
         p = _as_point(p)
         if p.kind == "v":
             return self.vertex_values[p.index]
-        return _interpolate(self._anchors(p.edge), p.offset)
+        u, v = self.gamma.graph.edges[p.edge]
+        anchors = [
+            (_ZERO, self.vertex_values[u]),
+            *self.breaks[p.edge],
+            (self.gamma.lengths[p.edge], self.vertex_values[v]),
+        ]
+        return _interpolate(anchors, p.offset)
 
     def is_zero(self):
         return all(x == 0 for x in self.vertex_values) and all(
@@ -421,16 +419,11 @@ class _Model:
 
 def _tropical_from_model(gamma, model, values, kinks=()):
     """The TropicalFunction with `values` (one per model vertex) at the model
-    vertices, affine between them and the (edge, offset, value) `kinks`."""
+    vertices, affine between them and the (interior point, value) `kinks`."""
     anchors = [dict() for _ in range(gamma.m)]
     n = gamma.n  # model vertex ids from n on are the interior points
-    for a, b, e, o1, o2 in model.medges:
-        if a >= n:
-            anchors[e][o1] = values[a]
-        if b >= n:
-            anchors[e][o2] = values[b]
-    for e, offset, value in kinks:
-        anchors[e][offset] = value
+    for p, value in [*zip(model.points[n:], values[n:]), *kinks]:
+        anchors[p.edge][p.offset] = value
     breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
     return TropicalFunction(gamma, values[:n], breaks)
 
@@ -495,7 +488,7 @@ class MetricDharOutcome:
 
 
 def _components(model, order):
-    """Yield (component, cut) for the components the fire from q could not
+    """Yield (component, cut, T) for the components the fire from q could not
     enter, in canonical order, building each only when asked for.
 
     Each is walked over the model graph from the lowest unburnt model vertex
@@ -503,7 +496,8 @@ def _components(model, order):
     components come out by their first point; segments and boundary are read
     off the component's own incident edges.  cut lists the edges leaving
     the component, all of them toward burnt vertices, as (model edge index,
-    end inside).  total_length is one Fraction of the inner edges' tick sum.
+    end inside).  T is the inner edges' tick sum, and total_length is
+    Fraction(T, den).
     """
     G = model.graph
     burnt = [False] * G.n
@@ -529,13 +523,14 @@ def _components(model, order):
                     stack.append(w)
         comp.sort()
         inner = sorted(inner)
+        T = sum(model.ticks[idx] for idx in inner)
         yield UnburntComponent(
             points=tuple(model.points[v] for v in comp),
             segments=tuple(model.medges[idx][2:] for idx in inner),
             boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
-            total_length=Fraction(sum(model.ticks[idx] for idx in inner), model.den),
+            total_length=Fraction(T, model.den),
             cut_size=len(cut),
-        ), cut
+        ), cut, T
 
 
 def metric_dhar(gamma, q, D):
@@ -550,7 +545,7 @@ def metric_dhar(gamma, q, D):
         raise ValueError("divisor must be effective off q")
     model = _Model(gamma, [q, *D.support])
     order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
-    comps = tuple(comp for comp, _cut in _components(model, order))
+    comps = tuple(comp for comp, *_ in _components(model, order))
     burn_order = tuple(model.points[v] for v in order)
     return MetricDharOutcome(reduced=not comps, burn_order=burn_order, components=comps)
 
@@ -605,7 +600,7 @@ def _make_effective(gamma, q, D):
         else:
             chips[b] += s + 1
     E = MetricDivisor(list(zip(model.points, chips)) + [(p, 1) for p, _ in kinks])
-    f = _tropical_from_model(gamma, model, values, [(p.edge, p.offset, x) for p, x in kinks])
+    f = _tropical_from_model(gamma, model, values, kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
     return E, f, model
@@ -669,11 +664,10 @@ def metric_reduce(gamma, q, D):
         order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
         if len(order) == len(model.points):
             break
-        comp, cut = next(_components(model, order))
+        comp, cut, T = next(_components(model, order))
         # eps is t ticks of the model's den; the inner edges sum to T ticks
-        den, ticks = model.den, model.ticks
-        t = min(ticks[idx] for idx, _v in cut)
-        T = comp.total_length.numerator * (den // comp.total_length.denominator)
+        den = model.den
+        t = min(model.ticks[idx] for idx, _v in cut)
         moves = []
         for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
             moves += [(model.points[v], -1), (model.along(idx, v, t), 1)]
@@ -690,9 +684,8 @@ def metric_reduce(gamma, q, D):
     values = [f0.evaluate(p) for p in sites]
     for it in log:
         _add_move(gamma, it.component, it.epsilon, sites, values)
-    kinks = [(p.edge, p.offset, x) for p, x in zip(loose, values[len(model.points):])]
     try:
-        script = _tropical_from_model(gamma, model, values, kinks)
+        script = _tropical_from_model(gamma, model, values, zip(loose, values[len(model.points):]))
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -706,12 +699,12 @@ def metric_reduce(gamma, q, D):
 def _add_move(gamma, X, eps, sites, values):
     """Add min(dist(p, X), eps) to values[i] for each point p = sites[i].
 
-    Every model edge leaving X is at least eps long, so a point off X within
-    eps of it is read along its own edge: 0 inside a segment of X, else the
-    offset to the nearest point of X there (an end of the edge counts when X
-    holds that vertex), capped at eps.  A vertex off X is eps or more away.
+    A vertex is 0 away when X holds it, else eps or more.  Every model edge
+    leaving X is at least eps long, so an edge point is read along its own
+    edge: 0 inside a segment of X, else the offset to the nearest point of X
+    there (its own offset when X holds it, an end of the edge when X holds
+    that vertex), capped at eps.
     """
-    inside = set(X.points)
     at_vertex, offsets, segments = set(), {}, {}
     for p in X.points:
         if p.kind == "v":
@@ -721,10 +714,9 @@ def _add_move(gamma, X, eps, sites, values):
     for e, o1, o2 in X.segments:
         segments.setdefault(e, []).append((o1, o2))
     for i, p in enumerate(sites):
-        if p in inside:
-            continue
         if p.kind == "v":
-            values[i] += eps
+            if p.index not in at_vertex:
+                values[i] += eps
             continue
         e, o = p.edge, p.offset
         if any(o1 < o < o2 for o1, o2 in segments.get(e, ())):

@@ -50,8 +50,11 @@ class GeneralizedInverse:
         return len(self.L)
 
     def apply(self, vec):
-        """L @ vec as a list of Fractions."""
-        return exact.mat_vec(self.L, list(vec))
+        """L @ vec as a list of Fractions; vec must be n long."""
+        vec = list(vec)
+        if len(vec) != self.n:
+            raise ValueError(f"need a vector of length {self.n}, the matrix's size")
+        return [sum(map(mul, row, vec)) for row in self.L]
 
     def __repr__(self):
         tag = f", q={self.q}" if self.q is not None else ""
@@ -141,9 +144,6 @@ class PotentialTable:
         self._deg, self._eu, self._ev = G.deg, G._eu, G._ev
         self._inv = self._num = self._den = None
 
-    def _reduced_laplacian(self, dtype):
-        return _reduced_laplacian(self._deg, self._eu, self._ev, self.q, dtype)
-
     @property
     def num(self):
         if self._num is None:
@@ -163,7 +163,7 @@ class PotentialTable:
         that is Delta(g_q) = sum_v (v) - n (q).
         """
         q = self.q
-        Qq = self._reduced_laplacian(np.int64).tolist()
+        Qq = _reduced_laplacian(self._deg, self._eu, self._ev, q, np.int64).tolist()
         den, adj = exact.adjugate(Qq)
         sums = [sum(row) for row in adj]
         if any(sum(map(mul, row, sums)) != den for row in Qq):
@@ -180,7 +180,9 @@ class PotentialTable:
         Built on the first call and returned, read-only, on every later one.
         """
         if self._inv is None:
-            inv = np.linalg.inv(self._reduced_laplacian(np.float64))
+            inv = np.linalg.inv(
+                _reduced_laplacian(self._deg, self._eu, self._ev, self.q, np.float64)
+            )
             inv.flags.writeable = False
             self._inv = inv
         return self._inv

@@ -11,12 +11,15 @@ Core claims:
       argparse makes itself, which prints only its usage to stderr.
     - A metric file given to reduce, a base vertex, divisor entry or tree
       edge that is not an integer, and a negative rank bound are each
-      refused with exit 2 and their own message; metric-reduce stopped at
+      refused with exit 2 and their own message, and so is a metric base
+      point off its edge; metric-reduce stopped at
       its Luo-move safety cap, or failing its exact script check, exits 3.
     - A file naming 10**12 vertices and no edges is refused with exit 2 and
       one JSON object, not with a MemoryError.
     - JSON reports are deterministic apart from wall_time_ms, and every
-      subcommand's report is pinned by one digest.
+      subcommand's report is pinned by one digest.  A text report prints
+      one `key: value` line per entry, a list that holds lists as one JSON
+      array, and ends with its wall_time_ms line.
     - `jacobian` returns within a timeout on graphs where an unbounded
       Smith form stalled.
 """
@@ -46,7 +49,7 @@ from chipfire.formats import (
 )
 from chipfire.graph import Divisor, Graph
 from chipfire.jacobian import count_spanning_trees
-from chipfire.metric import GraphPoint
+from chipfire.metric import GraphPoint, MetricGraph
 
 from corpus import tree_plus_edges
 
@@ -110,16 +113,18 @@ def test_fraction_round_trip():
 
 
 def test_point_round_trip():
+    gamma = MetricGraph(Graph(4, [(0, 1), (1, 2), (2, 3)]), [1, 1, 1])
     for tok, want in (
         ("v:1", GraphPoint.vertex(1)),
         ("3", GraphPoint.vertex(3)),
         ("e:0@1/2", GraphPoint("e", 0, Fraction(1, 2))),
+        ("e:0@1", GraphPoint.vertex(1)),
     ):
-        assert parse_point(tok) == want
+        assert parse_point(tok, gamma) == want
     assert format_point(GraphPoint("e", 2, Fraction(1, 3))) == "e:2@1/3"
     assert format_point(GraphPoint.vertex(4)) == "v:4"
     with pytest.raises(ValueError, match="missing '@offset'"):
-        parse_point("e:0")
+        parse_point("e:0", gamma)
 
 
 # -- Parsing ----------------------------------------------------------------------
@@ -276,6 +281,61 @@ CLI_JSON_RUNS = [
     ("k3", ["metric-reduce", "--q", "v:0", "--divisor", "start"]),
     ("k3", ["sample-tree", "--q", "0", "--seed", "1", "--count", "0"]),
 ]
+
+
+@pytest.mark.parametrize(
+    "fixture, args, want",
+    [
+        ("k3", ["reduce", "--q", "2", "--divisor", "start"], [
+            "command: reduce", "floor_path: float", "result: 0 1 4", "script: 3 1 0",
+            "moves.step1_floor_rounds: 1", "moves.step2_borrows: 0",
+            "moves.step2_unborrow_sets: 0",
+        ]),
+        ("k3", ["check-reduced", "--q", "2", "--divisor", "0 1 4"], [
+            "command: check-reduced", "burn_order: 2 0 1", "negative: -", "reduced: true",
+            "unburnt: -",
+        ]),
+        ("k3", ["sample-tree", "--q", "0", "--seed", "7", "--count", "2"], [
+            "command: sample-tree", "seed: 7", "count: 2", "trees: [[0, 1], [0, 2]]",
+        ]),
+        ("seg", ["metric-reduce", "--q", "v:0", "--divisor", "twoa"], [
+            "command: metric-reduce",
+            'after_make_effective: [["v:1", 2]]',
+            "iterations: " + " ".join(
+                ['{"b_q_drop": "1/2", "component_length": "0", "component_points": '
+                 '["v:1"], "cut_size": 1, "epsilon": "1"}'] * 2
+            ),
+            'result: [["v:0", 2]]',
+            "script_vertex_values: 2 0",
+            "moves.luo_iterations: 2",
+            "moves.make_effective_breaks: 0",
+        ]),
+    ],
+    ids=["reduce", "check_reduced", "sample_tree", "metric_reduce"],
+)
+def test_cli_text_report_lines(k3_file, seg_file, capsys, fixture, args, want):
+    path = {"k3": k3_file, "seg": seg_file}[fixture]
+    assert cli.main([args[0], path, *args[1:]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == want
+    assert re.fullmatch(r"wall_time_ms: \d+\.\d{3}", lines[-1])
+
+
+def test_cli_bounds_text_report_lines(tmp_path, capsys):
+    # K3 with edge 0-1 doubled: three of the bounds toward 0 are not integers
+    p = tmp_path / "k3x2.cf"
+    p.write_text("graph 3\nedge 0 1\nedge 0 1\nedge 1 2\nedge 0 2\n")
+    assert cli.main(["bounds", str(p), "--q", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the eigenvalue bound is a float, equal to 20 up to rounding
+    key, spectral = lines.pop(8).split(": ")
+    assert key == "bound.spectral" and abs(float(spectral) - 20) < 1e-9
+    assert lines[:-1] == [
+        "command: bounds", "q: 0", "bound.diameter: 30", "bound.exact: 51/5",
+        "bound.foster: 75", "bound.resistance: 72/5", "bound.rmax_coarse: 108/5",
+        "bound.rmax_degree: 18", "bound.spectral_is_approximate: true",
+    ]
+    assert re.fullmatch(r"wall_time_ms: \d+\.\d{3}", lines[-1])
 
 
 def test_cli_json_digest(k3_file, seg_file, capsys):
@@ -446,8 +506,11 @@ def test_cli_rank(k3_file):
     assert yes.returncode == 0
     no = run_cli(["rank", k3_file, "--divisor", "flat", "--c", "3"])
     assert no.returncode == 1
-    # C(252, 2) = 31,626 divisors of degree 250 on K3: refused, exit 2
-    big = run_cli(["rank", k3_file, "--divisor", "300 0 0", "--c", "250"])
+    # C(252, 2) = 31,626 divisors of degree 250 on K3, but deg D - c = 50 >= g
+    # = 1 answers yes without testing them
+    assert run_cli(["rank", k3_file, "--divisor", "300 0 0", "--c", "250"]).returncode == 0
+    # C(201, 2) = 20,100 divisors of degree 199, and deg D - c = 0 < g: refused
+    big = run_cli(["rank", k3_file, "--divisor", "199 0 0", "--c", "199"])
     assert big.returncode == 2
     assert "cap" in big.stderr and big.stdout == ""
 
@@ -538,8 +601,13 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
          "bad tree spec '0,a'"),
         (["rank", "{k3}", "--divisor", "flat", "--c", "-1"],
          "--c must be >= 0"),
+        (["metric-reduce", "{seg}", "--q", "e:0@3", "--divisor", "twoa"],
+         "bad point 'e:0@3': offset outside the edge"),
     ],
-    ids=["reduce_metric_file", "q_not_int", "divisor_not_int", "tree_not_int", "c_negative"],
+    ids=[
+        "reduce_metric_file", "q_not_int", "divisor_not_int", "tree_not_int", "c_negative",
+        "q_off_the_edge",
+    ],
 )
 def test_cli_refusals_name_their_cause(k3_file, seg_file, capsys, args, error):
     args = [a.format(k3=k3_file, seg=seg_file) for a in args] + ["--format", "json"]

@@ -59,8 +59,12 @@ def test_rejects_out_of_range_vertex():
 
 
 def test_rejects_disconnected():
-    # two components, vertex 0 isolated, the last vertex isolated
-    for n, edges in ((4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (3, [(0, 1)])):
+    # two components, vertex 0 isolated, the last vertex isolated; the last
+    # two have m >= n - 1, so the search from vertex 0 refuses them
+    for n, edges in (
+        (4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (3, [(0, 1)]),
+        (4, [(0, 1), (0, 1), (2, 3)]), (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    ):
         with pytest.raises(ValueError, match="graph must be connected"):
             Graph(n, edges)
 

@@ -522,12 +522,14 @@ def test_rank_at_least_validation():
 
 def test_rank_at_least_refuses_past_the_enumeration_cap():
     # K3 has C(c + 2, 2) effective divisors of degree c: 19,900 at c = 198
-    # and 20,100 at c = 199, against a cap of 20,000
+    # and 20,100 at c = 199, against a cap of 20,000; deg D - c >= g = 1
+    # answers past the cap, deg D - c = 0 does not
     G = complete_graph(3)
     assert RANK_ENUMERATION_CAP == 20_000
     assert not rank_at_least(G, Divisor((199, -1, 0)), 198)
+    assert rank_at_least(G, Divisor((300, 0, 0)), 250)
     with pytest.raises(ValueError, match="cap"):
-        rank_at_least(G, Divisor((300, 0, 0)), 199)
+        rank_at_least(G, Divisor((199, 0, 0)), 199)
     assert not rank_at_least(G, Divisor((198, 0, 0)), 199)  # degree too small
 
 

@@ -230,6 +230,9 @@ def test_inverse_apply_solves_degree_zero():
     f = inv.apply(list(D))
     back = _laplacian_list(G, f)
     assert back == [Fraction(x) for x in D]
+    # a short vector is refused, not read as if padded with zeros
+    with pytest.raises(ValueError, match="need a vector of length 4"):
+        inv.apply([1, -1, 0])
 
 
 # -- j-function and resistance ---------------------------------------------------
