@@ -12,8 +12,8 @@ Core claims:
     - A metric file given to reduce, a base vertex, divisor entry or tree
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message, and so is a metric base
-      point off its edge; metric-reduce stopped at
-      its Luo-move safety cap, or failing its exact script check, exits 3.
+      point off its edge; metric-reduce stopped at its Luo-move safety cap,
+      or failing its exact script check, exits 3.
     - A file naming 10**12 vertices and no edges is refused with exit 2 and
       one JSON object, not with a MemoryError.
     - JSON reports are deterministic apart from wall_time_ms, and every
