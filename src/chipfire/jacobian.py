@@ -325,9 +325,12 @@ def rank_at_least(G, D, c):
 def rank(G, D):
     """Divisor rank: largest r with rank_at_least(G, D, r); -1 if unwinnable.
 
-    Raises ValueError when a threshold it must test exceeds the cap of
-    rank_at_least.
+    deg(D) > 2g - 2 gives deg(D) - g by Riemann-Roch, as r(K - D) = -1.
+    Otherwise raises ValueError when a level it must test exceeds the cap.
     """
+    check_divisor(G, D)
+    if D.degree > 2 * G.genus() - 2:
+        return D.degree - G.genus()
     if winnable(G, D, 0) is None:
         return -1
     r = 0

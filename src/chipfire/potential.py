@@ -50,8 +50,7 @@ class GeneralizedInverse:
         return len(self.L)
 
     def apply(self, vec):
-        """L @ vec as a list of Fractions; vec must be n long."""
-        vec = list(vec)
+        """L @ vec as a list of Fractions; vec is a sequence of n numbers."""
         if len(vec) != self.n:
             raise ValueError(f"need a vector of length {self.n}, the matrix's size")
         return [sum(map(mul, row, vec)) for row in self.L]

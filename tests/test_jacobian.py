@@ -513,6 +513,37 @@ def test_rank_known_values():
     assert rank(G, Divisor((0, 0, 0))) == 0
 
 
+def _climbed_rank(G, D):
+    """The rank by rank_at_least at every level from 1, which rank skips
+    when deg D > 2g - 2."""
+    if winnable(G, D) is None:
+        return -1
+    r = 0
+    while rank_at_least(G, D, r + 1):
+        r += 1
+    return r
+
+
+def test_rank_matches_the_climb_from_zero():
+    rng = np.random.default_rng(31)
+    for G in SMALL[:10]:  # n <= 4, g <= 3
+        g = G.genus()
+        for d in range(-1, 2 * g + 2):
+            D = random_divisor(G.n, rng, lo=-2, hi=2)
+            D = Divisor((D[0] + d - D.degree, *D.coeffs[1:]))
+            assert rank(G, D) == _climbed_rank(G, D)
+
+
+def test_rank_past_2g_minus_2_tests_no_threshold(monkeypatch):
+    # K3 has g = 1: Riemann-Roch answers deg D - g for any deg D > 0,
+    # where a climb would make one call per level
+    def no_threshold(*args):
+        raise AssertionError("rank tested a threshold")
+
+    monkeypatch.setattr(sys.modules["chipfire.jacobian"], "rank_at_least", no_threshold)
+    assert rank(complete_graph(3), Divisor((10**9, 0, 0))) == 10**9 - 1
+
+
 def test_rank_at_least_validation():
     G = complete_graph(3)
     with pytest.raises(ValueError):
