@@ -80,8 +80,8 @@ class RunReport:
 
 def _plain(value):
     if isinstance(value, (list, tuple)):
-        if any(isinstance(v, (list, tuple)) for v in value):
-            return json.dumps(value)  # one JSON array keeps the inner lists apart
+        if any(isinstance(v, (list, tuple, dict)) for v in value):
+            return json.dumps(value, sort_keys=True)  # one JSON array keeps the items apart
         return " ".join(_plain(v) for v in value) if value else "-"
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -3,22 +3,17 @@
 One fraction-free elimination serves everything here.  A Bareiss pass
 (Bareiss, Math. Comp. 22, 1968) over the integer rows of [A | B] leaves
 det(A) as its last pivot (up to sign), and an integer back-substitution with
-exact `//` division yields X = det(A) A^{-1} B.  det, solve and adjugate all
-read their answer off that (det, X) pair, so no Fraction arithmetic runs
-inside either loop and results stay exact for arbitrarily large entries
-(cofactors of Laplacians grow fast even on small graphs).  Entries must be
+exact `//` division yields X = det(A) A^{-1} B.  solve returns the pair
+(det, X) as ints and det its first item, so no Fraction is built and results
+stay exact for entries of any size.  A caller divides once, where its answer
+leaves the library (solve(A, I) is the adjugate pair).  Entries must be
 integers (Python or numpy); a Fraction or a float raises TypeError, so a
 caller with rational data scales it to integers first.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index, mul
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _eliminate(matrix, rhs_columns):
@@ -70,20 +65,9 @@ def det(matrix):
 
 
 def solve(matrix, rhs_columns):
-    """Solve A X = B exactly for integer A and B; returns X as rows of Fractions.
-
-    `matrix` is square n x n, `rhs_columns` is an n x k right-hand side.
-    Raises ValueError on a singular matrix.
-    """
+    """(det(A), det(A) A^{-1} B) as ints for an integer n x n `matrix` A and
+    n x k `rhs_columns` B; ValueError if A is singular."""
     d, x = _eliminate(matrix, rhs_columns)
-    if x is None:
-        raise ValueError("singular matrix")
-    return [[Fraction(v, d) for v in row] for row in x]
-
-
-def adjugate(matrix):
-    """(det(A), det(A) A^{-1}) as ints for an integer A; ValueError if singular."""
-    d, x = _eliminate(matrix, _identity(len(matrix)))
     if x is None:
         raise ValueError("singular matrix")
     return d, x

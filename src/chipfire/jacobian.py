@@ -325,12 +325,15 @@ def rank_at_least(G, D, c):
 def rank(G, D):
     """Divisor rank: largest r with rank_at_least(G, D, r); -1 if unwinnable.
 
-    deg(D) > 2g - 2 gives deg(D) - g by Riemann-Roch, as r(K - D) = -1.
-    Otherwise raises ValueError when a level it must test exceeds the cap.
+    deg(D) > g - 1 gives deg(D) + 1 - g + r(K - D) by Riemann-Roch, with
+    K = sum (deg(v) - 2)(v): K - D has degree below g - 1, so the climb runs
+    on the smaller side, and past 2g - 2 it has rank -1 at once.  Otherwise
+    raises ValueError when a level it must test exceeds the cap.
     """
     check_divisor(G, D)
-    if D.degree > 2 * G.genus() - 2:
-        return D.degree - G.genus()
+    g = G.genus()
+    if D.degree > g - 1:
+        return D.degree + 1 - g + rank(G, Divisor(d - 2 for d in G.deg) - D)
     if winnable(G, D, 0) is None:
         return -1
     r = 0

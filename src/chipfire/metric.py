@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
 from . import exact, _kernels
 from .graph import Graph, _rational, check_divisor
@@ -429,12 +429,12 @@ def _tropical_from_model(gamma, model, values, kinks=()):
 
 
 def _grounded_potential(model, q_vid, chips):
-    """x with x(q) = 0 and Delta(x) = chips at every other model vertex, x
-    affine on model edges: the j_q-potential of chips under conductance
-    1/length, from one single-column exact solve of the model Laplacian
-    with q's row and column removed.  The system is scaled to integers by
-    lcm(den, ticks) / den, which leaves x as it is: an edge of t ticks, with
-    conductance den/t, gets lcm(den, ticks) / t."""
+    """(d, x): x / d is the j_q-potential of chips under conductance
+    1/length, with x(q) = 0, Delta(x / d) = chips at every other model vertex
+    and x / d affine on model edges; one single-column exact solve of the
+    model Laplacian with q's row and column removed.  The system is scaled to
+    integers by lcm(den, ticks) / den, which leaves x / d as it is: an edge of
+    t ticks, with conductance den/t, gets lcm(den, ticks) / t."""
     full = lcm(model.den, *model.ticks)
     keep = [v for v in range(len(model.points)) if v != q_vid]
     row_of = {v: i for i, v in enumerate(keep)}
@@ -446,16 +446,18 @@ def _grounded_potential(model, q_vid, chips):
                 lap[row_of[u]][row_of[u]] += c
                 if w != q_vid:
                     lap[row_of[u]][row_of[w]] -= c
-    x = [_ZERO] * len(model.points)
-    for v, (value,) in zip(keep, exact.solve(lap, [[full // model.den * chips[v]] for v in keep])):
+    d, sol = exact.solve(lap, [[full // model.den * chips[v]] for v in keep])
+    x = [0] * len(model.points)
+    for v, (value,) in zip(keep, sol):
         x[v] = value
-    return x
+    return d, x
 
 
 def _grounded(gamma, q, D, *points):
-    """(model at q, supp(D) and points; the j_q-potential of D on it)."""
+    """(model at q, supp(D) and points, d, x): x / d is the j_q-potential of
+    D on that model, as _grounded_potential gives it."""
     model = _Model(gamma, [q, *D.support, *points])
-    return model, _grounded_potential(model, model.vid_of[q], model.chips(D))
+    return (model, *_grounded_potential(model, model.vid_of[q], model.chips(D)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +589,8 @@ def _make_effective(gamma, q, D):
         c[a] += k
         c[b] += k
     target = [w + (-c[v] // scale + 1) * (v != q_vid) for v, w in enumerate(chips)]
-    values = [-ceil(x) for x in _grounded_potential(model, q_vid, target)]
+    d, x = _grounded_potential(model, q_vid, target)
+    values = [-v // d for v in x]  # -ceil(v / d)
     kinks = []  # (point, value): the kink t ticks from a, 0 < t < ticks
     for i, ((a, b, *_), ticks) in enumerate(zip(model.medges, model.ticks)):
         rise = values[b] - values[a]
@@ -744,29 +747,30 @@ class MetricPotentials:
     def j(self, x, y):
         """j_q(x, y): potential at y, current in at x and out at q."""
         x, y = _as_point(x), _as_point(y)
-        model, phi = _grounded(self.gamma, self.q, MetricDivisor({x: 1}), y)
-        return phi[model.vid_of[y]]
+        model, d, phi = _grounded(self.gamma, self.q, MetricDivisor({x: 1}), y)
+        return Fraction(phi[model.vid_of[y]], d)
 
     def resistance(self, x, y=None):
         """Effective resistance r(x, y); y defaults to the base point."""
         x = _as_point(x)
         y = self.q if y is None else _as_point(y)
         dipole = MetricDivisor([(x, 1), (y, -1)])
-        model, phi = _grounded(self.gamma, self.q, dipole, x, y)
-        return phi[model.vid_of[x]] - phi[model.vid_of[y]]
+        model, d, phi = _grounded(self.gamma, self.q, dipole, x, y)
+        return Fraction(phi[model.vid_of[x]] - phi[model.vid_of[y]], d)
 
     def q_energy(self, D):
         """E_q(D) = <D - deg(D) q, D - deg(D) q> = sum of D(p) phi_D(p), with
         phi_D the j_q-potential of D."""
-        model, phi = _grounded(self.gamma, self.q, D)
-        return sum(w * phi[model.vid_of[p]] for p, w in D)
+        model, d, phi = _grounded(self.gamma, self.q, D)
+        return Fraction(sum(w * phi[model.vid_of[p]] for p, w in D), d)
 
     def b(self, D):
         """b_q(D) = integral over Gamma of phi_D, the j_q-potential of D."""
-        model, phi = _grounded(self.gamma, self.q, D)
-        # phi is affine on a model edge of t ticks: t / den * (phi(a) + phi(b)) / 2
+        model, d, phi = _grounded(self.gamma, self.q, D)
+        # phi / d is affine on a model edge of t ticks: its integral there is
+        # t / den * (phi(a) + phi(b)) / 2d
         pieces = zip(model.medges, model.ticks)
-        return Fraction(sum(t * (phi[a] + phi[b]) for (a, b, *_), t in pieces), 2 * model.den)
+        return Fraction(sum(t * (phi[a] + phi[b]) for (a, b, *_), t in pieces), 2 * d * model.den)
 
 
 def metric_potentials(gamma, q):

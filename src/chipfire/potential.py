@@ -1,11 +1,12 @@
 """Potential theory on graphs: generalized inverses of the Laplacian,
 the j-function, effective resistance, and the energy pairings E_q and b_q.
 
-All values are exact rationals.  One fraction-free elimination of Q_(q)
-(`exact.adjugate`) gives the j-table as an integer numerator matrix over the
-tree count, so the inner loops of b_q / E_q stay in integer arithmetic.  A
-table builds it on first use; its float64 view (`float_inverse`) needs no
-elimination and is what the reduction's lattice step refines to exact floors.
+All values are exact rationals.  One fraction-free elimination of Q_(q),
+`exact.solve(Q_(q), I)`, gives the j-table as an integer numerator matrix
+over the tree count, so the inner loops of b_q / E_q stay in integer
+arithmetic.  A table builds it on first use; its float64 view
+(`float_inverse`) needs no elimination and is what the reduction's lattice
+step refines to exact floors.
 `j_function(G, q)` returns the one table the graph keeps, for the last base
 vertex asked for, so K reductions against one (G, q) build the float
 inverse and the exact numerators once each.
@@ -118,7 +119,7 @@ class PotentialTable:
     J[p][v] = j_q(p, v) is the potential at v when one unit of current
     enters at p and exits at q, grounded at q.  The exact values are an
     integer numerator matrix `num` over a common denominator `den` (the
-    spanning tree count), built by one exact adjugate on first use;
+    spanning tree count), built by one exact solve on first use;
     `float_inverse` reads j_q / den in float64 without them, also once.
 
     The reduction's step-1 constants are set at construction: keep, the
@@ -156,14 +157,14 @@ class PotentialTable:
         return self._den
 
     def _build(self):
-        """num and den from adj(Q_(q)) and det(Q_(q)).
+        """num and den from adj(Q_(q)) and det(Q_(q)), that is solve(Q_(q), I).
 
         Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1,
         that is Delta(g_q) = sum_v (v) - n (q).
         """
         q = self.q
         Qq = _reduced_laplacian(self._deg, self._eu, self._ev, q, np.int64).tolist()
-        den, adj = exact.adjugate(Qq)
+        den, adj = exact.solve(Qq, np.eye(len(Qq), dtype=np.int64).tolist())
         sums = [sum(row) for row in adj]
         if any(sum(map(mul, row, sums)) != den for row in Qq):
             raise AssertionError("j-function numerators must be integral cofactors")

@@ -206,10 +206,10 @@ def _refined_floor(G, table, inv, b):
             return floors, "float", rounds
         if err << (last_S + 1) > last_err << S:
             break
-    sol = exact.solve(reduced_laplacian(G, q).tolist(), [[b[v]] for v in keep])
+    d, sol = exact.solve(reduced_laplacian(G, q).tolist(), [[b[v]] for v in keep])
     floors = [0] * G.n
     for v, (x,) in zip(keep, sol):
-        floors[v] = x.numerator // x.denominator
+        floors[v] = x // d
     return floors, "exact", rounds
 
 

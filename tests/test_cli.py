@@ -13,13 +13,16 @@ Core claims:
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message, and so is a metric base
       point off its edge; metric-reduce stopped at its Luo-move safety cap,
-      or failing its exact script check, exits 3.
+      or failing its exact script check, exits 3, and so does reduce failing
+      its exact script check.  A missing graph file exits 2 with one JSON
+      object naming it.
     - A file naming 10**12 vertices and no edges is refused with exit 2 and
       one JSON object, not with a MemoryError.
     - JSON reports are deterministic apart from wall_time_ms, and every
       subcommand's report is pinned by one digest.  A text report prints
-      one `key: value` line per entry, a list that holds lists as one JSON
-      array, and ends with its wall_time_ms line.
+      one `key: value` line per entry, a list that holds lists or dicts
+      (trees, Luo moves, unburnt components) as one JSON array, and ends
+      with its wall_time_ms line.
     - `jacobian` returns within a timeout on graphs where an unbounded
       Smith form stalled.
 """
@@ -36,7 +39,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chipfire import cli, metric, potential
+from chipfire import _kernels, cli, metric, potential
 from chipfire.formats import (
     GraphFormatError,
     format_fraction,
@@ -283,39 +286,50 @@ CLI_JSON_RUNS = [
 ]
 
 
+# each of the two Luo moves that carry v:1=2 on the unit segment to v:0
+_SEG_MOVE = (
+    '{"b_q_drop": "1/2", "component_length": "0", "component_points": ["v:1"], '
+    '"cut_size": 1, "epsilon": "1"}'
+)
+
+
 @pytest.mark.parametrize(
-    "fixture, args, want",
+    "fixture, args, code, want",
     [
-        ("k3", ["reduce", "--q", "2", "--divisor", "start"], [
+        ("k3", ["reduce", "--q", "2", "--divisor", "start"], 0, [
             "command: reduce", "floor_path: float", "result: 0 1 4", "script: 3 1 0",
             "moves.step1_floor_rounds: 1", "moves.step2_borrows: 0",
             "moves.step2_unborrow_sets: 0",
         ]),
-        ("k3", ["check-reduced", "--q", "2", "--divisor", "0 1 4"], [
+        ("k3", ["check-reduced", "--q", "2", "--divisor", "0 1 4"], 0, [
             "command: check-reduced", "burn_order: 2 0 1", "negative: -", "reduced: true",
             "unburnt: -",
         ]),
-        ("k3", ["sample-tree", "--q", "0", "--seed", "7", "--count", "2"], [
+        ("k3", ["sample-tree", "--q", "0", "--seed", "7", "--count", "2"], 0, [
             "command: sample-tree", "seed: 7", "count: 2", "trees: [[0, 1], [0, 2]]",
         ]),
-        ("seg", ["metric-reduce", "--q", "v:0", "--divisor", "twoa"], [
+        ("seg", ["metric-reduce", "--q", "v:0", "--divisor", "twoa"], 0, [
             "command: metric-reduce",
             'after_make_effective: [["v:1", 2]]',
+            f"iterations: [{_SEG_MOVE}, {_SEG_MOVE}]",
             'result: [["v:0", 2]]',
             "script_vertex_values: 2 0",
             "moves.luo_iterations: 2",
             "moves.make_effective_breaks: 0",
         ]),
+        ("seg", ["metric-check", "--q", "v:0", "--divisor", "twoa"], 1, [
+            "command: metric-check", "burn_order: v:0",
+            'components: [{"cut_size": 1, "points": ["v:1"], "total_length": "0"}]',
+            "reduced: false",
+        ]),
     ],
-    ids=["reduce", "check_reduced", "sample_tree", "metric_reduce"],
+    ids=["reduce", "check_reduced", "sample_tree", "metric_reduce", "metric_check"],
 )
-def test_cli_text_report_lines(k3_file, seg_file, capsys, fixture, args, want):
+def test_cli_text_report_lines(k3_file, seg_file, capsys, fixture, args, code, want):
+    # metric-check exits 1 on a divisor that is not reduced
     path = {"k3": k3_file, "seg": seg_file}[fixture]
-    assert cli.main([args[0], path, *args[1:]]) == 0
-    # a list of dicts (metric-reduce's iterations) still prints as
-    # space-joined JSON objects, not one JSON value: that form is not pinned
-    lines = [line for line in capsys.readouterr().out.splitlines()
-             if not line.startswith("iterations: ")]
+    assert cli.main([args[0], path, *args[1:]]) == code
+    lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == want
     assert re.fullmatch(r"wall_time_ms: \d+\.\d{3}", lines[-1])
 
@@ -587,6 +601,16 @@ def test_cli_bad_input_exit_2(tmp_path, k3_file):
         assert out.stderr.startswith("error:")
 
 
+def test_cli_missing_file_under_json_prints_one_json_object(tmp_path, capsys):
+    missing = str(tmp_path / "nope.cf")
+    assert cli.main(["reduce", missing, "--q", "0", "--divisor", "0", "--format", "json"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["command"] == "reduce" and report["exit_code"] == 2
+    assert report["error"].startswith(f"cannot read {missing}: ")
+
+
 @pytest.mark.parametrize(
     "args, error",
     [
@@ -648,6 +672,23 @@ def test_cli_metric_reduce_self_check_exits_3(tmp_path, monkeypatch, capsys):
         "command": "metric-reduce",
         "error": "the moves and the script's Laplacian disagree",
         "exit_code": 3,
+    }
+
+
+def test_cli_reduce_script_mismatch_exits_3(k3_file, monkeypatch, capsys):
+    # borrow counts one off at vertex 0 give a script whose Laplacian misses
+    # the result: reduce's exact self-check, not bad input
+    borrow = _kernels.borrow_until_effective
+
+    def miscounted(*args):
+        d2, counts, borrows, unborrows = borrow(*args)
+        return d2, [counts[0] + 1, *counts[1:]], borrows, unborrows
+
+    monkeypatch.setattr(_kernels, "borrow_until_effective", miscounted)
+    args = ["reduce", k3_file, "--q", "2", "--divisor", "start", "--format", "json"]
+    assert cli.main(args) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "reduce", "error": "reduction script mismatch", "exit_code": 3,
     }
 
 

@@ -4,16 +4,17 @@ Core claims:
     - det agrees with known values and with numpy (rounded) on random
       integer matrices, and handles numpy int64 entries exactly, without
       int64 overflow; Fraction and float entries raise TypeError.
-    - solve returns the exact rational solution of an integer system and
+    - solve returns the pair (det A, det A * A^{-1} B) of ints, whose
+      quotient is the exact rational solution of an integer system, and
       raises on singular systems.
     - Property (hypothesis, sympy as the oracle): on integer matrices, with
       zero leading pivots, negative determinants, singular, 0 x 0 and 1 x 1
-      input, det equals sympy's det as an int; a nonsingular A gives an
-      adjugate equal to sympy's and X = det(A) A^{-1} B with A X = d B; a
-      singular A makes solve and adjugate raise ValueError.
+      input, det equals sympy's det as an int; a nonsingular A gives
+      solve(A, I) = (det A, sympy's adjugate) and X = det(A) A^{-1} B with
+      A X = d B; a singular A makes solve raise ValueError.
     - A wide, tall or ragged matrix, or a right-hand side whose height is
-      not n or whose rows differ in width, raises ValueError in det, solve,
-      adjugate and the Smith form.
+      not n or whose rows differ in width, raises ValueError in det, solve
+      and the Smith form.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from chipfire.exact import adjugate, det, solve
+from chipfire.exact import det, solve
 from chipfire.jacobian import smith_normal_form
 
 
@@ -53,14 +54,14 @@ def test_non_integer_entries_are_refused(entry):
     with pytest.raises(TypeError):
         solve([[2, 1], [1, 3]], [[entry], [1]])
     with pytest.raises(TypeError):
-        adjugate([[1, 0], [0, entry]])
+        solve([[1, 0], [0, entry]], _identity(2))
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: det([[1, 2, 3], [4, 5, 6]]),
-        lambda: adjugate([[1, 2, 3], [4, 5, 6]]),
+        lambda: solve([[1, 2, 3], [4, 5, 6]], _identity(2)),
         lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]]),
         lambda: solve([[2, 0], [0, 3]], [[1], [1], [1]]),
         lambda: det([[1, 2], [3, 4], [5, 6]]),
@@ -82,8 +83,8 @@ def test_numpy_int64_entries_are_accepted():
     M = np.array([[2, -1], [-1, 2]], dtype=np.int64)
     d = det(M)
     assert d == 3 and type(d) is int
-    assert solve(M, np.array([[1], [1]], dtype=np.int64)) == [[1], [1]]
-    assert adjugate(M) == (3, [[2, 1], [1, 2]])
+    assert solve(M, np.array([[1], [1]], dtype=np.int64)) == (3, [[3], [3]])
+    assert solve(M, np.eye(2, dtype=np.int64)) == (3, [[2, 1], [1, 2]])
 
 
 def test_det_numpy_int64_entries_do_not_overflow():
@@ -124,22 +125,28 @@ def test_solve_exact():
             if det(M) != 0:
                 break
         b = [int(x) for x in rng.integers(-9, 10, size=n)]
-        x = [row[0] for row in solve(M, [[bi] for bi in b])]
-        assert all(type(xi) is Fraction for xi in x)
-        assert [sum(a * xi for a, xi in zip(row, x)) for row in M] == b
+        d, X = solve(M, [[bi] for bi in b])
+        x = [row[0] for row in X]
+        assert type(d) is int and all(type(xi) is int for xi in x)
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in M] == [d * bi for bi in b]
 
 
 def test_solve_multiple_rhs():
     M = [[2, 1], [1, 3]]
-    sol = solve(M, [[1, 0], [0, 1]])
-    # columns of the inverse
-    assert sol[0][0] == Fraction(3, 5) and sol[1][0] == Fraction(-1, 5)
-    assert sol[0][1] == Fraction(-1, 5) and sol[1][1] == Fraction(2, 5)
+    d, X = solve(M, [[1, 0], [0, 1]])
+    # columns of the inverse, over the determinant
+    assert d == 5
+    assert Fraction(X[0][0], d) == Fraction(3, 5) and Fraction(X[1][0], d) == Fraction(-1, 5)
+    assert Fraction(X[0][1], d) == Fraction(-1, 5) and Fraction(X[1][1], d) == Fraction(2, 5)
 
 
 def test_solve_singular_raises():
     with pytest.raises(ValueError):
         solve([[1, 2], [2, 4]], [[1], [0]])
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _mul(A, B):
@@ -190,14 +197,15 @@ def test_elimination_matches_sympy(system):
         with pytest.raises(ValueError):
             solve(A, B)
         with pytest.raises(ValueError):
-            adjugate(A)
+            solve(A, _identity(n))
         return
-    d2, adj = adjugate(A)
+    d2, adj = solve(A, _identity(n))
     assert d2 == d
     assert all(type(x) is int for row in adj for x in row)
     if n:
         assert adj == _sympy(A).adjugate().tolist()
     assert _mul(A, adj) == [[d if i == j else 0 for j in range(n)] for i in range(n)]
-    X = [[d * x for x in row] for row in solve(A, B)]
+    d3, X = solve(A, B)
+    assert d3 == d and all(type(x) is int for row in X for x in row)
     assert X == _mul(adj, B)
     assert _mul(A, X) == [[d * x for x in row] for row in B]

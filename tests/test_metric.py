@@ -117,6 +117,8 @@ def test_point_canonicalization():
     assert mid.kind == "e" and mid.offset == Fraction(1, 2)
     with pytest.raises(ValueError):
         gamma.point(0, 2)
+    with pytest.raises(ValueError, match="edge index out of range"):
+        gamma.point(gamma.m, 0)
     with pytest.raises(ValueError, match="kind must be"):
         GraphPoint("x", 0)
 
@@ -495,9 +497,9 @@ def _triangle_case():
 def _solved_script(gamma, q, D, report):
     """The script as the potential of (result - D) from one exact solve,
     shifted to sum(eps) at q."""
-    model, x = metric._grounded(gamma, q, report.result - D)
+    model, d, x = metric._grounded(gamma, q, report.result - D)
     shift = sum((it.epsilon for it in report.iterations), Fraction(0))
-    return metric._tropical_from_model(gamma, model, [shift + v for v in x])
+    return metric._tropical_from_model(gamma, model, [shift + Fraction(v, d) for v in x])
 
 
 def _created(q, D, report):

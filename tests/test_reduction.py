@@ -274,6 +274,15 @@ def test_verify_minimizer_on_reduced():
         assert verify_minimizer(G, q, D, trials=32, seed=7)
 
 
+def test_verify_minimizer_fails_when_a_member_does_not_beat_d(monkeypatch):
+    # D itself as the "other" member ties E_q and b_q, so D is not a strict
+    # minimizer against it
+    monkeypatch.setattr(reduction, "random_equivalent", lambda G, q, D, rng: D)
+    G = complete_graph(3)
+    D = reduce_divisor(G, 2, Divisor((5, 0, 0))).result
+    assert verify_minimizer(G, 2, D, trials=4) is False
+
+
 def test_verify_minimizer_rejects_unreduced():
     G = complete_graph(3)
     with pytest.raises(ValueError):

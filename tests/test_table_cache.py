@@ -6,7 +6,8 @@ Core claims:
       equal those on a fresh, equal Graph, over the RANDOM corpus and
       hypothesis graphs.
     - K trees sampled on one (G, q) build one float inverse; reduce followed
-      by the step bounds and verify_minimizer builds one exact adjugate.
+      by the step bounds and verify_minimizer builds one exact adjugate, the
+      only exact solve they run.
     - The cached float inverse is read-only, a patched
       PotentialTable.float_inverse takes effect on a warm table, and a
       dropped graph frees its table's inverse by reference counting alone.
@@ -116,18 +117,18 @@ def test_reduce_then_the_exact_checks_build_one_adjugate(monkeypatch):
     G = random_multigraph(10, 9, np.random.default_rng(1514))
     D = random_divisor(G.n, np.random.default_rng(1515), lo=-9, hi=9)
     calls = []
-    adjugate = exact.adjugate
+    solve = exact.solve
 
-    def counting(M):
-        calls.append(len(M))
-        return adjugate(M)
+    def counting(M, B):
+        calls.append((len(M), len(B[0])))
+        return solve(M, B)
 
-    monkeypatch.setattr(exact, "adjugate", counting)
+    monkeypatch.setattr(exact, "solve", counting)
     rep = reduce_divisor(G, 4, D)
     step_bound_borrows(G, 4, rep.after_step1)
     b_q(G, 4, rep.result)
     assert verify_minimizer(G, 4, rep.result, trials=8)
-    assert calls == [G.n - 1]
+    assert calls == [(G.n - 1, G.n - 1)]  # solve(Q_(q), I), once
 
 
 def test_the_cached_float_inverse_is_read_only():
