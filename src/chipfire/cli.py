@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from . import metric, reduction, treebij
 from .jacobian import (
@@ -66,14 +67,11 @@ class RunReport:
         lines = [f"command: {self.command}"]
         if self.seed is not None:
             lines.append(f"seed: {self.seed}")
-        for key in sorted(self.outputs):
-            lines.append(f"{key}: {_plain(self.outputs[key])}")
-        if self.move_counts:
-            for key in sorted(self.move_counts):
-                lines.append(f"moves.{key}: {_plain(self.move_counts[key])}")
-        if self.bounds:
-            for key in sorted(self.bounds):
-                lines.append(f"bound.{key}: {_plain(self.bounds[key])}")
+        for prefix, section in (
+            ("", self.outputs), ("moves.", self.move_counts), ("bound.", self.bounds)
+        ):
+            for key in sorted(section or ()):
+                lines.append(f"{prefix}{key}: {_plain(section[key])}")
         lines.append(f"wall_time_ms: {self.wall_time_ms:.3f}")
         return "\n".join(lines)
 
@@ -231,16 +229,10 @@ def _cmd_rank(gf, q, D, args):
 
 
 def _cmd_bounds(gf, q, D, args):
-    mb = reduction.move_bounds(gf.graph, q)
     bounds = {
-        "exact": format_fraction(mb.exact),
-        "resistance": format_fraction(mb.resistance),
-        "rmax_degree": format_fraction(mb.rmax_degree),
-        "rmax_coarse": format_fraction(mb.rmax_coarse),
-        "foster": format_fraction(mb.foster),
-        "spectral": mb.spectral,
-        "spectral_is_approximate": mb.spectral_is_approximate,
-        "diameter": format_fraction(mb.diameter),
+        key: format_fraction(value) if isinstance(value, Fraction) else value
+        for key, value in asdict(reduction.move_bounds(gf.graph, q)).items()
+        if key != "q"
     }
     return {"q": q}, None, bounds, 0
 
@@ -312,9 +304,9 @@ def run(args):
     outputs, moves, bounds, code = args.handler(gf, q, D, args)
     elapsed = (time.perf_counter() - started) * 1000.0
     inputs = {"graph": args.graph, "graph_sha256": digest}
-    for key in ("q", "divisor", "divisor2", "tree", "degree", "c", "count"):
+    for key in ("q", *OPTIONS):
         val = getattr(args, key, None)
-        if val is not None:
+        if val is not None and key != "seed":  # the report's own seed field
             inputs[key] = val
     report = RunReport(
         command=args.command,
@@ -330,6 +322,19 @@ def run(args):
 
 # --------------------------------------------------------------------------
 
+# The options a command may take after --q, in --help order: each add() call
+# in build_parser names its own; run echoes all but --seed into the inputs.
+OPTIONS = {
+    "divisor": dict(required=True, help="named divisor, inline coefficients, or @file"),
+    "divisor2": dict(required=True, help="second divisor (same syntax as --divisor)"),
+    "tree": dict(required=True, help="edge indices of the spanning tree"),
+    "degree": dict(type=int, default=None, help="target degree (default: genus)"),
+    "c": dict(type=int, required=True, help="rank threshold"),
+    "seed": dict(type=int, required=True, help="RNG seed (required for reproducibility)"),
+    "count": dict(type=int, default=1, help="number of samples"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chipfire",
@@ -338,9 +343,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler, *, metric=False, divisor=False,
-            divisor2=False, q=True, q_required=True, tree=False, degree=False,
-            c=False, seed=False, count=False):
+    def add(name, help_text, handler, *options, metric=False, q=True, q_required=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, metric=metric)
         p.add_argument("graph", help="graph file")
@@ -351,53 +354,33 @@ def build_parser():
                 default=None if q_required else "0",
                 help="base vertex (or point like e:0@1/2 for metric commands)",
             )
-        if divisor:
-            p.add_argument("--divisor", required=True,
-                           help="named divisor, inline coefficients, or @file")
-        if divisor2:
-            p.add_argument("--divisor2", required=True,
-                           help="second divisor (same syntax as --divisor)")
-        if tree:
-            p.add_argument("--tree", required=True,
-                           help="edge indices of the spanning tree")
-        if degree:
-            p.add_argument("--degree", type=int, default=None,
-                           help="target degree (default: genus)")
-        if c:
-            p.add_argument("--c", type=int, required=True,
-                           help="rank threshold")
-        if seed:
-            p.add_argument("--seed", type=int, required=True,
-                           help="RNG seed (required for reproducibility)")
-        if count:
-            p.add_argument("--count", type=int, default=1,
-                           help="number of samples")
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     add("check-reduced", "test whether a divisor is q-reduced",
-        _cmd_check_reduced, divisor=True)
-    add("reduce", "compute the q-reduced representative", _cmd_reduce,
-        divisor=True)
+        _cmd_check_reduced, "divisor")
+    add("reduce", "compute the q-reduced representative", _cmd_reduce, "divisor")
     add("to-tree", "burn a reduced divisor into its spanning tree",
-        _cmd_to_tree, divisor=True)
+        _cmd_to_tree, "divisor")
     add("from-tree", "burn a spanning tree into its reduced divisor",
-        _cmd_from_tree, tree=True, degree=True)
+        _cmd_from_tree, "tree", "degree")
     add("count-trees", "matrix-tree count of spanning trees",
         _cmd_count_trees, q=False)
     add("jacobian", "invariant factors and generators of Jac(G)",
         _cmd_jacobian, q_required=False)
     add("sample-tree", "uniform random spanning trees", _cmd_sample_tree,
-        seed=True, count=True)
+        "seed", "count")
     add("group-add", "add two q-reduced degree-zero divisors",
-        _cmd_group_add, divisor=True, divisor2=True)
+        _cmd_group_add, "divisor", "divisor2")
     add("winnable", "dollar game: find a winning script", _cmd_winnable,
-        divisor=True, q_required=False)
-    add("rank", "test rank >= c", _cmd_rank, divisor=True, c=True, q=False)
+        "divisor", q_required=False)
+    add("rank", "test rank >= c", _cmd_rank, "divisor", "c", q=False)
     add("bounds", "running-time bounds for reduction toward q", _cmd_bounds)
     add("metric-check", "metric burning test at a base point",
-        _cmd_metric_check, metric=True, divisor=True)
+        _cmd_metric_check, "divisor", metric=True)
     add("metric-reduce", "metric reduction with the full move log",
-        _cmd_metric_reduce, metric=True, divisor=True)
+        _cmd_metric_reduce, "divisor", metric=True)
 
     return parser
 

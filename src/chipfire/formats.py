@@ -190,24 +190,16 @@ def parse(text):
 
 def serialize(gf):
     """Canonical text for a GraphFile; parse(serialize(gf)) == gf."""
-    lines = []
-    if gf.is_metric:
-        G = gf.graph.graph
-        lines.append(f"graph {G.n}")
-        for e, (u, v) in enumerate(G.edges):
-            lines.append(f"edge {u} {v} {format_fraction(gf.graph.lengths[e])}")
-    else:
-        G = gf.graph
-        lines.append(f"graph {G.n}")
-        for u, v in G.edges:
-            lines.append(f"edge {u} {v}")
+    metric = gf.is_metric
+    G = gf.graph.graph if metric else gf.graph
+    lines = [f"graph {G.n}"]
+    for e, (u, v) in enumerate(G.edges):
+        length = f" {format_fraction(gf.graph.lengths[e])}" if metric else ""
+        lines.append(f"edge {u} {v}{length}")
     for name in sorted(gf.divisors):
         D = gf.divisors[name]
-        if gf.is_metric:
-            entries = " ".join(f"{format_point(p)}={w}" for p, w in D)
-            lines.append(f"divisor {name} {entries}".rstrip())
-        else:
-            lines.append(f"divisor {name} " + " ".join(str(c) for c in D))
+        entries = (f"{format_point(p)}={w}" for p, w in D) if metric else map(str, D)
+        lines.append(f"divisor {name} {' '.join(entries)}".rstrip())
     return "\n".join(lines) + "\n"
 
 

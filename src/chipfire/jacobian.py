@@ -297,19 +297,23 @@ RANK_ENUMERATION_CAP = 20_000
 def rank_at_least(G, D, c):
     """True iff D - E is winnable for every effective E of degree c.
 
-    deg(D) - c >= g answers True without a reduction, whatever the number
-    of such E: by Riemann-Roch r(D - E) >= deg(D) - c - g >= 0 for every E.
-    Otherwise raises ValueError when there are more than
-    RANK_ENUMERATION_CAP such E, and under the cap short-circuits on the
-    first failing E in lexicographic order.
+    deg(D) > g - 1 swaps to the smaller side by Riemann-Roch, as rank does:
+    r(D) >= c exactly when r(K - D) >= c - (deg(D) + 1 - g), which holds at
+    once when that threshold is negative.  Otherwise raises ValueError when
+    there are more than RANK_ENUMERATION_CAP such E, and under the cap
+    short-circuits on the first failing E in lexicographic order.
     """
     check_divisor(G, D)
     if c < 0:
         raise ValueError("rank threshold must be >= 0")
+    g = G.genus()
+    if D.degree > g - 1:
+        c -= D.degree + 1 - g
+        if c < 0:
+            return True
+        D = Divisor(d - 2 for d in G.deg) - D
     if D.degree < c:
         return False
-    if D.degree - c >= G.genus():
-        return True
     count = comb(G.n + c - 1, c)
     if count > RANK_ENUMERATION_CAP:
         raise ValueError(

@@ -133,13 +133,14 @@ def is_linearly_equivalent(G, D1, D2, q):
     """
     _check(G, q, D1)
     _check(G, q, D2)
-    d1, f, _path, _rounds, _inv = _floor_step(G, q, D1 - D2)
+    d1, f, _path, _rounds = _floor_step(G, j_function(G, q), D1 - D2)
     return None if any(d1) else FiringScript(f, q)
 
 
-def _floor_step(G, q, D):
+def _floor_step(G, table, D):
     """Step 1: subtract Delta(floor(x)) for x = L_(q) [D], the solution of
-    Q_(q) x = D off q; returns (divisor, floor vector, path, rounds, inv).
+    Q_(q) x = D off q, with table the PotentialTable of (G, q); returns
+    (divisor, floor vector, path, rounds).
 
     x = L_(q) D = sum_v j_q(., v) D(v) is refined from float64 solves with
     the j-table's float view on exact integer residuals (Wan, J.
@@ -153,24 +154,21 @@ def _floor_step(G, q, D):
     R = 0, or a zero exact residual at round(x~) (principal divisors), stops
     at once.  path is "float"; it is "exact" when a round fails to halve
     the bound or a float solve is not finite, and a single-column exact
-    solve finishes the job.  rounds counts the float solves.  inv, the float
-    inverse, is returned for step 2's guess; it is None when D is zero off q
-    and no solve was needed.
+    solve finishes the job.  rounds counts the float solves.
     """
-    table = j_function(G, q)
-    b = [0 if v == q else c for v, c in enumerate(D)]
+    b = [0 if v == table.q else c for v, c in enumerate(D)]
     if not any(b):
-        return list(D), [0] * G.n, "float", 0, None
-    inv = table.float_inverse()
-    f1, path, rounds = _refined_floor(G, table, inv, b)
-    return _minus_laplacian(G, D, f1), f1, path, rounds, inv
+        return list(D), [0] * G.n, "float", 0
+    f1, path, rounds = _refined_floor(G, table, b)
+    return _minus_laplacian(G, D, f1), f1, path, rounds
 
 
-def _refined_floor(G, table, inv, b):
+def _refined_floor(G, table, b):
     """(floor(x), path, rounds) for Q_(q) x = b off q, b[q] = 0, from float
-    solves with inv, a float64 Q_(q)^{-1}; q, the vertices off it, ecc(q)
-    and 2T are read off table, the PotentialTable of (G, q)."""
+    solves with the table's float64 Q_(q)^{-1}; q, the vertices off it,
+    ecc(q) and 2T are read off table, the PotentialTable of (G, q)."""
     q, keep, ecc, two_t = table.q, table.keep, table.ecc, table.two_t
+    inv = table.float_inverse()
     X, S, R = [0] * G.n, 0, b
     err = ecc * sum(map(abs, R))
     rounds = 0
@@ -231,8 +229,8 @@ def _minus_laplacian(G, D, f):
 _GUESS_MIN_VERTICES = 16
 
 
-def _borrow_guess(G, q, d1, inv):
-    """Step 2's starting borrow vector, read off step 1's inverse.
+def _borrow_guess(G, table, d1):
+    """Step 2's starting borrow vector, read off the table's float inverse.
 
     The borrow vector is c* = L_(q) (d2 - d1), and d2 lies in [0, deg - 1]
     off q, so c0 = floor(inv (t - d1)) is near c* for a target t in that box
@@ -245,11 +243,10 @@ def _borrow_guess(G, q, d1, inv):
     grow like n^2, costs the kernel's descent thousands of set firings.
     Entries below 1 or not finite count as 0.
     """
-    keep = [v for v in G.vertices if v != q]
-    deg = G.deg
+    keep, deg = table.keep, G.deg
     box = sum(deg[v] - 1 for v in keep)
     share = 5 * (G.m - G.n + 1) / (6 * max(box, 1))
-    x = inv @ np.array([(deg[v] - 1) * share - d1[v] for v in keep])
+    x = table.float_inverse() @ np.array([(deg[v] - 1) * share - d1[v] for v in keep])
     guess = [0] * G.n
     for v, c in zip(keep, x.tolist()):
         if 1 <= c < inf:  # False for NaN
@@ -267,12 +264,13 @@ def reduce(G, q, D):
     checked exactly against the result.
     """
     _check(G, q, D)
-    d1, f1, path, rounds, inv = _floor_step(G, q, D)
+    table = j_function(G, q)
+    d1, f1, path, rounds = _floor_step(G, table, D)
     guess = None
     if G.n >= _GUESS_MIN_VERTICES and any(
         c < 0 for v, c in enumerate(d1) if v != q
     ):
-        guess = _borrow_guess(G, q, d1, inv)
+        guess = _borrow_guess(G, table, d1)
     # the kernel copies its input, so d1 is passed as it is
     d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
         G, d1, q, guess

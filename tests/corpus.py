@@ -77,6 +77,15 @@ def random_multigraph(n, extra, rng):
     return Graph(n, edges)
 
 
+def genus_21_multigraph():
+    """The benchmark's random_multigraph(10, 30, Random(3)): genus 21."""
+    return Graph(10, [
+        (1, 0), (2, 0), (3, 1), (4, 3), (5, 4), (6, 0), (7, 4), (8, 0), (9, 7), (4, 8),
+        (7, 8), (8, 7), (6, 2), (3, 2), (8, 6), (0, 1), (2, 9), (0, 4), (0, 4), (7, 9),
+        (6, 9), (7, 2), (5, 1), (0, 2), (7, 3), (4, 6), (4, 6), (8, 6), (9, 5), (8, 9),
+    ])
+
+
 def tree_plus_edges(n, m, rng):
     """The benchmark's multigraph from a random.Random: vertex i joined to a
     random earlier vertex, then random non-loop edges up to m in total."""

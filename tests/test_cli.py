@@ -25,8 +25,11 @@ Core claims:
       with its wall_time_ms line.
     - `jacobian` returns within a timeout on graphs where an unbounded
       Smith form stalled.
+    - The parser and each subcommand declare their options in a pinned order
+      with pinned required flags, defaults, types, choices and help texts.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -54,7 +57,7 @@ from chipfire.graph import Divisor, Graph
 from chipfire.jacobian import count_spanning_trees
 from chipfire.metric import GraphPoint, MetricGraph
 
-from corpus import tree_plus_edges
+from corpus import genus_21_multigraph, tree_plus_edges
 
 K3_TEXT = """# triangle
 graph 3
@@ -225,6 +228,66 @@ def test_parse_divisor_arg_forms(tmp_path):
         parse_divisor_arg(" , ", gf)
     with pytest.raises(ValueError, match="needs 3 coefficients, got 2"):
         parse_divisor_arg("1 2", gf)
+
+
+# -- Declarations -----------------------------------------------------------------
+
+# (option strings, required, default, type, choices, help) of each action, in
+# order; unlike rendered --help, it does not depend on the terminal width
+_HELP = (["-h", "--help"], False, argparse.SUPPRESS, None, None,
+         "show this help message and exit")
+_GRAPH = ([], True, None, None, None, "graph file")
+_Q_HELP = "base vertex (or point like e:0@1/2 for metric commands)"
+_Q = (["--q"], True, None, None, None, _Q_HELP)
+_Q_AT_0 = (["--q"], False, "0", None, None, _Q_HELP)
+_DIVISOR = (["--divisor"], True, None, None, None,
+            "named divisor, inline coefficients, or @file")
+_FORMAT = (["--format"], False, "text", None, ["text", "json"], None)
+_COMMAND_OPTIONS = {
+    "check-reduced": [_Q, _DIVISOR],
+    "reduce": [_Q, _DIVISOR],
+    "to-tree": [_Q, _DIVISOR],
+    "from-tree": [
+        _Q,
+        (["--tree"], True, None, None, None, "edge indices of the spanning tree"),
+        (["--degree"], False, None, "int", None, "target degree (default: genus)"),
+    ],
+    "count-trees": [],
+    "jacobian": [_Q_AT_0],
+    "sample-tree": [
+        _Q,
+        (["--seed"], True, None, "int", None, "RNG seed (required for reproducibility)"),
+        (["--count"], False, 1, "int", None, "number of samples"),
+    ],
+    "group-add": [
+        _Q,
+        _DIVISOR,
+        (["--divisor2"], True, None, None, None,
+         "second divisor (same syntax as --divisor)"),
+    ],
+    "winnable": [_Q_AT_0, _DIVISOR],
+    "rank": [_DIVISOR, (["--c"], True, None, "int", None, "rank threshold")],
+    "bounds": [_Q],
+    "metric-check": [_Q, _DIVISOR],
+    "metric-reduce": [_Q, _DIVISOR],
+}
+
+
+def _declarations(parser):
+    return [
+        (a.option_strings, a.required, a.default, a.type and a.type.__name__,
+         a.choices and list(a.choices), a.help)
+        for a in parser._actions
+    ]
+
+
+def test_cli_declarations_are_pinned():
+    parser = cli.build_parser()
+    commands = ([], True, None, None, list(_COMMAND_OPTIONS), None)
+    assert _declarations(parser) == [_HELP, commands]
+    subparsers = parser._actions[1].choices
+    for name, options in _COMMAND_OPTIONS.items():
+        assert _declarations(subparsers[name]) == [_HELP, _GRAPH, *options, _FORMAT], name
 
 
 # -- Subcommands ------------------------------------------------------------------
@@ -514,7 +577,7 @@ def test_cli_winnable_exit_codes(k3_file):
     assert "winnable: false" in lose.stdout
 
 
-def test_cli_rank(k3_file):
+def test_cli_rank(k3_file, tmp_path):
     yes = run_cli(["rank", k3_file, "--divisor", "flat", "--c", "2"])
     assert yes.returncode == 0
     no = run_cli(["rank", k3_file, "--divisor", "flat", "--c", "3"])
@@ -522,8 +585,14 @@ def test_cli_rank(k3_file):
     # C(252, 2) = 31,626 divisors of degree 250 on K3, but deg D - c = 50 >= g
     # = 1 answers yes without testing them
     assert run_cli(["rank", k3_file, "--divisor", "300 0 0", "--c", "250"]).returncode == 0
-    # C(201, 2) = 20,100 divisors of degree 199, and deg D - c = 0 < g: refused
-    big = run_cli(["rank", k3_file, "--divisor", "199 0 0", "--c", "199"])
+    # C(201, 2) = 20,100 divisors of degree 199, but Riemann-Roch gives r = 198
+    assert run_cli(["rank", k3_file, "--divisor", "199 0 0", "--c", "199"]).returncode == 1
+    # 20 (v0) has degree g - 1 = 20 and no smaller side: C(19, 10) = 92,378
+    # divisors, refused
+    G = genus_21_multigraph()
+    g21 = tmp_path / "g21.cf"
+    g21.write_text(f"graph {G.n}\n" + "".join(f"edge {u} {v}\n" for u, v in G.edges))
+    big = run_cli(["rank", str(g21), "--divisor", "20" + " 0" * 9, "--c", "10"])
     assert big.returncode == 2
     assert "cap" in big.stderr and big.stdout == ""
 

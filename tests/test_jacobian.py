@@ -26,10 +26,10 @@ Core claims:
       form.
     - winnable/rank agree with brute-force search on small graphs and with
       known values; rank_at_least enumerates the effective divisors of
-      degree c in lexicographic order without recursion, so a 1500-vertex
-      cycle inside the enumeration cap is answered.  Above degree g - 1
-      rank reads r(K - D) by Riemann-Roch, so K on a genus-21 multigraph,
-      whose own climb passes the cap, is answered.
+      degree c in lexicographic order without recursion.  Above degree
+      g - 1 rank and rank_at_least read r(K - D) by Riemann-Roch, so K on a
+      genus-21 multigraph, whose own climb passes the cap, is answered; a
+      divisor of degree g - 1 past the cap is refused.
 """
 
 import hashlib
@@ -76,7 +76,7 @@ from chipfire.potential import effective_resistance
 from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
-from corpus import RANDOM, SMALL, random_divisor, tree_plus_edges
+from corpus import RANDOM, SMALL, genus_21_multigraph, random_divisor, tree_plus_edges
 
 JACOBIAN_DIGEST = "590298f05d477e9f4f78f57e9990e9057c349fa94cb8d90c3b9d8d7058bb8374"
 SAMPLER_DIGEST = "f3396a9e4437824d9f2d747c00f73ad3dfab833a1e5be29c7bfb18a80cf8b926"
@@ -556,15 +556,17 @@ def test_rank_at_least_validation():
 
 def test_rank_at_least_refuses_past_the_enumeration_cap():
     # K3 has C(c + 2, 2) effective divisors of degree c: 19,900 at c = 198
-    # and 20,100 at c = 199, against a cap of 20,000; deg D - c >= g = 1
-    # answers past the cap, deg D - c = 0 does not
+    # and 20,100 at c = 199, against a cap of 20,000; above deg g - 1 = 0,
+    # Riemann-Roch answers on K - D, of negative degree, past the cap
     G = complete_graph(3)
     assert RANK_ENUMERATION_CAP == 20_000
     assert not rank_at_least(G, Divisor((199, -1, 0)), 198)
     assert rank_at_least(G, Divisor((300, 0, 0)), 250)
-    with pytest.raises(ValueError, match="cap"):
-        rank_at_least(G, Divisor((199, 0, 0)), 199)
+    assert not rank_at_least(G, Divisor((199, 0, 0)), 199)  # r = 198
     assert not rank_at_least(G, Divisor((198, 0, 0)), 199)  # degree too small
+    # deg D = g - 1 = 20 leaves no swap: C(19, 10) divisors of degree 10
+    with pytest.raises(ValueError, match="would test 92378 divisors"):
+        rank_at_least(genus_21_multigraph(), Divisor([20] + [0] * 9), 10)
 
 
 def _recursive_effective_divisors(n, degree):
@@ -614,19 +616,16 @@ def test_rank_canonical_divisors():
 
 
 def test_rank_of_k_on_a_genus_21_multigraph_runs_on_the_smaller_side():
-    # the benchmark's random_multigraph(10, 30, Random(3)); deg K = 2g - 2 = 40,
-    # so rank climbs on K - K = 0, where a climb on K itself would stop at
-    # level 20 and its 10015005 divisors
-    G = Graph(10, [
-        (1, 0), (2, 0), (3, 1), (4, 3), (5, 4), (6, 0), (7, 4), (8, 0), (9, 7), (4, 8),
-        (7, 8), (8, 7), (6, 2), (3, 2), (8, 6), (0, 1), (2, 9), (0, 4), (0, 4), (7, 9),
-        (6, 9), (7, 2), (5, 1), (0, 2), (7, 3), (4, 6), (4, 6), (8, 6), (9, 5), (8, 9),
-    ])
+    # deg K = 2g - 2 = 40, so rank and rank_at_least both run on K - K = 0,
+    # where a climb on K itself would stop at level 20 and its 10015005
+    # divisors; 20 (v0) has degree g - 1 and no smaller side
+    G = genus_21_multigraph()
     K = Divisor(G.degree(v) - 2 for v in G.vertices)
     assert G.genus() == 21
-    with pytest.raises(ValueError, match="would test 10015005 divisors"):
-        rank_at_least(G, K, 20)
+    assert rank_at_least(G, K, 20)
     assert rank(G, K) == 20
+    with pytest.raises(ValueError, match="would test 92378 divisors"):
+        rank_at_least(G, Divisor([20] + [0] * 9), 10)
 
 
 # -- Duality -----------------------------------------------------------------------------
