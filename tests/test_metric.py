@@ -44,11 +44,14 @@ Core claims:
       the one effective single-component case by a fourth; both were
       computed with the level-move make-effective step this one replaced.
       The exact potentials j, r, E_q and b_q on the METRIC corpus are pinned
-      by a fifth digest.
+      by a fifth digest, and a sixth pins the whole move log of every METRIC
+      case, of five unit-length C10(1, 2) inputs and of a 50-vertex input
+      with rational lengths.
 """
 
 import hashlib
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -76,7 +79,7 @@ from chipfire.metric import (
 from chipfire.potential import j_function
 from chipfire.reduction import reduce as reduce_divisor
 
-from corpus import METRIC, RANDOM, SMALL, random_divisor
+from corpus import METRIC, RANDOM, SMALL, random_divisor, tree_plus_edges
 
 METRIC_RESULT_DIGEST = "100767168180b3bbd325f045c8a11b09b3248b8785f1323279caac81c3f29eee"
 METRIC_LOG_DIGEST = "d8d6f88c030c304727363f7787d9e6bf1de28abaa2d622b4ef50ae692cbc3e3c"
@@ -96,6 +99,10 @@ METRIC_EFFECTIVE_LOG_DIGEST = "80213fbe95a8ebe07400ad3411eb6308ab8887933c69c76cb
 # j and r over every ordered pair of up to six points per METRIC case (four
 # points of supp(D), vertex 0 and q), r to q, E_q(D) and b_q(D)
 METRIC_POTENTIAL_DIGEST = "61fb2f2543bb3dd6a224130ceb42f6447e360180310b167effc0f1995e4ab8de"
+# the whole move log of every METRIC case, of the five C10(1, 2) inputs of
+# the model-count test and of the 50-vertex rational input (271 moves, a new
+# model on all but one)
+METRIC_FULL_LOG_DIGEST = "575950074353ff15db143188235780ef9fcfbfd91ffa351348009d0741e08907"
 
 
 def segment():
@@ -592,6 +599,20 @@ def test_metric_reduce_solves_only_to_make_effective(monkeypatch):
     assert 0 < effective < len(METRIC)
 
 
+def _c10_cases():
+    """Five (gamma, q, D): about 150 chips and one -10 vertex on the
+    unit-length C10(1, 2), q = (v0)."""
+    G = Graph(10, [(i, (i + s) % 10) for s in (1, 2) for i in range(10)])
+    gamma = unit_metric(G)
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(5):
+        chips = np.bincount(rng.integers(0, 10, 150), minlength=10).tolist()
+        chips[int(rng.integers(1, 10))] = -10
+        cases.append((gamma, _vp(0), divisor_to_metric(gamma, Divisor(chips))))
+    return cases
+
+
 def _interior(q, D):
     return frozenset(p for p in (q, *D.support) if p.kind == "e")
 
@@ -605,16 +626,11 @@ def test_metric_reduce_builds_a_model_only_when_the_points_change(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(metric, "_Model", Counting)
-    # about 150 chips and one -10 vertex on the unit-length C10(1, 2): every
-    # move is one edge long, so no point inside an edge ever carries a chip
-    G = Graph(10, [(i, (i + s) % 10) for s in (1, 2) for i in range(10)])
-    gamma = unit_metric(G)
-    rng = np.random.default_rng(30)
-    for _ in range(5):
-        chips = np.bincount(rng.integers(0, 10, 150), minlength=10).tolist()
-        chips[int(rng.integers(1, 10))] = -10
+    # every move on the unit-length C10(1, 2) is one edge long, so no point
+    # inside an edge ever carries a chip
+    for gamma, q, D in _c10_cases():
         builds.clear()
-        report = metric_reduce(gamma, _vp(0), divisor_to_metric(gamma, Divisor(chips)))
+        report = metric_reduce(gamma, q, D)
         assert report.iterations and len(builds) == 1
     # make-effective builds the model at q and supp(D), and the Luo loop goes
     # on with it while the interior points of q and the support stay the same
@@ -926,6 +942,24 @@ def test_effective_metric_move_log_matches_pinned_digest():
 def test_metric_move_logs_match_pinned_digest():
     records = [_log_record(*METRIC[i]) for i in METRIC_SINGLE_COMPONENT]
     assert _digest(records) == METRIC_LOG_DIGEST
+
+
+def _rational_large(n):
+    """(gamma, q, D): the benchmark's multigraph on n vertices and 2n edges
+    from random.Random(n), then from the same stream lengths k/d (k <= 5,
+    d <= 3) and chips in -2..3 at every vertex, q = (v0)."""
+    rng = random.Random(n)
+    G = tree_plus_edges(n, 2 * n, rng)
+    gamma = MetricGraph(G, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(G.m)])
+    D = MetricDivisor([(_vp(v), rng.randint(-2, 3)) for v in range(n)])
+    return gamma, _vp(0), D
+
+
+def test_all_metric_move_logs_match_pinned_digest():
+    cases = METRIC + _c10_cases() + [_rational_large(50)]
+    records = [_log_record(*case) for case in cases]
+    assert len(records[-1]) == 271
+    assert _digest(records) == METRIC_FULL_LOG_DIGEST
 
 
 def _potential_record(gamma, q, D):
