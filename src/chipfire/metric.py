@@ -24,12 +24,13 @@ grounded Laplacian (_grounded), scaled to integer conductances.  A divisor
 is made effective off q by one rounded j_q-potential, which leaves a number
 of chips per model vertex bounded by the model alone, and that step hands
 its model to the Luo moves; a new one is built only when the interior
-points of q and the support change.  Each move only moves chips, reads its
-eps and its moves in ticks off the cut that the walk of the stalled
-component lists, and builds one Fraction per value it logs.  The script is
-read off the move log after the loop: the make-effective script plus
-min(dist(., X), eps) for each move, summed at the final model's points and
-the points of supp(D), between which it is affine.
+points of q and the support change.  Each move only moves chips on the
+model's chip vector, reads its eps and its moves in ticks off the cut that
+the walk of the stalled component lists, and builds one Fraction per value
+it logs.  The script is read off the move log after the loop: the
+make-effective script plus min(dist(., X), eps) for each move, summed at
+the final model's points and the points of supp(D), between which it is
+affine.
 """
 
 from __future__ import annotations
@@ -168,26 +169,30 @@ def _as_point(p):
 
 class MetricDivisor:
     """Finitely supported integer divisor on the points of a metric graph;
-    weights that are not integers raise TypeError."""
+    weights that are not integers raise TypeError.
+
+    entries lists the (point, weight) pairs of nonzero weight in canonical
+    point order.  The constructor checks and merges what a caller hands it;
+    the divisors the library builds from its own points and integer weights
+    skip those checks: a sum is one merge (_merged), and a Luo move's divisor
+    is read off the model's chip vector, already in canonical order
+    (_of_entries).
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         if isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = entries
-        acc = {}
-        for p, w in items:
-            p = _as_point(p)
-            w = operator.index(w)
-            if w:
-                acc[p] = acc.get(p, 0) + w
-        # points in acc are distinct, so sorting on their keys alone keeps the
-        # canonical order without calling GraphPoint's comparisons
-        self.entries = tuple(
-            sorted(((p, w) for p, w in acc.items() if w), key=lambda pw: pw[0]._key)
-        )
+            entries = entries.items()
+        self.entries = _merge((_as_point(p), operator.index(w)) for p, w in entries)
+
+    @classmethod
+    def _of_entries(cls, entries):
+        """The divisor whose entries are already canonical: distinct points
+        in canonical order, each with a nonzero int weight."""
+        D = object.__new__(cls)
+        D.entries = tuple(entries)
+        return D
 
     @property
     def degree(self):
@@ -205,15 +210,17 @@ class MetricDivisor:
         return 0
 
     def is_effective(self, skip=None):
+        """Every weight is >= 0, except perhaps at `skip`, a point or a vertex
+        index as get takes it."""
+        if skip is not None:
+            skip = _as_point(skip)
         return all(w >= 0 for p, w in self.entries if p != skip)
 
     def __add__(self, other):
-        return MetricDivisor(list(self.entries) + list(other.entries))
+        return _merged([*self.entries, *other.entries])
 
     def __sub__(self, other):
-        return MetricDivisor(
-            list(self.entries) + [(p, -w) for p, w in other.entries]
-        )
+        return _merged([*self.entries, *((p, -w) for p, w in other.entries)])
 
     def __eq__(self, other):
         return isinstance(other, MetricDivisor) and self.entries == other.entries
@@ -226,6 +233,24 @@ class MetricDivisor:
 
     def __repr__(self):
         return f"MetricDivisor({list(self.entries)!r})"
+
+
+def _merge(items):
+    """The entries of the divisor summing the (point, int weight) items: each
+    point once, by canonical order, with its nonzero total."""
+    acc = {}
+    for p, w in items:
+        if w:
+            acc[p] = acc.get(p, 0) + w
+    # points in acc are distinct, so sorting on their keys alone keeps the
+    # canonical order without calling GraphPoint's comparisons
+    return tuple(sorted(((p, w) for p, w in acc.items() if w), key=lambda pw: pw[0]._key))
+
+
+def _merged(items):
+    """MetricDivisor(items) for canonical points and int weights the library
+    built itself, with no check of either."""
+    return MetricDivisor._of_entries(_merge(items))
 
 
 class TropicalFunction:
@@ -337,14 +362,14 @@ def metric_laplacian(gamma, f):
     """Delta(f) as a MetricDivisor: -(sum of outgoing slopes) at each kink."""
     if f.gamma != gamma:
         raise ValueError("function does not live on this metric graph")
-    vertex, weights = gamma._vertex_points, []  # MetricDivisor merges them
+    vertex, weights = gamma._vertex_points, []  # _merged merges them
     for e, (u, v) in enumerate(gamma.graph.edges):
         slopes = f._slopes[e]
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
         weights += [(vertex[u], -slopes[0]), (vertex[v], slopes[-1])]
         for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
             weights.append((gamma.point(e, o), s1 - s2))
-    return MetricDivisor(weights)
+    return _merged(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +627,7 @@ def _make_effective(gamma, q, D):
             kinks.append((model.along(i, a, t), Fraction(values[a] * den + (s + 1) * t, den)))
         else:
             chips[b] += s + 1
-    E = MetricDivisor(list(zip(model.points, chips)) + [(p, 1) for p, _ in kinks])
+    E = _merged([*zip(model.points, chips), *((p, 1) for p, _ in kinks)])
     f = _tropical_from_model(gamma, model, values, kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
@@ -647,7 +672,11 @@ def metric_reduce(gamma, q, D):
     rebuilt only when the interior points of q and the support change: burn
     from q, take the first stalled component X in canonical order, and add
     Delta(min(dist(., X), eps)) with eps the shortest model edge leaving X,
-    that is, move one chip from X eps along every edge leaving it.  Each
+    that is, move one chip from X eps along every edge leaving it.  The
+    divisor lives as the model's chip vector, which a move updates in place;
+    a chip that lands inside a model edge, or a point other than q left
+    empty, builds the model anew.  Each logged divisor is read off the
+    vector in model order, which is the canonical point order.  Each
     move decreases b_q by exactly l(X) eps + (cut/2) eps^2; termination has
     no a-priori bound, so a generous safety cap guards the loop.  The script
     is read off the log after it: the make-effective script f0 plus
@@ -658,23 +687,35 @@ def metric_reduce(gamma, q, D):
     q = _as_point(q)
     E0, f0, model = _make_effective(gamma, q, D)
     E, log = E0, []
-    interior = frozenset(model.points[gamma.n:])
+    # the model depends only on the interior points of {q} and supp(E), which
+    # make-effective's kinks and emptied points may have changed
+    if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
+        model = _Model(gamma, [q, *E.support])
+    chips, q_vid = model.chips(E), model.vid_of[q]
     for _ in range(_MAX_LUO_ITERATIONS):
-        # the model depends only on the interior points of {q} and supp(E)
-        points = frozenset(p for p in (q, *E.support) if p.kind == "e")
-        if points != interior:
-            model, interior = _Model(gamma, [q, *E.support]), points
-        order = _kernels.burn(model.graph, model.chips(E), model.vid_of[q])
+        order = _kernels.burn(model.graph, chips, q_vid)
         if len(order) == len(model.points):
             break
         comp, cut, T = next(_components(model, order))
         # eps is t ticks of the model's den; the inner edges sum to T ticks
         den = model.den
         t = min(model.ticks[idx] for idx, _v in cut)
-        moves = []
+        created = []
         for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
-            moves += [(model.points[v], -1), (model.along(idx, v, t), 1)]
-        after = MetricDivisor(list(E) + moves)
+            chips[v] -= 1
+            a, b = model.medges[idx][:2]
+            if t == model.ticks[idx]:
+                chips[b if v == a else a] += 1
+            else:
+                created.append(model.along(idx, v, t))
+        # a move changes those points when it creates one or empties one but q
+        if created or any(v >= gamma.n and v != q_vid and not chips[v] for _i, v in cut):
+            kept = [(p, w) for p, w in zip(model.points, chips) if w]
+            model = _Model(gamma, [q, *(p for p, _ in kept), *created])
+            chips, q_vid = model.chips(kept + [(p, 1) for p in created]), model.vid_of[q]
+        # model ids follow the canonical point order, so the chips read off in
+        # id order are the divisor's entries as they are
+        after = MetricDivisor._of_entries((p, w) for p, w in zip(model.points, chips) if w)
         # the drop l(X) eps + (cut/2) eps^2 over the common denominator 2 den^2
         drop = Fraction(2 * T * t + comp.cut_size * t * t, 2 * den * den)
         eps = Fraction(t, den)

@@ -180,6 +180,15 @@ def test_metric_divisor_basics():
     assert E == MetricDivisor({_vp(0): 2})
 
 
+def test_is_effective_skip_reads_a_vertex_index_as_get_does():
+    D = MetricDivisor({0: -1, 1: 2})
+    assert D.get(0) == -1
+    assert D.is_effective(skip=0) and D.is_effective(skip=_vp(0))
+    assert not D.is_effective(skip=1) and not D.is_effective(skip=_vp(1))
+    half = segment().point(0, Fraction(1, 2))
+    assert MetricDivisor({half: -1, 1: 2}).is_effective(skip=half)
+
+
 def test_metric_divisor_merges_duplicate_points():
     gamma = segment()
     D = MetricDivisor([(gamma.point(0, 1), 1), (_vp(1), 2)])
@@ -660,6 +669,28 @@ def test_luo_moves_log_exact_values_and_canonical_points(case):
         for p in it.after.support:
             if p.kind == "e":
                 assert gamma.point(p.edge, p.offset) == p
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_rational_cases())
+def test_logged_divisors_are_canonical_and_chained(case):
+    # every divisor the log holds is what the checking constructor makes of
+    # its entries: canonical points in canonical order, int weights, no zero
+    gamma, q, D = case
+    report = metric_reduce(gamma, q, D)
+    log = report.iterations
+    steps = [report.after_make_effective] + [it.after for it in log]
+    for E in steps + [it.before for it in log]:
+        assert E == MetricDivisor(list(E))
+        assert all(type(w) is int for _p, w in E)
+        assert E.degree == D.degree
+    if log:
+        assert log[0].before is report.after_make_effective
+        assert log[-1].after is report.result
+    else:
+        assert report.result is report.after_make_effective
+    for it, nxt in zip(log, log[1:]):
+        assert it.after is nxt.before
 
 
 def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
