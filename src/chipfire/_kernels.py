@@ -1,12 +1,13 @@
 """The burning kernels behind reduction and the tree bijection.
 
 The burning loops (Dhar scans, borrowing, the set-firing fixpoint and the
-two tree-bijection burns) run on the graph's CSR incidence lists with Python
-ints, so chip counts of any size stay exact.  Every kernel uses the same
-deterministic tie-breaks (lowest vertex index, lowest edge index), which
-make burn orders, fired sets and the bijection canonical.  The burns keep
-those tie-breaks with min-heaps instead of rescans: what can be picked next
-(a ready vertex, a crossing edge) only ever joins the candidates or leaves
+two tree-bijection burns) walk each vertex's tuple of neighbors or of
+incident edges (Graph._nbrs, Graph._inc) with Python ints, so chip counts
+of any size stay exact.  Every kernel uses the same deterministic
+tie-breaks (lowest vertex index, lowest edge index), which make burn
+orders, fired sets and the bijection canonical.  The burns keep those
+tie-breaks with min-heaps instead of rescans: what can be picked next (a
+ready vertex, a crossing edge) only ever joins the candidates or leaves
 them for good, so the heap top is the lowest-index candidate.  Each burn
 costs O(m log m).
 """
@@ -26,21 +27,21 @@ from .graph import _laplacian_list
 # cnt[w] reaches d[w] + 1, which happens once.  When the fire stops, cnt[v]
 # is the number of edges from v to the burnt set.
 
-def _burn(indptr, nbr, d, q):
+def _burn(nbrs, d, q):
     """(burn order, burnt mask, per-vertex count of edges to the burnt set)."""
     n = len(d)
     burnt = [False] * n
     cnt = [0] * n
     order = [q]
     burnt[q] = True
-    for w in nbr[indptr[q]:indptr[q + 1]]:
+    for w in nbrs[q]:
         cnt[w] += 1
     ready = [v for v in range(n) if not burnt[v] and cnt[v] > d[v]]
     while ready:
         v = heappop(ready)
         burnt[v] = True
         order.append(v)
-        for w in nbr[indptr[v]:indptr[v + 1]]:
+        for w in nbrs[v]:
             cnt[w] += 1
             if cnt[w] == d[w] + 1 and not burnt[w]:
                 heappush(ready, w)
@@ -49,7 +50,7 @@ def _burn(indptr, nbr, d, q):
 
 def burn(G, dvals, q):
     """Burn order as a list of vertices, starting at q."""
-    return _burn(G._indptr, G._nbr, list(dvals), q)[0]
+    return _burn(G._nbrs, list(dvals), q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def borrow_until_effective(G, dvals, q, guess=None):
     the counts are the same for every guess.  The last entry counts the
     descent rounds, each of which fires one set back k times.
     """
-    indptr, nbr = G._indptr, G._nbr
+    nbrs, deg = G._nbrs, G.deg
     d = list(dvals)
     n = len(d)
     counts = [0] * n if guess is None else list(guess)
@@ -101,11 +102,10 @@ def borrow_until_effective(G, dvals, q, guess=None):
     work = [v for v, c in enumerate(d) if c < 0 and v != q]
     while work:
         v = work.pop()
-        lo, hi = indptr[v], indptr[v + 1]
-        k = -(d[v] // (hi - lo))
+        k = -(d[v] // deg[v])
         counts[v] += k
-        d[v] += k * (hi - lo)
-        for w in nbr[lo:hi]:
+        d[v] += k * deg[v]
+        for w in nbrs[v]:
             if 0 <= d[w] < k and w != q:
                 work.append(w)
             d[w] -= k
@@ -113,7 +113,7 @@ def borrow_until_effective(G, dvals, q, guess=None):
     descend = guess is not None and any(guess)
     while descend:
         seeded = [-1 if c == 0 else x for x, c in zip(d, counts)]  # c(q) = 0
-        order, burnt, cnt = _burn(indptr, nbr, seeded, q)
+        order, burnt, cnt = _burn(nbrs, seeded, q)
         if len(order) == n:
             break
         A = [v for v in range(n) if not burnt[v]]
@@ -121,7 +121,7 @@ def borrow_until_effective(G, dvals, q, guess=None):
         k = min(k, min(d[v] // cnt[v] for v in A if cnt[v]))
         for v in range(n):
             if burnt[v]:
-                d[v] += k * (indptr[v + 1] - indptr[v] - cnt[v])
+                d[v] += k * (deg[v] - cnt[v])
             else:
                 d[v] -= k * cnt[v]
                 counts[v] -= k
@@ -141,17 +141,17 @@ def borrow_until_effective(G, dvals, q, guess=None):
 
 def fire_until_reduced(G, dvals, q):
     """(new chips, list of fired sets in order)."""
-    indptr, nbr = G._indptr, G._nbr
+    nbrs, deg = G._nbrs, G.deg
     d = list(dvals)
     n = len(d)
     sets = []
     while True:
-        order, burnt, cnt = _burn(indptr, nbr, d, q)
+        order, burnt, cnt = _burn(nbrs, d, q)
         if len(order) == n:
             break
         for v in range(n):
             if burnt[v]:
-                d[v] += indptr[v + 1] - indptr[v] - cnt[v]
+                d[v] += deg[v] - cnt[v]
             else:
                 d[v] -= cnt[v]
         sets.append(tuple(v for v in range(n) if not burnt[v]))
@@ -179,8 +179,7 @@ def tree_from_reduced(G, dvals, q):
     Dhar's burn does, and the scan stalls exactly when a vertex off q has
     negative chips or stays unburnt, i.e. when the divisor is not q-reduced.
     """
-    eu, ev, n = G._eu, G._ev, G.n
-    indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
+    eu, ev, inc, n = G._eu, G._ev, G._inc, G.n
     a = list(dvals)
     in_x = [False] * n
     in_r = [False] * len(eu)
@@ -191,9 +190,9 @@ def tree_from_reduced(G, dvals, q):
     reached = 1
     while True:
         in_x[t] = True
-        for k in range(indptr[t], indptr[t + 1]):
-            if not in_x[nbr[k]]:
-                heappush(heap, eidx[k])
+        for f in inc[t]:
+            if not (in_x[eu[f]] and in_x[ev[f]]):
+                heappush(heap, f)
         if reached == n:
             return tree, in_r
         while heap:
@@ -217,8 +216,7 @@ def tree_from_reduced(G, dvals, q):
 def divisor_from_tree(G, tree_mask, q):
     """Burn a spanning tree into (chip counts with a[q]=0, R mask); (None,
     None) if stalled, when the masked edges do not connect every vertex."""
-    eu, ev, n = G._eu, G._ev, G.n
-    indptr, nbr, eidx = G._indptr, G._nbr, G._eidx
+    eu, ev, inc, n = G._eu, G._ev, G._inc, G.n
     in_x = [False] * n
     in_r = [False] * len(eu)
     a = [0] * n
@@ -227,9 +225,9 @@ def divisor_from_tree(G, tree_mask, q):
     reached = 1
     while True:
         in_x[t] = True
-        for k in range(indptr[t], indptr[t + 1]):
-            if not in_x[nbr[k]]:
-                heappush(heap, eidx[k])
+        for f in inc[t]:
+            if not (in_x[eu[f]] and in_x[ev[f]]):
+                heappush(heap, f)
         if reached == n:
             return a, in_r
         while heap:

@@ -24,11 +24,15 @@ class Graph:
     endpoints must be integers (numpy integers too); a float or a Fraction
     raises TypeError instead of being truncated.
 
+    Incidence is built once, per vertex: `neighbors(v)` and `incident(v)`
+    return the tuples `_nbrs[v]` and `_inc[v]`, which hold, for each edge at
+    v in edge-index order, the vertex across it and the edge's index.
+
     _table holds the PotentialTable of the last base vertex that
     `potential.j_function` was asked for (None before the first call).
     """
 
-    __slots__ = ("n", "edges", "deg", "_indptr", "_nbr", "_eidx", "_eu", "_ev", "_table")
+    __slots__ = ("n", "edges", "deg", "_nbrs", "_inc", "_eu", "_ev", "_table")
 
     def __init__(self, n, edges):
         n = index(n)
@@ -49,29 +53,16 @@ class Graph:
         self.n = n
         self.edges = tuple(norm)
 
-        deg = [0] * n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        self.deg = tuple(deg)
-
-        # CSR-style incidence, half-edges sorted by edge index per vertex.
-        indptr = [0] * (n + 1)
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + deg[v]
-        nbr = [0] * (2 * len(self.edges))
-        eidx = [0] * (2 * len(self.edges))
-        fill = indptr[:-1]
+        nbrs = [[] for _ in range(n)]
+        inc = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
-            nbr[fill[u]] = v
-            eidx[fill[u]] = i
-            fill[u] += 1
-            nbr[fill[v]] = u
-            eidx[fill[v]] = i
-            fill[v] += 1
-        self._indptr = indptr
-        self._nbr = nbr
-        self._eidx = eidx
+            nbrs[u].append(v)
+            inc[u].append(i)
+            nbrs[v].append(u)
+            inc[v].append(i)
+        self._nbrs = tuple(map(tuple, nbrs))
+        self._inc = tuple(map(tuple, inc))
+        self.deg = tuple(map(len, inc))
         # Edge endpoints by index, for the edge-scanning bijection burns.
         self._eu = [u for u, _ in self.edges]
         self._ev = [v for _, v in self.edges]
@@ -89,15 +80,19 @@ class Graph:
         return range(self.n)
 
     def degree(self, v):
+        check_vertex(self, v)
         return self.deg[v]
 
     def neighbors(self, v):
-        """Neighbor of v across each incident edge, in edge-index order."""
-        return self._nbr[self._indptr[v]:self._indptr[v + 1]]
+        """Tuple of the neighbor of v across each incident edge, in
+        edge-index order."""
+        check_vertex(self, v)
+        return self._nbrs[v]
 
     def incident(self, v):
-        """Indices of edges incident to v, in increasing edge order."""
-        return self._eidx[self._indptr[v]:self._indptr[v + 1]]
+        """Tuple of the indices of edges incident to v, in increasing order."""
+        check_vertex(self, v)
+        return self._inc[v]
 
     def genus(self):
         """First Betti number m - n + 1 (independent cycles)."""
@@ -313,6 +308,8 @@ def _reduced_laplacian(deg, eu, ev, q, dtype):
 
 def bfs_distances(G, s):
     """Hop distance from s to every vertex, in vertex order."""
+    check_vertex(G, s)
+    nbrs = G._nbrs
     dist = [-1] * G.n
     dist[s] = 0
     queue = [s]
@@ -320,7 +317,7 @@ def bfs_distances(G, s):
     while head < len(queue):
         v = queue[head]
         head += 1
-        for w in G.neighbors(v):
+        for w in nbrs[v]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -364,10 +361,11 @@ def fire_set(G, D, A):
 
 def outdeg(G, A, v):
     """Number of edges from v to vertices outside A; requires v in A."""
+    check_vertex(G, v)
     A = set(A)
     if v not in A:
         raise ValueError(f"vertex {v} must belong to the firing set")
-    return sum(1 for w in G.neighbors(v) if w not in A)
+    return sum(1 for w in G._nbrs[v] if w not in A)
 
 
 def complete_graph(n):

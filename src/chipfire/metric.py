@@ -539,7 +539,7 @@ def _components(model, order):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w, idx in zip(G.neighbors(v), G.incident(v)):
+            for w, idx in zip(G._nbrs[v], G._inc[v]):
                 if burnt[w]:
                     outdeg[v] = outdeg.get(v, 0) + 1
                     cut.append((idx, v))

@@ -12,8 +12,12 @@ Core claims:
       exactly the cut edges.
     - is_linearly_equivalent finds an integral script iff one exists and the
       returned script satisfies D1 - Delta(script) == D2.
-    - Every public function that takes a base vertex refuses q = -1 and
-      q = n with ValueError("base vertex out of range"), and a float or
+    - neighbors(v) and incident(v) are tuples listing, in edge-index order,
+      the far end and the index of every edge at v, deg(v) entries each,
+      on multigraphs with parallel edges and a shuffled edge order.
+    - Every public function that takes a base vertex, and each of
+      neighbors, incident, degree, outdeg and bfs_distances, refuses q = -1
+      and q = n with ValueError("base vertex out of range"), and a float or
       Fraction q with TypeError, whatever table the graph has cached.
 """
 
@@ -22,6 +26,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire.graph import (
     Divisor,
@@ -29,6 +34,7 @@ from chipfire.graph import (
     Graph,
     VertexFunction,
     apply_laplacian,
+    bfs_distances,
     canonical_plus,
     complete_graph,
     cycle_graph,
@@ -97,10 +103,35 @@ def test_parallel_edges_counted():
     assert G.genus() == 2
 
 
-def test_neighbors_and_incident():
-    G = Graph(3, [(0, 1), (0, 1), (1, 2)])
-    assert list(G.neighbors(1)) == [0, 0, 2]
-    assert sorted(G.incident(1)) == [0, 1, 2]
+@st.composite
+def _multigraphs(draw):
+    """A connected multigraph on 1-12 vertices: a random spanning tree plus
+    up to 2n chords (parallel edges allowed), in a shuffled edge order."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        edges.append((u, v + (v >= u)))
+    return Graph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_multigraphs())
+@example(Graph(3, [(0, 1), (0, 1), (1, 2)]))
+@example(Graph(1, []))
+def test_neighbors_and_incident(G):
+    # brute force: each edge, in index order, listed at both of its ends
+    scan = {v: ([], []) for v in G.vertices}
+    for i, (u, w) in enumerate(G.edges):
+        for a, b in ((u, w), (w, u)):
+            scan[a][0].append(b)
+            scan[a][1].append(i)
+    for v in G.vertices:
+        nbrs, inc = G.neighbors(v), G.incident(v)
+        assert type(nbrs) is tuple and type(inc) is tuple
+        assert (list(nbrs), list(inc)) == scan[v]
+        assert len(nbrs) == len(inc) == G.deg[v]
 
 
 def test_eq_and_hash():
@@ -361,8 +392,8 @@ def test_canonical_plus_oracle():
 # -- Base vertex range -------------------------------------------------------
 
 def _base_vertex_calls():
-    """(name, call(G, q)) for every public function that takes a base vertex,
-    on G = C4 with divisors that fit it."""
+    """(name, call(G, q)) for every public function that takes a base vertex
+    or reads one vertex's incidence, on G = C4 with divisors that fit it."""
     from chipfire.jacobian import (
         group_add, jacobian, sample_spanning_tree, to_critical, winnable,
     )
@@ -380,6 +411,11 @@ def _base_vertex_calls():
     zero = Divisor([0, 0, 0, 0])
     tree = {0, 1, 2}
     return [
+        ("neighbors", lambda G, q: G.neighbors(q)),
+        ("incident", lambda G, q: G.incident(q)),
+        ("degree", lambda G, q: G.degree(q)),
+        ("outdeg", lambda G, q: outdeg(G, [q], q)),
+        ("bfs_distances", lambda G, q: bfs_distances(G, q)),
         ("reduced_laplacian", lambda G, q: reduced_laplacian(G, q)),
         ("is_linearly_equivalent", lambda G, q: is_linearly_equivalent(G, D, zero, q)),
         ("j_function", lambda G, q: j_function(G, q)),

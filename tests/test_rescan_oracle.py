@@ -14,7 +14,8 @@ Core claims:
 
 The three functions below are the rescan kernels, kept verbatim as the
 reference: each rescans the vertex or edge list from index 0 after every
-step, so they cost O(n^2) and O(m^2).
+step, so they cost O(n^2) and O(m^2).  The Dhar reference reads CSR arrays
+(indptr, nbr), which `_csr` builds from G.neighbors.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,15 @@ def divisor_from_tree(G, tree_mask, q):
     return a, in_r
 
 
+def _csr(G):
+    """(indptr, nbr) for the reference _burn, read off G.neighbors."""
+    indptr, nbr = [0], []
+    for v in G.vertices:
+        nbr.extend(G.neighbors(v))
+        indptr.append(len(nbr))
+    return indptr, nbr
+
+
 # -- Properties -----------------------------------------------------------------
 
 @st.composite
@@ -141,8 +151,9 @@ def test_heap_burns_match_the_rescan_loops(case):
     G, chips, order, v, extra = case
     tree = kruskal_tree(G, order)
     mask = [e in tree for e in range(G.m)]
+    indptr, nbr = _csr(G)
     for q in range(G.n):
-        assert _kernels.burn(G, chips, q) == _burn(G._indptr, G._nbr, chips, q)
+        assert _kernels.burn(G, chips, q) == _burn(indptr, nbr, chips, q)
 
         a, in_r = _kernels.divisor_from_tree(G, mask, q)
         assert (a, in_r) == divisor_from_tree(G, mask, q)
