@@ -361,11 +361,10 @@ def fire_set(G, D, A):
 
 def outdeg(G, A, v):
     """Number of edges from v to vertices outside A; requires v in A."""
-    check_vertex(G, v)
     A = set(A)
     if v not in A:
         raise ValueError(f"vertex {v} must belong to the firing set")
-    return sum(1 for w in G._nbrs[v] if w not in A)
+    return sum(1 for w in G.neighbors(v) if w not in A)
 
 
 def complete_graph(n):
