@@ -16,10 +16,16 @@ Core claims:
     - is_linearly_equivalent, decided by step 1 on D1 - D2, gives the script
       or None that one exact solve of L_(q) [D1 - D2] gives, up to 200
       vertices, with neither an exact solve nor the exact j-table.
+    - The path, round count and divisor of step 1 on 400 seeded inputs
+      (2-45 vertices, chips up to +-2^200) match a pinned digest, so a
+      change to how a float solve is rounded cannot move the rounds unseen.
 """
 
 import dataclasses
+import hashlib
+import json
 import warnings
+from random import Random
 
 import numpy as np
 import pytest
@@ -34,6 +40,8 @@ from chipfire.reduction import (
 )
 
 from corpus import random_multigraph
+
+FLOOR_DIGEST = "b1285be7e531385f2c12238046f2a19649222184bab49f21b90bbd8ac7a52fce"
 
 
 def _fresh_graph(n, rng):
@@ -274,3 +282,23 @@ def test_linear_equivalence_matches_one_exact_solve(monkeypatch):
         answers.update(s is None for s in got[1::4])
     # the (u) - (w) pairs follow the oracle both ways
     assert answers == {True, False}
+
+
+def _floor_records():
+    rng = np.random.default_rng(613)
+    chips = Random(613)
+    records = []
+    for i in range(400):
+        n = int(rng.integers(2, 46))
+        G = random_multigraph(n, int(rng.integers(0, 2 * n + 1)), rng)
+        q = int(rng.integers(0, n))
+        span = (3, 120, 2**70, 2**200)[i % 4]
+        D = Divisor(chips.randint(-span, span) for _ in range(n))
+        rep = reduce_divisor(G, q, D)
+        records.append([rep.floor_path, rep.floor_rounds, list(rep.after_step1)])
+    return records
+
+
+def test_step1_path_rounds_and_divisor_match_pinned_digest():
+    blob = json.dumps(_floor_records(), separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == FLOOR_DIGEST
