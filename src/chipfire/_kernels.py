@@ -49,8 +49,8 @@ def _burn(nbrs, d, q):
 
 
 def burn(G, dvals, q):
-    """Burn order as a list of vertices, starting at q."""
-    return _burn(G._nbrs, list(dvals), q)[0]
+    """Burn order as a list of vertices, starting at q; dvals is only read."""
+    return _burn(G._nbrs, dvals, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +171,15 @@ def fire_until_reduced(G, dvals, q):
 # until one brings in the next; a processed edge is only ever counted at its
 # end outside X, the only count either burn reads.
 
-def tree_from_reduced(G, dvals, q):
-    """Burn a reduced divisor into (tree edge list, R mask); (None, None) if
-    stalled.
+def tree_from_reduced(G, a, q):
+    """Burn a reduced divisor a into (tree edge list, R mask); (None, None)
+    if stalled.  a is only read.
 
     t joins X on the (a[t] + 1)-th processed edge from X, so X grows as
     Dhar's burn does, and the scan stalls exactly when a vertex off q has
     negative chips or stays unburnt, i.e. when the divisor is not q-reduced.
     """
     eu, ev, inc, n = G._eu, G._ev, G._inc, G.n
-    a = list(dvals)
     in_x = [False] * n
     in_r = [False] * len(eu)
     rcount = [0] * n

@@ -83,8 +83,6 @@ def _plain(value):
         return " ".join(_plain(v) for v in value) if value else "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
     return str(value)
 
 

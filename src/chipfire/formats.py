@@ -103,12 +103,6 @@ def format_point(p):
     return f"e:{p.edge}@{format_fraction(p.offset)}"
 
 
-def _strip(line):
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def parse(text):
     """Parse a graph file; raises GraphFormatError with line diagnostics."""
     n = None
@@ -116,7 +110,7 @@ def parse(text):
     edge_lengths = []
     divisor_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         fields = line.split()

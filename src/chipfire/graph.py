@@ -286,19 +286,17 @@ def laplacian(G):
     return _laplacian(G.deg, G._eu, G._ev, np.int64)
 
 
-def reduced_laplacian(G, q, dtype=np.int64):
-    """Q with row and column q deleted; rows/cols follow vertex order.
-
-    int64 for the exact paths, float64 for the float floor.  Built without
-    the full Q: edges at q count only in the degrees, and every other
-    vertex w takes row and column w - (w > q).
+def reduced_laplacian(G, q):
+    """Q with row and column q deleted, in int64; rows/cols follow vertex
+    order.  Built without the full Q: edges at q count only in the degrees,
+    and every other vertex w takes row and column w - (w > q).
     """
     check_vertex(G, q)
-    return _reduced_laplacian(G.deg, G._eu, G._ev, q, dtype)
+    return _reduced_laplacian(G.deg, G._eu, G._ev, q, np.int64)
 
 
 def _reduced_laplacian(deg, eu, ev, q, dtype):
-    """reduced_laplacian from the degrees and edge endpoints alone."""
+    """reduced_laplacian in dtype from the degrees and edge endpoints alone."""
     u = np.array(eu, dtype=np.intp)
     v = np.array(ev, dtype=np.intp)
     off = (u != q) & (v != q)

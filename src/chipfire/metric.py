@@ -318,8 +318,12 @@ class TropicalFunction:
         return cls(gamma, [0] * gamma.n)
 
     def evaluate(self, p):
+        """f(p); a point off Gamma raises ValueError."""
         p = _as_point(p)
+        if p.kind == "e":
+            p = self.gamma.point(p.edge, p.offset)  # an endpoint becomes its vertex
         if p.kind == "v":
+            self.gamma.vertex_point(p.index)  # raises off Gamma
             return self.vertex_values[p.index]
         u, v = self.gamma.graph.edges[p.edge]
         anchors = [
@@ -432,11 +436,9 @@ class _Model:
         return vec
 
     def along(self, idx, v, t):
-        """The point t > 0 ticks along model edge idx from its end v: the
-        other end if the edge is t ticks long, else a point strictly inside."""
-        a, b, e, o1, _o2 = self.medges[idx]
-        if t == self.ticks[idx]:
-            return self.points[b if v == a else a]
+        """The point t ticks along model edge idx from its end v, strictly
+        inside the edge: 0 < t < ticks[idx]."""
+        a, _b, e, o1, _o2 = self.medges[idx]
         start = o1.numerator * (self.den // o1.denominator)
         end = start + t if v == a else start + self.ticks[idx] - t
         return GraphPoint("e", e, Fraction(end, self.den))
@@ -568,7 +570,7 @@ def metric_dhar(gamma, q, D):
     interiors burn as soon as either end does.
     """
     q = _as_point(q)
-    if any(w < 0 and p != q for p, w in D):
+    if not D.is_effective(skip=q):
         raise ValueError("divisor must be effective off q")
     model = _Model(gamma, [q, *D.support])
     order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])

@@ -205,22 +205,16 @@ class PotentialTable:
         TypeError); its value at q is irrelevant since j_q(q, .) = 0.
         """
         check_divisor(self, D)  # against the table's n, its graph's
-        if h is None:
-            total = 0
-            for v, c in enumerate(D):
-                if c:
-                    total += c * sum(row[v] for row in self.num)
-            return Fraction(total, self.den)
-        h = [_rational(x) for x in h]
+        h = [1] * self.n if h is None else [_rational(x) for x in h]
         if len(h) != self.n:
             raise ValueError("weight vector size does not match graph")
         if any(h[p] <= 0 for p in range(self.n) if p != self.q):
             raise ValueError("weights must be positive off the base vertex")
-        total = Fraction(0)
+        total = 0
         for v, c in enumerate(D):
             if c:
-                total += c * sum(h[p] * self.num[p][v] for p in range(self.n))
-        return total / self.den
+                total += c * sum(h[p] * row[v] for p, row in enumerate(self.num))
+        return Fraction(total) / self.den
 
     def energy(self, D):
         """E_q(D) = <D - deg(D) (q), D - deg(D) (q)> = v^T L_(q) v."""
@@ -305,19 +299,3 @@ def pentagon_move(G, D, v):
     chi = [0] * G.n
     chi[v] = -y
     return D + apply_laplacian(G, chi)
-
-
-__all__ = [
-    "GeneralizedInverse",
-    "PotentialTable",
-    "reduced_inverse",
-    "moore_penrose",
-    "weighted_inverse",
-    "j_function",
-    "effective_resistance",
-    "energy_pairing",
-    "q_energy",
-    "b_q",
-    "total_energy",
-    "pentagon_move",
-]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite
+from math import frexp, inf, isfinite, ldexp
 
 import numpy as np
 
@@ -174,15 +174,14 @@ def _refined_floor(G, table, b):
     rounds = 0
     while True:
         last_err, last_S = err, S
-        # one float solve of R, rounded to integers Y of at most 52 bits
+        # one float solve of R, rounded half to even to integers Y of <= 52 bits
         t = max(0, max(map(abs, R)).bit_length() - 62)
-        y = inv @ np.array([float(R[v] >> t) for v in keep])
+        y = (inv @ np.array([float(R[v] >> t) for v in keep])).tolist()
         rounds += 1
-        top = np.abs(y).max()  # NaN or inf when any entry is
-        if not isfinite(top):
+        if not all(map(isfinite, y)):
             break
-        e = int(np.frexp(top)[1])
-        Y = np.rint(np.ldexp(y, 52 - e)).astype(np.int64).tolist()
+        e = frexp(max(map(abs, y)))[1]
+        Y = [round(ldexp(c, 52 - e)) for c in y]
         u = t + e - 52  # the correction to x~ is Y 2^u / 2^S
         if u < 0:
             X = [x << -u for x in X]

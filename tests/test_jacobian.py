@@ -516,6 +516,17 @@ def test_rank_known_values():
     assert rank(G, Divisor((0, 0, 0))) == 0
 
 
+def test_rank_climbs_past_zero_at_degree_g_minus_1():
+    # two vertices joined by 4 parallel edges: g = 3, principal divisors are
+    # the multiples of (4, -4); deg D = 2 = g - 1, so rank climbs from 0
+    G = Graph(2, [(0, 1)] * 4)
+    assert G.genus() == 3
+    # D - (v) is effective for each v and (-1, 1) is not principal
+    assert rank(G, Divisor((1, 1))) == 1
+    # 2 (v0) - (v1) = (2, -1) is equivalent to no effective divisor
+    assert rank(G, Divisor((2, 0))) == 0
+
+
 def _climbed_rank(G, D):
     """The rank by rank_at_least at every level from 1, which rank skips
     when deg D > g - 1."""

@@ -11,6 +11,8 @@ Core claims:
       and a collinear breakpoint carries no chip.
     - Every metric operation refuses a vertex or edge index out of range
       and an edge offset not strictly inside its edge, as q or in supp(D).
+    - TropicalFunction.evaluate refuses a point off Gamma with ValueError
+      and reads an edge point at an end of its edge as that vertex.
     - metric_dhar certifies reducedness; stalled components carry their
       length and cut data.
     - metric_make_effective returns (E, f) with E = D + Delta(f) effective
@@ -279,6 +281,26 @@ def test_tropical_evaluate_and_extremes():
     assert f.evaluate(_vp(0)) == 0
     assert f.evaluate(gamma.point(0, Fraction(1, 2))) == Fraction(1, 2)
     assert f.evaluate(gamma.point(0, Fraction(1, 4))) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("point, message", [
+    (-1, "vertex index out of range"),
+    (GraphPoint.vertex(7), "vertex index out of range"),
+    (GraphPoint("e", 0, 5), "offset outside the edge"),
+    (GraphPoint("e", 0, Fraction(-1, 2)), "offset outside the edge"),
+    (GraphPoint("e", 3, Fraction(1, 2)), "edge index out of range"),
+])
+def test_tropical_evaluate_refuses_a_point_off_gamma(point, message):
+    # the linear function 0 -> 1 on the unit segment
+    f = TropicalFunction(segment(), [0, 1])
+    with pytest.raises(ValueError, match=message):
+        f.evaluate(point)
+
+
+def test_tropical_evaluate_reads_an_edge_end_as_its_vertex():
+    f = TropicalFunction(segment(), [0, 1])
+    assert f.evaluate(GraphPoint("e", 0, 0)) == 0
+    assert f.evaluate(GraphPoint("e", 0, 1)) == 1
 
 
 def test_tropical_construction_keeps_only_kinks():
