@@ -10,8 +10,8 @@ the invariant factors is kappa = |det M|, the number of spanning trees
 form runs modulo kappa (Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987;
 Iliopoulos, SIAM J. Comput. 18, 1989): no entry of S or U^{-1} grows past
 kappa, and neither U nor the column operations are kept.  The uniform tree
-sampler picks a uniform group element, reduces it, and burns the reduced
-divisor into its tree.
+sampler picks a uniform group element, reduces it with reduction's steps-1-2
+core, certifies it with one burn (is_reduced), and burns it into its tree.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .graph import (
     Divisor, FiringScript, canonical_plus, check_divisor, check_vertex,
     reduced_laplacian,
 )
-from .reduction import dhar, reduce
+from .reduction import _steps_1_2, is_reduced, reduce
 from .treebij import divisor_to_tree
 
 
@@ -215,10 +215,12 @@ def sample_spanning_tree(G, q, seed, count=1):
     and reducing then burning carries it to a uniform tree.  The element's
     entries off q are first taken mod kappa = |Jac(G)|: kappa((v) - (q)) is
     principal, so the class, and the reduced divisor, stay the same.
-    Each reduced element is certified with Dhar's burn before it is burnt
-    into its tree: a failure there is an internal fault (AssertionError),
-    not a refused input.  A seed outside [0, 2**128), or a count that is
-    negative or not an integer, is refused before the Smith form is built.
+    The element's chip list goes straight to reduction's steps-1-2 core,
+    and the list it ends at is certified by is_reduced's one burn before it
+    is burnt into its tree: a failure there is an internal fault
+    (AssertionError), not a refused input.  A seed outside [0, 2**128), or
+    a count that is negative or not an integer, is refused before the Smith
+    form is built.
     """
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
@@ -235,8 +237,8 @@ def sample_spanning_tree(G, q, seed, count=1):
         chips = [c % kappa for c in pres._chips(exps)]
         chips[q] = 0
         chips[q] = -sum(chips)
-        red = reduce(G, q, Divisor(chips)).result
-        if not dhar(G, q, red).reduced:
+        red = _steps_1_2(G, q, chips)[1]
+        if not is_reduced(G, q, red):
             raise AssertionError("reduce returned a divisor that is not q-reduced")
         out.append(divisor_to_tree(G, q, red))
     return out
@@ -247,7 +249,7 @@ def group_add(G, q, D1, D2):
     for D in (D1, D2):
         if D.degree != 0:
             raise ValueError("group elements are degree-zero divisors")
-        if not dhar(G, q, D).reduced:
+        if not is_reduced(G, q, D):
             raise ValueError("operand is not q-reduced")
     return reduce(G, q, D1 + D2).result
 
@@ -264,9 +266,9 @@ def winnable(G, D, q=0):
         return FiringScript([0] * G.n, q)
     if D.degree < 0:
         return None
-    rep = reduce(G, q, D)
-    if rep.result.is_effective():
-        return rep.script
+    d2, f = _steps_1_2(G, q, D)[1:3]
+    if all(c >= 0 for c in d2):
+        return FiringScript(f, q)
     return None
 
 
@@ -352,6 +354,6 @@ def to_critical(G, q, D):
     Input must be q-reduced; the image is critical (superstable dual) and
     applying the map twice arithmetically returns D.
     """
-    if not dhar(G, q, D).reduced:
+    if not is_reduced(G, q, D):
         raise ValueError("divisor is not q-reduced")
     return canonical_plus(G) - D

@@ -37,7 +37,14 @@ negative vertices until the divisor is effective off q (then c >= c*) and
 fires back legal sets inside supp(c) until none is left (then c <= c*).
 The borrow counts and the result are those of borrowing from c = 0,
 whatever the guess; graphs with fewer than 16 vertices start from c = 0,
-which is faster there (see reduce).
+which is faster there (see _steps_1_2).
+
+Steps 1-2 run in one private core, _steps_1_2, which takes any integer
+sequence and returns plain lists and ints.  reduce is the argument check,
+the core and a ReductionReport.  The tree sampler and winnable call the
+core directly, so a sampled tree builds no Divisor, report or DharOutcome,
+and is_reduced certifies a result with one burn and no DharOutcome; dhar
+keeps the full outcome (burn order, stalled set, negative vertices).
 
 D1 ~ D2 is decided by step 1 alone: D1 - D2 is principal exactly when its
 floor step leaves zero (see is_linearly_equivalent).
@@ -253,16 +260,19 @@ def _borrow_guess(G, table, d1):
     return guess
 
 
-def reduce(G, q, D):
-    """The unique q-reduced divisor equivalent to D, with a full move log.
+def _steps_1_2(G, q, D):
+    """Steps 1-2 on D, any integer sequence with one entry per vertex of G,
+    for a vertex q of G (unchecked): (d1, d2, f, counts, borrows,
+    unborrows, floor path, floor rounds), lists and ints only.
 
     Step 1 is _floor_step.  Step 2 runs the borrowing kernel from the float
     guess, or from the zero guess on small graphs and when d1 is already
-    effective off q; either way it ends at c*, so at the q-reduced divisor
-    (see the module docstring).  The script f = floor(L_(q) [D]) - c* is
-    checked exactly against the result.
+    effective off q; either way it ends at c*, so d2 is the q-reduced
+    divisor (see the module docstring).  The script f = floor(L_(q) [D]) -
+    c* is checked exactly against d2: a mismatch raises AssertionError.
+    reduce wraps this core in its report; the tree sampler and winnable
+    call it directly and read only d2 or f.
     """
-    _check(G, q, D)
     table = j_function(G, q)
     d1, f1, path, rounds = _floor_step(G, table, D)
     guess = None
@@ -277,6 +287,17 @@ def reduce(G, q, D):
     f = [a - c for a, c in zip(f1, counts)]
     if _minus_laplacian(G, D, f) != d2:
         raise AssertionError("reduction script mismatch")
+    return d1, d2, f, counts, borrows, unborrows, path, rounds
+
+
+def reduce(G, q, D):
+    """The unique q-reduced divisor equivalent to D, with a full move log.
+
+    Checks q and the size of D, runs the core _steps_1_2 and puts what it
+    returns into a ReductionReport.
+    """
+    _check(G, q, D)
+    d1, d2, f, counts, borrows, unborrows, path, rounds = _steps_1_2(G, q, D)
     return ReductionReport(
         result=Divisor(d2),
         script=FiringScript(f, q),
@@ -290,7 +311,18 @@ def reduce(G, q, D):
 
 
 def is_reduced(G, q, D):
-    return dhar(G, q, D).reduced
+    """Dhar's test alone: one burn from q, and no DharOutcome.
+
+    D is q-reduced when the burn reaches every vertex and no coefficient
+    off q is negative.  The second test is needed: a vertex with negative
+    chips is ready to burn at once, so the fire can reach every vertex of
+    a divisor that is not effective off q.
+    """
+    _check(G, q, D)
+    d = list(D)
+    return len(_kernels.burn(G, d, q)) == G.n and all(
+        c >= 0 for v, c in enumerate(d) if v != q
+    )
 
 
 def random_equivalent(G, q, D, rng, attempts=20):
@@ -324,8 +356,7 @@ def random_equivalent(G, q, D, rng, attempts=20):
 
 def verify_minimizer(G, q, D, trials=64, seed=0):
     """Check that a q-reduced divisor strictly minimizes E_q and b_q in |D|_q."""
-    _check(G, q, D)
-    if not dhar(G, q, D).reduced:
+    if not is_reduced(G, q, D):
         raise ValueError("divisor is not q-reduced")
     if G.n == 1:
         return True

@@ -38,7 +38,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 
@@ -505,11 +504,12 @@ def test_cli_to_tree_rejects_unreduced(k3_file, capsys):
 
 
 def test_cli_sample_tree_self_check_exits_3(k3_file, monkeypatch, capsys):
-    # an unreduced divisor from reduce is an internal fault, not bad input
-    unreduced = Divisor([-2, 1, 1])
+    # an unreduced divisor from the sampler's reduction core is an internal
+    # fault, not bad input: the core ends at [-2, 1, 1], which on K3 with
+    # q = 0 never burns past q
     monkeypatch.setattr(
-        sys.modules["chipfire.jacobian"], "reduce",
-        lambda G, q, D: SimpleNamespace(result=unreduced),
+        sys.modules["chipfire.jacobian"], "_steps_1_2",
+        lambda G, q, D: ([0, 0, 0], [-2, 1, 1], [0, 0, 0], [0, 0, 0], 0, 0, "float", 0),
     )
     args = ["sample-tree", k3_file, "--q", "0", "--seed", "1", "--format", "json"]
     assert cli.main(args) == 3

@@ -5,9 +5,10 @@ Core claims:
       edges to (min, max) while keeping their order; a vertex count above
       m + 1 is refused as disconnected before anything is allocated per
       vertex.
-    - laplacian is symmetric with zero row sums and degree diagonal, and it
-      and reduced_laplacian (int64 and float64, every q) equal the per-edge
-      loop that fills Q entry by entry.
+    - laplacian is symmetric with zero row sums and degree diagonal, and it,
+      reduced_laplacian (int64, every q) and the float64 Q_(q) that
+      graph._reduced_laplacian builds for the float floor (every q) equal
+      the per-edge loop that fills Q entry by entry.
     - apply_laplacian(G, f) == Q @ f and firing a set moves chips along
       exactly the cut edges.
     - is_linearly_equivalent finds an integral script iff one exists and the

@@ -18,7 +18,7 @@ Core claims:
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
       on a 40-vertex multigraph with an 88-bit invariant factor.  A
-      reduce that returned an unreduced divisor trips the sampler's
+      steps-1-2 core that returned an unreduced divisor trips the sampler's
       self-check (AssertionError).
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
       TypeError instead of being truncated; numpy integers are accepted.
@@ -37,7 +37,6 @@ import json
 import sys
 from math import gcd, prod
 from random import Random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.domains import ZZ
 
+from chipfire import reduction
 from chipfire.exact import det, solve
 from chipfire.graph import (
     Divisor,
@@ -444,21 +444,42 @@ def test_sampler_trees_match_reducing_the_unreduced_element():
     assert sample_spanning_tree(G, q, seed, count=count) == want
 
 
+def _unreduced_core(G, q, D):
+    """A steps-1-2 core that ends at [-2, 1, 1]; on K3 with q = 0 neither 1
+    nor 2 ever burns, so the list is not q-reduced."""
+    return [0, 0, 0], [-2, 1, 1], [0, 0, 0], [0, 0, 0], 0, 0, "float", 0
+
+
 def test_sampler_certifies_the_reduced_element(monkeypatch):
-    # a reduce that hands back an unreduced divisor is an internal fault:
-    # the sampler's own Dhar check raises AssertionError (CLI exit 3), not
-    # divisor_to_tree's ValueError (CLI exit 2, a refused input)
+    # a reduction core that hands back an unreduced divisor is an internal
+    # fault: the sampler's own burn check raises AssertionError (CLI exit
+    # 3), not divisor_to_tree's ValueError (CLI exit 2, a refused input)
     G = complete_graph(3)
-    unreduced = Divisor([-2, 1, 1])  # q = 0: neither 1 nor 2 ever burns
-    assert not dhar(G, 0, unreduced).reduced
+    assert not dhar(G, 0, Divisor(_unreduced_core(G, 0, None)[1])).reduced
     module = sys.modules["chipfire.jacobian"]
-    monkeypatch.setattr(
-        module, "reduce", lambda G, q, D: SimpleNamespace(result=unreduced)
-    )
+    monkeypatch.setattr(module, "_steps_1_2", _unreduced_core)
     with pytest.raises(
         AssertionError, match="reduce returned a divisor that is not q-reduced"
     ):
         sample_spanning_tree(G, 0, seed=1)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built a ReductionReport or a DharOutcome")
+
+
+@pytest.mark.parametrize("G", [RANDOM[0], tree_plus_edges(20, 40, Random(3))])
+def test_sampler_builds_no_reduction_report_and_no_dhar_outcome(G, monkeypatch):
+    # each tree runs steps 1-2 through the private core and one burn through
+    # is_reduced; the 20-vertex graph takes step 2's float guess
+    want = sample_spanning_tree(G, 1, seed=5, count=12)
+    monkeypatch.setattr(reduction, "ReductionReport", _refuse)
+    monkeypatch.setattr(reduction, "DharOutcome", _refuse)
+    with pytest.raises(AssertionError, match="ReductionReport or a DharOutcome"):
+        reduce_divisor(G, 1, Divisor([0] * G.n))
+    assert sample_spanning_tree(G, 1, seed=5, count=12) == want
+    K3 = complete_graph(3)
+    assert winnable(K3, Divisor([3, -1, 0]), 2).values == (1, 0, 0)
 
 
 # -- Winnability and rank ----------------------------------------------------------------

@@ -3,6 +3,8 @@
 Core claims:
     - dhar agrees with the brute-force definition: reduced iff effective off
       q and no nonempty subset avoiding q can fire without going negative.
+      is_reduced, one burn and a negativity test, agrees with dhar, also
+      where a negative vertex off q lets the burn reach every vertex.
     - A stalled burn returns a certificate set that can legally fire.
     - reduce produces a reduced divisor, a script with
       D - Delta(script) == result, and is idempotent; the reduced
@@ -93,6 +95,22 @@ def test_dhar_matches_brute_force():
             q = int(rng.integers(0, G.n))
             D = Divisor([int(rng.integers(0, 4)) for _ in range(G.n)])
             assert dhar(G, q, D).reduced == _brute_force_reduced(G, q, D)
+
+
+def test_is_reduced_matches_dhar_with_negative_entries_off_q():
+    # a vertex with negative chips burns at once, so the burn reaches every
+    # vertex here and only the negativity test says False
+    K3 = complete_graph(3)
+    assert len(_kernels.burn(K3, [3, -1, 0], 0)) == 3
+    assert not is_reduced(K3, 0, Divisor((3, -1, 0)))
+    assert not dhar(K3, 0, Divisor((3, -1, 0))).reduced
+    rng = np.random.default_rng(71)
+    for G in SMALL:
+        for _ in range(8):
+            q = int(rng.integers(0, G.n))
+            D = Divisor([int(rng.integers(-2, 4)) for _ in range(G.n)])
+            assert is_reduced(G, q, D) == dhar(G, q, D).reduced
+            assert is_reduced(G, q, list(D)) == dhar(G, q, D).reduced
 
 
 def test_stall_certificate_can_fire():
