@@ -455,7 +455,7 @@ def test_sampler_certifies_the_reduced_element(monkeypatch):
     # fault: the sampler's own burn check raises AssertionError (CLI exit
     # 3), not divisor_to_tree's ValueError (CLI exit 2, a refused input)
     G = complete_graph(3)
-    assert not dhar(G, 0, Divisor(_unreduced_core(G, 0, None)[1])).reduced
+    assert not dhar(G, 0, Divisor([-2, 1, 1])).reduced
     module = sys.modules["chipfire.jacobian"]
     monkeypatch.setattr(module, "_steps_1_2", _unreduced_core)
     with pytest.raises(
