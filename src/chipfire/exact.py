@@ -1,73 +1,108 @@
 """Exact integer linear algebra.
 
-One fraction-free elimination serves everything here.  A Bareiss pass
-(Bareiss, Math. Comp. 22, 1968) over the integer rows of [A | B] leaves
-det(A) as its last pivot (up to sign), and an integer back-substitution with
-exact `//` division yields X = det(A) A^{-1} B.  solve returns the pair
-(det, X) as ints and det its first item, so no Fraction is built and results
-stay exact for entries of any size.  A caller divides once, where its answer
-leaves the library (solve(A, I) is the adjugate pair).  Entries must be
-integers (Python or numpy); a Fraction or a float raises TypeError, so a
-caller with rational data scales it to integers first.
+One fraction-free elimination serves everything here.  factor runs a Bareiss
+pass (Bareiss, Math. Comp. 22, 1968) over the integer rows of A alone and
+keeps each step (its row swap, pivot, previous pivot and the column below
+the pivot) with the upper rows it leaves; its last pivot is det(A) up to
+sign.  substitute replays those steps on the rows of B, which is the pass
+over [A | B] restricted to B, and an integer back-substitution with
+exact `//` division yields X = det(A) A^{-1} B.  So a caller with several
+right-hand sides for one A factors it once.  solve (factor, then
+substitute) returns the pair (det, X) as ints and det is factor's first
+item, so no Fraction is built and results stay exact for entries of any
+size.  A caller divides once, where its answer leaves the library
+(solve(A, I) is the adjugate pair).  Entries must be integers (Python or
+numpy); a Fraction or a float raises TypeError, so a caller with rational
+data scales it to integers first.
 """
 
 from __future__ import annotations
 
 from operator import index, mul
 
+_SHAPE = "need an n x n matrix and n right-hand-side rows of one width, n = {}"
 
-def _eliminate(matrix, rhs_columns):
-    """(det(A), det(A) A^{-1} B) as ints; (0, None) when A is singular."""
+
+class Factor:
+    """The Bareiss elimination of an n x n integer matrix A, as factor
+    leaves it: det is det(A), steps the (swap row or None, pivot, previous
+    pivot, column below the pivot) of each step and upper the eliminated
+    rows, row i from its diagonal on.  A singular A has det 0 and no steps
+    or upper rows."""
+
+    __slots__ = ("n", "det", "steps", "upper", "__weakref__")
+
+    def __init__(self, n, det, steps, upper):
+        self.n = n
+        self.det = det
+        self.steps = steps
+        self.upper = upper
+
+
+def factor(matrix):
+    """The Factor of a square integer matrix; ValueError if it is not square."""
     n = len(matrix)
-    k = len(rhs_columns[0]) if len(rhs_columns) else 0
-    if (
-        len(rhs_columns) != n
-        or any(len(r) != n for r in matrix)
-        or any(len(b) != k for b in rhs_columns)
-    ):
-        raise ValueError(
-            f"need an n x n matrix and n right-hand-side rows of one width, n = {n}"
-        )
-    # index() turns numpy integers into Python ints, which cannot overflow
-    a = [[index(x) for x in (*r, *b)] for r, b in zip(matrix, rhs_columns)]
+    if any(len(r) != n for r in matrix):
+        raise ValueError(_SHAPE.format(n))
+    # index() turns numpy integers into Python ints, which cannot overflow;
+    # from step c on, a[i] holds row i from column c, so a[c] ends as U's row
+    a = [[index(x) for x in r] for r in matrix]
     sign = 1
     prev = 1
+    steps = []
     for c in range(n):
-        if a[c][c] == 0:
-            pivot = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
-            if pivot is None:
-                return 0, None
-            a[c], a[pivot] = a[pivot], a[c]
+        swap = None
+        if a[c][0] == 0:
+            swap = next((i for i in range(c + 1, n) if a[i][0] != 0), None)
+            if swap is None:
+                return Factor(n, 0, None, None)
+            a[c], a[swap] = a[swap], a[c]
             sign = -sign
-        top = a[c]
-        p = top[c]
+        p, *top = a[c]
+        below = []
         for i in range(c + 1, n):
-            row = a[i]
-            f = row[c]
-            rest = zip(row[c + 1 :], top[c + 1 :])
-            a[i] = row[:c] + [0] + [(p * x - f * y) // prev for x, y in rest]
+            f, *row = a[i]
+            below.append(f)
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        steps.append((swap, p, prev, below))
         prev = p
-    # row i reads sum_t a[i][t] X[t] = d a[i][n + j], and X = d A^{-1} B is
+    return Factor(n, sign * prev, steps, a)
+
+
+def substitute(fac, rhs_columns):
+    """(det(A), det(A) A^{-1} B) as ints for the Factor `fac` of A and the
+    n x k `rhs_columns` B; ValueError if A is singular."""
+    n = fac.n
+    k = len(rhs_columns[0]) if len(rhs_columns) else 0
+    if len(rhs_columns) != n or any(len(b) != k for b in rhs_columns):
+        raise ValueError(_SHAPE.format(n))
+    b = [[index(x) for x in r] for r in rhs_columns]
+    if fac.steps is None:
+        raise ValueError("singular matrix")
+    # the row operations of the pass over [A | B], on B's rows alone
+    for c, (swap, p, prev, below) in enumerate(fac.steps):
+        if swap is not None:
+            b[c], b[swap] = b[swap], b[c]
+        top = b[c]
+        for i, f in enumerate(below, c + 1):
+            b[i] = [(p * x - f * y) // prev for x, y in zip(b[i], top)]
+    # row i reads sum_t U[i][t] X[t] = d b[i][j], and X = d A^{-1} B is
     # integral (Cramer), so each division is exact
-    d = sign * prev
+    d = fac.det
     cols = [[0] * n for _ in range(k)]
     for i in range(n - 1, -1, -1):
-        row = a[i]
-        tail = row[i + 1 : n]
+        u, *tail = fac.upper[i]
         for j, col in enumerate(cols):
-            col[i] = (d * row[n + j] - sum(map(mul, tail, col[i + 1 :]))) // row[i]
+            col[i] = (d * b[i][j] - sum(map(mul, tail, col[i + 1 :]))) // u
     return d, [list(r) for r in zip(*cols)] if k else [[] for _ in range(n)]
 
 
 def det(matrix):
     """Exact determinant of a square integer matrix, as an int."""
-    return _eliminate(matrix, [[] for _ in matrix])[0]
+    return factor(matrix).det
 
 
 def solve(matrix, rhs_columns):
     """(det(A), det(A) A^{-1} B) as ints for an integer n x n `matrix` A and
     n x k `rhs_columns` B; ValueError if A is singular."""
-    d, x = _eliminate(matrix, rhs_columns)
-    if x is None:
-        raise ValueError("singular matrix")
-    return d, x
+    return substitute(factor(matrix), rhs_columns)

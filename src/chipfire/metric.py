@@ -18,9 +18,15 @@ Gamma.  Each model keeps its edge lengths as integer ticks over one
 denominator of its own, so burning, moves and potentials compare and sum
 integers on the model and map the results back to points.  A MetricGraph
 builds its vertex points once and hands them out wherever a vertex is
-meant.  Every potential query builds the model at q and the points it
-names and reads j_q, r, E_q or b_q off one exact single-column solve of its
-grounded Laplacian (_grounded), scaled to integer conductances.  A divisor
+meant.  The model whose only points are the vertices depends on Gamma
+alone: Gamma builds it on first use and keeps it, and every caller whose
+points are all vertices gets that one (_model_at).  Every potential query
+takes the model at q and the points it names and reads j_q, r, E_q or b_q
+off one substitution into the model's grounded factor (_grounded): the
+fraction-free elimination of its Laplacian in integer conductances,
+grounded at model vertex 0, which the model builds on first use and keeps
+for every base point.  So repeated reductions and vertex potential queries
+on one Gamma build no model and no elimination again.  A divisor
 is made effective off q by one rounded j_q-potential, which leaves a number
 of chips per model vertex bounded by the model alone, and that step hands
 its model to the Luo moves; a new one is built only when the interior
@@ -47,9 +53,11 @@ from .graph import Graph, _rational, check_divisor
 class MetricGraph:
     """A connected loopless multigraph with positive rational edge lengths;
     a float length raises TypeError.  Each vertex's GraphPoint is built
-    once, here, and handed out by point and vertex_point."""
+    once, here, and handed out by point and vertex_point.  The vertex model,
+    whose only points are the vertices, is built on first use and kept in
+    _vertex_model (see _model_at)."""
 
-    __slots__ = ("graph", "lengths", "_vertex_points")
+    __slots__ = ("graph", "lengths", "_vertex_points", "_vertex_model", "__weakref__")
 
     def __init__(self, graph, lengths):
         lengths = tuple(_rational(x) for x in lengths)
@@ -60,6 +68,7 @@ class MetricGraph:
         self.graph = graph
         self.lengths = lengths
         self._vertex_points = tuple(GraphPoint.vertex(v) for v in range(graph.n))
+        self._vertex_model = None
 
     @property
     def n(self):
@@ -389,10 +398,13 @@ class _Model:
     offset not strictly inside its edge) raises ValueError; an edge with no
     interior point is one model edge.  Lengths are integer ticks over one
     denominator: ticks[i] / den is the length of medges[i], with den the lcm
-    of the denominators of Gamma's lengths and the interior offsets.
+    of the denominators of Gamma's lengths and the interior offsets.  A
+    model holds no reference to Gamma, and the vertex model is shared by
+    every caller on one Gamma (_model_at), so nothing here changes after
+    construction but the grounded factor, built on first use.
     """
 
-    __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph")
+    __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph", "_factor", "__weakref__")
 
     def __init__(self, gamma, extra_points):
         per_edge = {}
@@ -412,22 +424,43 @@ class _Model:
             *(x.denominator for x in gamma.lengths),
             *(o.denominator for offsets in per_edge.values() for o in offsets),
         )
-        self.points = list(gamma._vertex_points)
+        points = list(gamma._vertex_points)
         self.medges = []  # (vid_a, vid_b, edge, start_off, end_off)
         self.ticks = []
         for e, (u, v) in enumerate(gamma.graph.edges):
             a, o1, t1 = u, _ZERO, 0
             for o2, p in sorted(per_edge.get(e, {}).items()):
-                b, t2 = len(self.points), o2.numerator * (den // o2.denominator)
-                self.points.append(p)
+                b, t2 = len(points), o2.numerator * (den // o2.denominator)
+                points.append(p)
                 self.medges.append((a, b, e, o1, o2))
                 self.ticks.append(t2 - t1)
                 a, o1, t1 = b, o2, t2
             length = gamma.lengths[e]
             self.medges.append((a, v, e, o1, length))
             self.ticks.append(length.numerator * (den // length.denominator) - t1)
-        self.vid_of = {p: i for i, p in enumerate(self.points)}
-        self.graph = Graph(len(self.points), [(a, b) for a, b, *_ in self.medges])
+        self.points = tuple(points)
+        self.vid_of = {p: i for i, p in enumerate(points)}
+        self.graph = Graph(len(points), [(a, b) for a, b, *_ in self.medges])
+        self._factor = None
+
+    def grounded_factor(self):
+        """(s, F): F is exact.factor of the model Laplacian with model vertex
+        0's row and column removed, in integer conductances, and s converts
+        chips to its right-hand side.  An edge of t ticks, with conductance
+        den/t, gets lcm(den, ticks) / t, which scales the Laplacian by s =
+        lcm(den, ticks) / den.  Built on first use and kept."""
+        if self._factor is None:
+            full = lcm(self.den, *self.ticks)
+            lap = [[0] * (len(self.points) - 1) for _ in self.points[1:]]
+            for (a, b, *_), t in zip(self.medges, self.ticks):
+                c = full // t
+                for u, w in ((a, b), (b, a)):
+                    if u:
+                        lap[u - 1][u - 1] += c
+                        if w:
+                            lap[u - 1][w - 1] -= c
+            self._factor = full // self.den, exact.factor(lap)
+        return self._factor
 
     def chips(self, D):
         vec = [0] * len(self.points)
@@ -458,32 +491,39 @@ def _tropical_from_model(gamma, model, values, kinks=()):
 def _grounded_potential(model, q_vid, chips):
     """(d, x): x / d is the j_q-potential of chips under conductance
     1/length, with x(q) = 0, Delta(x / d) = chips at every other model vertex
-    and x / d affine on model edges; one single-column exact solve of the
-    model Laplacian with q's row and column removed.  The system is scaled to
-    integers by lcm(den, ticks) / den, which leaves x / d as it is: an edge of
-    t ticks, with conductance den/t, gets lcm(den, ticks) / t."""
-    full = lcm(model.den, *model.ticks)
-    keep = [v for v in range(len(model.points)) if v != q_vid]
-    row_of = {v: i for i, v in enumerate(keep)}
-    lap = [[0] * len(keep) for _ in keep]
-    for (a, b, *_), t in zip(model.medges, model.ticks):
-        c = full // t
-        for u, w in ((a, b), (b, a)):
-            if u != q_vid:
-                lap[row_of[u]][row_of[u]] += c
-                if w != q_vid:
-                    lap[row_of[u]][row_of[w]] -= c
-    d, sol = exact.solve(lap, [[full // model.den * chips[v]] for v in keep])
-    x = [0] * len(model.points)
-    for v, (value,) in zip(keep, sol):
-        x[v] = value
-    return d, x
+    and x / d affine on model edges, read off the model's grounded factor
+    with one substitution.  q's entry is set so the right-hand side has
+    degree 0, which makes the system grounded at vertex 0 consistent at q
+    too; subtracting the value at q then grounds it at q.  Every grounding
+    of a Laplacian has the same determinant (matrix-tree), so (d, x) is the
+    pair of the solve grounded at q."""
+    scale, fac = model.grounded_factor()
+    rhs = [scale * w for w in chips]
+    rhs[q_vid] -= sum(rhs)
+    d, sol = exact.substitute(fac, [[w] for w in rhs[1:]])
+    x = [0, *(value for value, in sol)]
+    at_q = x[q_vid]
+    return d, [value - at_q for value in x]
+
+
+def _model_at(gamma, points):
+    """The model of Gamma at `points`: Gamma's vertex model, built once and
+    kept, when each point is a vertex, else a model of its own.  Either way
+    a point not on Gamma raises ValueError."""
+    points = [_as_point(p) for p in points]
+    if any(p.kind == "e" for p in points):
+        return _Model(gamma, points)
+    for p in points:
+        gamma.vertex_point(p.index)  # raises off Gamma
+    if gamma._vertex_model is None:
+        gamma._vertex_model = _Model(gamma, ())
+    return gamma._vertex_model
 
 
 def _grounded(gamma, q, D, *points):
     """(model at q, supp(D) and points, d, x): x / d is the j_q-potential of
     D on that model, as _grounded_potential gives it."""
-    model = _Model(gamma, [q, *D.support, *points])
+    model = _model_at(gamma, [q, *D.support, *points])
     return (model, *_grounded_potential(model, model.vid_of[q], model.chips(D)))
 
 
@@ -572,7 +612,7 @@ def metric_dhar(gamma, q, D):
     q = _as_point(q)
     if not D.is_effective(skip=q):
         raise ValueError("divisor must be effective off q")
-    model = _Model(gamma, [q, *D.support])
+    model = _model_at(gamma, [q, *D.support])
     order = _kernels.burn(model.graph, model.chips(D), model.vid_of[q])
     comps = tuple(comp for comp, *_ in _components(model, order))
     burn_order = tuple(model.points[v] for v in order)
@@ -601,7 +641,7 @@ def metric_make_effective(gamma, q, D):
 def _make_effective(gamma, q, D):
     """(E, f, model): metric_make_effective's E and f, and the model at q and
     supp(D) they were computed on, which metric_reduce starts its moves on."""
-    model = _Model(gamma, [q, *D.support])  # an effective D off Gamma is refused too
+    model = _model_at(gamma, [q, *D.support])  # an effective D off Gamma is refused too
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma), model
     q_vid = model.vid_of[q]
@@ -692,7 +732,7 @@ def metric_reduce(gamma, q, D):
     # the model depends only on the interior points of {q} and supp(E), which
     # make-effective's kinks and emptied points may have changed
     if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
-        model = _Model(gamma, [q, *E.support])
+        model = _model_at(gamma, [q, *E.support])
     chips, q_vid = model.chips(E), model.vid_of[q]
     for _ in range(_MAX_LUO_ITERATIONS):
         order = _kernels.burn(model.graph, chips, q_vid)
@@ -713,7 +753,7 @@ def metric_reduce(gamma, q, D):
         # a move changes those points when it creates one or empties one but q
         if created or any(v >= gamma.n and v != q_vid and not chips[v] for _i, v in cut):
             kept = [(p, w) for p, w in zip(model.points, chips) if w]
-            model = _Model(gamma, [q, *(p for p, _ in kept), *created])
+            model = _model_at(gamma, [q, *(p for p, _ in kept), *created])
             chips, q_vid = model.chips(kept + [(p, 1) for p in created]), model.vid_of[q]
         # model ids follow the canonical point order, so the chips read off in
         # id order are the divisor's entries as they are
@@ -726,7 +766,7 @@ def metric_reduce(gamma, q, D):
     else:
         raise RuntimeError("reduction did not terminate within the safety cap")
     loose = [p for p in D.support if p not in model.vid_of]
-    sites = model.points + loose
+    sites = [*model.points, *loose]
     values = [f0.evaluate(p) for p in sites]
     for it in log:
         _add_move(gamma, it.component, it.epsilon, sites, values)
@@ -778,9 +818,11 @@ def _add_move(gamma, X, eps, sites, values):
 class MetricPotentials:
     """Exact j_q / resistance / E_q / b_q for a fixed base point q.
 
-    Each query subdivides Gamma at q and the points it names and reads its
-    answer off the potential of one divisor, grounded at q under conductance
-    1/length: one single-column exact solve per query, with no cache.
+    Each query takes the model of Gamma at q and the points it names and
+    reads its answer off the potential of one divisor, grounded at q under
+    conductance 1/length: one substitution into the model's kept factor per
+    query.  Queries that name only vertices share Gamma's vertex model and
+    its one factor; a query that names an interior point builds its own.
     """
 
     def __init__(self, gamma, q):

@@ -15,6 +15,12 @@ Core claims:
     - A wide, tall or ragged matrix, or a right-hand side whose height is
       not n or whose rows differ in width, raises ValueError in det, solve
       and the Smith form.
+    - factor then substitute gives solve's pair, sympy's det and adjugate
+      times B, on the same systems and on row-swap matrices, for 0, 1 and 3
+      right-hand-side columns and with one factor reused on several
+      right-hand sides; det is the factor's det; substitute refuses a
+      singular factor, a right-hand side of the wrong height and a Fraction
+      entry, and factor a non-square matrix.
 """
 
 from fractions import Fraction
@@ -25,7 +31,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from chipfire.exact import det, solve
+from chipfire.exact import det, factor, solve, substitute
 from chipfire.jacobian import smith_normal_form
 
 
@@ -209,3 +215,55 @@ def test_elimination_matches_sympy(system):
     assert d3 == d and all(type(x) is int for row in X for x in row)
     assert X == _mul(adj, B)
     assert _mul(A, X) == [[d * x for x in row] for row in B]
+
+
+@st.composite
+def _factored_systems(draw):
+    """(A, [B0, B1, B3]): an A as _systems draws it and right-hand sides of
+    0, 1 and 3 columns."""
+    A, _ = draw(_systems())
+    n = len(A)
+    return A, [[[draw(_SCALARS) for _ in range(k)] for _ in range(n)] for k in (0, 1, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_factored_systems())
+@example(([], [[], [], []]))
+@example(([[0, 1], [1, 0]], [[[], []], [[1], [2]], [[1, 0, 3], [0, 1, -2]]]))
+@example(([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[[]] * 3, [[1], [0], [5]], _identity(3)]))
+def test_one_factor_serves_every_right_hand_side(system):
+    A, rhs = system
+    F = factor(A)
+    d = _sympy(A).det() if A else 1
+    assert F.det == det(A) == d and type(F.det) is int
+    for B in rhs:
+        if d == 0:
+            with pytest.raises(ValueError, match="singular matrix"):
+                substitute(F, B)
+            continue
+        want = (d, _mul(_sympy(A).adjugate().tolist(), B) if A else [])
+        assert substitute(F, B) == solve(A, B) == want
+    if d:
+        # the factor is left as it was: a second pass gives the same answers
+        assert [substitute(F, B) for B in rhs] == [solve(A, B) for B in rhs]
+
+
+def test_factor_and_substitute_refuse_what_solve_refuses():
+    with pytest.raises(ValueError, match="n x n matrix"):
+        factor([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="n x n matrix"):
+        factor([[1, 2], [3]])
+    F = factor([[2, 0], [0, 3]])
+    for B in ([[1], [1], [1]], [[2], [3, 9]], [[1]]):
+        with pytest.raises(ValueError, match="n x n matrix"):
+            substitute(F, B)
+    with pytest.raises(TypeError):
+        substitute(F, [[Fraction(1, 2)], [1]])
+    with pytest.raises(TypeError):
+        factor([[1, 0], [0, 0.5]])
+    singular = factor([[1, 2], [2, 4]])
+    assert singular.det == 0
+    with pytest.raises(ValueError, match="singular matrix"):
+        substitute(singular, [[1], [0]])
+    with pytest.raises(ValueError, match="singular matrix"):
+        solve([[1, 2], [2, 4]], [[1], [0]])

@@ -51,17 +51,20 @@ Core claims:
       with rational lengths.
 """
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chipfire import metric
+from chipfire import exact, metric
 from chipfire.graph import (
     Divisor, Graph, _rational, complete_graph, cycle_graph, path_graph,
 )
@@ -613,14 +616,15 @@ def test_summed_script_is_the_solved_potential_on_random_rational_graphs(case):
 
 
 def test_metric_reduce_solves_only_to_make_effective(monkeypatch):
+    # every metric potential is one substitution into a model's factor
     calls = []
-    solve = metric.exact.solve
+    substitute = metric.exact.substitute
 
     def counting(*args):
         calls.append(args)
-        return solve(*args)
+        return substitute(*args)
 
-    monkeypatch.setattr(metric.exact, "solve", counting)
+    monkeypatch.setattr(metric.exact, "substitute", counting)
     effective = 0
     for gamma, q, D in METRIC + [_triangle_case()]:
         calls.clear()
@@ -658,23 +662,138 @@ def test_metric_reduce_builds_a_model_only_when_the_points_change(monkeypatch):
 
     monkeypatch.setattr(metric, "_Model", Counting)
     # every move on the unit-length C10(1, 2) is one edge long, so no point
-    # inside an edge ever carries a chip
+    # inside an edge ever carries a chip: the five cases share their Gamma's
+    # vertex model, built once
     for gamma, q, D in _c10_cases():
-        builds.clear()
         report = metric_reduce(gamma, q, D)
-        assert report.iterations and len(builds) == 1
-    # make-effective builds the model at q and supp(D), and the Luo loop goes
-    # on with it while the interior points of q and the support stay the same
+        assert report.iterations
+    assert len(builds) == 1
+    # make-effective takes the model at q and supp(D), and the Luo loop goes
+    # on with it while the interior points of q and the support stay the
+    # same; a model with no interior point is Gamma's vertex model, built
+    # only if Gamma holds none yet
     reused = 0
     for gamma, q, D in METRIC:
         builds.clear()
+        cached = gamma._vertex_model is not None
         report = metric_reduce(gamma, q, D)
         steps = [report.after_make_effective] + [it.after for it in report.iterations]
         points = [_interior(q, D)] + [_interior(q, E) for E in steps]
-        assert len(builds) == 1 + sum(a != b for a, b in zip(points, points[1:]))
+        want = 0
+        for a, b in zip([None] + points, points):
+            if a != b and (b or not cached):
+                want += 1
+                cached = cached or not b
+        assert len(builds) == want
         reused += points[0] == points[1]
     # 14 of the cases start their moves on make-effective's model
     assert reused >= 10
+
+
+def _solved_at(model, q_vid, chips):
+    """(d, x) from one single-column exact.solve of the model Laplacian in
+    integer conductances with q's row and column removed, x(q) = 0."""
+    full = lcm(model.den, *model.ticks)
+    keep = [v for v in range(len(model.points)) if v != q_vid]
+    row_of = {v: i for i, v in enumerate(keep)}
+    lap = [[0] * len(keep) for _ in keep]
+    for (a, b, *_), t in zip(model.medges, model.ticks):
+        for u, w in ((a, b), (b, a)):
+            if u != q_vid:
+                lap[row_of[u]][row_of[u]] += full // t
+                if w != q_vid:
+                    lap[row_of[u]][row_of[w]] -= full // t
+    d, sol = exact.solve(lap, [[full // model.den * chips[v]] for v in keep])
+    x = [0] * len(model.points)
+    for v, (value,) in zip(keep, sol):
+        x[v] = value
+    return d, x
+
+
+def test_vertex_model_potential_is_the_solve_grounded_at_q():
+    # one factor grounded at vertex 0 serves every base vertex: the same d,
+    # the determinant of every grounding, and the same numerators x
+    rng = random.Random(38)
+    gammas = {id(gamma): gamma for gamma, _, _ in METRIC}.values()
+    for gamma in gammas:
+        model = metric._model_at(gamma, ())
+        assert model is gamma._vertex_model and len(model.points) == gamma.n
+        for q in range(gamma.n):
+            chips = [rng.randint(-3, 3) for _ in range(gamma.n)]
+            assert metric._grounded_potential(model, q, chips) == _solved_at(model, q, chips)
+
+
+def test_ten_reductions_on_one_gamma_build_one_model_and_one_factor(monkeypatch):
+    builds, factors = [], []
+
+    class Counting(metric._Model):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    factor = metric.exact.factor
+
+    def counting(*args):
+        factors.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(metric, "_Model", Counting)
+    monkeypatch.setattr(metric.exact, "factor", counting)
+    cases = _c10_cases()
+    gamma = cases[0][0]
+    for gamma, q, D in cases + cases:
+        assert not D.is_effective(skip=q)
+        metric_reduce(gamma, q, D)
+    assert len(builds) == 1 and len(factors) == 1
+    # vertex potential queries read the same factor
+    pot = metric_potentials(gamma, _vp(3))
+    assert pot.j(_vp(1), _vp(2)) == pot.j(_vp(2), _vp(1))
+    assert pot.resistance(_vp(1)) > 0 and pot.b(cases[0][2]) > 0
+    assert len(builds) == 1 and len(factors) == 1
+
+
+def test_a_model_with_an_interior_point_builds_its_own(monkeypatch):
+    builds = []
+
+    class Counting(metric._Model):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(metric, "_Model", Counting)
+    gamma, q, D = _triangle_case()
+    vertex_model = metric._model_at(gamma, [q, *D.support])
+    mid = gamma.point(0, Fraction(1, 2))
+    models = [metric._model_at(gamma, [q, mid]) for _ in range(2)]
+    assert len(builds) == 3
+    assert all(mid in m.vid_of and m is not vertex_model for m in models)
+    assert models[0] is not models[1] and gamma._vertex_model is vertex_model
+    assert len(vertex_model.points) == gamma.n
+    # a vertex off Gamma is refused, with the vertex model cached or not
+    for off in (_vp(gamma.n), _vp(-1)):
+        with pytest.raises(ValueError, match="out of range"):
+            metric._model_at(gamma, [q, off])
+        with pytest.raises(ValueError, match="out of range"):
+            metric._model_at(MetricGraph(gamma.graph, gamma.lengths), [off])
+    assert len(builds) == 3
+
+
+def test_a_dropped_gamma_frees_its_vertex_model_and_factor():
+    was_enabled = gc.isenabled()
+    gc.disable()  # a reference cycle would keep them alive here
+    try:
+        gamma = unit_metric(cycle_graph(6))
+        D = MetricDivisor({_vp(2): 7, _vp(4): -1})
+        metric_reduce(gamma, _vp(0), D)
+        model = gamma._vertex_model
+        refs = [weakref.ref(x) for x in (gamma, model, model.grounded_factor()[1])]
+        del model
+        assert all(ref() is not None for ref in refs)
+        del gamma
+        assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
