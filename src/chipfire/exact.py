@@ -1,17 +1,14 @@
 """Exact integer linear algebra.
 
 One fraction-free elimination serves everything here.  factor runs a Bareiss
-pass (Bareiss, Math. Comp. 22, 1968) over the integer rows of A alone and
-keeps each step (its row swap, pivot, previous pivot and the column below
-the pivot) with the upper rows it leaves; its last pivot is det(A) up to
-sign.  substitute replays those steps on the rows of B, which is the pass
-over [A | B] restricted to B, and an integer back-substitution with
-exact `//` division yields X = det(A) A^{-1} B.  So a caller with several
-right-hand sides for one A factors it once.  solve (factor, then
-substitute) returns the pair (det, X) as ints and det is factor's first
-item, so no Fraction is built and results stay exact for entries of any
-size.  A caller divides once, where its answer leaves the library
-(solve(A, I) is the adjugate pair).  Entries must be integers (Python or
+pass (Bareiss, Math. Comp. 22, 1968) over the integer rows of A and keeps
+its steps; its last pivot is det(A) up to sign.  substitute replays them on
+B, as the pass over [A | B] would, and an integer back-substitution with
+exact `//` division yields X = det(A) A^{-1} B, so a caller with several
+right-hand sides for one A factors it once.  solve, factor then
+substitute, returns the pair (det, X) as ints, so no Fraction is built and
+results stay exact for entries of any size.  A caller divides once, where
+its answer leaves the library (solve(A, I) is the adjugate pair).  Entries must be integers (Python or
 numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
 """
@@ -24,11 +21,9 @@ _SHAPE = "need an n x n matrix and n right-hand-side rows of one width, n = {}"
 
 
 class Factor:
-    """The Bareiss elimination of an n x n integer matrix A, as factor
-    leaves it: det is det(A), steps the (swap row or None, pivot, previous
-    pivot, column below the pivot) of each step and upper the eliminated
-    rows, row i from its diagonal on.  A singular A has det 0 and no steps
-    or upper rows."""
+    """factor's Bareiss pass on A: det(A), each step's (swap row or None,
+    pivot, previous pivot, column below the pivot) and the upper rows from
+    the diagonal on; steps and upper are None when det(A) is 0."""
 
     __slots__ = ("n", "det", "steps", "upper", "__weakref__")
 

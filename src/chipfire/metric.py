@@ -18,15 +18,11 @@ Gamma.  Each model keeps its edge lengths as integer ticks over one
 denominator of its own, so burning, moves and potentials compare and sum
 integers on the model and map the results back to points.  A MetricGraph
 builds its vertex points once and hands them out wherever a vertex is
-meant.  The model whose only points are the vertices depends on Gamma
-alone: Gamma builds it on first use and keeps it, and every caller whose
-points are all vertices gets that one (_model_at).  Every potential query
-takes the model at q and the points it names and reads j_q, r, E_q or b_q
-off one substitution into the model's grounded factor (_grounded): the
-fraction-free elimination of its Laplacian in integer conductances,
-grounded at model vertex 0, which the model builds on first use and keeps
-for every base point.  So repeated reductions and vertex potential queries
-on one Gamma build no model and no elimination again.  A divisor
+meant, and its vertex model, whose only points are the vertices, from
+first use (_model_at).  Each model keeps the factor of its Laplacian in
+integer conductances, grounded at model vertex 0, from first use, and every
+potential query reads j_q, r, E_q or b_q off one substitution into the
+factor of the model at q and the points it names (_grounded).  A divisor
 is made effective off q by one rounded j_q-potential, which leaves a number
 of chips per model vertex bounded by the model alone, and that step hands
 its model to the Luo moves; a new one is built only when the interior
@@ -53,9 +49,8 @@ from .graph import Graph, _rational, check_divisor
 class MetricGraph:
     """A connected loopless multigraph with positive rational edge lengths;
     a float length raises TypeError.  Each vertex's GraphPoint is built
-    once, here, and handed out by point and vertex_point.  The vertex model,
-    whose only points are the vertices, is built on first use and kept in
-    _vertex_model (see _model_at)."""
+    once, here, and handed out by point and vertex_point; see _model_at for
+    _vertex_model."""
 
     __slots__ = ("graph", "lengths", "_vertex_points", "_vertex_model", "__weakref__")
 
@@ -399,9 +394,8 @@ class _Model:
     interior point is one model edge.  Lengths are integer ticks over one
     denominator: ticks[i] / den is the length of medges[i], with den the lcm
     of the denominators of Gamma's lengths and the interior offsets.  A
-    model holds no reference to Gamma, and the vertex model is shared by
-    every caller on one Gamma (_model_at), so nothing here changes after
-    construction but the grounded factor, built on first use.
+    model holds no reference to Gamma and, as it may be Gamma's shared
+    vertex model, changes after construction only by keeping its factor.
     """
 
     __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph", "_factor", "__weakref__")
@@ -444,11 +438,10 @@ class _Model:
         self._factor = None
 
     def grounded_factor(self):
-        """(s, F): F is exact.factor of the model Laplacian with model vertex
-        0's row and column removed, in integer conductances, and s converts
-        chips to its right-hand side.  An edge of t ticks, with conductance
-        den/t, gets lcm(den, ticks) / t, which scales the Laplacian by s =
-        lcm(den, ticks) / den.  Built on first use and kept."""
+        """(s, F), built on first use and kept: F is exact.factor of the
+        model Laplacian without vertex 0's row and column, scaled to
+        integers by s = lcm(den, ticks) / den (an edge of t ticks, with
+        conductance den/t, gets lcm(den, ticks) / t)."""
         if self._factor is None:
             full = lcm(self.den, *self.ticks)
             lap = [[0] * (len(self.points) - 1) for _ in self.points[1:]]
@@ -491,12 +484,11 @@ def _tropical_from_model(gamma, model, values, kinks=()):
 def _grounded_potential(model, q_vid, chips):
     """(d, x): x / d is the j_q-potential of chips under conductance
     1/length, with x(q) = 0, Delta(x / d) = chips at every other model vertex
-    and x / d affine on model edges, read off the model's grounded factor
-    with one substitution.  q's entry is set so the right-hand side has
-    degree 0, which makes the system grounded at vertex 0 consistent at q
-    too; subtracting the value at q then grounds it at q.  Every grounding
-    of a Laplacian has the same determinant (matrix-tree), so (d, x) is the
-    pair of the solve grounded at q."""
+    and x / d affine on model edges, from one substitution into the
+    model's factor.  q's entry makes the right-hand side sum to 0, so the
+    solution grounded at vertex 0 also holds at q, and x is that solution
+    less its value at q.  Every grounding has the same determinant
+    (matrix-tree), so (d, x) is the pair a solve grounded at q gives."""
     scale, fac = model.grounded_factor()
     rhs = [scale * w for w in chips]
     rhs[q_vid] -= sum(rhs)
@@ -507,9 +499,9 @@ def _grounded_potential(model, q_vid, chips):
 
 
 def _model_at(gamma, points):
-    """The model of Gamma at `points`: Gamma's vertex model, built once and
-    kept, when each point is a vertex, else a model of its own.  Either way
-    a point not on Gamma raises ValueError."""
+    """The model of Gamma at `points`: Gamma's vertex model, built on first
+    use and kept, when all are vertices, else a model of their own.  Either
+    way a point not on Gamma raises ValueError."""
     points = [_as_point(p) for p in points]
     if any(p.kind == "e" for p in points):
         return _Model(gamma, points)
@@ -818,11 +810,9 @@ def _add_move(gamma, X, eps, sites, values):
 class MetricPotentials:
     """Exact j_q / resistance / E_q / b_q for a fixed base point q.
 
-    Each query takes the model of Gamma at q and the points it names and
-    reads its answer off the potential of one divisor, grounded at q under
-    conductance 1/length: one substitution into the model's kept factor per
-    query.  Queries that name only vertices share Gamma's vertex model and
-    its one factor; a query that names an interior point builds its own.
+    Each query subdivides Gamma at q and the points it names and reads its
+    answer off the potential of one divisor, grounded at q under conductance
+    1/length: one substitution into the model's factor per query.
     """
 
     def __init__(self, gamma, q):
