@@ -502,7 +502,6 @@ def _model_at(gamma, points):
     """The model of Gamma at `points`: Gamma's vertex model, built on first
     use and kept, when all are vertices, else a model of their own.  Either
     way a point not on Gamma raises ValueError."""
-    points = [_as_point(p) for p in points]
     if any(p.kind == "e" for p in points):
         return _Model(gamma, points)
     for p in points:
@@ -641,7 +640,7 @@ def _make_effective(gamma, q, D):
     # an edge of t ticks has 1/len = den/t, an integer iff t divides den; c[p]
     # = scale * c(p) is an integer, and ceil(c(p)) = -(-c[p] // scale)
     den = model.den
-    scale = lcm(den, *model.ticks) // den
+    scale, _ = model.grounded_factor()
     c = [0] * len(chips)
     for (a, b, *_), t in zip(model.medges, model.ticks):
         k = scale * den // t + scale * (den % t != 0)

@@ -24,13 +24,18 @@ Core claims:
       from one exact solve, shifted to sum(eps) at q, on the METRIC corpus,
       on rational lengths where moves create points, and on hypothesis
       graphs with rational lengths and interior chips; the only exact
-      solve metric_reduce makes is make-effective's, and a wrong summed
-      value fails the exact check D + Delta(script) == result.
-    - metric_reduce goes on with make-effective's model and builds a new
-      one only when the interior points of q and the support change (one
-      model in all on a unit-length graph); every logged eps, drop and
-      component length is an exact Fraction, and a point a move puts
-      inside an edge is the canonical point there.
+      substitution metric_reduce makes is make-effective's, and a wrong
+      summed value fails the exact check D + Delta(script) == result.
+    - metric_reduce goes on with make-effective's model and takes a new
+      one only when the interior points of q and the support change; a
+      model with no interior point is Gamma's vertex model, built once per
+      Gamma (one model and one factor for ten reductions on a unit-length
+      graph), and a model with one is built for its caller; every logged
+      eps, drop and component length is an exact Fraction, and a point a
+      move puts inside an edge is the canonical point there.
+    - The vertex model's factor, grounded at vertex 0, gives at every base
+      vertex q the pair of a single-column solve grounded at q; a dropped
+      Gamma frees its vertex model and factor at once.
     - On unit edge lengths the metric machinery agrees with the
       combinatorial one: same j tables, same reduced divisors.  With lengths
       in (1/N)Z, metric_reduce of a divisor on the 1/N grid is reduce on the
