@@ -12,13 +12,16 @@ Iliopoulos, SIAM J. Comput. 18, 1989): no entry of S or U^{-1} grows past
 kappa, and neither U nor the column operations are kept.  The uniform tree
 sampler picks a uniform group element, reduces it with reduction's steps-1-2
 core, certifies it with one burn (is_reduced), and burns it into its tree.
+Step 1 of that reduction subtracts Delta(floor(L_(q) D)), and L_(q) is
+linear, so one exact solve of Q_(q) against the generators per call gives
+every tree's floor in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd, prod
-from operator import index
+from operator import index, mul
 
 import numpy as np
 
@@ -212,21 +215,26 @@ def sample_spanning_tree(G, q, seed, count=1):
     Sample i draws from a Philox stream with key=seed and counter
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
-    and reducing then burning carries it to a uniform tree.  The element's
-    entries off q are first taken mod kappa = |Jac(G)|: kappa((v) - (q)) is
-    principal, so the class, and the reduced divisor, stay the same.
-    The element's chip list goes straight to reduction's steps-1-2 core,
-    and the list it ends at is certified by is_reduced's one burn before it
-    is burnt into its tree: a failure there is an internal fault
-    (AssertionError), not a refused input.  A seed outside [0, 2**128), or
-    a count that is negative or not an integer, is refused before the Smith
-    form is built.
+    and reducing then burning carries it to a uniform tree.  One exact
+    solve per call gives (kappa, P) with kappa = det Q_(q) = |Jac(G)| > 0
+    and column i of P equal to kappa L_(q) g_i off q, so step 1's floor
+    floor(L_(q) sum(a_i g_i)) is (sum_i a_i P[v][i]) // kappa at each v.
+    The element's chip list and that floor go straight to reduction's
+    steps-1-2 core, which then runs step 2 alone.  The list it ends at is
+    certified by is_reduced's one burn before it is burnt into its tree: a
+    failure there is an internal fault (AssertionError), not a refused
+    input.  A seed outside [0, 2**128), or a count that is negative or not
+    an integer, is refused before the Smith form is built.
     """
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")
     pres = jacobian(G, q)
-    kappa = pres.order
+    keep = [v for v in G.vertices if v != q]
+    kappa, P = exact.solve(
+        reduced_laplacian(G, q).tolist(),
+        [[g[v] for g in pres.generators] for v in keep],
+    )
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []
@@ -234,10 +242,10 @@ def sample_spanning_tree(G, q, seed, count=1):
         counter[2] = i
         bitgen.state = state
         exps = [_uniform_below(bitgen, f) for f in pres.invariant_factors]
-        chips = [c % kappa for c in pres._chips(exps)]
-        chips[q] = 0
-        chips[q] = -sum(chips)
-        red = _steps_1_2(G, q, chips)[1]
+        floor = [0] * G.n
+        for v, row in zip(keep, P):
+            floor[v] = sum(map(mul, exps, row)) // kappa
+        red = _steps_1_2(G, q, pres._chips(exps), floor)[1]
         if not is_reduced(G, q, red):
             raise AssertionError("reduce returned a divisor that is not q-reduced")
         out.append(divisor_to_tree(G, q, red))

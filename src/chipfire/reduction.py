@@ -24,9 +24,11 @@ single-column exact solve as the fallback.  Step 1 reads the float64 view
 of the j-table; its exact numerators are built only by the energy and bound
 checks (verify_minimizer, move_bounds, step_bound_borrows).  j_function(G, q)
 returns the table G keeps for its last base vertex, so repeated reductions
-against one (G, q), as in the tree sampler, build the float inverse and the
-step-1 constants ecc(q) and 2T once, and the checks after them build the
-exact numerators once.
+against one (G, q) build the float inverse and the step-1 constants ecc(q)
+and 2T once, and the checks after them build the exact numerators once.
+The tree sampler runs no _floor_step: it hands the core each tree's floor,
+read in integers off one exact solve of the generators per call (see
+jacobian.sample_spanning_tree).
 
 Step 2 starts from one guess read off the same float inverse.  Its borrow
 vector c* is the least c >= 0 with c(q) = 0 and d1 + Q c >= 0 off q (least
@@ -260,21 +262,26 @@ def _borrow_guess(G, table, d1):
     return guess
 
 
-def _steps_1_2(G, q, D):
+def _steps_1_2(G, q, D, floor=None):
     """Steps 1-2 on D, any integer sequence with one entry per vertex of G,
     for a vertex q of G (unchecked): (d1, d2, f, counts, borrows,
     unborrows, floor path, floor rounds), lists and ints only.
 
-    Step 1 is _floor_step.  Step 2 runs the borrowing kernel from the float
+    Step 1 is _floor_step, or, when the caller passes floor, the exact
+    floor(L_(q) [D]) as a list with 0 at q, d1 = D - Delta(floor) with
+    path "exact" and 0 rounds.  Step 2 runs the borrowing kernel from the float
     guess, or from the zero guess on small graphs and when d1 is already
     effective off q; either way it ends at c*, so d2 is the q-reduced
     divisor (see the module docstring).  The script f = floor(L_(q) [D]) -
     c* is checked exactly against d2: a mismatch raises AssertionError.
-    reduce wraps this core in its report; the tree sampler and winnable
-    call it directly and read only d2 or f.
+    reduce wraps this core in its report; the tree sampler, which passes
+    floor, and winnable call it directly and read only d2 or f.
     """
     table = j_function(G, q)
-    d1, f1, path, rounds = _floor_step(G, table, D)
+    if floor is None:
+        d1, f1, path, rounds = _floor_step(G, table, D)
+    else:
+        d1, f1, path, rounds = _minus_laplacian(G, D, floor), floor, "exact", 0
     guess = None
     if G.n >= _GUESS_MIN_VERTICES and any(
         c < 0 for v, c in enumerate(d1) if v != q

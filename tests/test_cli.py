@@ -509,7 +509,7 @@ def test_cli_sample_tree_self_check_exits_3(k3_file, monkeypatch, capsys):
     # q = 0 never burns past q
     monkeypatch.setattr(
         sys.modules["chipfire.jacobian"], "_steps_1_2",
-        lambda G, q, D: ([0, 0, 0], [-2, 1, 1], [0, 0, 0], [0, 0, 0], 0, 0, "float", 0),
+        lambda G, q, D, floor=None: ([0, 0, 0], [-2, 1, 1], [0, 0, 0], [0, 0, 0], 0, 0, "float", 0),
     )
     args = ["sample-tree", k3_file, "--q", "0", "--seed", "1", "--format", "json"]
     assert cli.main(args) == 3

@@ -17,7 +17,10 @@ Core claims:
       one digest, and 600 draws on a 10-vertex multigraph match Kirchhoff's
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
-      on a 40-vertex multigraph with an 88-bit invariant factor.  A
+      on a 40-vertex multigraph with an 88-bit invariant factor.  The
+      step-1 floor it reads off one exact solve per call is _floor_step's,
+      and leaves reduce's after_step1, on every SMALL graph, K4 and that
+      40-vertex multigraph.  A
       steps-1-2 core that returned an unreduced divisor trips the sampler's
       self-check (AssertionError).
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
@@ -72,7 +75,7 @@ from chipfire.jacobian import (
     winnable,
 )
 from chipfire.graph import reduced_laplacian
-from chipfire.potential import effective_resistance
+from chipfire.potential import effective_resistance, j_function
 from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
@@ -444,9 +447,46 @@ def test_sampler_trees_match_reducing_the_unreduced_element():
     assert sample_spanning_tree(G, q, seed, count=count) == want
 
 
-def _unreduced_core(G, q, D):
+def test_sampler_floor_is_step_1s_floor(monkeypatch):
+    # the sampler reads each tree's step-1 floor off one exact solve of the
+    # generators per call: it must be _floor_step's floor of the unreduced
+    # element, and the d1 it leaves must be reduce's after_step1; the
+    # exponents are the sampler's own draws, then the largest ones
+    module = sys.modules["chipfire.jacobian"]
+    core = reduction._steps_1_2
+    seen = []
+
+    def spy(G, q, D, floor=None):
+        out = core(G, q, D, floor)
+        seen.append((list(D), floor, out[0]))
+        return out
+
+    monkeypatch.setattr(module, "_steps_1_2", spy)
+    K4 = complete_graph(4)
+    assert jacobian(K4, 0).invariant_factors == (4, 4)
+    big = tree_plus_edges(40, 120, Random(1))
+    assert max(jacobian(big, 7).invariant_factors).bit_length() > 64
+    cases = [(G, i % G.n) for i, G in enumerate(SMALL)] + [(K4, 2), (big, 7)]
+    assert any(G.n == 1 for G, _ in cases)
+    assert any(G.m == G.n - 1 > 0 for G, _ in cases)  # a tree: no generators
+    draws = _uniform_below
+    for G, q in cases:
+        seen.clear()
+        sample_spanning_tree(G, q, seed=3, count=5)
+        monkeypatch.setattr(module, "_uniform_below", lambda bitgen, bound: bound - 1)
+        sample_spanning_tree(G, q, seed=3)
+        monkeypatch.setattr(module, "_uniform_below", draws)
+        assert len(seen) == 6
+        table = j_function(G, q)
+        for D, floor, d1 in seen:
+            assert floor == reduction._floor_step(G, table, D)[1]
+            assert d1 == list(reduce_divisor(G, q, Divisor(D)).after_step1)
+
+
+def _unreduced_core(G, q, D, floor=None):
     """A steps-1-2 core that ends at [-2, 1, 1]; on K3 with q = 0 neither 1
-    nor 2 ever burns, so the list is not q-reduced."""
+    nor 2 ever burns, so the list is not q-reduced.  It takes the floor the
+    sampler hands the real core, and ignores it."""
     return [0, 0, 0], [-2, 1, 1], [0, 0, 0], [0, 0, 0], 0, 0, "float", 0
 
 
