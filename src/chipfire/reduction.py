@@ -269,9 +269,9 @@ def _steps_1_2(G, q, D, floor=None):
 
     Step 1 is _floor_step, or, when the caller passes floor, the exact
     floor(L_(q) [D]) as a list with 0 at q, d1 = D - Delta(floor) with
-    path "exact" and 0 rounds.  Step 2 runs the borrowing kernel from the float
-    guess, or from the zero guess on small graphs and when d1 is already
-    effective off q; either way it ends at c*, so d2 is the q-reduced
+    path "exact" and 0 rounds.  Step 2 runs the borrowing kernel from the
+    float guess, or from the zero guess on small graphs and when d1 is
+    already effective off q; either way it ends at c*, so d2 is the q-reduced
     divisor (see the module docstring).  The script f = floor(L_(q) [D]) -
     c* is checked exactly against d2: a mismatch raises AssertionError.
     reduce wraps this core in its report; the tree sampler, which passes
