@@ -137,13 +137,7 @@ def _metric_divisor_json(D):
 
 def _cmd_check_reduced(gf, q, D, args):
     out = reduction.dhar(gf.graph, q, D)
-    outputs = {
-        "reduced": out.reduced,
-        "burn_order": list(out.burn_order),
-        "unburnt": list(out.unburnt),
-        "negative": list(out.negative),
-    }
-    return outputs, None, None, 0 if out.reduced else 1
+    return asdict(out), None, None, 0 if out.reduced else 1
 
 
 def _cmd_reduce(gf, q, D, args):
@@ -163,12 +157,7 @@ def _cmd_reduce(gf, q, D, args):
 
 def _cmd_to_tree(gf, q, D, args):
     tree = treebij.divisor_to_tree(gf.graph, q, D)
-    outputs = {
-        "tree_edges": sorted(tree.tree_edges),
-        "ext_active": sorted(tree.ext_active),
-        "ext_passive": sorted(tree.ext_passive),
-    }
-    return outputs, None, None, 0
+    return {k: sorted(v) for k, v in asdict(tree).items()}, None, None, 0
 
 
 def _cmd_from_tree(gf, q, D, args):
@@ -377,8 +366,8 @@ def build_parser():
     add("bounds", "running-time bounds for reduction toward q", _cmd_bounds)
     add("metric-check", "metric burning test at a base point",
         _cmd_metric_check, "divisor", metric=True)
-    add("metric-reduce", "metric reduction with the full move log",
-        _cmd_metric_reduce, "divisor", metric=True)
+    add("metric-reduce", f"metric reduction, at most {metric._MAX_LUO_ITERATIONS} Luo moves, "
+        "with the full move log", _cmd_metric_reduce, "divisor", metric=True)
 
     return parser
 

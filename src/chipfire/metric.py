@@ -710,16 +710,17 @@ def metric_reduce(gamma, q, D):
     a chip that lands inside a model edge, or a point other than q left
     empty, builds the model anew.  Each logged divisor is read off the
     vector in model order, which is the canonical point order.  Each
-    move decreases b_q by exactly l(X) eps + (cut/2) eps^2; termination has
-    no a-priori bound, so a generous safety cap guards the loop.  The script
-    is read off the log after it: the make-effective script f0 plus
+    move decreases b_q by exactly l(X) eps + (cut/2) eps^2.  The loop has a
+    budget of _MAX_LUO_ITERATIONS = 100000 moves, and an input that needs
+    more is refused with ValueError naming its common denominator N.  The
+    script is read off the log after it: the make-effective script f0 plus
     min(dist(., X), eps) for each move (eps at q), summed at the final
     model's points and supp(D), which carry its Laplacian (result - D), and
     affine between them; D + Delta(script) == result is checked exactly.
     """
     q = _as_point(q)
     E0, f0, model = _make_effective(gamma, q, D)
-    E, log = E0, []
+    E, log, N = E0, [], model.den
     # the model depends only on the interior points of {q} and supp(E), which
     # make-effective's kinks and emptied points may have changed
     if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
@@ -755,7 +756,8 @@ def metric_reduce(gamma, q, D):
         log.append(LuoIteration(component=comp, epsilon=eps, drop=drop, before=E, after=after))
         E = after
     else:
-        raise RuntimeError("reduction did not terminate within the safety cap")
+        raise ValueError(f"more than _MAX_LUO_ITERATIONS = {_MAX_LUO_ITERATIONS} Luo moves,"
+                         f" the budget, on an input of common denominator N = {N}")
     loose = [p for p in D.support if p not in model.vid_of]
     sites = [*model.points, *loose]
     values = [f0.evaluate(p) for p in sites]

@@ -19,16 +19,17 @@ The borrow counts are logged so the b_q accounting can be replayed exactly.
 
 The floor of the lattice step is exact without the exact j-table: float64
 solves of Q_(q) are refined on exact integer residuals until a bound from
-potential theory certifies every coordinate (see _floor_step), with a
-single-column exact solve as the fallback.  Step 1 reads the float64 view
-of the j-table; its exact numerators are built only by the energy and bound
-checks (verify_minimizer, move_bounds, step_bound_borrows).  j_function(G, q)
-returns the table G keeps for its last base vertex, so repeated reductions
-against one (G, q) build the float inverse and the step-1 constants ecc(q)
-and 2T once, and the checks after them build the exact numerators once.
-The tree sampler runs no _floor_step: it hands the core each tree's floor,
-read in integers off one exact solve of the generators per call (see
-jacobian.sample_spanning_tree).
+potential theory certifies every coordinate, with a single-column exact
+solve as the fallback (see _refined_floor, step 1's one routine).  Step 1
+reads the float64 view of the j-table; its exact numerators are built only
+by the energy and bound checks (verify_minimizer, move_bounds,
+step_bound_borrows).  j_function(G, q) returns the table G keeps for its
+last base vertex, so repeated reductions against one (G, q) build the float
+inverse and the step-1 constants ecc(q) and 2T once, and the checks after
+them build the exact numerators once.  The tree sampler runs no
+_refined_floor: it hands the core each tree's floor, read in integers off
+one exact solve of the generators per call (see
+jacobian.sample_spanning_tree), and the core forms d1 from either floor.
 
 Step 2 starts from one guess read off the same float inverse.  Its borrow
 vector c* is the least c >= 0 with c(q) = 0 and d1 + Q c >= 0 off q (least
@@ -142,14 +143,16 @@ def is_linearly_equivalent(G, D1, D2, q):
     """
     _check(G, q, D1)
     _check(G, q, D2)
-    d1, f, _path, _rounds = _floor_step(G, j_function(G, q), D1 - D2)
-    return None if any(d1) else FiringScript(f, q)
+    D = D1 - D2
+    f = _refined_floor(G, j_function(G, q), D)[0]
+    return None if any(_minus_laplacian(G, D, f)) else FiringScript(f, q)
 
 
-def _floor_step(G, table, D):
-    """Step 1: subtract Delta(floor(x)) for x = L_(q) [D], the solution of
-    Q_(q) x = D off q, with table the PotentialTable of (G, q); returns
-    (divisor, floor vector, path, rounds).
+def _refined_floor(G, table, D):
+    """Step 1's floor: (floor(x), path, rounds) for x = L_(q) [D], the
+    solution of Q_(q) x = D off q with 0 at q, and table the PotentialTable
+    of (G, q), which holds q, the vertices off it, ecc(q), 2T and the
+    float64 Q_(q)^{-1}.
 
     x = L_(q) D = sum_v j_q(., v) D(v) is refined from float64 solves with
     the j-table's float view on exact integer residuals (Wan, J.
@@ -160,23 +163,16 @@ def _floor_step(G, table, D):
     farther than that from every integer has a certified floor.  Once the
     bound is below 1/(2T), T = prod_{v != q} deg(v) >= kappa (Hadamard), a
     coordinate near an integer is that integer, as x is a multiple of 1/kappa.
-    R = 0, or a zero exact residual at round(x~) (principal divisors), stops
-    at once.  path is "float"; it is "exact" when a round fails to halve
-    the bound or a float solve is not finite, and a single-column exact
-    solve finishes the job.  rounds counts the float solves.
+    D zero off q needs no solve; R = 0, or a zero exact residual at
+    round(x~) (principal divisors), stops at once.  path is "float"; it is
+    "exact" when a round fails to halve the bound or a float solve is not
+    finite, and a single-column exact solve finishes the job.  rounds counts
+    the float solves.
     """
-    b = [0 if v == table.q else c for v, c in enumerate(D)]
-    if not any(b):
-        return list(D), [0] * G.n, "float", 0
-    f1, path, rounds = _refined_floor(G, table, b)
-    return _minus_laplacian(G, D, f1), f1, path, rounds
-
-
-def _refined_floor(G, table, b):
-    """(floor(x), path, rounds) for Q_(q) x = b off q, b[q] = 0, from float
-    solves with the table's float64 Q_(q)^{-1}; q, the vertices off it,
-    ecc(q) and 2T are read off table, the PotentialTable of (G, q)."""
     q, keep, ecc, two_t = table.q, table.keep, table.ecc, table.two_t
+    b = [0 if v == q else c for v, c in enumerate(D)]
+    if not any(b):
+        return [0] * G.n, "float", 0
     inv = table.float_inverse()
     X, S, R = [0] * G.n, 0, b
     err = ecc * sum(map(abs, R))
@@ -267,21 +263,21 @@ def _steps_1_2(G, q, D, floor=None):
     for a vertex q of G (unchecked): (d1, d2, f, counts, borrows,
     unborrows, floor path, floor rounds), lists and ints only.
 
-    Step 1 is _floor_step, or, when the caller passes floor, the exact
-    floor(L_(q) [D]) as a list with 0 at q, d1 = D - Delta(floor) with
-    path "exact" and 0 rounds.  Step 2 runs the borrowing kernel from the
-    float guess, or from the zero guess on small graphs and when d1 is
-    already effective off q; either way it ends at c*, so d2 is the q-reduced
-    divisor (see the module docstring).  The script f = floor(L_(q) [D]) -
-    c* is checked exactly against d2: a mismatch raises AssertionError.
-    reduce wraps this core in its report; the tree sampler, which passes
-    floor, and winnable call it directly and read only d2 or f.
+    Step 1 takes floor(L_(q) [D]) from _refined_floor, or, with path "exact"
+    and 0 rounds, the exact floor the caller passes as a list with 0 at q,
+    and forms d1 = D - Delta(floor) from either.  Step 2 runs the borrowing
+    kernel from the float guess, or from the zero guess on small graphs and
+    when d1 is already effective off q; either way it ends at c*, so d2 is
+    the q-reduced divisor (see the module docstring).  The script
+    f = floor(L_(q) [D]) - c* is checked exactly against d2: a mismatch
+    raises AssertionError.  reduce wraps this core in its report; the tree
+    sampler, which passes floor, and winnable call it and read d2 or f.
     """
     table = j_function(G, q)
+    path, rounds = "exact", 0
     if floor is None:
-        d1, f1, path, rounds = _floor_step(G, table, D)
-    else:
-        d1, f1, path, rounds = _minus_laplacian(G, D, floor), floor, "exact", 0
+        floor, path, rounds = _refined_floor(G, table, D)
+    d1 = _minus_laplacian(G, D, floor)
     guess = None
     if G.n >= _GUESS_MIN_VERTICES and any(
         c < 0 for v, c in enumerate(d1) if v != q
@@ -291,7 +287,7 @@ def _steps_1_2(G, q, D, floor=None):
     d2, counts, borrows, unborrows = _kernels.borrow_until_effective(
         G, d1, q, guess
     )
-    f = [a - c for a, c in zip(f1, counts)]
+    f = [a - c for a, c in zip(floor, counts)]
     if _minus_laplacian(G, D, f) != d2:
         raise AssertionError("reduction script mismatch")
     return d1, d2, f, counts, borrows, unborrows, path, rounds

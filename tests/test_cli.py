@@ -12,9 +12,10 @@ Core claims:
     - A metric file given to reduce, a base vertex, divisor entry or tree
       edge that is not an integer, and a negative rank bound are each
       refused with exit 2 and their own message, and so is a metric base
-      point off its edge; metric-reduce stopped at its Luo-move safety cap,
-      or failing its exact script check, exits 3, and so does reduce failing
-      its exact script check.  A missing graph file exits 2 with one JSON
+      point off its edge, and so is a metric-reduce input past its budget
+      of Luo moves, with the budget and N named; metric-reduce failing its
+      exact script check exits 3, and so does reduce failing its exact
+      script check.  A missing graph file exits 2 with one JSON
       object naming it.
     - A file naming 10**12 vertices and no edges is refused with exit 2 and
       one JSON object, not with a MemoryError.
@@ -715,16 +716,17 @@ def test_cli_refusals_name_their_cause(k3_file, seg_file, capsys, args, error):
         assert report["error"] == error
 
 
-def test_cli_metric_reduce_safety_cap_exits_3(seg_file, monkeypatch, capsys):
+def test_cli_metric_reduce_safety_cap_exits_2(seg_file, monkeypatch, capsys):
     monkeypatch.setattr("chipfire.metric._MAX_LUO_ITERATIONS", 1)
     args = ["metric-reduce", seg_file, "--q", "v:0", "--divisor", "twoa", "--format", "json"]
-    assert cli.main(args) == 3
+    assert cli.main(args) == 2
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out) == {
         "command": "metric-reduce",
-        "error": "reduction did not terminate within the safety cap",
-        "exit_code": 3,
+        "error": "more than _MAX_LUO_ITERATIONS = 1 Luo moves, the budget, "
+        "on an input of common denominator N = 1",
+        "exit_code": 2,
     }
 
 

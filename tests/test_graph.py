@@ -11,6 +11,10 @@ Core claims:
       the per-edge loop that fills Q entry by entry.
     - apply_laplacian(G, f) == Q @ f and firing a set moves chips along
       exactly the cut edges.
+    - Graph, Divisor, VertexFunction and FiringScript reprs evaluate back
+      to equal values with equal hashes; a VertexFunction plus a
+      FiringScript takes the left operand's type, and equal values make no
+      VertexFunction equal to a FiringScript, compared either way round.
     - is_linearly_equivalent finds an integral script iff one exists and the
       returned script satisfies D1 - Delta(script) == D2.
     - neighbors(v) and incident(v) are tuples listing, in edge-index order,
@@ -198,6 +202,32 @@ def test_firing_scripts_add_and_negate_at_their_base_vertex():
     )
     with pytest.raises(ValueError, match="different base vertices"):
         f + FiringScript([1, 2, 3], 1)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Graph(3, [(0, 1), (1, 2), (0, 2), (0, 1)]),
+        Divisor([2, -1, 0]),
+        VertexFunction([1, -2, 3]),
+        FiringScript([5, 7, 5], 1),
+    ],
+    ids=["graph", "divisor", "vertex_function", "firing_script"],
+)
+def test_repr_evaluates_back_to_an_equal_value(x):
+    y = eval(repr(x))
+    assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+def test_vertex_functions_and_scripts_mix_by_the_left_operand():
+    f, s = VertexFunction([1, 2]), FiringScript([3, 4], 0)  # s is stored as (0, 1)
+    assert f[1] == 2 and s[1] == 1
+    assert f + s == VertexFunction([1, 3])
+    assert s + f == FiringScript([0, 2], 0)
+    assert -f == VertexFunction([-1, -2])
+    # equal values at a base vertex are still not equal functions
+    g = VertexFunction([0, 1])
+    assert g.values == s.values and g != s and s != g
 
 
 @pytest.mark.parametrize(

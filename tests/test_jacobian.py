@@ -18,7 +18,7 @@ Core claims:
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
       on a 40-vertex multigraph with an 88-bit invariant factor.  The
-      step-1 floor it reads off one exact solve per call is _floor_step's,
+      step-1 floor it reads off one exact solve per call is _refined_floor's,
       and leaves reduce's after_step1, on every SMALL graph, K4 and that
       40-vertex multigraph.  A
       steps-1-2 core that returned an unreduced divisor trips the sampler's
@@ -449,7 +449,7 @@ def test_sampler_trees_match_reducing_the_unreduced_element():
 
 def test_sampler_floor_is_step_1s_floor(monkeypatch):
     # the sampler reads each tree's step-1 floor off one exact solve of the
-    # generators per call: it must be _floor_step's floor of the unreduced
+    # generators per call: it must be _refined_floor's floor of the unreduced
     # element, and the d1 it leaves must be reduce's after_step1; the
     # exponents are the sampler's own draws, then the largest ones
     module = sys.modules["chipfire.jacobian"]
@@ -479,7 +479,7 @@ def test_sampler_floor_is_step_1s_floor(monkeypatch):
         assert len(seen) == 6
         table = j_function(G, q)
         for D, floor, d1 in seen:
-            assert floor == reduction._floor_step(G, table, D)[1]
+            assert floor == reduction._refined_floor(G, table, D)[0]
             assert d1 == list(reduce_divisor(G, q, Divisor(D)).after_step1)
 
 

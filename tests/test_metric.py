@@ -4,6 +4,9 @@ Core claims:
     - GraphPoint canonicalization folds edge endpoints onto vertices, which
       are the metric graph's own vertex points, and MetricDivisor arithmetic
       is exact on sparse point supports.
+    - GraphPoint, MetricGraph and MetricDivisor reprs evaluate back to
+      equal values with equal hashes, point comparisons agree with sorted,
+      and a TropicalFunction's repr is pinned.
     - TropicalFunction validates integer slopes and breakpoint order,
       refuses a float value or offset with TypeError, and keeps only the
       breakpoints where the slope changes;
@@ -19,7 +22,8 @@ Core claims:
       off q (a hand-derived oracle here; the bounds are property-tested in
       test_metric_make_effective.py); metric_reduce terminates with an exact
       per-move b_q drop of l(X) eps + cut/2 eps^2 and a script reproducing
-      the result, or raises RuntimeError at its safety cap on Luo moves.
+      the result, or refuses with ValueError past its budget of Luo moves,
+      naming the input's common denominator N.
       The script summed from the move log is the potential of (result - D)
       from one exact solve, shifted to sum(eps) at q, on the METRIC corpus,
       on rational lengths where moves create points, and on hypothesis
@@ -168,6 +172,36 @@ def test_point_ordering_vertices_first():
     gamma = segment()
     pts = sorted([gamma.point(0, Fraction(1, 3)), _vp(1), _vp(0)])
     assert pts[0] == _vp(0) and pts[1] == _vp(1)
+
+
+def test_point_comparisons_agree_with_sorted():
+    gamma = segment()
+    pts = sorted([gamma.point(0, Fraction(2, 3)), _vp(1), gamma.point(0, Fraction(1, 3)), _vp(0)])
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            assert (a <= b) == (i <= j) and (a >= b) == (i >= j)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _vp(2),
+        GraphPoint("e", 1, Fraction(1, 4)),
+        MetricGraph(cycle_graph(3), [1, Fraction(1, 2), 2]),
+        MetricDivisor({_vp(1): 3, GraphPoint("e", 1, Fraction(1, 4)): -1}),
+    ],
+    ids=["vertex_point", "edge_point", "metric_graph", "metric_divisor"],
+)
+def test_metric_repr_evaluates_back_to_an_equal_value(x):
+    y = eval(repr(x))
+    assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+def test_tropical_function_repr():
+    f = TropicalFunction(segment(), [0, 0], [((Fraction(1, 2), Fraction(1, 2)),)])
+    assert repr(f) == (
+        "TropicalFunction(values=['0', '0'], breaks=(((Fraction(1, 2), Fraction(1, 2)),),))"
+    )
 
 
 def test_metric_graph_validation():
@@ -494,9 +528,10 @@ def test_metric_reduce_eps_ignores_other_components():
 
 
 def test_metric_reduce_stops_at_the_safety_cap(monkeypatch):
-    # two chips at the far end of the unit segment need two Luo moves
+    # two chips at the far end of the unit segment need two Luo moves; the
+    # overrun is a refusal that names the budget and N = 1
     monkeypatch.setattr("chipfire.metric._MAX_LUO_ITERATIONS", 1)
-    with pytest.raises(RuntimeError, match="safety cap"):
+    with pytest.raises(ValueError, match=r"_MAX_LUO_ITERATIONS = 1 .* N = 1$"):
         metric_reduce(segment(), _vp(0), MetricDivisor({_vp(1): 2}))
 
 

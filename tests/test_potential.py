@@ -2,7 +2,8 @@
 
 Core claims:
     - The three inverse constructions all satisfy Q G Q = Q; the weighted
-      family interpolates them and the shifted form vanishes on mu.
+      family interpolates them and the shifted form vanishes on mu.  The
+      reprs of L_(q) and Q+ are pinned.
     - j_q values are symmetric nonnegative rationals with denominator
       dividing the tree count; r(p, q) = j_q(p, p) matches frozen values.
     - Foster's theorem: effective resistances over edges sum to n - 1.
@@ -86,6 +87,12 @@ def test_potential_outputs_match_pinned_digest():
     records = [_potential_record(G) for G in SMALL + RANDOM]
     blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == POTENTIAL_DIGEST
+
+
+def test_generalized_inverse_reprs():
+    G = path_graph(3)
+    assert repr(reduced_inverse(G, 1)) == "GeneralizedInverse('reduced', n=3, q=1)"
+    assert repr(moore_penrose(G)) == "GeneralizedInverse('moore_penrose', n=3)"
 
 
 def test_j_function_matches_sympy_adjugate_on_40_vertices():
