@@ -331,7 +331,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, handler, *options, metric=False, q=True, q_required=True):
-        p = sub.add_parser(name, help=help_text)
+        # help is the line in `chipfire --help`; description heads the
+        # subcommand's own --help
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler, metric=metric)
         p.add_argument("graph", help="graph file")
         if q:

@@ -11,6 +11,16 @@ results stay exact for entries of any size.  A caller divides once, where
 its answer leaves the library (solve(A, I) is the adjugate pair).  Entries must be integers (Python or
 numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
+
+A private unit phase runs ahead of the pass on matrices with many +-1
+entries, such as a reduced Laplacian.  It eliminates +-1 pivots by row
+operations, each pivot of least Markowitz cost (Markowitz, Management Sci.
+3, 1957), so every entry stays an integer, and leaves the Schur block B of
+the rows and columns that never held a pivot.  The row operations are
+unimodular, so det(A) = +-det(B) and the Smith form of A is I + that of B
+(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  A solve
+whose right-hand side is zero on the pivot rows runs on B, then
+substitutes back through the pivot rows in integers.
 """
 
 from __future__ import annotations
@@ -90,6 +100,138 @@ def substitute(fac, rhs_columns):
         for j, col in enumerate(cols):
             col[i] = (d * b[i][j] - sum(map(mul, tail, col[i + 1 :]))) // u
     return d, [list(r) for r in zip(*cols)] if k else [[] for _ in range(n)]
+
+
+class _UnitPhase:
+    """_unit_phase's result on an n x n matrix A: the Schur block B (a list
+    of integer rows), its rows R' and columns C' in A, the pivots as
+    (column, pivot row as {column: entry}) in elimination order, and the
+    sign with det(A) = sign * det(B)."""
+
+    __slots__ = ("n", "block", "rows", "cols", "pivots", "sign")
+
+    def __init__(self, n, block, rows, cols, pivots, sign):
+        self.n = n
+        self.block = block
+        self.rows = rows
+        self.cols = cols
+        self.pivots = pivots
+        self.sign = sign
+
+
+def _parity(perm):
+    """The sign, +1 or -1, of a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    sign = 1
+    for j in perm:
+        # the walk from j marks one cycle; each of its steps but the last
+        # is a transposition
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if not seen[j]:
+                sign = -sign
+    return sign
+
+
+def _unit_phase(matrix):
+    """The _UnitPhase of a square integer matrix; ValueError if not square.
+
+    Each step takes the +-1 entry of least Markowitz cost (r - 1)(c - 1),
+    where r and c count the nonzero entries of its row and column among
+    those not yet eliminated, with ties to the lowest (row, column).  It
+    subtracts multiples of the pivot row from every other row with an entry
+    in the pivot column, then drops that row and column.  The phase ends
+    when no +-1 entry is left.
+    """
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError(_SHAPE.format(n))
+    rows = {}  # row -> {column: nonzero entry}; rows stay in ascending order
+    cols = {j: set() for j in range(n)}  # column -> rows with an entry there
+    for i, r in enumerate(matrix):
+        row = {j: x for j, x in enumerate(map(index, r)) if x}
+        for j in row:
+            cols[j].add(i)
+        rows[i] = row
+    pivots = []
+    pivot_rows = []
+    sign = 1
+    while True:
+        best = -1
+        for i, row in rows.items():
+            ri = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = ri * (len(cols[j]) - 1)
+                    # a later row wins on cost alone
+                    if best < 0 or cost < best or (cost == best and i == r and j < c):
+                        best, r, c = cost, i, j
+            if best == 0:
+                break
+        if best < 0:
+            break
+        prow = rows.pop(r)
+        for j in prow:
+            cols[j].discard(r)
+        p = prow[c]
+        rest = [(j, x) for j, x in prow.items() if j != c]
+        for i in cols.pop(c):
+            row = rows[i]
+            k = row.pop(c) * p  # row_i -= k * row_r clears column c: p * p = 1
+            for j, x in rest:
+                y = row.get(j, 0) - k * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        pivots.append((c, prow))
+        pivot_rows.append(r)
+        sign *= p
+    keep_r = list(rows)
+    keep_c = list(cols)
+    block = [[row.get(j, 0) for j in keep_c] for row in rows.values()]
+    # with rows r_1..r_k, R' and columns c_1..c_k, C' in that order the
+    # eliminated matrix is block upper triangular: the pivots, then B
+    sign *= _parity(pivot_rows + keep_r) * _parity([c for c, _ in pivots] + keep_c)
+    return _UnitPhase(n, block, keep_r, keep_c, pivots, sign)
+
+
+def _unit_solve(units, rhs_columns):
+    """(det(A), det(A) A^{-1} B) as ints for the _UnitPhase `units` of A and
+    an n x k B that is zero on every pivot row; ValueError if A is singular
+    or B is not.
+
+    The row operations leave such a B as it is, so its rows R' are a solve
+    with the block, and pivot row r with pivot p in column c reads
+    p x_c + sum of row_r[j] x_j over j != c = 0, whose x_j are known once
+    the later pivots are substituted.
+    """
+    n = units.n
+    k = len(rhs_columns[0]) if len(rhs_columns) else 0
+    if len(rhs_columns) != n or any(len(b) != k for b in rhs_columns):
+        raise ValueError(_SHAPE.format(n))
+    kept = set(units.rows)
+    if any(any(b) for i, b in enumerate(rhs_columns) if i not in kept):
+        raise ValueError("right-hand side is not zero on the pivot rows")
+    d, X = solve(units.block, [rhs_columns[i] for i in units.rows])
+    if units.sign < 0:
+        d = -d
+        X = [[-x for x in r] for r in X]
+    x = [None] * n
+    for c, r in zip(units.cols, X):
+        x[c] = r
+    for c, prow in reversed(units.pivots):
+        acc = [0] * k
+        for j, a in prow.items():
+            if j != c:
+                acc = [s + a * y for s, y in zip(acc, x[j])]
+        p = prow[c]
+        x[c] = [-p * s for s in acc]
+    return d, x
 
 
 def det(matrix):

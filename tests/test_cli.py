@@ -28,6 +28,8 @@ Core claims:
       Smith form stalled.
     - The parser and each subcommand declare their options in a pinned order
       with pinned required flags, defaults, types, choices and help texts.
+      Each subcommand's own --help states what it does, in the words
+      `chipfire --help` lists for it; metric-reduce's names its budget.
 """
 
 import argparse
@@ -288,6 +290,24 @@ def test_cli_declarations_are_pinned():
     subparsers = parser._actions[1].choices
     for name, options in _COMMAND_OPTIONS.items():
         assert _declarations(subparsers[name]) == [_HELP, _GRAPH, *options, _FORMAT], name
+
+
+def test_subcommand_help_says_what_the_command_does():
+    # each subcommand's own --help opens with the line `chipfire --help`
+    # lists for it; metric-reduce's names its Luo-move budget
+    parser = cli.build_parser()
+    listed = {a.dest: a.help for a in parser._actions[1]._choices_actions}
+    subparsers = parser._actions[1].choices
+    assert set(listed) == set(subparsers)
+    for name, sub in subparsers.items():
+        assert sub.description == listed[name]
+        assert listed[name] in " ".join(sub.format_help().split()), name
+    out = run_cli(["metric-reduce", "--help"])
+    assert out.returncode == 0
+    budget = f"at most {cli.metric._MAX_LUO_ITERATIONS} Luo moves"
+    assert f"metric reduction, {budget}, with the full move log" in " ".join(
+        out.stdout.split()
+    )
 
 
 # -- Subcommands ------------------------------------------------------------------

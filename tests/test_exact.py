@@ -15,6 +15,12 @@ Core claims:
     - A wide, tall or ragged matrix, or a right-hand side whose height is
       not n or whose rows differ in width, raises ValueError in det, solve
       and the Smith form.
+    - The unit phase, on the same systems: B's rows and columns and the
+      pivots' partition A's, B holds no +-1 entry, det(A) = sign * det(B),
+      the invariant factors of A are those of B after one 1 per pivot, and
+      its solve of a right-hand side that is zero on the pivot rows is
+      solve's pair.  On K3's reduced Laplacian the tie-break takes the
+      pivot at (0, 1).  It refuses what det refuses.
     - factor then substitute gives solve's pair, sympy's det and adjugate
       times B, on the same systems and on row-swap matrices, for 0, 1 and 3
       right-hand-side columns and with one factor reused on several
@@ -31,7 +37,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from chipfire.exact import det, factor, solve, substitute
+from chipfire.exact import _unit_phase, _unit_solve, det, factor, solve, substitute
 from chipfire.jacobian import smith_normal_form
 
 
@@ -61,6 +67,8 @@ def test_non_integer_entries_are_refused(entry):
         solve([[2, 1], [1, 3]], [[entry], [1]])
     with pytest.raises(TypeError):
         solve([[1, 0], [0, entry]], _identity(2))
+    with pytest.raises(TypeError):
+        _unit_phase([[1, entry], [1, 3]])
 
 
 @pytest.mark.parametrize(
@@ -73,10 +81,13 @@ def test_non_integer_entries_are_refused(entry):
         lambda: det([[1, 2], [3, 4], [5, 6]]),
         lambda: det([[1, 2], [3]]),
         lambda: solve([[2, 0], [0, 3]], [[2], [3, 9]]),
+        lambda: _unit_phase([[1, 2, 3], [4, 5, 6]]),
+        lambda: _unit_phase([[1, 2], [3]]),
     ],
     ids=[
         "det_wide", "adjugate_wide", "smith_wide", "solve_extra_rhs_row",
-        "det_tall", "det_ragged", "solve_ragged_rhs",
+        "det_tall", "det_ragged", "solve_ragged_rhs", "unit_phase_wide",
+        "unit_phase_ragged",
     ],
 )
 def test_non_square_input_is_refused(call):
@@ -215,6 +226,46 @@ def test_elimination_matches_sympy(system):
     assert d3 == d and all(type(x) is int for row in X for x in row)
     assert X == _mul(adj, B)
     assert _mul(A, X) == [[d * x for x in row] for row in B]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_systems())
+@example(([], []))
+@example(([[0]], [[1]]))
+@example(([[0, 1], [1, 0]], [[1], [2]]))
+@example(([[0, 2, 1], [3, 0, 0], [1, 1, 0]], [[1], [0], [0]]))
+def test_unit_phase_keeps_det_smith_form_and_solves(system):
+    A, B = system
+    n = len(A)
+    units = _unit_phase(A)
+    pivot_cols = [c for c, _row in units.pivots]
+    assert sorted(units.cols + pivot_cols) == list(range(n))
+    assert len(units.rows) == len(units.cols) == len(units.block)
+    assert all(len(row) == len(units.cols) for row in units.block)
+    assert all(x not in (1, -1) for row in units.block for x in row)
+    d = det(A)
+    assert units.sign * det(units.block) == d
+    if d == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            _unit_solve(units, [[0] * len(row) for row in B])
+        return
+    ones = (1,) * len(units.pivots)
+    assert smith_normal_form(A)[0] == ones + smith_normal_form(units.block)[0]
+    # a right-hand side that is zero on the pivot rows
+    rhs = [row if i in units.rows else [0] * len(row) for i, row in enumerate(B)]
+    assert _unit_solve(units, rhs) == solve(A, rhs)
+
+
+def test_unit_phase_tie_break_on_k3():
+    # every +-1 entry of [[2, -1], [-1, 2]] costs 1: the pivot is (0, 1)
+    units = _unit_phase([[2, -1], [-1, 2]])
+    assert [(c, row) for c, row in units.pivots] == [(1, {0: 2, 1: -1})]
+    assert (units.block, units.rows, units.cols, units.sign) == ([[3]], [1], [0], 1)
+    assert _unit_solve(units, [[0], [1]]) == (3, [[1], [2]])
+    with pytest.raises(ValueError, match="not zero on the pivot rows"):
+        _unit_solve(units, [[1], [0]])
+    with pytest.raises(ValueError, match="n x n matrix"):
+        _unit_solve(units, [[1]])
 
 
 @st.composite

@@ -23,6 +23,18 @@ Core claims:
       40-vertex multigraph.  A
       steps-1-2 core that returned an unreduced divisor trips the sampler's
       self-check (AssertionError).
+    - The unit phase: on every SMALL and RANDOM (G, q) and on the 40-vertex
+      multigraph with an 88-bit invariant factor, |det B| = det Q_(q), the
+      tree count is det Q_(0), and the sampler's (kappa, P) from the block
+      solve and its back-substitution equals solve(Q_(q), generators).  K3,
+      K4, C5 and the 5-vertex Kirchhoff multigraph keep, at q = 0, the
+      generators of the Smith form of all of Q_(0).
+    - Oracles apart from the unit phase: the invariant factors equal those
+      of smith_normal_form on all of Q_(q) on SMALL, RANDOM and at 40, 50
+      and 60 vertices; at 100 and 200 vertices the tree count equals a
+      determinant by numpy int64 elimination modulo word-size primes,
+      combined by CRT; at 100 vertices each generator's order, the least
+      common denominator of L_(q) g_i from a full solve, is its factor.
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
       TypeError instead of being truncated; numpy integers are accepted.
       The sampler refuses a bad seed or count before it builds the Smith
@@ -37,6 +49,7 @@ Core claims:
 
 import hashlib
 import json
+import math
 import sys
 from math import gcd, prod
 from random import Random
@@ -48,7 +61,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.domains import ZZ
 
-from chipfire import reduction
+from chipfire import exact, reduction
 from chipfire.exact import det, solve
 from chipfire.graph import (
     Divisor,
@@ -226,6 +239,122 @@ def test_jacobian_cycle_group_is_cyclic():
     assert pres.invariant_factors == (6,)
 
 
+# -- The unit phase and its oracles --------------------------------------------------
+
+# generators from the Smith form of the full Q_(0), before the unit phase:
+# the tie-break to the lowest (row, column) keeps them
+KEPT_GENERATORS = (
+    (complete_graph(3), ((-1, 0, 1),)),
+    (complete_graph(4), ((0, 0, -1, 1), (-1, 0, 0, 1))),
+    (cycle_graph(5), ((-1, 0, 0, 0, 1),)),
+    (KIRCHHOFF, ((1, 0, 0, -2, 1),)),
+)
+
+
+def _unit_cases():
+    big = tree_plus_edges(40, 120, Random(1))  # an 88-bit invariant factor
+    return [(G, q) for G in SMALL + RANDOM for q in G.vertices] + [(big, 7)]
+
+
+def test_unit_phase_contract(monkeypatch):
+    # |det B| is kappa, and the sampler's block solve with its integer
+    # back-substitution gives the full solve's (kappa, P) for the generators
+    seen = []
+    unit_solve = exact._unit_solve
+
+    def spy(units, rhs_rows):
+        out = unit_solve(units, rhs_rows)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(exact, "_unit_solve", spy)
+    cases = _unit_cases()
+    assert max(jacobian(*cases[-1]).invariant_factors).bit_length() > 64
+    for G, q in cases:
+        Q = reduced_laplacian(G, q).tolist()
+        units = exact._unit_phase(Q)
+        kappa = det(Q)
+        assert abs(det(units.block)) == kappa
+        assert units.sign * det(units.block) == kappa
+        if q == 0:
+            assert count_spanning_trees(G) == kappa
+        seen.clear()
+        sample_spanning_tree(G, q, seed=3, count=0)
+        keep = [v for v in G.vertices if v != q]
+        gens = jacobian(G, q).generators
+        assert seen == [solve(Q, [[g[v] for g in gens] for v in keep])]
+
+
+@pytest.mark.parametrize("G, want", KEPT_GENERATORS, ids=["K3", "K4", "C5", "KIRCHHOFF"])
+def test_small_graphs_keep_their_generators(G, want):
+    assert tuple(g.coeffs for g in jacobian(G, 0).generators) == want
+
+
+def _full_matrix_factors(G, q):
+    """The invariant factors above 1 of smith_normal_form on all of Q_(q)."""
+    diagonal = smith_normal_form(reduced_laplacian(G, q).tolist())[0]
+    return tuple(s for s in diagonal if s != 1)
+
+
+def test_invariant_factors_match_the_full_matrix_smith_form():
+    cases = [(G, q) for G in SMALL + RANDOM for q in G.vertices]
+    cases += [(tree_plus_edges(n, 3 * n, Random(n)), 0) for n in (40, 50, 60)]
+    for G, q in cases:
+        assert jacobian(G, q).invariant_factors == _full_matrix_factors(G, q)
+
+
+def _det_mod(M, p):
+    """det M mod a prime p below 2**31, by numpy int64 Gaussian elimination:
+    each product of two residues stays below 2**62."""
+    A = np.array(M, dtype=np.int64) % p
+    d = 1
+    for c in range(len(A)):
+        nonzero = np.flatnonzero(A[c:, c])
+        if not len(nonzero):
+            return 0
+        r = c + int(nonzero[0])
+        if r != c:
+            A[[c, r]] = A[[r, c]]
+            d = -d
+        pivot = int(A[c, c])
+        d = d * pivot % p
+        f = A[c + 1:, c] * pow(pivot, -1, p) % p
+        A[c + 1:, c:] = (A[c + 1:, c:] - np.outer(f, A[c, c:]) % p) % p
+    return d % p
+
+
+def _modular_det(M):
+    """det M by CRT over word-size primes, past twice the Hadamard bound."""
+    bound = 2 * prod(math.isqrt(sum(x * x for x in row)) + 1 for row in M)
+    x, m, p = 0, 1, 2**31
+    while m <= bound:
+        p = sympy.prevprime(p)
+        t = (_det_mod(M, p) - x) * pow(m, -1, p) % p
+        x, m = x + m * t, m * p
+    return x - m if 2 * x > m else x
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_tree_count_matches_a_modular_determinant(n):
+    G = tree_plus_edges(n, 3 * n, Random(1))
+    kappa = count_spanning_trees(G)
+    assert kappa.bit_length() > 200
+    assert kappa == _modular_det(reduced_laplacian(G, 0).tolist())
+
+
+def test_generator_orders_are_the_invariant_factors():
+    # the order of g_i in Jac(G) is the least common denominator of
+    # L_(q) g_i, which a full solve of Q_(q) gives as d / gcd(d, column i)
+    G = tree_plus_edges(100, 300, Random(1))
+    pres = jacobian(G, 0)
+    d, X = solve(
+        reduced_laplacian(G, 0).tolist(),
+        [[g[v] for g in pres.generators] for v in range(1, G.n)],
+    )
+    orders = tuple(d // gcd(d, *col) for col in zip(*X))
+    assert orders == pres.invariant_factors
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -368,10 +497,12 @@ def test_sampler_reproducible_and_prefix_stable():
 
 def test_sampler_refuses_bad_seed_and_count_before_the_smith_form(monkeypatch):
     def no_smith_form(*_args):
-        raise AssertionError("jacobian ran before the refusal")
+        raise AssertionError("smith_normal_form ran before the refusal")
 
     # the package's `jacobian` attribute is the function, so reach the module
-    monkeypatch.setattr(sys.modules["chipfire.jacobian"], "jacobian", no_smith_form)
+    monkeypatch.setattr(
+        sys.modules["chipfire.jacobian"], "smith_normal_form", no_smith_form
+    )
     with pytest.raises(ValueError):
         sample_spanning_tree(complete_graph(3), 0, seed=-1)
     with pytest.raises(ValueError):
