@@ -1,23 +1,24 @@
 """Exact integer linear algebra.
 
-One fraction-free elimination serves everything here.  factor runs a Bareiss
-pass (Bareiss, Math. Comp. 22, 1968) over the integer rows of A and keeps
-its steps; its last pivot is det(A) up to sign.  substitute replays them on
-B, as the pass over [A | B] would, and an integer back-substitution with
-exact `//` division yields X = det(A) A^{-1} B, so a caller with several
-right-hand sides for one A factors it once.  solve, factor then
-substitute, returns the pair (det, X) as ints, so no Fraction is built and
-results stay exact for entries of any size.  A caller divides once, where
-its answer leaves the library (solve(A, I) is the adjugate pair).  Entries must be integers (Python or
-numpy); a Fraction or a float raises TypeError, so a caller with rational
-data scales it to integers first.
+One fraction-free elimination serves every det and solve here.  factor runs
+a Bareiss pass (Bareiss, Math. Comp. 22, 1968) over the integer rows of A
+and keeps its steps; its last pivot is det(A) up to sign.  substitute
+replays them on B, as the pass over [A | B] would, and an integer
+back-substitution with exact `//` division yields X = det(A) A^{-1} B, so a
+caller with several right-hand sides for one A factors it once.  solve,
+factor then substitute, returns the pair (det, X) as ints, so no Fraction
+is built and results stay exact for entries of any size.  A caller divides
+once, where its answer leaves the library (solve(A, I) is the adjugate
+pair).  Entries must be integers (Python or numpy); a Fraction or a float
+raises TypeError, so a caller with rational data scales it to integers
+first.
 
 A private unit phase runs ahead of the pass on matrices with many +-1
 entries, such as a reduced Laplacian.  It eliminates +-1 pivots by row
 operations, each pivot of least Markowitz cost (Markowitz, Management Sci.
 3, 1957), so every entry stays an integer, and leaves the Schur block B of
 the rows and columns that never held a pivot.  The row operations are
-unimodular, so det(A) = +-det(B) and the Smith form of A is I + that of B
+unimodular, so |det(A)| = |det(B)| and the Smith form of A is I + that of B
 (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  A solve
 whose right-hand side is zero on the pivot rows runs on B, then
 substitutes back through the pivot rows in integers.
@@ -104,34 +105,18 @@ def substitute(fac, rhs_columns):
 
 class _UnitPhase:
     """_unit_phase's result on an n x n matrix A: the Schur block B (a list
-    of integer rows), its rows R' and columns C' in A, the pivots as
-    (column, pivot row as {column: entry}) in elimination order, and the
-    sign with det(A) = sign * det(B)."""
+    of integer rows), its rows R' and columns C' in A, and the pivots as
+    (column, pivot row as {column: entry}) in elimination order;
+    |det(A)| = |det(B)|."""
 
-    __slots__ = ("n", "block", "rows", "cols", "pivots", "sign")
+    __slots__ = ("n", "block", "rows", "cols", "pivots")
 
-    def __init__(self, n, block, rows, cols, pivots, sign):
+    def __init__(self, n, block, rows, cols, pivots):
         self.n = n
         self.block = block
         self.rows = rows
         self.cols = cols
         self.pivots = pivots
-        self.sign = sign
-
-
-def _parity(perm):
-    """The sign, +1 or -1, of a permutation of range(len(perm))."""
-    seen = [False] * len(perm)
-    sign = 1
-    for j in perm:
-        # the walk from j marks one cycle; each of its steps but the last
-        # is a transposition
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            if not seen[j]:
-                sign = -sign
-    return sign
 
 
 def _unit_phase(matrix):
@@ -155,8 +140,6 @@ def _unit_phase(matrix):
             cols[j].add(i)
         rows[i] = row
     pivots = []
-    pivot_rows = []
-    sign = 1
     while True:
         best = -1
         for i, row in rows.items():
@@ -189,21 +172,15 @@ def _unit_phase(matrix):
                     del row[j]
                     cols[j].discard(i)
         pivots.append((c, prow))
-        pivot_rows.append(r)
-        sign *= p
-    keep_r = list(rows)
     keep_c = list(cols)
     block = [[row.get(j, 0) for j in keep_c] for row in rows.values()]
-    # with rows r_1..r_k, R' and columns c_1..c_k, C' in that order the
-    # eliminated matrix is block upper triangular: the pivots, then B
-    sign *= _parity(pivot_rows + keep_r) * _parity([c for c, _ in pivots] + keep_c)
-    return _UnitPhase(n, block, keep_r, keep_c, pivots, sign)
+    return _UnitPhase(n, block, list(rows), keep_c, pivots)
 
 
 def _unit_solve(units, rhs_columns):
-    """(det(A), det(A) A^{-1} B) as ints for the _UnitPhase `units` of A and
-    an n x k B that is zero on every pivot row; ValueError if A is singular
-    or B is not.
+    """(|det(A)|, |det(A)| A^{-1} B) as ints for the _UnitPhase `units` of A
+    and an n x k B that is zero on every pivot row; ValueError if A is
+    singular or B is not.
 
     The row operations leave such a B as it is, so its rows R' are a solve
     with the block, and pivot row r with pivot p in column c reads
@@ -218,7 +195,7 @@ def _unit_solve(units, rhs_columns):
     if any(any(b) for i, b in enumerate(rhs_columns) if i not in kept):
         raise ValueError("right-hand side is not zero on the pivot rows")
     d, X = solve(units.block, [rhs_columns[i] for i in units.rows])
-    if units.sign < 0:
+    if d < 0:
         d = -d
         X = [[-x for x in r] for r in X]
     x = [None] * n

@@ -16,10 +16,10 @@ Core claims:
       not n or whose rows differ in width, raises ValueError in det, solve
       and the Smith form.
     - The unit phase, on the same systems: B's rows and columns and the
-      pivots' partition A's, B holds no +-1 entry, det(A) = sign * det(B),
+      pivots' partition A's, B holds no +-1 entry, |det(A)| = |det(B)|,
       the invariant factors of A are those of B after one 1 per pivot, and
       its solve of a right-hand side that is zero on the pivot rows is
-      solve's pair.  On K3's reduced Laplacian the tie-break takes the
+      solve's pair with det(A) made positive.  On K3's reduced Laplacian the tie-break takes the
       pivot at (0, 1).  It refuses what det refuses.
     - factor then substitute gives solve's pair, sympy's det and adjugate
       times B, on the same systems and on row-swap matrices, for 0, 1 and 3
@@ -244,7 +244,7 @@ def test_unit_phase_keeps_det_smith_form_and_solves(system):
     assert all(len(row) == len(units.cols) for row in units.block)
     assert all(x not in (1, -1) for row in units.block for x in row)
     d = det(A)
-    assert units.sign * det(units.block) == d
+    assert abs(det(units.block)) == abs(d)
     if d == 0:
         with pytest.raises(ValueError, match="singular matrix"):
             _unit_solve(units, [[0] * len(row) for row in B])
@@ -253,14 +253,16 @@ def test_unit_phase_keeps_det_smith_form_and_solves(system):
     assert smith_normal_form(A)[0] == ones + smith_normal_form(units.block)[0]
     # a right-hand side that is zero on the pivot rows
     rhs = [row if i in units.rows else [0] * len(row) for i, row in enumerate(B)]
-    assert _unit_solve(units, rhs) == solve(A, rhs)
+    sign = 1 if d > 0 else -1
+    d, X = solve(A, rhs)
+    assert _unit_solve(units, rhs) == (sign * d, [[sign * x for x in r] for r in X])
 
 
 def test_unit_phase_tie_break_on_k3():
     # every +-1 entry of [[2, -1], [-1, 2]] costs 1: the pivot is (0, 1)
     units = _unit_phase([[2, -1], [-1, 2]])
     assert [(c, row) for c, row in units.pivots] == [(1, {0: 2, 1: -1})]
-    assert (units.block, units.rows, units.cols, units.sign) == ([[3]], [1], [0], 1)
+    assert (units.block, units.rows, units.cols) == ([[3]], [1], [0])
     assert _unit_solve(units, [[0], [1]]) == (3, [[1], [2]])
     with pytest.raises(ValueError, match="not zero on the pivot rows"):
         _unit_solve(units, [[1], [0]])
