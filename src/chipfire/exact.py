@@ -20,8 +20,9 @@ operations, each pivot of least Markowitz cost (Markowitz, Management Sci.
 the rows and columns that never held a pivot.  The row operations are
 unimodular, so |det(A)| = |det(B)| and the Smith form of A is I + that of B
 (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  A solve
-whose right-hand side is zero on the pivot rows runs on B, then
-substitutes back through the pivot rows in integers.
+whose right-hand side is zero on the pivot rows substitutes into the
+factor of B that its caller holds, then back through the pivot rows in
+integers.
 """
 
 from __future__ import annotations
@@ -177,10 +178,10 @@ def _unit_phase(matrix):
     return _UnitPhase(n, block, list(rows), keep_c, pivots)
 
 
-def _unit_solve(units, rhs_columns):
-    """(|det(A)|, |det(A)| A^{-1} B) as ints for the _UnitPhase `units` of A
-    and an n x k B that is zero on every pivot row; ValueError if A is
-    singular or B is not.
+def _unit_solve(units, rhs_columns, fac):
+    """(|det(A)|, |det(A)| A^{-1} B) as ints for the _UnitPhase `units` of A,
+    the Factor `fac` of its block and an n x k B that is zero on every pivot
+    row; ValueError if A is singular or B is not.
 
     The row operations leave such a B as it is, so its rows R' are a solve
     with the block, and pivot row r with pivot p in column c reads
@@ -194,7 +195,7 @@ def _unit_solve(units, rhs_columns):
     kept = set(units.rows)
     if any(any(b) for i, b in enumerate(rhs_columns) if i not in kept):
         raise ValueError("right-hand side is not zero on the pivot rows")
-    d, X = solve(units.block, [rhs_columns[i] for i in units.rows])
+    d, X = substitute(fac, [rhs_columns[i] for i in units.rows])
     if d < 0:
         d = -d
         X = [[-x for x in r] for r in X]

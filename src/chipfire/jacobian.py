@@ -15,12 +15,14 @@ M has many +-1 entries, so exact's unit phase first eliminates them, which
 is unimodular: the Smith form of M is I + that of the Schur block B it
 leaves, and |det B| = kappa.  On random multigraphs with 3n edges B keeps
 about a third of M's rows (67 of 199 at n = 200).  The Smith pass, the
-tree count and the sampler's solve all run on B.  The uniform tree sampler
+tree count and the sampler's solve all run on B, which a presentation
+factors once: the Smith pass takes |det B| from that factor, and the
+sampler's solve substitutes into it.  The uniform tree sampler
 picks a uniform group element, reduces it with reduction's steps-1-2 core,
 certifies it with one burn (is_reduced), and burns it into its tree.  Step
 1 of that reduction subtracts Delta(floor(L_(q) D)), and L_(q) is linear,
-so one exact solve of B against the generators per call, substituted back
-through the unit pivots, gives every tree's floor in integers.
+so one substitution of the generators into B's factor per call, carried
+back through the unit pivots, gives every tree's floor in integers.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .reduction import _steps_1_2, is_reduced, reduce
 from .treebij import divisor_to_tree
 
 
-def smith_normal_form(M):
+def smith_normal_form(M, d=None):
     """Smith form of a square nonsingular integer matrix, modulo d = |det M|.
 
     Returns (diagonal, u_inv): the diagonal s_1 | s_2 | ... has product d,
@@ -48,10 +50,13 @@ def smith_normal_form(M):
     Z/s_i factor of Z^k / M Z^k.  An entry of S or u_inv is reduced (x % d)
     only once |x| > d.  Pivots are the smallest nonzero |entry| in the work
     region (lexicographic tie-break).  Raises ValueError if M is singular.
+    A caller that has factored M already passes its |det M| as d, and M is
+    not factored again.
     """
     S = [[index(x) for x in row] for row in M]
     n = len(S)
-    d = abs(exact.det(S))
+    if d is None:
+        d = abs(exact.det(S))
     if d == 0:
         raise ValueError("singular matrix")
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # of U^{-1}
@@ -177,12 +182,14 @@ def _presentation(G, q):
     Smith form of B gives every invariant factor above 1.  Column i of B's
     U'^{-1}, on B's rows, is the i-th generator off q: the inverse of each
     row operation fixes every row that never holds a pivot.  Returns the
-    presentation, the unit phase, and the generators off q as the rows of
-    a matrix, zero on every pivot row.
+    presentation, the unit phase, the Factor of B, whose |det| the Smith
+    form takes, and the generators off q as the rows of a matrix, zero on
+    every pivot row.
     """
     keep = [v for v in G.vertices if v != q]
     units = exact._unit_phase(reduced_laplacian(G, q).tolist())
-    diagonal, u_inv = smith_normal_form(units.block)
+    fac = exact.factor(units.block)
+    diagonal, u_inv = smith_normal_form(units.block, abs(fac.det))
     kept = [i for i, s in enumerate(diagonal) if s != 1]
     gens = [[0] * len(kept) for _ in keep]
     for r, row in zip(units.rows, u_inv):
@@ -197,7 +204,7 @@ def _presentation(G, q):
         q=q, n=G.n, invariant_factors=tuple(diagonal[i] for i in kept),
         generators=tuple(map(Divisor, coeffs)),
     )
-    return pres, units, gens
+    return pres, units, fac, gens
 
 
 def jacobian(G, q):
@@ -239,11 +246,12 @@ def sample_spanning_tree(G, q, seed, count=1):
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
     and reducing then burning carries it to a uniform tree.  One build and
-    unit phase of Q_(q) per call serves the Smith form and the generators'
-    solve: the block's solve and its back-substitution through the pivots
-    give (kappa, P) with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P
-    equal to kappa L_(q) g_i off q, so step 1's floor
-    floor(L_(q) sum(a_i g_i)) is (sum_i a_i P[v][i]) // kappa at each v.
+    unit phase of Q_(q), and one factor of its Schur block, per call serve
+    the Smith form and the generators' solve: a substitution into that
+    factor and the back-substitution through the pivots give (kappa, P)
+    with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
+    kappa L_(q) g_i off q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
+    (sum_i a_i P[v][i]) // kappa at each v.
     The element's chip list and that floor go straight to reduction's
     steps-1-2 core, which then runs step 2 alone.  The list it ends at is
     certified by is_reduced's one burn before it is burnt into its tree: a
@@ -254,8 +262,8 @@ def sample_spanning_tree(G, q, seed, count=1):
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")
-    pres, units, gens = _presentation(G, q)
-    kappa, P = exact._unit_solve(units, gens)
+    pres, units, fac, gens = _presentation(G, q)
+    kappa, P = exact._unit_solve(units, gens, fac)
     keep = [v for v in G.vertices if v != q]
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]

@@ -9,8 +9,8 @@ is a canonical value: it keeps only its true kinks, and the integer slope
 of each piece between them, from the moment it is built, and there is no
 algebra on functions: every script is built once, from its values at
 points between which it is affine.  All arithmetic is exact (Fractions for
-offsets and values, integers for the linear algebra); nothing here uses
-floats.
+the offsets and values a caller sees, integers for the linear algebra and
+in ticks of one denominator for the scripts); nothing here uses floats.
 
 The working tool is the model: the subdivision of Gamma at the support of
 the divisor in play (plus q and all vertices), which refuses a point not on
@@ -32,7 +32,9 @@ the walk of the stalled component lists, and builds one Fraction per value
 it logs.  The script is read off the move log after the loop: the
 make-effective script plus min(dist(., X), eps) for each move, summed at
 the final model's points and the points of supp(D), between which it is
-affine.
+affine.  The sum adds integer ticks of one denominator, and both scripts
+take each slope from one integer routine (_pieces), a divmod of tick
+differences, and build one Fraction per value they keep.
 """
 
 from __future__ import annotations
@@ -289,7 +291,8 @@ class TropicalFunction:
         """(kinks, slopes): the (offset, value) `points` on edge e where the
         slope changes, and the integer slope of each piece between them,
         after checking every offset and that every slope is an integer; a
-        float offset or value raises TypeError."""
+        float offset or value raises TypeError.  _pieces reads the slopes
+        off the anchors in ticks of the lcm of their denominators."""
         u, v = self.gamma.graph.edges[e]
         length = self.gamma.lengths[e]
         anchors = [(_ZERO, self.vertex_values[u])]
@@ -301,21 +304,12 @@ class TropicalFunction:
                 raise ValueError("breakpoints must be strictly increasing")
             anchors.append((o, _rational(val)))
         anchors.append((length, self.vertex_values[v]))
-        kinks, slopes = [], []
-        for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
-            # rise/run in integers: no Fraction is built for the quotient
-            rise, run = v2 - v1, o2 - o1 if o1 else o2
-            s, r = divmod(
-                rise.numerator * run.denominator, rise.denominator * run.numerator
-            )
-            if r:
-                raise ValueError("slopes must be integers")
-            if not slopes:
-                slopes.append(s)
-            elif s != slopes[-1]:
-                kinks.append((o1, v1))
-                slopes.append(s)
-        return tuple(kinks), tuple(slopes)
+        den = lcm(*(x.denominator for anchor in anchors for x in anchor))
+        at, slopes = _pieces(
+            [o.numerator * (den // o.denominator) for o, _ in anchors],
+            [x.numerator * (den // x.denominator) for _, x in anchors],
+        )
+        return tuple(anchors[i] for i in at), slopes
 
     @classmethod
     def zero(cls, gamma):
@@ -364,6 +358,25 @@ def _interpolate(anchors, offset):
         if o1 <= offset <= o2:
             return v1 + (v2 - v1) * (offset - o1) / (o2 - o1)
     raise AssertionError("offset not covered by anchors")
+
+
+def _pieces(offsets, values):
+    """(at, slopes) for the anchors (offsets[i], values[i]) on one edge, in
+    integer ticks of one denominator with the offsets increasing: the
+    indices of the anchors where the slope changes, and the slope of each
+    piece between them, a divmod of two integers; a slope that is not an
+    integer raises ValueError."""
+    at, slopes = [], []
+    for i in range(1, len(offsets)):
+        s, r = divmod(values[i] - values[i - 1], offsets[i] - offsets[i - 1])
+        if r:
+            raise ValueError("slopes must be integers")
+        if not slopes:
+            slopes.append(s)
+        elif s != slopes[-1]:
+            at.append(i - 1)
+            slopes.append(s)
+    return at, tuple(slopes)
 
 
 def metric_laplacian(gamma, f):
@@ -470,15 +483,40 @@ class _Model:
         return GraphPoint("e", e, Fraction(end, self.den))
 
 
-def _tropical_from_model(gamma, model, values, kinks=()):
+def _tropical_from_model(gamma, model, den, values, kinks=()):
     """The TropicalFunction with `values` (one per model vertex) at the model
-    vertices, affine between them and the (interior point, value) `kinks`."""
-    anchors = [dict() for _ in range(gamma.m)]
+    vertices, affine between them and the (interior point, value) `kinks`.
+
+    Every value is an integer over den, a multiple of model.den and of each
+    kink's offset denominator, so _pieces reads the slopes off these anchors
+    in ticks of den, with none of the constructor's checks of a caller's
+    arguments; a slope that is not an integer raises ValueError.  A Fraction
+    is built only for each vertex value and each kink value kept."""
     n = gamma.n  # model vertex ids from n on are the interior points
+    inner = [[] for _ in range(gamma.m)]
     for p, value in [*zip(model.points[n:], values[n:]), *kinks]:
-        anchors[p.edge][p.offset] = value
-    breaks = [sorted(anchors[e].items()) for e in range(gamma.m)]
-    return TropicalFunction(gamma, values[:n], breaks)
+        o = p.offset
+        inner[p.edge].append((o.numerator * (den // o.denominator), value, o))
+    breaks, slopes = [], []
+    for (u, v), length, anchors in zip(gamma.graph.edges, gamma.lengths, inner):
+        offsets, heights = [0], [values[u]]
+        anchors.sort()  # distinct offsets, so only the ticks are compared
+        for t, x, _ in anchors:
+            offsets.append(t)
+            heights.append(x)
+        offsets.append(length.numerator * (den // length.denominator))
+        heights.append(values[v])
+        at, s = _pieces(offsets, heights)
+        breaks.append(
+            tuple([(anchors[i - 1][2], Fraction(anchors[i - 1][1], den)) for i in at]) if at else ()
+        )
+        slopes.append(s)
+    f = object.__new__(TropicalFunction)
+    f.gamma = gamma
+    f.vertex_values = tuple([Fraction(x, den) for x in values[:n]])
+    f.breaks = tuple(breaks)
+    f._slopes = tuple(slopes)
+    return f
 
 
 def _grounded_potential(model, q_vid, chips):
@@ -649,7 +687,7 @@ def _make_effective(gamma, q, D):
     target = [w + (-c[v] // scale + 1) * (v != q_vid) for v, w in enumerate(chips)]
     d, x = _grounded_potential(model, q_vid, target)
     values = [-v // d for v in x]  # -ceil(v / d)
-    kinks = []  # (point, value): the kink t ticks from a, 0 < t < ticks
+    kinks = []  # (point, value in ticks): the kink t ticks from a, 0 < t < ticks
     for i, ((a, b, *_), ticks) in enumerate(zip(model.medges, model.ticks)):
         rise = values[b] - values[a]
         s = -(-rise * den // ticks) - 1
@@ -657,11 +695,11 @@ def _make_effective(gamma, q, D):
         chips[a] -= s + 1
         if t < ticks:
             chips[b] += s
-            kinks.append((model.along(i, a, t), Fraction(values[a] * den + (s + 1) * t, den)))
+            kinks.append((model.along(i, a, t), values[a] * den + (s + 1) * t))
         else:
             chips[b] += s + 1
     E = _merged([*zip(model.points, chips), *((p, 1) for p, _ in kinks)])
-    f = _tropical_from_model(gamma, model, values, kinks)
+    f = _tropical_from_model(gamma, model, den, [x * den for x in values], kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
     return E, f, model
@@ -721,6 +759,7 @@ def metric_reduce(gamma, q, D):
     q = _as_point(q)
     E0, f0, model = _make_effective(gamma, q, D)
     E, log, N = E0, [], model.den
+    dens = {N}  # the den of every model a move runs on, and of the first
     # the model depends only on the interior points of {q} and supp(E), which
     # make-effective's kinks and emptied points may have changed
     if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
@@ -733,6 +772,7 @@ def metric_reduce(gamma, q, D):
         comp, cut, T = next(_components(model, order))
         # eps is t ticks of the model's den; the inner edges sum to T ticks
         den = model.den
+        dens.add(den)
         t = min(model.ticks[idx] for idx, _v in cut)
         created = []
         for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
@@ -761,10 +801,14 @@ def metric_reduce(gamma, q, D):
     loose = [p for p in D.support if p not in model.vid_of]
     sites = [*model.points, *loose]
     values = [f0.evaluate(p) for p in sites]
+    # the sum in ticks of L: f0's values, every eps and every offset of X or
+    # of a site (the loose ones are the first model's) are multiples of 1/L
+    L = lcm(model.den, *dens, *(x.denominator for x in values))
+    values = [x.numerator * (L // x.denominator) for x in values]
     for it in log:
-        _add_move(gamma, it.component, it.epsilon, sites, values)
+        _add_move(gamma, it.component, it.epsilon, sites, values, L)
     try:
-        script = _tropical_from_model(gamma, model, values, zip(loose, values[len(model.points):]))
+        script = _tropical_from_model(gamma, model, L, values, zip(loose, values[len(model.points):]))
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -775,8 +819,12 @@ def metric_reduce(gamma, q, D):
     )
 
 
-def _add_move(gamma, X, eps, sites, values):
-    """Add min(dist(p, X), eps) to values[i] for each point p = sites[i].
+def _add_move(gamma, X, eps, sites, values, den):
+    """Add min(dist(p, X), eps) to values[i] for each point p = sites[i], in
+    integer ticks of den: values[i] is an integer over den, and eps, every
+    offset of X and of the sites and the lengths of their edges are
+    multiples of 1/den.  sites lists Gamma's vertices in index order, then
+    edge points.
 
     A vertex is 0 away when X holds it, else eps or more.  Every model edge
     leaving X is at least eps long, so an edge point is read along its own
@@ -784,25 +832,31 @@ def _add_move(gamma, X, eps, sites, values):
     there (its own offset when X holds it, an end of the edge when X holds
     that vertex), capped at eps.
     """
+
+    def ticks(x):
+        return x.numerator * (den // x.denominator)
+
+    eps = ticks(eps)
     at_vertex, offsets, segments = set(), {}, {}
     for p in X.points:
         if p.kind == "v":
             at_vertex.add(p.index)
         else:
             offsets.setdefault(p.edge, []).append(p.offset)
-    for e, o1, o2 in X.segments:
-        segments.setdefault(e, []).append((o1, o2))
-    for i, p in enumerate(sites):
-        if p.kind == "v":
-            if p.index not in at_vertex:
-                values[i] += eps
-            continue
-        e, o = p.edge, p.offset
-        if any(o1 < o < o2 for o1, o2 in segments.get(e, ())):
+    n = gamma.n
+    for v in range(n):
+        if v not in at_vertex:
+            values[v] += eps
+    if len(sites) > n:  # only an edge point reads the segments of X
+        for e, o1, o2 in X.segments:
+            segments.setdefault(e, []).append((o1, o2))
+    for i in range(n, len(sites)):
+        e, o = sites[i].edge, ticks(sites[i].offset)
+        if any(ticks(o1) < o < ticks(o2) for o1, o2 in segments.get(e, ())):
             continue
         ends = zip(gamma.graph.edges[e], (_ZERO, gamma.lengths[e]))
         near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
-        values[i] += min([eps] + [abs(o - x) for x in near])
+        values[i] += min([eps] + [abs(o - ticks(x)) for x in near])
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def test_unit_phase_keeps_det_smith_form_and_solves(system):
     assert abs(det(units.block)) == abs(d)
     if d == 0:
         with pytest.raises(ValueError, match="singular matrix"):
-            _unit_solve(units, [[0] * len(row) for row in B])
+            _unit_solve(units, [[0] * len(row) for row in B], factor(units.block))
         return
     ones = (1,) * len(units.pivots)
     assert smith_normal_form(A)[0] == ones + smith_normal_form(units.block)[0]
@@ -255,7 +255,9 @@ def test_unit_phase_keeps_det_smith_form_and_solves(system):
     rhs = [row if i in units.rows else [0] * len(row) for i, row in enumerate(B)]
     sign = 1 if d > 0 else -1
     d, X = solve(A, rhs)
-    assert _unit_solve(units, rhs) == (sign * d, [[sign * x for x in r] for r in X])
+    assert _unit_solve(units, rhs, factor(units.block)) == (
+        sign * d, [[sign * x for x in r] for r in X]
+    )
 
 
 def test_unit_phase_tie_break_on_k3():
@@ -263,11 +265,12 @@ def test_unit_phase_tie_break_on_k3():
     units = _unit_phase([[2, -1], [-1, 2]])
     assert [(c, row) for c, row in units.pivots] == [(1, {0: 2, 1: -1})]
     assert (units.block, units.rows, units.cols) == ([[3]], [1], [0])
-    assert _unit_solve(units, [[0], [1]]) == (3, [[1], [2]])
+    fac = factor(units.block)
+    assert _unit_solve(units, [[0], [1]], fac) == (3, [[1], [2]])
     with pytest.raises(ValueError, match="not zero on the pivot rows"):
-        _unit_solve(units, [[1], [0]])
+        _unit_solve(units, [[1], [0]], fac)
     with pytest.raises(ValueError, match="n x n matrix"):
-        _unit_solve(units, [[1]])
+        _unit_solve(units, [[1]], fac)
 
 
 @st.composite

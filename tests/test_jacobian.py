@@ -26,7 +26,8 @@ Core claims:
     - The unit phase: on every SMALL and RANDOM (G, q) and on the 40-vertex
       multigraph with an 88-bit invariant factor, |det B| = det Q_(q), the
       tree count is det Q_(0), and the sampler's (kappa, P) from the block
-      solve and its back-substitution equals solve(Q_(q), generators).  K3,
+      solve and its back-substitution equals solve(Q_(q), generators); a
+      sampler call factors the block once.  K3,
       K4, C5 and the 5-vertex Kirchhoff multigraph keep, at q = 0, the
       generators of the Smith form of all of Q_(0).
     - Oracles apart from the unit phase: the invariant factors equal those
@@ -262,8 +263,8 @@ def test_unit_phase_contract(monkeypatch):
     seen = []
     unit_solve = exact._unit_solve
 
-    def spy(units, rhs_rows):
-        out = unit_solve(units, rhs_rows)
+    def spy(units, rhs_rows, fac):
+        out = unit_solve(units, rhs_rows, fac)
         seen.append(out)
         return out
 
@@ -282,6 +283,23 @@ def test_unit_phase_contract(monkeypatch):
         keep = [v for v in G.vertices if v != q]
         gens = jacobian(G, q).generators
         assert seen == [solve(Q, [[g[v] for g in gens] for v in keep])]
+
+
+def test_a_sampler_call_factors_the_block_once(monkeypatch):
+    # the Smith form takes |det B| from the Factor that the solve substitutes
+    # into; with the floor read off that solve, no reduction factors again
+    calls = []
+    factor = exact.factor
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return factor(matrix)
+
+    monkeypatch.setattr(exact, "factor", counting)
+    for G, q in _unit_cases():
+        calls.clear()
+        sample_spanning_tree(G, q, seed=3, count=4)
+        assert calls == [len(exact._unit_phase(reduced_laplacian(G, q).tolist()).block)]
 
 
 @pytest.mark.parametrize("G, want", KEPT_GENERATORS, ids=["K3", "K4", "C5", "KIRCHHOFF"])

@@ -9,7 +9,9 @@ Core claims:
       and a TropicalFunction's repr is pinned.
     - TropicalFunction validates integer slopes and breakpoint order,
       refuses a float value or offset with TypeError, and keeps only the
-      breakpoints where the slope changes;
+      breakpoints where the slope changes; its slopes, read in integer
+      ticks, match a Fraction reading of hypothesis anchors on rational
+      edges, kinks, slopes and refusals alike;
       metric_laplacian of a distance function from q is (far point) - (q),
       and a collinear breakpoint carries no chip.
     - Every metric operation refuses a vertex or edge index out of range
@@ -29,7 +31,10 @@ Core claims:
       on rational lengths where moves create points, and on hypothesis
       graphs with rational lengths and interior chips; the only exact
       substitution metric_reduce makes is make-effective's, and a wrong
-      summed value fails the exact check D + Delta(script) == result.
+      summed value fails the exact check D + Delta(script) == result.  The
+      script it sums in integer ticks equals a Fraction re-sum of its own
+      move log on the METRIC corpus, the C10(1, 2) inputs and a 50-vertex
+      input with rational lengths.
     - metric_reduce goes on with make-effective's model and takes a new
       one only when the interior points of q and the support change; a
       model with no interior point is Gamma's vertex model, built once per
@@ -367,6 +372,100 @@ def test_tropical_equality_modulo_pruning():
     assert plain == kinked
 
 
+def _fraction_kinks(gamma, vertex_values, e, points):
+    """(kinks, slopes) of edge e read with Fraction rise and run, as the
+    constructor read them before _pieces: the oracle for the integer
+    routine, with the same checks in the same order."""
+    u, v = gamma.graph.edges[e]
+    length = gamma.lengths[e]
+    anchors = [(Fraction(0), vertex_values[u])]
+    for o, val in points:
+        o = _rational(o)
+        if not (0 < o < length):
+            raise ValueError("breakpoint offset outside edge interior")
+        if o <= anchors[-1][0]:
+            raise ValueError("breakpoints must be strictly increasing")
+        anchors.append((o, _rational(val)))
+    anchors.append((length, vertex_values[v]))
+    kinks, slopes = [], []
+    for (o1, v1), (o2, v2) in zip(anchors, anchors[1:]):
+        rise, run = v2 - v1, o2 - o1 if o1 else o2
+        s, r = divmod(rise.numerator * run.denominator, rise.denominator * run.numerator)
+        if r:
+            raise ValueError("slopes must be integers")
+        if not slopes:
+            slopes.append(s)
+        elif s != slopes[-1]:
+            kinks.append((o1, v1))
+            slopes.append(s)
+    return tuple(kinks), tuple(slopes)
+
+
+@st.composite
+def _edge_anchors(draw):
+    """(length, vertex values, breakpoints) on one edge of rational length:
+    the anchors of a function with slopes in -2..2 (so some are collinear)
+    at d-th parts of the edge, with at most one fault: a value moved by a
+    fraction, an offset outside the edge or repeated, the anchors reversed,
+    or a float offset or value."""
+    length = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    d = draw(st.integers(2, 9))
+    parts = sorted(draw(st.lists(st.integers(1, d - 1), unique=True, max_size=4)))
+    offsets = [length * i / d for i in parts]
+    slopes = draw(st.lists(st.integers(-2, 2), min_size=len(parts) + 1, max_size=len(parts) + 1))
+    value = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+    values, last = [value], Fraction(0)
+    for o, s in zip([*offsets, length], slopes):
+        values.append(values[-1] + s * (o - last))
+        last = o
+    points = [list(pair) for pair in zip(offsets, values[1:-1])]
+    ends = [values[0], values[-1]]
+    fault = draw(st.sampled_from(
+        ["none", "value", "outside", "repeat", "reverse", "float offset", "float value"]
+    ))
+    if fault == "value":
+        i = draw(st.integers(0, len(points) + 1))
+        shift = Fraction(1, draw(st.integers(2, 5)))
+        if i < len(points):
+            points[i][1] += shift
+        else:
+            ends[i - len(points)] += shift
+    elif points and fault == "outside":
+        points[draw(st.integers(0, len(points) - 1))][0] = draw(
+            st.sampled_from([Fraction(0), -length / d, length, length + 1])
+        )
+    elif len(points) > 1 and fault == "repeat":
+        points[1][0] = points[0][0]
+    elif fault == "reverse":
+        points.reverse()
+    elif points and fault.startswith("float"):
+        points[draw(st.integers(0, len(points) - 1))][fault == "float value"] += 0.0
+    return length, ends, [tuple(pair) for pair in points]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_edge_anchors())
+def test_integer_slopes_match_the_fraction_reading(case):
+    # the constructor's slopes come from _pieces in integer ticks; kinks,
+    # slopes and every refusal match the Fraction reading of the same anchors
+    length, ends, points = case
+    gamma = MetricGraph(path_graph(2), [length])
+
+    def built():
+        f = TropicalFunction(gamma, ends, [points])
+        return f.breaks[0], f._slopes[0]
+
+    want = _outcome(lambda: _fraction_kinks(gamma, [_rational(x) for x in ends], 0, points))
+    assert _outcome(built) == want
+
+
 def test_metric_laplacian_distance_oracle():
     gamma = segment()
     dist = TropicalFunction(gamma, [0, 1])
@@ -580,7 +679,10 @@ def _solved_script(gamma, q, D, report):
     shifted to sum(eps) at q."""
     model, d, x = metric._grounded(gamma, q, report.result - D)
     shift = sum((it.epsilon for it in report.iterations), Fraction(0))
-    return metric._tropical_from_model(gamma, model, [shift + Fraction(v, d) for v in x])
+    # the values in integer ticks of one denominator, as the helper takes them
+    den = lcm(model.den, d, shift.denominator)
+    ticks = [shift.numerator * (den // shift.denominator) + v * (den // d) for v in x]
+    return metric._tropical_from_model(gamma, model, den, ticks)
 
 
 def _created(q, D, report):
@@ -872,6 +974,53 @@ def test_logged_divisors_are_canonical_and_chained(case):
         assert report.result is report.after_make_effective
     for it, nxt in zip(log, log[1:]):
         assert it.after is nxt.before
+
+
+def _fraction_add_move(gamma, X, eps, sites, values):
+    """Add min(dist(p, X), eps) to values[i] for each point p = sites[i], in
+    Fractions, as metric_reduce summed its script before it summed ticks."""
+    at_vertex, offsets, segments = set(), {}, {}
+    for p in X.points:
+        if p.kind == "v":
+            at_vertex.add(p.index)
+        else:
+            offsets.setdefault(p.edge, []).append(p.offset)
+    for e, o1, o2 in X.segments:
+        segments.setdefault(e, []).append((o1, o2))
+    for i, p in enumerate(sites):
+        if p.kind == "v":
+            if p.index not in at_vertex:
+                values[i] += eps
+            continue
+        e, o = p.edge, p.offset
+        if any(o1 < o < o2 for o1, o2 in segments.get(e, ())):
+            continue
+        ends = zip(gamma.graph.edges[e], (Fraction(0), gamma.lengths[e]))
+        near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
+        values[i] += min([eps] + [abs(o - x) for x in near])
+
+
+def _resummed_script(gamma, q, D, report):
+    """report's script summed again in Fractions off its own log: f0 at the
+    vertices and at the interior points of q, supp(D) and the result, plus
+    each move's min(dist(., X), eps), built by the public constructor."""
+    inner = sorted({p for p in (q, *D.support, *report.result.support) if p.kind == "e"})
+    sites = [_vp(v) for v in range(gamma.n)] + inner
+    values = [report.make_effective_script.evaluate(p) for p in sites]
+    for it in report.iterations:
+        _fraction_add_move(gamma, it.component, it.epsilon, sites, values)
+    breaks = [[] for _ in range(gamma.m)]
+    for p, x in zip(inner, values[gamma.n:]):
+        breaks[p.edge].append((p.offset, x))
+    return TropicalFunction(gamma, values[:gamma.n], breaks)
+
+
+def test_script_in_ticks_is_the_fraction_resum_of_its_log():
+    cases = METRIC + _c10_cases() + [_rational_large(50)]
+    for gamma, q, D in cases:
+        report = metric_reduce(gamma, q, D)
+        assert report.script == _resummed_script(gamma, q, D, report)
+    assert len(report.iterations) == 271
 
 
 def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
