@@ -32,9 +32,10 @@ the walk of the stalled component lists, and builds one Fraction per value
 it logs.  The script is read off the move log after the loop: the
 make-effective script plus min(dist(., X), eps) for each move, summed at
 the final model's points and the points of supp(D), between which it is
-affine.  The sum adds integer ticks of one denominator, and both scripts
-take each slope from one integer routine (_pieces), a divmod of tick
-differences, and build one Fraction per value they keep.
+affine.  The sum adds integer ticks of one denominator, and every
+TropicalFunction, the public constructor's and both scripts alike, is built
+by one integer routine (_fill): each slope a divmod of tick differences, and
+one Fraction per value it keeps.
 """
 
 from __future__ import annotations
@@ -275,41 +276,29 @@ class TropicalFunction:
     __slots__ = ("gamma", "vertex_values", "breaks", "_slopes")
 
     def __init__(self, gamma, vertex_values, breaks=None):
-        self.gamma = gamma
-        self.vertex_values = tuple(_rational(x) for x in vertex_values)
-        if len(self.vertex_values) != gamma.n:
+        values = tuple(_rational(x) for x in vertex_values)
+        if len(values) != gamma.n:
             raise ValueError("need one value per vertex")
         if breaks is None:
             breaks = [()] * gamma.m
         if len(breaks) != gamma.m:
             raise ValueError("need one breakpoint list per edge")
-        pieces = [self._kinks(e, breaks[e]) for e in range(gamma.m)]
-        self.breaks = tuple(kinks for kinks, _ in pieces)
-        self._slopes = tuple(slopes for _, slopes in pieces)
-
-    def _kinks(self, e, points):
-        """(kinks, slopes): the (offset, value) `points` on edge e where the
-        slope changes, and the integer slope of each piece between them,
-        after checking every offset and that every slope is an integer; a
-        float offset or value raises TypeError.  _pieces reads the slopes
-        off the anchors in ticks of the lcm of their denominators."""
-        u, v = self.gamma.graph.edges[e]
-        length = self.gamma.lengths[e]
-        anchors = [(_ZERO, self.vertex_values[u])]
-        for o, val in points:
-            o = _rational(o)
-            if not (0 < o < length):
-                raise ValueError("breakpoint offset outside edge interior")
-            if o <= anchors[-1][0]:
-                raise ValueError("breakpoints must be strictly increasing")
-            anchors.append((o, _rational(val)))
-        anchors.append((length, self.vertex_values[v]))
-        den = lcm(*(x.denominator for anchor in anchors for x in anchor))
-        at, slopes = _pieces(
-            [o.numerator * (den // o.denominator) for o, _ in anchors],
-            [x.numerator * (den // x.denominator) for _, x in anchors],
-        )
-        return tuple(anchors[i] for i in at), slopes
+        inner = []  # the checked (offset, value) breakpoints of each edge
+        for length, points in zip(gamma.lengths, breaks):
+            anchors, last = [], _ZERO
+            for o, val in points:
+                o = _rational(o)
+                if not (0 < o < length):
+                    raise ValueError("breakpoint offset outside edge interior")
+                if o <= last:
+                    raise ValueError("breakpoints must be strictly increasing")
+                anchors.append((o, _rational(val)))
+                last = o
+            inner.append(anchors)
+        den = lcm(*(x.denominator for x in (*values, *gamma.lengths)),
+                  *(x.denominator for anchors in inner for anchor in anchors for x in anchor))
+        _fill(self, gamma, den, [_ticks(x, den) for x in values],
+              [[(_ticks(o, den), _ticks(x, den), o) for o, x in anchors] for anchors in inner])
 
     @classmethod
     def zero(cls, gamma):
@@ -360,23 +349,38 @@ def _interpolate(anchors, offset):
     raise AssertionError("offset not covered by anchors")
 
 
-def _pieces(offsets, values):
-    """(at, slopes) for the anchors (offsets[i], values[i]) on one edge, in
-    integer ticks of one denominator with the offsets increasing: the
-    indices of the anchors where the slope changes, and the slope of each
-    piece between them, a divmod of two integers; a slope that is not an
-    integer raises ValueError."""
-    at, slopes = [], []
-    for i in range(1, len(offsets)):
-        s, r = divmod(values[i] - values[i - 1], offsets[i] - offsets[i - 1])
-        if r:
-            raise ValueError("slopes must be integers")
-        if not slopes:
-            slopes.append(s)
-        elif s != slopes[-1]:
-            at.append(i - 1)
-            slopes.append(s)
-    return at, tuple(slopes)
+def _ticks(x, den):
+    """The rational x in integer ticks of den, a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _fill(f, gamma, den, values, inner):
+    """f, its fields set: the function on Gamma with value values[v] / den at
+    each vertex v and affine between those and the anchors inner[e] of each
+    edge e, (offset ticks, value ticks, offset) strictly inside the edge in
+    increasing order, all in integer ticks of den, a multiple of the
+    denominators of Gamma's lengths.  Each slope is a divmod of tick
+    differences, and one that is not an integer raises ValueError; only the
+    anchors where the slope changes are kept, one Fraction per value."""
+    breaks, slopes = [], []
+    for (u, v), length, anchors in zip(gamma.graph.edges, gamma.lengths, inner):
+        t0, x0, o0, kinks, s = 0, values[u], None, [], []
+        for t, x, o in (*anchors, (_ticks(length, den), values[v], None)):
+            slope, r = divmod(x - x0, t - t0)
+            if r:
+                raise ValueError("slopes must be integers")
+            if not s or slope != s[-1]:
+                if s:
+                    kinks.append((o0, Fraction(x0, den)))
+                s.append(slope)
+            t0, x0, o0 = t, x, o
+        breaks.append(tuple(kinks))
+        slopes.append(tuple(s))
+    f.gamma = gamma
+    f.vertex_values = tuple([Fraction(x, den) for x in values[:gamma.n]])
+    f.breaks = tuple(breaks)
+    f._slopes = tuple(slopes)
+    return f
 
 
 def metric_laplacian(gamma, f):
@@ -437,14 +441,14 @@ class _Model:
         for e, (u, v) in enumerate(gamma.graph.edges):
             a, o1, t1 = u, _ZERO, 0
             for o2, p in sorted(per_edge.get(e, {}).items()):
-                b, t2 = len(points), o2.numerator * (den // o2.denominator)
+                b, t2 = len(points), _ticks(o2, den)
                 points.append(p)
                 self.medges.append((a, b, e, o1, o2))
                 self.ticks.append(t2 - t1)
                 a, o1, t1 = b, o2, t2
             length = gamma.lengths[e]
             self.medges.append((a, v, e, o1, length))
-            self.ticks.append(length.numerator * (den // length.denominator) - t1)
+            self.ticks.append(_ticks(length, den) - t1)
         self.points = tuple(points)
         self.vid_of = {p: i for i, p in enumerate(points)}
         self.graph = Graph(len(points), [(a, b) for a, b, *_ in self.medges])
@@ -478,7 +482,7 @@ class _Model:
         """The point t ticks along model edge idx from its end v, strictly
         inside the edge: 0 < t < ticks[idx]."""
         a, _b, e, o1, _o2 = self.medges[idx]
-        start = o1.numerator * (self.den // o1.denominator)
+        start = _ticks(o1, self.den)
         end = start + t if v == a else start + self.ticks[idx] - t
         return GraphPoint("e", e, Fraction(end, self.den))
 
@@ -488,35 +492,16 @@ def _tropical_from_model(gamma, model, den, values, kinks=()):
     vertices, affine between them and the (interior point, value) `kinks`.
 
     Every value is an integer over den, a multiple of model.den and of each
-    kink's offset denominator, so _pieces reads the slopes off these anchors
-    in ticks of den, with none of the constructor's checks of a caller's
-    arguments; a slope that is not an integer raises ValueError.  A Fraction
-    is built only for each vertex value and each kink value kept."""
+    kink's offset denominator, so _fill builds it off these anchors in ticks
+    of den, with none of the constructor's checks of a caller's arguments; a
+    slope that is not an integer raises ValueError."""
     n = gamma.n  # model vertex ids from n on are the interior points
     inner = [[] for _ in range(gamma.m)]
     for p, value in [*zip(model.points[n:], values[n:]), *kinks]:
-        o = p.offset
-        inner[p.edge].append((o.numerator * (den // o.denominator), value, o))
-    breaks, slopes = [], []
-    for (u, v), length, anchors in zip(gamma.graph.edges, gamma.lengths, inner):
-        offsets, heights = [0], [values[u]]
+        inner[p.edge].append((_ticks(p.offset, den), value, p.offset))
+    for anchors in inner:
         anchors.sort()  # distinct offsets, so only the ticks are compared
-        for t, x, _ in anchors:
-            offsets.append(t)
-            heights.append(x)
-        offsets.append(length.numerator * (den // length.denominator))
-        heights.append(values[v])
-        at, s = _pieces(offsets, heights)
-        breaks.append(
-            tuple([(anchors[i - 1][2], Fraction(anchors[i - 1][1], den)) for i in at]) if at else ()
-        )
-        slopes.append(s)
-    f = object.__new__(TropicalFunction)
-    f.gamma = gamma
-    f.vertex_values = tuple([Fraction(x, den) for x in values[:n]])
-    f.breaks = tuple(breaks)
-    f._slopes = tuple(slopes)
-    return f
+    return _fill(object.__new__(TropicalFunction), gamma, den, values, inner)
 
 
 def _grounded_potential(model, q_vid, chips):
@@ -759,7 +744,6 @@ def metric_reduce(gamma, q, D):
     q = _as_point(q)
     E0, f0, model = _make_effective(gamma, q, D)
     E, log, N = E0, [], model.den
-    dens = {N}  # the den of every model a move runs on, and of the first
     # the model depends only on the interior points of {q} and supp(E), which
     # make-effective's kinks and emptied points may have changed
     if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
@@ -772,7 +756,6 @@ def metric_reduce(gamma, q, D):
         comp, cut, T = next(_components(model, order))
         # eps is t ticks of the model's den; the inner edges sum to T ticks
         den = model.den
-        dens.add(den)
         t = min(model.ticks[idx] for idx, _v in cut)
         created = []
         for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
@@ -802,9 +785,11 @@ def metric_reduce(gamma, q, D):
     sites = [*model.points, *loose]
     values = [f0.evaluate(p) for p in sites]
     # the sum in ticks of L: f0's values, every eps and every offset of X or
-    # of a site (the loose ones are the first model's) are multiples of 1/L
-    L = lcm(model.den, *dens, *(x.denominator for x in values))
-    values = [x.numerator * (L // x.denominator) for x in values]
+    # of a site are multiples of 1/L.  Every model's den divides N: its points
+    # are q, supp(D) and make-effective's kinks, whole ticks of N, and points
+    # a move put a whole number of ticks of such a model from one of them
+    L = lcm(N, *(x.denominator for x in values))
+    values = [_ticks(x, L) for x in values]
     for it in log:
         _add_move(gamma, it.component, it.epsilon, sites, values, L)
     try:
@@ -832,11 +817,7 @@ def _add_move(gamma, X, eps, sites, values, den):
     there (its own offset when X holds it, an end of the edge when X holds
     that vertex), capped at eps.
     """
-
-    def ticks(x):
-        return x.numerator * (den // x.denominator)
-
-    eps = ticks(eps)
+    eps = _ticks(eps, den)
     at_vertex, offsets, segments = set(), {}, {}
     for p in X.points:
         if p.kind == "v":
@@ -851,12 +832,12 @@ def _add_move(gamma, X, eps, sites, values, den):
         for e, o1, o2 in X.segments:
             segments.setdefault(e, []).append((o1, o2))
     for i in range(n, len(sites)):
-        e, o = sites[i].edge, ticks(sites[i].offset)
-        if any(ticks(o1) < o < ticks(o2) for o1, o2 in segments.get(e, ())):
+        e, o = sites[i].edge, _ticks(sites[i].offset, den)
+        if any(_ticks(o1, den) < o < _ticks(o2, den) for o1, o2 in segments.get(e, ())):
             continue
         ends = zip(gamma.graph.edges[e], (_ZERO, gamma.lengths[e]))
         near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
-        values[i] += min([eps] + [abs(o - ticks(x)) for x in near])
+        values[i] += min([eps] + [abs(o - _ticks(x, den)) for x in near])
 
 
 # ---------------------------------------------------------------------------

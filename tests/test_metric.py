@@ -11,7 +11,8 @@ Core claims:
       refuses a float value or offset with TypeError, and keeps only the
       breakpoints where the slope changes; its slopes, read in integer
       ticks, match a Fraction reading of hypothesis anchors on rational
-      edges, kinks, slopes and refusals alike;
+      edges, one edge or two with the one fault on either, kinks, slopes
+      and refusals alike;
       metric_laplacian of a distance function from q is (far point) - (q),
       and a collinear breakpoint carries no chip.
     - Every metric operation refuses a vertex or edge index out of range
@@ -34,7 +35,11 @@ Core claims:
       summed value fails the exact check D + Delta(script) == result.  The
       script it sums in integer ticks equals a Fraction re-sum of its own
       move log on the METRIC corpus, the C10(1, 2) inputs and a 50-vertex
-      input with rational lengths.
+      input with rational lengths.  On those and the triangle, every eps
+      and every point a move leaves a chip on is a whole number of ticks of
+      the first model's denominator N, and both scripts, rebuilt by the
+      public constructor from their own values and kinks, are equal with
+      equal slopes.
     - metric_reduce goes on with make-effective's model and takes a new
       one only when the interior points of q and the support change; a
       model with no interior point is Gamma's vertex model, built once per
@@ -283,11 +288,11 @@ def test_divisor_to_metric():
 
 def test_tropical_validation():
     gamma = segment()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slopes must be integers"):
         TropicalFunction(gamma, [0, Fraction(1, 2)])  # slope 1/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="breakpoint offset outside edge interior"):
         TropicalFunction(gamma, [0, 1], [((Fraction(3, 2), 1),)])  # offset outside
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
         TropicalFunction(
             gamma,
             [0, 1],
@@ -374,8 +379,8 @@ def test_tropical_equality_modulo_pruning():
 
 def _fraction_kinks(gamma, vertex_values, e, points):
     """(kinks, slopes) of edge e read with Fraction rise and run, as the
-    constructor read them before _pieces: the oracle for the integer
-    routine, with the same checks in the same order."""
+    constructor read them before it read integer ticks: the oracle for the
+    integer routine, with the same checks in the same order."""
     u, v = gamma.graph.edges[e]
     length = gamma.lengths[e]
     anchors = [(Fraction(0), vertex_values[u])]
@@ -402,25 +407,26 @@ def _fraction_kinks(gamma, vertex_values, e, points):
 
 
 @st.composite
-def _edge_anchors(draw):
+def _edge_anchors(draw, start=None):
     """(length, vertex values, breakpoints) on one edge of rational length:
     the anchors of a function with slopes in -2..2 (so some are collinear)
     at d-th parts of the edge, with at most one fault: a value moved by a
     fraction, an offset outside the edge or repeated, the anchors reversed,
-    or a float offset or value."""
+    or a float offset or value.  Given a start, the first vertex value is
+    start and there is no fault."""
     length = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
     d = draw(st.integers(2, 9))
     parts = sorted(draw(st.lists(st.integers(1, d - 1), unique=True, max_size=4)))
     offsets = [length * i / d for i in parts]
     slopes = draw(st.lists(st.integers(-2, 2), min_size=len(parts) + 1, max_size=len(parts) + 1))
-    value = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+    value = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3))) if start is None else start
     values, last = [value], Fraction(0)
     for o, s in zip([*offsets, length], slopes):
         values.append(values[-1] + s * (o - last))
         last = o
     points = [list(pair) for pair in zip(offsets, values[1:-1])]
     ends = [values[0], values[-1]]
-    fault = draw(st.sampled_from(
+    fault = "none" if start is not None else draw(st.sampled_from(
         ["none", "value", "outside", "repeat", "reverse", "float offset", "float value"]
     ))
     if fault == "value":
@@ -453,7 +459,7 @@ def _outcome(call):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_edge_anchors())
 def test_integer_slopes_match_the_fraction_reading(case):
-    # the constructor's slopes come from _pieces in integer ticks; kinks,
+    # the constructor's slopes come from _fill in integer ticks; kinks,
     # slopes and every refusal match the Fraction reading of the same anchors
     length, ends, points = case
     gamma = MetricGraph(path_graph(2), [length])
@@ -463,6 +469,37 @@ def test_integer_slopes_match_the_fraction_reading(case):
         return f.breaks[0], f._slopes[0]
 
     want = _outcome(lambda: _fraction_kinks(gamma, [_rational(x) for x in ends], 0, points))
+    assert _outcome(built) == want
+
+
+@st.composite
+def _path_anchors(draw):
+    """(lengths, vertex values, breakpoints) on the path 0 - 1 - 2: one
+    _edge_anchors draw, its fault included, on the edge `side`, and a draw
+    with no fault on the other edge, from that draw's value at vertex 1."""
+    length, ends, points = draw(_edge_anchors())
+    side = draw(st.integers(0, 1))
+    other, (_, far), extra = draw(_edge_anchors(start=ends[1 - side]))
+    if side == 0:
+        return [length, other], [*ends, far], [points, extra]
+    # the faultless draw runs from vertex 1 to vertex 0: read it backwards
+    back = [(other - o, x) for o, x in reversed(extra)]
+    return [other, length], [far, *ends], [back, points]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_path_anchors())
+def test_integer_slopes_match_the_fraction_reading_on_two_edges(case):
+    # one den serves both edges; each edge's kinks and slopes, or the one
+    # fault's refusal, match the Fraction reading of that edge alone
+    lengths, values, breaks = case
+    gamma = MetricGraph(path_graph(3), lengths)
+
+    def built():
+        f = TropicalFunction(gamma, values, breaks)
+        return tuple(zip(f.breaks, f._slopes))
+
+    want = _outcome(lambda: tuple(_fraction_kinks(gamma, values, e, breaks[e]) for e in range(2)))
     assert _outcome(built) == want
 
 
@@ -1021,6 +1058,33 @@ def test_script_in_ticks_is_the_fraction_resum_of_its_log():
         report = metric_reduce(gamma, q, D)
         assert report.script == _resummed_script(gamma, q, D, report)
     assert len(report.iterations) == 271
+
+
+def _script_cases():
+    return METRIC + _c10_cases() + [_triangle_case(), _rational_large(50)]
+
+
+def test_every_move_lies_on_the_grid_of_the_first_model():
+    # metric_reduce sums its script in ticks of a multiple of N, the den of
+    # the model at q and supp(D), and of no later model: every eps and every
+    # point a move leaves a chip on are whole ticks of N
+    cases = _script_cases()
+    for gamma, q, D in cases:
+        N = metric._model_at(gamma, [q, *D.support]).den
+        for it in metric_reduce(gamma, q, D).iterations:
+            assert (it.epsilon * N).denominator == 1
+            assert all((p.offset * N).denominator == 1 for p in it.after.support if p.kind == "e")
+    assert len(cases) == 42
+
+
+def test_both_scripts_rebuilt_by_the_constructor_are_equal():
+    # _tropical_from_model and the public constructor share one builder, so
+    # a script rebuilt from its own values and kinks has the same fields
+    for gamma, q, D in _script_cases():
+        report = metric_reduce(gamma, q, D)
+        for f in (report.script, report.make_effective_script):
+            rebuilt = TropicalFunction(gamma, f.vertex_values, f.breaks)
+            assert rebuilt == f and rebuilt._slopes == f._slopes
 
 
 def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
