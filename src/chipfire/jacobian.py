@@ -11,18 +11,17 @@ form runs modulo kappa (Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987;
 Iliopoulos, SIAM J. Comput. 18, 1989): no entry of S or U^{-1} grows past
 kappa, and neither U nor the column operations are kept.
 
-M has many +-1 entries, so exact's unit phase first eliminates them, which
-is unimodular: the Smith form of M is I + that of the Schur block B it
-leaves, and |det B| = kappa.  On random multigraphs with 3n edges B keeps
-about a third of M's rows (67 of 199 at n = 200).  The Smith pass, the
-tree count and the sampler's solve all run on B, which a presentation
-factors once: the Smith pass takes |det B| from that factor, and the
-sampler's solve substitutes into it.  The uniform tree sampler
-picks a uniform group element, reduces it with reduction's steps-1-2 core,
-certifies it with one burn (is_reduced), and burns it into its tree.  Step
-1 of that reduction subtracts Delta(floor(L_(q) D)), and L_(q) is linear,
-so one substitution of the generators into B's factor per call, carried
-back through the unit pivots, gives every tree's floor in integers.
+M has many +-1 entries, so exact.factor's unit phase first eliminates
+them, which is unimodular: the Smith form of M is I + that of the Schur
+block B it leaves, and |det B| = kappa.  On random multigraphs with 3n
+edges B keeps about a third of M's rows (67 of 199 at n = 200).  A
+presentation factors M once: the Smith pass runs on that Factor's block
+and takes |det M| from it, and the sampler's solve substitutes into it.
+The uniform tree sampler picks a uniform group element, reduces it with
+reduction's steps-1-2 core, certifies it with one burn (is_reduced), and
+burns it into its tree.  Step 1 of that reduction subtracts
+Delta(floor(L_(q) D)), and L_(q) is linear, so one substitution of the
+generators into M's Factor per call gives every tree's floor in integers.
 """
 
 from __future__ import annotations
@@ -176,23 +175,22 @@ class JacobianPresentation:
 
 
 def _presentation(G, q):
-    """Jac(G) from the Smith form of the Schur block B of Q_(q).
+    """Jac(G) from the Smith form of the Schur block of Q_(q).
 
-    The unit phase brings Q_(q) to I + B by unimodular operations, so the
-    Smith form of B gives every invariant factor above 1.  Column i of B's
-    U'^{-1}, on B's rows, is the i-th generator off q: the inverse of each
-    row operation fixes every row that never holds a pivot.  Returns the
-    presentation, the unit phase, the Factor of B, whose |det| the Smith
-    form takes, and the generators off q as the rows of a matrix, zero on
-    every pivot row.
+    exact.factor's unit phase brings Q_(q) to I + B by unimodular
+    operations, so the Smith form of its block B gives every invariant
+    factor above 1.  Column i of B's U'^{-1}, on B's rows, is the i-th
+    generator off q: the inverse of each row operation fixes every row that
+    never holds a pivot.  Returns the presentation, the Factor of Q_(q),
+    whose |det| the Smith form takes, and the generators off q as the rows
+    of a matrix, zero on every pivot row.
     """
     keep = [v for v in G.vertices if v != q]
-    units = exact._unit_phase(reduced_laplacian(G, q).tolist())
-    fac = exact.factor(units.block)
-    diagonal, u_inv = smith_normal_form(units.block, abs(fac.det))
+    fac = exact.factor(reduced_laplacian(G, q).tolist())
+    diagonal, u_inv = smith_normal_form(fac.block, abs(fac.det))
     kept = [i for i, s in enumerate(diagonal) if s != 1]
     gens = [[0] * len(kept) for _ in keep]
-    for r, row in zip(units.rows, u_inv):
+    for r, row in zip(fac.rows, u_inv):
         gens[r] = [row[i] for i in kept]
     coeffs = [[0] * G.n for _ in kept]
     for v, row in zip(keep, gens):
@@ -204,7 +202,7 @@ def _presentation(G, q):
         q=q, n=G.n, invariant_factors=tuple(diagonal[i] for i in kept),
         generators=tuple(map(Divisor, coeffs)),
     )
-    return pres, units, fac, gens
+    return pres, fac, gens
 
 
 def jacobian(G, q):
@@ -214,9 +212,9 @@ def jacobian(G, q):
 
 
 def count_spanning_trees(G):
-    """Matrix-tree count: |det| of the Laplacian with one row/col deleted,
-    read off the Schur block its unit phase leaves."""
-    return abs(exact.det(exact._unit_phase(reduced_laplacian(G, 0).tolist()).block))
+    """Matrix-tree count: the determinant of the Laplacian with one row/col
+    deleted."""
+    return exact.det(reduced_laplacian(G, 0).tolist())
 
 
 def _uniform_below(bitgen, bound):
@@ -246,9 +244,8 @@ def sample_spanning_tree(G, q, seed, count=1):
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
     and reducing then burning carries it to a uniform tree.  One build and
-    unit phase of Q_(q), and one factor of its Schur block, per call serve
-    the Smith form and the generators' solve: a substitution into that
-    factor and the back-substitution through the pivots give (kappa, P)
+    exact.factor of Q_(q) per call serve the Smith form of its block and
+    the generators' solve: one substitution into that Factor gives (kappa, P)
     with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
     kappa L_(q) g_i off q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
     (sum_i a_i P[v][i]) // kappa at each v.
@@ -262,8 +259,8 @@ def sample_spanning_tree(G, q, seed, count=1):
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")
-    pres, units, fac, gens = _presentation(G, q)
-    kappa, P = exact._unit_solve(units, gens, fac)
+    pres, fac, gens = _presentation(G, q)
+    kappa, P = exact.substitute(fac, gens)
     keep = [v for v in G.vertices if v != q]
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]

@@ -4,7 +4,8 @@ the j-function, effective resistance, and the energy pairings E_q and b_q.
 All values are exact rationals.  One fraction-free elimination of Q_(q),
 `exact.solve(Q_(q), I)`, gives the j-table as an integer numerator matrix
 over the tree count, so the inner loops of b_q / E_q stay in integer
-arithmetic.  A table builds it on first use; its float64 view
+arithmetic; exact.factor eliminates Q_(q)'s +-1 pivots first, so Bareiss
+runs only on the Schur block they leave.  A table builds it on first use; its float64 view
 (`float_inverse`) needs no elimination and is what the reduction's lattice
 step refines to exact floors.
 `j_function(G, q)` returns the one table the graph keeps, for the last base

@@ -8,12 +8,18 @@ Three graph tiers and one metric case list:
     - METRIC: seeded (gamma, q, D) metric reduction cases on SMALL and RANDOM
       graphs, with unit or rational lengths, chips at interior points, and q
       at a vertex or an interior point.
+
+modular_det is an exact determinant oracle apart from chipfire.exact and
+from sympy's elimination: numpy int64 elimination modulo word-size primes,
+combined by CRT.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from chipfire.graph import Graph, Divisor, complete_graph, cycle_graph, path_graph
 from chipfire.metric import GraphPoint, MetricDivisor, MetricGraph
@@ -95,6 +101,37 @@ def tree_plus_edges(n, m, rng):
         if u != v:
             edges.append((u, v))
     return Graph(n, edges)
+
+
+def _det_mod(M, p):
+    """det M mod a prime p below 2**31, by numpy int64 Gaussian elimination:
+    each product of two residues stays below 2**62."""
+    A = np.array(M, dtype=np.int64) % p
+    d = 1
+    for c in range(len(A)):
+        nonzero = np.flatnonzero(A[c:, c])
+        if not len(nonzero):
+            return 0
+        r = c + int(nonzero[0])
+        if r != c:
+            A[[c, r]] = A[[r, c]]
+            d = -d
+        pivot = int(A[c, c])
+        d = d * pivot % p
+        f = A[c + 1:, c] * pow(pivot, -1, p) % p
+        A[c + 1:, c:] = (A[c + 1:, c:] - np.outer(f, A[c, c:]) % p) % p
+    return d % p
+
+
+def modular_det(M):
+    """det M by CRT over word-size primes, past twice the Hadamard bound."""
+    bound = 2 * math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in M)
+    x, m, p = 0, 1, 2**31
+    while m <= bound:
+        p = sympy.prevprime(p)
+        t = (_det_mod(M, p) - x) * pow(m, -1, p) % p
+        x, m = x + m * t, m * p
+    return x - m if 2 * x > m else x
 
 
 def kruskal_tree(G, order):

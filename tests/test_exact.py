@@ -15,12 +15,16 @@ Core claims:
     - A wide, tall or ragged matrix, or a right-hand side whose height is
       not n or whose rows differ in width, raises ValueError in det, solve
       and the Smith form.
-    - The unit phase, on the same systems: B's rows and columns and the
-      pivots' partition A's, B holds no +-1 entry, |det(A)| = |det(B)|,
-      the invariant factors of A are those of B after one 1 per pivot, and
-      its solve of a right-hand side that is zero on the pivot rows is
-      solve's pair with det(A) made positive.  On K3's reduced Laplacian the tie-break takes the
-      pivot at (0, 1).  It refuses what det refuses.
+    - factor's unit phase, on the same systems: its block's rows and
+      columns and the pivots' partition A's, each pivot is +-1, the block
+      holds no +-1 entry, |det(A)| = |det(block)|, the invariant factors of
+      A are those of the block after one 1 per pivot, and substitute gives
+      (det A, X) with A X = det(A) B, for B and for B made zero on the
+      pivot rows.  On K3's reduced Laplacian the tie-break
+      takes the pivot at (0, 1), and a right-hand side that is nonzero on
+      that pivot row is solved.  det's sign is pinned on matrices that are
+      all pivots, that need a row swap in the block after a unit pivot, and
+      that are a signed permutation.  factor refuses what det refuses.
     - factor then substitute gives solve's pair, sympy's det and adjugate
       times B, on the same systems and on row-swap matrices, for 0, 1 and 3
       right-hand-side columns and with one factor reused on several
@@ -37,7 +41,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from chipfire.exact import _unit_phase, _unit_solve, det, factor, solve, substitute
+from chipfire.exact import det, factor, solve, substitute
 from chipfire.jacobian import smith_normal_form
 
 
@@ -68,7 +72,7 @@ def test_non_integer_entries_are_refused(entry):
     with pytest.raises(TypeError):
         solve([[1, 0], [0, entry]], _identity(2))
     with pytest.raises(TypeError):
-        _unit_phase([[1, entry], [1, 3]])
+        factor([[1, entry], [1, 3]])
 
 
 @pytest.mark.parametrize(
@@ -81,8 +85,8 @@ def test_non_integer_entries_are_refused(entry):
         lambda: det([[1, 2], [3, 4], [5, 6]]),
         lambda: det([[1, 2], [3]]),
         lambda: solve([[2, 0], [0, 3]], [[2], [3, 9]]),
-        lambda: _unit_phase([[1, 2, 3], [4, 5, 6]]),
-        lambda: _unit_phase([[1, 2], [3]]),
+        lambda: factor([[1, 2, 3], [4, 5, 6]]),
+        lambda: factor([[1, 2], [3]]),
     ],
     ids=[
         "det_wide", "adjugate_wide", "smith_wide", "solve_extra_rhs_row",
@@ -205,6 +209,9 @@ def _systems(draw):
 @example(([[5]], [[2, -3]]))
 @example(([[0, 1], [1, 0]], [[1], [2]]))
 @example(([[0, 2, 1], [3, 0, 0], [1, 1, 0]], [[1], [0], [0]]))
+@example(([[0, -1, 0], [0, 0, 1], [1, 0, 0]], [[1], [2], [3]]))
+@example(([[1, 0, 0], [0, 0, 2], [0, 3, 0]], [[1], [2], [3]]))
+@example(([[0, 1], [-1, 0]], [[1], [2]]))
 def test_elimination_matches_sympy(system):
     A, B = system
     n = len(A)
@@ -237,40 +244,39 @@ def test_elimination_matches_sympy(system):
 def test_unit_phase_keeps_det_smith_form_and_solves(system):
     A, B = system
     n = len(A)
-    units = _unit_phase(A)
-    pivot_cols = [c for c, _row in units.pivots]
-    assert sorted(units.cols + pivot_cols) == list(range(n))
-    assert len(units.rows) == len(units.cols) == len(units.block)
-    assert all(len(row) == len(units.cols) for row in units.block)
-    assert all(x not in (1, -1) for row in units.block for x in row)
+    F = factor(A)
+    pivot_rows = [r for r, _c, _prow, _ops in F.pivots]
+    pivot_cols = [c for _r, c, _prow, _ops in F.pivots]
+    assert sorted(F.rows + pivot_rows) == list(range(n))
+    assert sorted(F.cols + pivot_cols) == list(range(n))
+    assert len(F.rows) == len(F.cols) == len(F.block)
+    assert all(len(row) == len(F.cols) for row in F.block)
+    assert all(x not in (1, -1) for row in F.block for x in row)
+    assert all(prow[c] in (1, -1) for _r, c, prow, _ops in F.pivots)
     d = det(A)
-    assert abs(det(units.block)) == abs(d)
+    assert abs(det(F.block)) == abs(d)
     if d == 0:
-        with pytest.raises(ValueError, match="singular matrix"):
-            _unit_solve(units, [[0] * len(row) for row in B], factor(units.block))
         return
-    ones = (1,) * len(units.pivots)
-    assert smith_normal_form(A)[0] == ones + smith_normal_form(units.block)[0]
-    # a right-hand side that is zero on the pivot rows
-    rhs = [row if i in units.rows else [0] * len(row) for i, row in enumerate(B)]
-    sign = 1 if d > 0 else -1
-    d, X = solve(A, rhs)
-    assert _unit_solve(units, rhs, factor(units.block)) == (
-        sign * d, [[sign * x for x in r] for r in X]
-    )
+    ones = (1,) * len(F.pivots)
+    assert smith_normal_form(A)[0] == ones + smith_normal_form(F.block)[0]
+    # a right-hand side that is zero on the pivot rows, and B itself
+    rhs = [row if i in F.rows else [0] * len(row) for i, row in enumerate(B)]
+    # A X = d C with d != 0 fixes X, and needs no second elimination
+    for C in (rhs, B):
+        d2, X = substitute(F, C)
+        assert d2 == d and _mul(A, X) == [[d * x for x in row] for row in C]
 
 
 def test_unit_phase_tie_break_on_k3():
     # every +-1 entry of [[2, -1], [-1, 2]] costs 1: the pivot is (0, 1)
-    units = _unit_phase([[2, -1], [-1, 2]])
-    assert [(c, row) for c, row in units.pivots] == [(1, {0: 2, 1: -1})]
-    assert (units.block, units.rows, units.cols) == ([[3]], [1], [0])
-    fac = factor(units.block)
-    assert _unit_solve(units, [[0], [1]], fac) == (3, [[1], [2]])
-    with pytest.raises(ValueError, match="not zero on the pivot rows"):
-        _unit_solve(units, [[1], [0]], fac)
+    F = factor([[2, -1], [-1, 2]])
+    assert [(r, c, prow) for r, c, prow, _ops in F.pivots] == [(0, 1, {0: 2, 1: -1})]
+    assert (F.block, F.rows, F.cols) == ([[3]], [1], [0])
+    assert substitute(F, [[0], [1]]) == (3, [[1], [2]])
+    # a right-hand side that is nonzero on the pivot row
+    assert substitute(F, [[1], [0]]) == (3, [[2], [1]])
     with pytest.raises(ValueError, match="n x n matrix"):
-        _unit_solve(units, [[1]], fac)
+        substitute(F, [[1]])
 
 
 @st.composite

@@ -23,11 +23,13 @@ Core claims:
       40-vertex multigraph.  A
       steps-1-2 core that returned an unreduced divisor trips the sampler's
       self-check (AssertionError).
-    - The unit phase: on every SMALL and RANDOM (G, q) and on the 40-vertex
-      multigraph with an 88-bit invariant factor, |det B| = det Q_(q), the
-      tree count is det Q_(0), and the sampler's (kappa, P) from the block
-      solve and its back-substitution equals solve(Q_(q), generators); a
-      sampler call factors the block once.  K3,
+    - The unit phase of exact.factor: on every SMALL and RANDOM (G, q) and
+      on the 40-vertex multigraph with an 88-bit invariant factor,
+      |det B| = det Q_(q) and B holds no +-1, the tree count is det Q_(0),
+      and the sampler's (kappa, P) from one substitution into the Factor of
+      Q_(q) satisfies Q_(q) P = kappa times the generators as an integer
+      matrix product; on the 40-vertex case kappa equals the modular
+      determinant below.  A sampler call factors Q_(q) once.  K3,
       K4, C5 and the 5-vertex Kirchhoff multigraph keep, at q = 0, the
       generators of the Smith form of all of Q_(0).
     - Oracles apart from the unit phase: the invariant factors equal those
@@ -50,7 +52,6 @@ Core claims:
 
 import hashlib
 import json
-import math
 import sys
 from math import gcd, prod
 from random import Random
@@ -93,7 +94,9 @@ from chipfire.potential import effective_resistance, j_function
 from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
-from corpus import RANDOM, SMALL, genus_21_multigraph, random_divisor, tree_plus_edges
+from corpus import (
+    RANDOM, SMALL, genus_21_multigraph, modular_det, random_divisor, tree_plus_edges,
+)
 
 JACOBIAN_DIGEST = "590298f05d477e9f4f78f57e9990e9057c349fa94cb8d90c3b9d8d7058bb8374"
 SAMPLER_DIGEST = "f3396a9e4437824d9f2d747c00f73ad3dfab833a1e5be29c7bfb18a80cf8b926"
@@ -258,36 +261,44 @@ def _unit_cases():
 
 
 def test_unit_phase_contract(monkeypatch):
-    # |det B| is kappa, and the sampler's block solve with its integer
-    # back-substitution gives the full solve's (kappa, P) for the generators
+    # |det B| is kappa and B holds no +-1, and the sampler's (kappa, P) from
+    # one substitution into the Factor of Q_(q) is certified by Q_(q) P =
+    # kappa times the generators, all in integers
     seen = []
-    unit_solve = exact._unit_solve
+    substitute = exact.substitute
 
-    def spy(units, rhs_rows, fac):
-        out = unit_solve(units, rhs_rows, fac)
+    def spy(fac, rhs_rows):
+        out = substitute(fac, rhs_rows)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(exact, "_unit_solve", spy)
+    monkeypatch.setattr(exact, "substitute", spy)
     cases = _unit_cases()
     assert max(jacobian(*cases[-1]).invariant_factors).bit_length() > 64
     for G, q in cases:
         Q = reduced_laplacian(G, q).tolist()
-        units = exact._unit_phase(Q)
-        kappa = det(Q)
-        assert abs(det(units.block)) == kappa
+        fac = exact.factor(Q)
+        kappa = fac.det
+        assert kappa > 0 and abs(det(fac.block)) == kappa
+        assert all(x not in (1, -1) for row in fac.block for x in row)
         if q == 0:
             assert count_spanning_trees(G) == kappa
         seen.clear()
         sample_spanning_tree(G, q, seed=3, count=0)
+        [(d, P)] = seen
         keep = [v for v in G.vertices if v != q]
-        gens = jacobian(G, q).generators
-        assert seen == [solve(Q, [[g[v] for g in gens] for v in keep])]
+        gens = [[g[v] for g in jacobian(G, q).generators] for v in keep]
+        assert d == kappa
+        QP = [[sum(a * b for a, b in zip(row, col)) for col in zip(*P)] for row in Q]
+        assert QP == [[kappa * x for x in row] for row in gens]
+    G, q = cases[-1]
+    assert kappa == modular_det(reduced_laplacian(G, q).tolist())
 
 
 def test_a_sampler_call_factors_the_block_once(monkeypatch):
-    # the Smith form takes |det B| from the Factor that the solve substitutes
-    # into; with the floor read off that solve, no reduction factors again
+    # the Smith form takes |det Q_(q)| from the Factor that the solve
+    # substitutes into; with the floor read off that solve, no reduction
+    # factors again
     calls = []
     factor = exact.factor
 
@@ -299,7 +310,7 @@ def test_a_sampler_call_factors_the_block_once(monkeypatch):
     for G, q in _unit_cases():
         calls.clear()
         sample_spanning_tree(G, q, seed=3, count=4)
-        assert calls == [len(exact._unit_phase(reduced_laplacian(G, q).tolist()).block)]
+        assert calls == [G.n - 1]
 
 
 @pytest.mark.parametrize("G, want", KEPT_GENERATORS, ids=["K3", "K4", "C5", "KIRCHHOFF"])
@@ -320,43 +331,12 @@ def test_invariant_factors_match_the_full_matrix_smith_form():
         assert jacobian(G, q).invariant_factors == _full_matrix_factors(G, q)
 
 
-def _det_mod(M, p):
-    """det M mod a prime p below 2**31, by numpy int64 Gaussian elimination:
-    each product of two residues stays below 2**62."""
-    A = np.array(M, dtype=np.int64) % p
-    d = 1
-    for c in range(len(A)):
-        nonzero = np.flatnonzero(A[c:, c])
-        if not len(nonzero):
-            return 0
-        r = c + int(nonzero[0])
-        if r != c:
-            A[[c, r]] = A[[r, c]]
-            d = -d
-        pivot = int(A[c, c])
-        d = d * pivot % p
-        f = A[c + 1:, c] * pow(pivot, -1, p) % p
-        A[c + 1:, c:] = (A[c + 1:, c:] - np.outer(f, A[c, c:]) % p) % p
-    return d % p
-
-
-def _modular_det(M):
-    """det M by CRT over word-size primes, past twice the Hadamard bound."""
-    bound = 2 * prod(math.isqrt(sum(x * x for x in row)) + 1 for row in M)
-    x, m, p = 0, 1, 2**31
-    while m <= bound:
-        p = sympy.prevprime(p)
-        t = (_det_mod(M, p) - x) * pow(m, -1, p) % p
-        x, m = x + m * t, m * p
-    return x - m if 2 * x > m else x
-
-
 @pytest.mark.parametrize("n", [100, 200])
 def test_tree_count_matches_a_modular_determinant(n):
     G = tree_plus_edges(n, 3 * n, Random(1))
     kappa = count_spanning_trees(G)
     assert kappa.bit_length() > 200
-    assert kappa == _modular_det(reduced_laplacian(G, 0).tolist())
+    assert kappa == modular_det(reduced_laplacian(G, 0).tolist())
 
 
 def test_generator_orders_are_the_invariant_factors():

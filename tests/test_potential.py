@@ -15,12 +15,16 @@ Core claims:
     - The j-tables, L_(q), Q+ and every move bound are pinned by one digest
       over the SMALL and RANDOM corpora; beyond them, the j-table equals
       sympy's adjugate over det on 40 vertices and Q+ sympy's pinv on 10.
+      On a 60-vertex multigraph, past where sympy's adjugate is quick, the
+      j-table's numerators are Q_(q)'s adjugate by the certificate
+      Q_(q) num = den I, and den is a modular determinant.
 """
 
 import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -54,7 +58,9 @@ from chipfire.potential import (
 )
 
 from chipfire.reduction import move_bounds
-from corpus import RANDOM, SMALL, random_divisor, random_multigraph
+from corpus import (
+    RANDOM, SMALL, modular_det, random_divisor, random_multigraph, tree_plus_edges,
+)
 
 POTENTIAL_DIGEST = "4764b428d90b713f198f1e8f36e2966f3c25f0d4d216118bceb5e9587e599c74"
 
@@ -109,6 +115,21 @@ def test_j_function_matches_sympy_adjugate_on_40_vertices():
         assert [table.num[p][v] for v in keep] == adj.row(a).tolist()[0]
     assert table.num[q] == (0,) * G.n
     assert all(row[q] == 0 for row in table.num)
+
+
+def test_j_table_is_the_adjugate_on_60_vertices():
+    # exact.factor's unit phase runs ahead of the Bareiss pass here; the
+    # certificate and the determinant share no code with it
+    G = tree_plus_edges(60, 180, Random(1))
+    q = 0
+    Q = reduced_laplacian(G, q).tolist()
+    table = j_function(G, q)
+    keep = [v for v in G.vertices if v != q]
+    adj = [[table.num[p][v] for v in keep] for p in keep]
+    kappa = table.den
+    assert kappa == modular_det(Q)
+    QA = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in Q]
+    assert QA == [[kappa if i == j else 0 for j in range(len(Q))] for i in range(len(Q))]
 
 
 def test_moore_penrose_matches_sympy_pinv_on_10_vertices():
