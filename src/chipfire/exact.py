@@ -14,7 +14,10 @@ steps of both phases; substitute replays them on a right-hand side B, as
 the elimination over [A | B] would, and an integer back-substitution with
 exact `//` division, through the block and then the pivot rows, yields
 X = det(A) A^{-1} B, so a caller with several right-hand sides for one A
-factors it once.  solve, factor then substitute, returns the pair (det, X)
+factors it once.  substitute runs the unit phase's row operations and both
+back-substitutions on each column of B alone, in scalar integer steps that
+skip a row operation whose pivot-row entry is 0 in that column, and the
+Bareiss steps on the block rows across all of B's columns at once.  solve, factor then substitute, returns the pair (det, X)
 as ints, so no Fraction is built and results stay exact for entries of any
 size.  A caller divides once, where its answer leaves the library
 (solve(A, I) is the adjugate pair).  Entries must be integers (Python or
@@ -166,50 +169,60 @@ def substitute(fac, rhs_columns):
     """(det(A), det(A) A^{-1} B) as ints for the Factor `fac` of A and the
     n x k `rhs_columns` B; ValueError if A is singular.
 
-    The row operations of the elimination over [A | B] run on B's rows
-    alone: the unit phase's, then the Bareiss pass's on the block rows.
-    With d = det(A), X = d A^{-1} B is integral (Cramer), so the block's
-    back-substitution divides exactly, and pivot row r with pivot p in
-    column c reads p x_c + sum of prow[j] x_j over j != c = d b_r, whose
-    x_j are known once the later pivots are substituted.
+    The row operations of the elimination over [A | B] run on B alone: the
+    unit phase's on one column at a time, in scalar steps, skipping the
+    operations of a pivot whose row is 0 in that column, then the Bareiss
+    pass's on the block rows, across all columns.  With d = det(A),
+    X = d A^{-1} B is integral (Cramer), so the block's back-substitution
+    divides exactly, and pivot row r with pivot p in column c reads
+    p x_c + sum of prow[j] x_j over j != c = d b_r, whose x_j are known once
+    the later pivots are substituted; both run one column at a time, in
+    scalars, so x_c = p (d b_r - sum over j != c of prow[j] x_j).
     """
     n = fac.n
     k = len(rhs_columns[0]) if len(rhs_columns) else 0
     if len(rhs_columns) != n or any(len(b) != k for b in rhs_columns):
         raise ValueError(_SHAPE.format(n))
-    b = [[index(x) for x in r] for r in rhs_columns]
+    bs = [list(map(index, col)) for col in zip(*rhs_columns)]  # B's columns
     if fac.steps is None:
         raise ValueError("singular matrix")
-    for r, _c, _prow, ops in fac.pivots:
-        top = b[r]
-        for i, m in ops:
-            b[i] = [x - m * y for x, y in zip(b[i], top)]
-    w = [b[i] for i in fac.rows]
+    pivots = fac.pivots
+    for b in bs:
+        for r, _c, _prow, ops in pivots:
+            y = b[r]
+            if y:  # row_i -= m row_r changes nothing in this column
+                for i, m in ops:
+                    b[i] -= m * y
+    w = [[b[i] for b in bs] for i in fac.rows]
     for c, (swap, p, prev, below) in enumerate(fac.steps):
         if swap is not None:
             w[c], w[swap] = w[swap], w[c]
         top = w[c]
         for i, f in enumerate(below, c + 1):
             w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], top)]
-    # row i of the block reads sum_t U[i][t] X[t] = d w[i][j]
     d = fac.det
     m = len(w)
-    cols = [[0] * m for _ in range(k)]
-    for i in range(m - 1, -1, -1):
-        u, *tail = fac.upper[i]
-        for j, col in enumerate(cols):
-            col[i] = (d * w[i][j] - sum(map(mul, tail, col[i + 1 :]))) // u
-    x = [None] * n
-    for i, c in enumerate(fac.cols):
-        x[c] = [col[i] for col in cols]
-    for r, c, prow, _ops in reversed(fac.pivots):
-        acc = [d * y for y in b[r]]
-        for j, a in prow.items():
-            if j != c:
-                acc = [s - a * y for s, y in zip(acc, x[j])]
-        p = prow[c]
-        x[c] = [p * s for s in acc]
-    return d, x
+    upper = fac.upper
+    xs = []
+    for j, b in enumerate(bs):
+        # row i of the block reads sum_t U[i][t] y[t] = d w[i][j], U[i] from
+        # the diagonal on; y[i] is still 0 here, so the sum over all of U[i]
+        # is the sum past the diagonal
+        y = [0] * m
+        for i in range(m - 1, -1, -1):
+            u = upper[i]
+            y[i] = (d * w[i][j] - sum(map(mul, u, y[i:]))) // u[0]
+        x = [0] * n
+        for i, c in enumerate(fac.cols):
+            x[c] = y[i]
+        # likewise x[c] is still 0 when pivot row r is read
+        for r, c, prow, _ops in reversed(pivots):
+            s = d * b[r]
+            for t, a in prow.items():
+                s -= a * x[t]
+            x[c] = prow[c] * s
+        xs.append(x)
+    return d, [[x[i] for x in xs] for i in range(n)]
 
 
 def det(matrix):

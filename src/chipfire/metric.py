@@ -181,8 +181,9 @@ class MetricDivisor:
     entries lists the (point, weight) pairs of nonzero weight in canonical
     point order.  The constructor checks and merges what a caller hands it;
     the divisors the library builds from its own points and integer weights
-    skip those checks: a sum is one merge (_merged), and a Luo move's divisor
-    is read off the model's chip vector, already in canonical order
+    skip those checks: a sum is one merge (_merged), and a Luo move's
+    divisor, read off the model's chip vector, and metric_laplacian's, built
+    vertex by vertex and then kink by kink, come already in canonical order
     (_of_entries).
     """
 
@@ -384,17 +385,24 @@ def _fill(f, gamma, den, values, inner):
 
 
 def metric_laplacian(gamma, f):
-    """Delta(f) as a MetricDivisor: -(sum of outgoing slopes) at each kink."""
+    """Delta(f) as a MetricDivisor: -(sum of outgoing slopes) at each kink.
+
+    The slopes at the vertices add up in a list indexed by vertex, and the
+    kinks come edge by edge in offset order, each of nonzero weight since
+    _fill keeps only slope changes: the entries are in canonical point order
+    as they are built, with no merge and no sort."""
     if f.gamma != gamma:
         raise ValueError("function does not live on this metric graph")
-    vertex, weights = gamma._vertex_points, []  # _merged merges them
+    at, kinks = [0] * gamma.n, []
     for e, (u, v) in enumerate(gamma.graph.edges):
         slopes = f._slopes[e]
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
-        weights += [(vertex[u], -slopes[0]), (vertex[v], slopes[-1])]
+        at[u] -= slopes[0]
+        at[v] += slopes[-1]
         for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
-            weights.append((gamma.point(e, o), s1 - s2))
-    return _merged(weights)
+            kinks.append((GraphPoint("e", e, o), s1 - s2))
+    vertex = gamma._vertex_points
+    return MetricDivisor._of_entries([*((vertex[v], w) for v, w in enumerate(at) if w), *kinks])
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +585,12 @@ def _components(model, order):
     Each is walked over the model graph from the lowest unburnt model vertex
     no earlier walk reached, which is then its smallest point, so the
     components come out by their first point; segments and boundary are read
-    off the component's own incident edges.  cut lists the edges leaving
-    the component, all of them toward burnt vertices, as (model edge index,
-    end inside).  T is the inner edges' tick sum, and total_length is
-    Fraction(T, den).
+    off the component's own incident edges.  One walk lists them with no set
+    or dict: each inner edge once, from its end with the lower model id, and
+    each boundary vertex with its count of edges toward the burnt set; the
+    two lists are sorted once.  cut lists the edges leaving the component,
+    all of them toward burnt vertices, as (model edge index, end inside).
+    T is the inner edges' tick sum, and total_length is Fraction(T, den).
     """
     G = model.graph
     burnt = [False] * G.n
@@ -591,26 +601,31 @@ def _components(model, order):
         if reached[start]:
             continue
         reached[start] = True
-        comp, stack, inner, outdeg, cut = [], [start], set(), {}, []
+        comp, stack, inner, boundary, cut = [], [start], [], [], []
         while stack:
             v = stack.pop()
             comp.append(v)
+            out = 0
             for w, idx in zip(G._nbrs[v], G._inc[v]):
                 if burnt[w]:
-                    outdeg[v] = outdeg.get(v, 0) + 1
+                    out += 1
                     cut.append((idx, v))
                     continue
-                inner.add(idx)
+                if v < w:  # the model is loopless
+                    inner.append(idx)
                 if not reached[w]:
                     reached[w] = True
                     stack.append(w)
+            if out:
+                boundary.append((v, out))
         comp.sort()
-        inner = sorted(inner)
+        inner.sort()
+        boundary.sort()
         T = sum(model.ticks[idx] for idx in inner)
         yield UnburntComponent(
             points=tuple(model.points[v] for v in comp),
             segments=tuple(model.medges[idx][2:] for idx in inner),
-            boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
+            boundary=tuple((model.points[v], out) for v, out in boundary),
             total_length=Fraction(T, model.den),
             cut_size=len(cut),
         ), cut, T
@@ -748,7 +763,7 @@ def metric_reduce(gamma, q, D):
     # make-effective's kinks and emptied points may have changed
     if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
         model = _model_at(gamma, [q, *E.support])
-    chips, q_vid = model.chips(E), model.vid_of[q]
+    chips, q_vid, n = model.chips(E), model.vid_of[q], gamma.n
     for _ in range(_MAX_LUO_ITERATIONS):
         order = _kernels.burn(model.graph, chips, q_vid)
         if len(order) == len(model.points):
@@ -766,7 +781,7 @@ def metric_reduce(gamma, q, D):
             else:
                 created.append(model.along(idx, v, t))
         # a move changes those points when it creates one or empties one but q
-        if created or any(v >= gamma.n and v != q_vid and not chips[v] for _i, v in cut):
+        if created or any(v >= n and v != q_vid and not chips[v] for _i, v in cut):
             kept = [(p, w) for p, w in zip(model.points, chips) if w]
             model = _model_at(gamma, [q, *(p for p, _ in kept), *created])
             chips, q_vid = model.chips(kept + [(p, 1) for p in created]), model.vid_of[q]

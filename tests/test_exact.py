@@ -31,6 +31,10 @@ Core claims:
       right-hand sides; det is the factor's det; substitute refuses a
       singular factor, a right-hand side of the wrong height and a Fraction
       entry, and factor a non-square matrix.
+    - substitute works column by column: on the same systems, with 0-4
+      right-hand-side columns among which some are zero or zero on every
+      pivot row (so the unit phase skips their row operations), its X is
+      the one-column solves of B's columns side by side, and A X = d B.
 """
 
 from fractions import Fraction
@@ -329,3 +333,46 @@ def test_factor_and_substitute_refuse_what_solve_refuses():
         substitute(singular, [[1], [0]])
     with pytest.raises(ValueError, match="singular matrix"):
         solve([[1, 2], [2, 4]], [[1], [0]])
+
+
+_COLUMN_KINDS = st.sampled_from(["drawn", "zero", "zero on the pivot rows"])
+
+
+@st.composite
+def _column_systems(draw):
+    """(A, columns, kinds): an A as _systems draws it, 0-4 columns of
+    length n, and for each column whether the test keeps it, zeroes it or
+    zeroes it on the pivot rows of factor(A)."""
+    A, _ = draw(_systems())
+    k = draw(st.integers(0, 4))
+    columns = [[draw(_SCALARS) for _ in A] for _ in range(k)]
+    return A, columns, [draw(_COLUMN_KINDS) for _ in columns]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_column_systems())
+@example(([], [[], []], ["drawn", "zero"]))
+@example(([[2, -1], [-1, 2]], [], []))
+# K3's reduced Laplacian pivots on row 0: the second column is zero there
+@example(([[2, -1], [-1, 2]], [[0, 0], [4, 5], [3, -2]], ["zero", "zero on the pivot rows", "drawn"]))
+@example(([[0, -1, 0], [0, 0, 1], [1, 0, 0]], [[1, 2, 3], [4, 5, 6]], ["zero on the pivot rows", "drawn"]))
+def test_substitution_is_column_by_column(system):
+    A, columns, kinds = system
+    n = len(A)
+    F = factor(A)
+    pivot_rows = {r for r, _c, _prow, _ops in F.pivots}
+    for col, kind in zip(columns, kinds):
+        for i in range(n):
+            if kind == "zero" or (kind == "zero on the pivot rows" and i in pivot_rows):
+                col[i] = 0
+    B = [[col[i] for col in columns] for i in range(n)]
+    if F.det == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            substitute(F, B)
+        return
+    d, X = substitute(F, B)
+    singles = [substitute(F, [[b] for b in col]) for col in columns]
+    assert all(d1 == d for d1, _ in singles)
+    assert X == [[Xc[i][0] for _d, Xc in singles] for i in range(n)]
+    assert all(type(x) is int for row in X for x in row)
+    assert _mul(A, X) == [[d * b for b in row] for row in B]

@@ -40,6 +40,13 @@ Core claims:
       the first model's denominator N, and both scripts, rebuilt by the
       public constructor from their own values and kinks, are equal with
       equal slopes.
+    - metric_laplacian, which sums vertex slopes in place and reads kinks
+      edge by edge, equals the dict-and-sort reading of every script and
+      make-effective script of those cases, and of hypothesis functions
+      with kinks on trees and cycles of rational edges.  The one-walk
+      _components yields, for every stalled burn replayed from those
+      cases' move logs, every component in the same order with the same
+      cut and T as the set-and-dict walk it replaced.
     - metric_reduce goes on with make-effective's model and takes a new
       one only when the interior points of q and the support change; a
       model with no interior point is Gamma's vertex model, built once per
@@ -83,7 +90,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chipfire import exact, metric
+from chipfire import _kernels, exact, metric
 from chipfire.graph import (
     Divisor, Graph, _rational, complete_graph, cycle_graph, path_graph,
 )
@@ -1099,6 +1106,129 @@ def test_a_wrong_summed_value_fails_the_exact_check(monkeypatch):
     monkeypatch.setattr(metric, "_interpolate", lambda *args: interpolate(*args) + 1)
     with pytest.raises(AssertionError, match="disagree"):
         metric_reduce(gamma, q, D)
+
+
+def _merged_laplacian(gamma, f):
+    """metric_laplacian as it read before it summed in place: the slopes at
+    both ends of every edge and the weight of every kink, merged through a
+    dict keyed by point, then sorted into canonical order."""
+    acc = {}
+    for e, (u, v) in enumerate(gamma.graph.edges):
+        slopes = f._slopes[e]
+        weights = [(gamma.vertex_point(u), -slopes[0]), (gamma.vertex_point(v), slopes[-1])]
+        for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
+            weights.append((gamma.point(e, o), s1 - s2))
+        for p, w in weights:
+            acc[p] = acc.get(p, 0) + w
+    return tuple(sorted((p, w) for p, w in acc.items() if w))
+
+
+def test_metric_laplacian_is_the_merged_reading_on_every_script():
+    kinked = 0
+    for gamma, q, D in _script_cases():
+        report = metric_reduce(gamma, q, D)
+        for f in (report.script, report.make_effective_script):
+            got = metric_laplacian(gamma, f)
+            assert got.entries == _merged_laplacian(gamma, f)
+            assert all(type(w) is int for _p, w in got.entries)
+            kinked += any(f.breaks)
+    assert kinked > 0
+
+
+@st.composite
+def _kinked_functions(draw):
+    """(gamma, f): a tree on 2-5 vertices whose edges each carry an
+    _edge_anchors draw with no fault, from the value at the lower vertex,
+    and 0-3 edges more, parallel edges included, each with one kink t
+    along from its lower end and a length that fits the values at its ends
+    with integer slopes s0 up to the kink and s1 after it."""
+    n = draw(st.integers(2, 5))
+    values = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))]
+    edges, lengths, breaks = [], [], []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        length, (_, far), points = draw(_edge_anchors(start=values[u]))
+        values.append(far)
+        edges.append((u, v))
+        lengths.append(length)
+        breaks.append(points)
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.integers(0, n - 2))
+        v = draw(st.integers(u + 1, n - 1))
+        t = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+        s0 = draw(st.integers(-2, 2))
+        rest = values[v] - values[u] - s0 * t  # s1 times the length after t
+        s1 = draw(st.integers(1, 3)) * (1 if rest > 0 else -1)
+        after = rest / s1 if rest else Fraction(draw(st.integers(1, 3)), 2)
+        edges.append((u, v))
+        lengths.append(t + after)
+        breaks.append([(t, values[u] + s0 * t)])
+    gamma = MetricGraph(Graph(n, edges), lengths)
+    return gamma, TropicalFunction(gamma, values, breaks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_kinked_functions())
+def test_metric_laplacian_is_the_merged_reading_on_kinked_functions(case):
+    gamma, f = case
+    got = metric_laplacian(gamma, f)
+    assert got.entries == _merged_laplacian(gamma, f)
+    assert got.degree == 0
+
+
+def _set_walk(model, order):
+    """[(component, cut, T)] for every component the fire from q could not
+    enter, walked as _components walked them before the one-list walk: inner
+    edges gathered in a set, edges toward the burnt set counted in a dict."""
+    G = model.graph
+    burnt = [False] * G.n
+    for v in order:
+        burnt[v] = True
+    reached = list(burnt)
+    out = []
+    for start in range(G.n):
+        if reached[start]:
+            continue
+        reached[start] = True
+        comp, stack, inner, outdeg, cut = [], [start], set(), {}, []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w, idx in zip(G.neighbors(v), G.incident(v)):
+                if burnt[w]:
+                    outdeg[v] = outdeg.get(v, 0) + 1
+                    cut.append((idx, v))
+                    continue
+                inner.add(idx)
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
+        comp.sort()
+        inner = sorted(inner)
+        T = sum(model.ticks[idx] for idx in inner)
+        out.append((metric.UnburntComponent(
+            points=tuple(model.points[v] for v in comp),
+            segments=tuple(model.medges[idx][2:] for idx in inner),
+            boundary=tuple((model.points[v], outdeg[v]) for v in comp if v in outdeg),
+            total_length=Fraction(T, model.den),
+            cut_size=len(cut),
+        ), cut, T))
+    return out
+
+
+def test_component_walk_is_the_set_walk_on_every_stalled_burn():
+    burns = several = 0
+    for gamma, q, D in _script_cases():
+        for it in metric_reduce(gamma, q, D).iterations:
+            # the move's model: Gamma cut at q and the divisor before it
+            model = metric._model_at(gamma, [q, *it.before.support])
+            order = _kernels.burn(model.graph, model.chips(it.before), model.vid_of[q])
+            got = list(metric._components(model, order))
+            assert got == _set_walk(model, order)
+            assert got[0][0] == it.component
+            burns += 1
+            several += len(got) > 1
+    assert burns > 300 and several > 0
 
 
 # -- Exact potentials ----------------------------------------------------------------------------
