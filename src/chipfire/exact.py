@@ -17,9 +17,10 @@ X = det(A) A^{-1} B, so a caller with several right-hand sides for one A
 factors it once.  substitute runs the unit phase's row operations and both
 back-substitutions on each column of B alone, in scalar integer steps that
 skip a row operation whose pivot-row entry is 0 in that column, and the
-Bareiss steps on the block rows across all of B's columns at once.  solve, factor then substitute, returns the pair (det, X)
-as ints, so no Fraction is built and results stay exact for entries of any
-size.  A caller divides once, where its answer leaves the library
+Bareiss steps on the block rows across all of B's columns at once, so a
+one-column solve costs scalar steps and a wide B pays only in the block.
+solve, factor then substitute, returns the pair (det, X) as ints, so no
+Fraction is built and results stay exact for entries of any size.  A caller divides once, where its answer leaves the library
 (solve(A, I) is the adjugate pair).  Entries must be integers (Python or
 numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
