@@ -8,8 +8,11 @@ column i of U^{-1}, whose image divisor has order S[i][i].  The product of
 the invariant factors is kappa = |det M|, the number of spanning trees
 (matrix-tree).  Since kappa Z^k lies inside the lattice M Z^k, the Smith
 form runs modulo kappa (Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987;
-Iliopoulos, SIAM J. Comput. 18, 1989): no entry of S or U^{-1} grows past
-kappa, and neither U nor the column operations are kept.
+Iliopoulos, SIAM J. Comput. 18, 1989): an entry of S or U^{-1} is reduced
+once it grows past kappa, and neither U nor the column operations are
+kept.  One extended-gcd combination clears each entry off a pivot
+(Kannan-Bachem, SIAM J. Comput. 8, 1979); a gcd/lcm step per diagonal
+pair then makes the divisibility chain.
 
 M has many +-1 entries, so exact.factor's unit phase first eliminates
 them, which is unimodular: the Smith form of M is I + that of the Schur
@@ -41,96 +44,91 @@ from .reduction import _steps_1_2, is_reduced, reduce
 from .treebij import divisor_to_tree
 
 
+def _egcd(a, b):
+    """(g, x, y) with g = x a + y b = +-gcd(a, b) for a != 0; (a, 1, 0) if a | b."""
+    x, y, u, v = 1, 0, 0, 1  # a = x a0 + y b0 and b = u a0 + v b0
+    while b % a:
+        q, r = divmod(b, a)
+        a, b, x, y, u, v = r, a, u - q * x, v - q * y, x, y
+    return a, x, y
+
+
 def smith_normal_form(M, d=None):
     """Smith form of a square nonsingular integer matrix, modulo d = |det M|.
 
     Returns (diagonal, u_inv): the diagonal s_1 | s_2 | ... has product d,
     and column i of u_inv, U^{-1} with entries reduced mod d, generates the
-    Z/s_i factor of Z^k / M Z^k.  An entry of S or u_inv is reduced (x % d)
-    only once |x| > d.  Pivots are the smallest nonzero |entry| in the work
-    region (lexicographic tie-break).  Raises ValueError if M is singular.
-    A caller that has factored M already passes its |det M| as d, and M is
-    not factored again.
+    Z/s_i factor of Z^k / M Z^k.  The pivot at step t is the smallest
+    nonzero |entry| of rows and columns t..k-1 (lowest (row, column) on
+    ties).  Each nonzero b below or right of the pivot a is cleared by one
+    combination [[x, y], [-b/g, a/g]] of the two rows or columns, with
+    g = x a + y b = +-gcd(a, b): a plain subtraction when a | b.  A row
+    combination takes U^{-1}'s two columns by [[a/g, -y], [b/g, x]].  A
+    column combination other than a subtraction refills the pivot's column,
+    which is cleared again; each such round divides the pivot properly.
+    Then each diagonal pair i < j with s_i not dividing s_j goes to
+    (gcd, lcm) by the same combination, with its U^{-1} update.  An entry
+    of S or u_inv is reduced (x % d) only once |x| > d.  Raises ValueError
+    if M is not square or is singular.  A caller that has factored M
+    already passes its |det M| as d, and M is not factored again.
     """
-    S = [[index(x) for x in row] for row in M]
-    n = len(S)
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError(f"need an n x n matrix, n = {n}")
     if d is None:
-        d = abs(exact.det(S))
+        d = abs(exact.det(M))
     if d == 0:
         raise ValueError("singular matrix")
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # of U^{-1}
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # of U^{-1}
 
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        cols[i], cols[j] = cols[j], cols[i]
+    def mod(v):
+        return [x if -d <= x <= d else x % d for x in v]
 
-    def row_addmul(i, j, k):
-        # row_i += k * row_j on S; U^{-1}: col_j -= k * col_i
-        row = [a + k * b for a, b in zip(S[i], S[j])]
-        S[i] = [x if -d <= x <= d else x % d for x in row]
-        col = [a - k * b for a, b in zip(cols[j], cols[i])]
-        cols[j] = [x if -d <= x <= d else x % d for x in col]
+    S = [mod(map(index, row)) for row in M]  # so no pivot, a gcd, is ever reduced
 
-    def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
+    def combine(i, j, a, b):
+        # rows i, j of S take [[x, y], [-q, p]]; U^{-1}'s columns its inverse
+        g, x, y = _egcd(a, b)
+        p, q = a // g, b // g
+        ci, cj = cols[i], cols[j]
+        cols[i] = mod([p * u + q * w for u, w in zip(ci, cj)])
+        if y:  # else x = 1, and column j stays
+            cols[j] = mod([x * w - y * u for u, w in zip(ci, cj)])
+        return g, x, y, p, q
 
-    def col_addmul(i, j, k):
-        # col_i += k * col_j on S
-        for r in S:
-            x = r[i] + k * r[j]
-            r[i] = x if -d <= x <= d else x % d
-
-    def pick_pivot(t):
+    for t in range(n):
         cells = [(abs(S[i][j]), i, j) for i in range(t, n) for j in range(t, n) if S[i][j]]
-        return min(cells)[1:] if cells else None
-
-    def clear(t):
-        dirty = True
-        while dirty:
-            dirty = False
+        if cells:  # else the region is 0 mod d, and gcd(0, d) = d below
+            _, i, j = min(cells)
+            S[t], S[i] = S[i], S[t]
+            cols[t], cols[i] = cols[i], cols[t]
+            for r in S[t:]:
+                r[t], r[j] = r[j], r[t]
+        while any(S[i][t] for i in range(t + 1, n)) or any(S[t][t + 1:]):
             for i in range(t + 1, n):
-                if S[i][t] != 0:
-                    k = S[i][t] // S[t][t]
-                    row_addmul(i, t, -k)
-                    if S[i][t] != 0:
-                        row_swap(t, i)  # strictly smaller remainder becomes pivot
-                        dirty = True
+                if S[i][t]:
+                    _, x, y, p, q = combine(t, i, S[t][t], S[i][t])
+                    rt, ri = S[t][t:], S[i][t:]
+                    if y:  # else x = 1, and row t stays
+                        S[t][t:] = mod([x * u + y * w for u, w in zip(rt, ri)])
+                    S[i][t:] = mod([p * w - q * u for u, w in zip(rt, ri)])
             for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    k = S[t][j] // S[t][t]
-                    col_addmul(j, t, -k)
-                    if S[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
+                if S[t][j]:
+                    g, x, y = _egcd(S[t][t], S[t][j])
+                    p, q = S[t][t] // g, S[t][j] // g
+                    for r in S[t:]:
+                        if r[t] or y:  # a subtraction leaves r[t] = 0 rows alone
+                            r[t], r[j] = mod((x * r[t] + y * r[j], p * r[j] - q * r[t]))
         if S[t][t] < 0:  # negate row t; gcd below takes |S[t][t]|
             cols[t] = [-x for x in cols[t]]
         S[t][t] = gcd(S[t][t], d)  # fold in the lattice column d e_t
 
-    for t in range(n):
-        pos = pick_pivot(t)
-        if pos is None:
-            for i in range(t, n):
-                S[i][i] = d  # the rest of the work region is 0 mod d
-            break
-        i, j = pos
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        clear(t)
-
-    # Repair divisibility: if d_i does not divide d_{i+1}, fold the next
-    # column in and re-clear; the pivot gcd strictly drops, so this ends.
-    i = 0
-    while i + 1 < n:
-        if S[i + 1][i + 1] % S[i][i] != 0:
-            col_addmul(i, i + 1, 1)
-            for t in range(i, n):
-                clear(t)
-            i = 0  # re-check the chain from the start
-        else:
-            i += 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if S[j][j] % S[i][i]:
+                a, b = S[i][i], S[j][j]
+                g = combine(i, j, a, b)[0]
+                S[i][i], S[j][j] = g, a * b // g
 
     return tuple(S[i][i] for i in range(n)), tuple(zip(*cols))
 

@@ -11,7 +11,8 @@ Three graph tiers and one metric case list:
 
 modular_det is an exact determinant oracle apart from chipfire.exact and
 from sympy's elimination: numpy int64 elimination modulo word-size primes,
-combined by CRT.
+combined by CRT.  corank_mod is the same elimination's corank modulo one
+prime.
 """
 
 import itertools
@@ -121,6 +122,23 @@ def _det_mod(M, p):
         f = A[c + 1:, c] * pow(pivot, -1, p) % p
         A[c + 1:, c:] = (A[c + 1:, c:] - np.outer(f, A[c, c:]) % p) % p
     return d % p
+
+
+def corank_mod(M, p):
+    """n - rank of M mod a prime p below 2**31, by _det_mod's elimination,
+    passing over a column with no pivot left."""
+    A = np.array(M, dtype=np.int64) % p
+    rank = 0
+    for c in range(len(A)):
+        nonzero = np.flatnonzero(A[rank:, c])
+        if not len(nonzero):
+            continue
+        r = rank + int(nonzero[0])
+        A[[rank, r]] = A[[r, rank]]
+        f = A[rank + 1:, c] * pow(int(A[rank, c]), -1, p) % p
+        A[rank + 1:, c:] = (A[rank + 1:, c:] - np.outer(f, A[rank, c:]) % p) % p
+        rank += 1
+    return len(A) - rank
 
 
 def modular_det(M):

@@ -14,7 +14,7 @@ Core claims:
       A X = d B; a singular A makes solve raise ValueError.
     - A wide, tall or ragged matrix, or a right-hand side whose height is
       not n or whose rows differ in width, raises ValueError in det, solve
-      and the Smith form.
+      and the Smith form, also when the Smith form is given d.
     - factor's unit phase, on the same systems: its block's rows and
       columns and the pivots' partition A's, each pivot is +-1, the block
       holds no +-1 entry, |det(A)| = |det(block)|, the invariant factors of
@@ -85,6 +85,8 @@ def test_non_integer_entries_are_refused(entry):
         lambda: det([[1, 2, 3], [4, 5, 6]]),
         lambda: solve([[1, 2, 3], [4, 5, 6]], _identity(2)),
         lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]]),
+        lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]], 3),
+        lambda: smith_normal_form([[2, 0]], 2),
         lambda: solve([[2, 0], [0, 3]], [[1], [1], [1]]),
         lambda: det([[1, 2], [3, 4], [5, 6]]),
         lambda: det([[1, 2], [3]]),
@@ -93,7 +95,8 @@ def test_non_integer_entries_are_refused(entry):
         lambda: factor([[1, 2], [3]]),
     ],
     ids=[
-        "det_wide", "adjugate_wide", "smith_wide", "solve_extra_rhs_row",
+        "det_wide", "adjugate_wide", "smith_wide", "smith_wide_given_d",
+        "smith_one_row_given_d", "solve_extra_rhs_row",
         "det_tall", "det_ragged", "solve_ragged_rhs", "unit_phase_wide",
         "unit_phase_ragged",
     ],

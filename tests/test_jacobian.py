@@ -36,8 +36,11 @@ Core claims:
       of smith_normal_form on all of Q_(q) on SMALL, RANDOM and at 40, 50
       and 60 vertices; at 100 and 200 vertices the tree count equals a
       determinant by numpy int64 elimination modulo word-size primes,
-      combined by CRT; at 100 vertices each generator's order, the least
-      common denominator of L_(q) g_i from a full solve, is its factor.
+      combined by CRT; at 100 and 200 vertices each generator's order, the
+      least common denominator of L_(q) g_i from a full solve, is its
+      factor; on SMALL, RANDOM and at 100 and 200 vertices, for each prime
+      p < 50, the corank of Q_(q) mod p by the same int64 elimination is the
+      number of invariant factors that p divides.
     - A float Smith-form entry, Jacobian exponent or sampler seed raises
       TypeError instead of being truncated; numpy integers are accepted.
       The sampler refuses a bad seed or count before it builds the Smith
@@ -95,11 +98,12 @@ from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
 from corpus import (
-    RANDOM, SMALL, genus_21_multigraph, modular_det, random_divisor, tree_plus_edges,
+    RANDOM, SMALL, corank_mod, genus_21_multigraph, modular_det, random_divisor,
+    tree_plus_edges,
 )
 
 JACOBIAN_DIGEST = "590298f05d477e9f4f78f57e9990e9057c349fa94cb8d90c3b9d8d7058bb8374"
-SAMPLER_DIGEST = "f3396a9e4437824d9f2d747c00f73ad3dfab833a1e5be29c7bfb18a80cf8b926"
+SAMPLER_DIGEST = "be9617d309a7c26c5663bef22bf6d66732551c54ab946fdd873217e94d15a2ed"
 
 # the benchmark's Kirchhoff multigraph: 5 vertices with a parallel pair
 KIRCHHOFF = Graph(5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 4), (3, 4)])
@@ -251,7 +255,7 @@ KEPT_GENERATORS = (
     (complete_graph(3), ((-1, 0, 1),)),
     (complete_graph(4), ((0, 0, -1, 1), (-1, 0, 0, 1))),
     (cycle_graph(5), ((-1, 0, 0, 0, 1),)),
-    (KIRCHHOFF, ((1, 0, 0, -2, 1),)),
+    (KIRCHHOFF, ((0, 0, 0, -1, 1),)),
 )
 
 
@@ -339,10 +343,12 @@ def test_tree_count_matches_a_modular_determinant(n):
     assert kappa == modular_det(reduced_laplacian(G, 0).tolist())
 
 
-def test_generator_orders_are_the_invariant_factors():
+@pytest.mark.parametrize("n", [100, 200])
+def test_generator_orders_are_the_invariant_factors(n):
     # the order of g_i in Jac(G) is the least common denominator of
-    # L_(q) g_i, which a full solve of Q_(q) gives as d / gcd(d, column i)
-    G = tree_plus_edges(100, 300, Random(1))
+    # L_(q) g_i, which a full solve of Q_(q) gives as d / gcd(d, column i);
+    # at n = 200 the group is Z/2 x Z/s, with s of 457 bits
+    G = tree_plus_edges(n, 3 * n, Random(1))
     pres = jacobian(G, 0)
     d, X = solve(
         reduced_laplacian(G, 0).tolist(),
@@ -350,6 +356,24 @@ def test_generator_orders_are_the_invariant_factors():
     )
     orders = tuple(d // gcd(d, *col) for col in zip(*X))
     assert orders == pres.invariant_factors
+
+
+def test_p_ranks_count_the_invariant_factors_divisible_by_p():
+    # the corank of Q_(q) mod a prime p is the number of invariant factors
+    # that p divides, by numpy int64 elimination with no Bareiss pass and no
+    # Smith form; a prime below 50 that divides no factor gives corank 0
+    cases = [(G, q) for G in SMALL + RANDOM for q in G.vertices]
+    cases += [(tree_plus_edges(n, 3 * n, Random(1)), 0) for n in (100, 200)]
+    primes = list(sympy.primerange(50))
+    seen = set()
+    for G, q in cases:
+        factors = jacobian(G, q).invariant_factors
+        Q = reduced_laplacian(G, q).tolist()
+        for p in primes:
+            count = sum(s % p == 0 for s in factors)
+            assert corank_mod(Q, p) == count
+            seen.add(count)
+    assert {0, 1, 2} <= seen  # cyclic and non-cyclic p-parts are both checked
 
 
 @pytest.mark.parametrize(
