@@ -20,8 +20,9 @@ skip a row operation whose pivot-row entry is 0 in that column, and the
 Bareiss steps on the block rows across all of B's columns at once, so a
 one-column solve costs scalar steps and a wide B pays only in the block.
 solve, factor then substitute, returns the pair (det, X) as ints, so no
-Fraction is built and results stay exact for entries of any size.  A caller divides once, where its answer leaves the library
-(solve(A, I) is the adjugate pair).  Entries must be integers (Python or
+Fraction is built and results stay exact for entries of any size.  A caller
+divides once, where its answer leaves the library (solve(A, I) is the
+adjugate pair).  Entries must be integers (Python or
 numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
 """

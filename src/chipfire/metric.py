@@ -26,16 +26,22 @@ factor of the model at q and the points it names (_grounded).  A divisor
 is made effective off q by one rounded j_q-potential, which leaves a number
 of chips per model vertex bounded by the model alone, and that step hands
 its model to the Luo moves; a new one is built only when the interior
-points of q and the support change.  Each move only moves chips on the
-model's chip vector, reads its eps and its moves in ticks off the cut that
-the walk of the stalled component lists, and builds one Fraction per value
-it logs.  The script is read off the move log after the loop: the
-make-effective script plus min(dist(., X), eps) for each move, summed at
-the final model's points and the points of supp(D), between which it is
-affine.  The sum adds integer ticks of one denominator, and every
-TropicalFunction, the public constructor's and both scripts alike, is built
-by one integer routine (_fill): each slope a divmod of tick differences, and
-one Fraction per value it keeps.
+points of q and the support change.  What depends only on the model is
+read once and kept on it: each model edge's segment of Gamma, each Gamma
+edge's length in ticks and, from first use, make-effective's buffer.  Each
+move only moves chips on the model's chip vector, reads its eps and its
+moves in ticks off the cut that the walk of the stalled component lists,
+and builds one Fraction per value it logs.  The script is read off the
+move log after the loop: the make-effective script plus min(dist(., X),
+eps) for each move, summed at the final model's points and the points of
+supp(D), between which it is affine.  The sum adds integer ticks of one
+denominator: every move's eps once to a running total for all points, and
+a correction only at the points of X and the edge points within eps of it.
+Every TropicalFunction, the public constructor's and both scripts alike, is
+built by one integer routine (_fill): each slope a divmod of tick
+differences (one divmod for an edge with no point inside), and one Fraction
+per value it keeps.  The sum or difference of two divisors merges their
+canonical entry lists in one pass by point key.
 """
 
 from __future__ import annotations
@@ -181,10 +187,10 @@ class MetricDivisor:
     entries lists the (point, weight) pairs of nonzero weight in canonical
     point order.  The constructor checks and merges what a caller hands it;
     the divisors the library builds from its own points and integer weights
-    skip those checks: a sum is one merge (_merged), and a Luo move's
-    divisor, read off the model's chip vector, and metric_laplacian's, built
-    vertex by vertex and then kink by kink, come already in canonical order
-    (_of_entries).
+    skip those checks: a sum or difference is one linear pass over the two
+    entry lists by point key (_combined), and a Luo move's divisor, read off
+    the model's chip vector, and metric_laplacian's, built vertex by vertex
+    and then kink by kink, come already in canonical order (_of_entries).
     """
 
     __slots__ = ("entries",)
@@ -225,10 +231,11 @@ class MetricDivisor:
         return all(w >= 0 for p, w in self.entries if p != skip)
 
     def __add__(self, other):
-        return _merged([*self.entries, *other.entries])
+        return MetricDivisor._of_entries(_combined(self.entries, other.entries))
 
     def __sub__(self, other):
-        return _merged([*self.entries, *((p, -w) for p, w in other.entries)])
+        negated = [(p, -w) for p, w in other.entries]
+        return MetricDivisor._of_entries(_combined(self.entries, negated))
 
     def __eq__(self, other):
         return isinstance(other, MetricDivisor) and self.entries == other.entries
@@ -255,10 +262,25 @@ def _merge(items):
     return tuple(sorted(((p, w) for p, w in acc.items() if w), key=lambda pw: pw[0]._key))
 
 
-def _merged(items):
-    """MetricDivisor(items) for canonical points and int weights the library
-    built itself, with no check of either."""
-    return MetricDivisor._of_entries(_merge(items))
+def _combined(xs, ys):
+    """The entries of the sum of two divisors, given as their canonical
+    entries: one pass over both by point key, each point once, zero sums
+    dropped."""
+    out, i, n = [], 0, len(xs)
+    for r, u in ys:
+        key = r._key
+        while i < n and xs[i][0]._key < key:
+            out.append(xs[i])
+            i += 1
+        if i < n and xs[i][0]._key == key:
+            p, w = xs[i]
+            if w + u:
+                out.append((p, w + u))
+            i += 1
+        else:
+            out.append((r, u))
+    out.extend(xs[i:])
+    return out
 
 
 class TropicalFunction:
@@ -299,7 +321,8 @@ class TropicalFunction:
         den = lcm(*(x.denominator for x in (*values, *gamma.lengths)),
                   *(x.denominator for anchors in inner for anchor in anchors for x in anchor))
         _fill(self, gamma, den, [_ticks(x, den) for x in values],
-              [[(_ticks(o, den), _ticks(x, den), o) for o, x in anchors] for anchors in inner])
+              [[(_ticks(o, den), _ticks(x, den), o) for o, x in anchors] for anchors in inner],
+              [_ticks(x, den) for x in gamma.lengths])
 
     @classmethod
     def zero(cls, gamma):
@@ -355,18 +378,27 @@ def _ticks(x, den):
     return x.numerator * (den // x.denominator)
 
 
-def _fill(f, gamma, den, values, inner):
+def _fill(f, gamma, den, values, inner, ends):
     """f, its fields set: the function on Gamma with value values[v] / den at
     each vertex v and affine between those and the anchors inner[e] of each
     edge e, (offset ticks, value ticks, offset) strictly inside the edge in
     increasing order, all in integer ticks of den, a multiple of the
-    denominators of Gamma's lengths.  Each slope is a divmod of tick
-    differences, and one that is not an integer raises ValueError; only the
-    anchors where the slope changes are kept, one Fraction per value."""
+    denominators of Gamma's lengths; ends[e] is edge e's length in those
+    ticks.  Each slope is a divmod of tick differences, and one that is not
+    an integer raises ValueError; only the anchors where the slope changes
+    are kept, one Fraction per value.  An edge with no anchor is one piece:
+    one divmod."""
     breaks, slopes = [], []
-    for (u, v), length, anchors in zip(gamma.graph.edges, gamma.lengths, inner):
+    for (u, v), end, anchors in zip(gamma.graph.edges, ends, inner):
+        if not anchors:
+            slope, r = divmod(values[v] - values[u], end)
+            if r:
+                raise ValueError("slopes must be integers")
+            breaks.append(())
+            slopes.append((slope,))
+            continue
         t0, x0, o0, kinks, s = 0, values[u], None, [], []
-        for t, x, o in (*anchors, (_ticks(length, den), values[v], None)):
+        for t, x, o in (*anchors, (end, values[v], None)):
             slope, r = divmod(x - x0, t - t0)
             if r:
                 raise ValueError("slopes must be integers")
@@ -394,13 +426,13 @@ def metric_laplacian(gamma, f):
     if f.gamma != gamma:
         raise ValueError("function does not live on this metric graph")
     at, kinks = [0] * gamma.n, []
-    for e, (u, v) in enumerate(gamma.graph.edges):
-        slopes = f._slopes[e]
+    for e, ((u, v), slopes) in enumerate(zip(gamma.graph.edges, f._slopes)):
         # outgoing slope at u along e is slopes[0]; at v it is -slopes[-1]
         at[u] -= slopes[0]
         at[v] += slopes[-1]
-        for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
-            kinks.append((GraphPoint("e", e, o), s1 - s2))
+        if len(slopes) > 1:
+            for (o, _), s1, s2 in zip(f.breaks[e], slopes, slopes[1:]):
+                kinks.append((GraphPoint("e", e, o), s1 - s2))
     vertex = gamma._vertex_points
     return MetricDivisor._of_entries([*((vertex[v], w) for v, w in enumerate(at) if w), *kinks])
 
@@ -418,12 +450,20 @@ class _Model:
     offset not strictly inside its edge) raises ValueError; an edge with no
     interior point is one model edge.  Lengths are integer ticks over one
     denominator: ticks[i] / den is the length of medges[i], with den the lcm
-    of the denominators of Gamma's lengths and the interior offsets.  A
-    model holds no reference to Gamma and, as it may be Gamma's shared
-    vertex model, changes after construction only by keeping its factor.
+    of the denominators of Gamma's lengths and the interior offsets.
+
+    What depends only on the model is built once: segments[i] is medges[i]'s
+    (edge, start, end) segment of Gamma, as a stalled component lists it,
+    and edge_ticks[e] is Gamma's edge e in ticks of den.  A model holds no
+    reference to Gamma and, as it may be Gamma's shared vertex model,
+    changes after construction only by keeping its factor and
+    make-effective's buffer, each built on first use.
     """
 
-    __slots__ = ("points", "vid_of", "medges", "ticks", "den", "graph", "_factor", "__weakref__")
+    __slots__ = (
+        "points", "vid_of", "medges", "segments", "ticks", "edge_ticks", "den", "graph",
+        "_factor", "_buffer", "__weakref__",
+    )
 
     def __init__(self, gamma, extra_points):
         per_edge = {}
@@ -446,6 +486,7 @@ class _Model:
         points = list(gamma._vertex_points)
         self.medges = []  # (vid_a, vid_b, edge, start_off, end_off)
         self.ticks = []
+        self.edge_ticks = []
         for e, (u, v) in enumerate(gamma.graph.edges):
             a, o1, t1 = u, _ZERO, 0
             for o2, p in sorted(per_edge.get(e, {}).items()):
@@ -456,11 +497,13 @@ class _Model:
                 a, o1, t1 = b, o2, t2
             length = gamma.lengths[e]
             self.medges.append((a, v, e, o1, length))
-            self.ticks.append(_ticks(length, den) - t1)
+            self.edge_ticks.append(_ticks(length, den))
+            self.ticks.append(self.edge_ticks[-1] - t1)
+        self.segments = [medge[2:] for medge in self.medges]
         self.points = tuple(points)
         self.vid_of = {p: i for i, p in enumerate(points)}
         self.graph = Graph(len(points), [(a, b) for a, b, *_ in self.medges])
-        self._factor = None
+        self._factor = self._buffer = None
 
     def grounded_factor(self):
         """(s, F), built on first use and kept: F is exact.factor of the
@@ -479,6 +522,22 @@ class _Model:
                             lap[u - 1][w - 1] -= c
             self._factor = full // self.den, exact.factor(lap)
         return self._factor
+
+    def buffer(self):
+        """nu, built on first use and kept: make-effective's buffer
+        ceil(c(p)) - 1 at each model vertex p, where c(p) sums 1/len + [1/len
+        not an integer] over the model edges at p.  An edge of t ticks has
+        1/len = den/t, an integer iff t divides den, so s * c(p) is an
+        integer for the factor's scale s, and ceil(c(p)) = -(-s c(p) // s)."""
+        if self._buffer is None:
+            scale, _ = self.grounded_factor()
+            c = [0] * len(self.points)
+            for (a, b, *_), t in zip(self.medges, self.ticks):
+                k = scale * self.den // t + scale * (self.den % t != 0)
+                c[a] += k
+                c[b] += k
+            self._buffer = [-(-x // scale) - 1 for x in c]
+        return self._buffer
 
     def chips(self, D):
         vec = [0] * len(self.points)
@@ -509,7 +568,10 @@ def _tropical_from_model(gamma, model, den, values, kinks=()):
         inner[p.edge].append((_ticks(p.offset, den), value, p.offset))
     for anchors in inner:
         anchors.sort()  # distinct offsets, so only the ticks are compared
-    return _fill(object.__new__(TropicalFunction), gamma, den, values, inner)
+    ends = model.edge_ticks
+    if den != model.den:
+        ends = [t * (den // model.den) for t in ends]
+    return _fill(object.__new__(TropicalFunction), gamma, den, values, inner, ends)
 
 
 def _grounded_potential(model, q_vid, chips):
@@ -592,7 +654,7 @@ def _components(model, order):
     all of them toward burnt vertices, as (model edge index, end inside).
     T is the inner edges' tick sum, and total_length is Fraction(T, den).
     """
-    G = model.graph
+    G, points, segments, ticks = model.graph, model.points, model.segments, model.ticks
     burnt = [False] * G.n
     for v in order:
         burnt[v] = True
@@ -621,11 +683,11 @@ def _components(model, order):
         comp.sort()
         inner.sort()
         boundary.sort()
-        T = sum(model.ticks[idx] for idx in inner)
+        T = sum(map(ticks.__getitem__, inner))
         yield UnburntComponent(
-            points=tuple(model.points[v] for v in comp),
-            segments=tuple(model.medges[idx][2:] for idx in inner),
-            boundary=tuple((model.points[v], out) for v, out in boundary),
+            points=tuple([points[v] for v in comp]),
+            segments=tuple([segments[idx] for idx in inner]),
+            boundary=tuple([(points[v], out) for v, out in boundary]),
             total_length=Fraction(T, model.den),
             cut_size=len(cut),
         ), cut, T
@@ -673,19 +735,10 @@ def _make_effective(gamma, q, D):
     model = _model_at(gamma, [q, *D.support])  # an effective D off Gamma is refused too
     if D.is_effective(skip=q):
         return D, TropicalFunction.zero(gamma), model
-    q_vid = model.vid_of[q]
+    q_vid, den = model.vid_of[q], model.den
     chips = model.chips(D)
-    # an edge of t ticks has 1/len = den/t, an integer iff t divides den; c[p]
-    # = scale * c(p) is an integer, and ceil(c(p)) = -(-c[p] // scale)
-    den = model.den
-    scale, _ = model.grounded_factor()
-    c = [0] * len(chips)
-    for (a, b, *_), t in zip(model.medges, model.ticks):
-        k = scale * den // t + scale * (den % t != 0)
-        c[a] += k
-        c[b] += k
-    target = [w + (-c[v] // scale + 1) * (v != q_vid) for v, w in enumerate(chips)]
-    d, x = _grounded_potential(model, q_vid, target)
+    # D - nu off q: _grounded_potential sets q's entry itself
+    d, x = _grounded_potential(model, q_vid, [w - nu for w, nu in zip(chips, model.buffer())])
     values = [-v // d for v in x]  # -ceil(v / d)
     kinks = []  # (point, value in ticks): the kink t ticks from a, 0 < t < ticks
     for i, ((a, b, *_), ticks) in enumerate(zip(model.medges, model.ticks)):
@@ -698,7 +751,10 @@ def _make_effective(gamma, q, D):
             kinks.append((model.along(i, a, t), values[a] * den + (s + 1) * t))
         else:
             chips[b] += s + 1
-    E = _merged([*zip(model.points, chips), *((p, 1) for p, _ in kinks)])
+    E = [(p, w) for p, w in zip(model.points, chips) if w]
+    if kinks:  # each a point of its own, strictly inside a model edge
+        E = _merge(E + [(p, 1) for p, _ in kinks])
+    E = MetricDivisor._of_entries(E)
     f = _tropical_from_model(gamma, model, den, [x * den for x in values], kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
@@ -770,13 +826,13 @@ def metric_reduce(gamma, q, D):
             break
         comp, cut, T = next(_components(model, order))
         # eps is t ticks of the model's den; the inner edges sum to T ticks
-        den = model.den
-        t = min(model.ticks[idx] for idx, _v in cut)
+        den, ticks = model.den, model.ticks
+        t = min([ticks[idx] for idx, _v in cut])
         created = []
         for idx, v in cut:  # one chip from v, inside X, eps along each cut edge
             chips[v] -= 1
             a, b = model.medges[idx][:2]
-            if t == model.ticks[idx]:
+            if t == ticks[idx]:
                 chips[b if v == a else a] += 1
             else:
                 created.append(model.along(idx, v, t))
@@ -787,7 +843,7 @@ def metric_reduce(gamma, q, D):
             chips, q_vid = model.chips(kept + [(p, 1) for p in created]), model.vid_of[q]
         # model ids follow the canonical point order, so the chips read off in
         # id order are the divisor's entries as they are
-        after = MetricDivisor._of_entries((p, w) for p, w in zip(model.points, chips) if w)
+        after = MetricDivisor._of_entries([(p, w) for p, w in zip(model.points, chips) if w])
         # the drop l(X) eps + (cut/2) eps^2 over the common denominator 2 den^2
         drop = Fraction(2 * T * t + comp.cut_size * t * t, 2 * den * den)
         eps = Fraction(t, den)
@@ -798,17 +854,23 @@ def metric_reduce(gamma, q, D):
                          f" the budget, on an input of common denominator N = {N}")
     loose = [p for p in D.support if p not in model.vid_of]
     sites = [*model.points, *loose]
-    values = [f0.evaluate(p) for p in sites]
+    values = [*f0.vertex_values, *map(f0.evaluate, sites[n:])]  # sites[:n] are the vertices
     # the sum in ticks of L: f0's values, every eps and every offset of X or
     # of a site are multiples of 1/L.  Every model's den divides N: its points
     # are q, supp(D) and make-effective's kinks, whole ticks of N, and points
     # a move put a whole number of ticks of such a model from one of them
     L = lcm(N, *(x.denominator for x in values))
     values = [_ticks(x, L) for x in values]
+    on_edge = {}  # Gamma edge -> its edge sites, as (site index, offset ticks)
+    for i in range(n, len(sites)):
+        on_edge.setdefault(sites[i].edge, []).append((i, _ticks(sites[i].offset, L)))
+    total = 0  # every move's eps, which each site gets less its correction
     for it in log:
-        _add_move(gamma, it.component, it.epsilon, sites, values, L)
+        total += _add_move(gamma, it.component, it.epsilon, values, on_edge, L)
+    values = [x + total for x in values]
+    kinks = zip(loose, values[len(model.points):])
     try:
-        script = _tropical_from_model(gamma, model, L, values, zip(loose, values[len(model.points):]))
+        script = _tropical_from_model(gamma, model, L, values, kinks)
     except ValueError:  # non-integral slopes: faulty moves left E - D non-principal
         script = None
     if script is None or D + metric_laplacian(gamma, script) != E:
@@ -819,40 +881,47 @@ def metric_reduce(gamma, q, D):
     )
 
 
-def _add_move(gamma, X, eps, sites, values, den):
-    """Add min(dist(p, X), eps) to values[i] for each point p = sites[i], in
-    integer ticks of den: values[i] is an integer over den, and eps, every
-    offset of X and of the sites and the lengths of their edges are
-    multiples of 1/den.  sites lists Gamma's vertices in index order, then
-    edge points.
+def _add_move(gamma, X, eps, values, on_edge, den):
+    """Return eps in integer ticks of den, and add min(dist(p, X), eps) - eps
+    to values[i] for each site p, the i-th, closer than eps to X: the caller
+    adds the sum of the returned eps to every site once, so a site far from
+    X costs nothing.  values[i] is an integer over den, and eps, every offset
+    of X and of the sites and the lengths of their edges are multiples of
+    1/den.  The sites are Gamma's vertices in index order, then edge points;
+    on_edge maps each edge of Gamma that holds edge sites to their (site
+    index, offset in ticks) pairs.
 
     A vertex is 0 away when X holds it, else eps or more.  Every model edge
     leaving X is at least eps long, so an edge point is read along its own
     edge: 0 inside a segment of X, else the offset to the nearest point of X
     there (its own offset when X holds it, an end of the edge when X holds
-    that vertex), capped at eps.
+    that vertex), capped at eps.  Only an edge that X meets, by a point, a
+    segment or an end, has sites closer than eps to X.
     """
     eps = _ticks(eps, den)
     at_vertex, offsets, segments = set(), {}, {}
     for p in X.points:
         if p.kind == "v":
+            values[p.index] -= eps
             at_vertex.add(p.index)
         else:
             offsets.setdefault(p.edge, []).append(p.offset)
-    n = gamma.n
-    for v in range(n):
-        if v not in at_vertex:
-            values[v] += eps
-    if len(sites) > n:  # only an edge point reads the segments of X
-        for e, o1, o2 in X.segments:
-            segments.setdefault(e, []).append((o1, o2))
-    for i in range(n, len(sites)):
-        e, o = sites[i].edge, _ticks(sites[i].offset, den)
-        if any(_ticks(o1, den) < o < _ticks(o2, den) for o1, o2 in segments.get(e, ())):
-            continue
-        ends = zip(gamma.graph.edges[e], (_ZERO, gamma.lengths[e]))
-        near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
-        values[i] += min([eps] + [abs(o - _ticks(x, den)) for x in near])
+    if not on_edge:
+        return eps
+    for e, o1, o2 in X.segments:
+        segments.setdefault(e, []).append((o1, o2))
+    for e, edge_sites in on_edge.items():
+        u, v = gamma.graph.edges[e]
+        if e not in offsets and u not in at_vertex and v not in at_vertex:
+            continue  # X misses edge e: the ends of its segments are in X
+        for i, o in edge_sites:
+            if any(_ticks(o1, den) < o < _ticks(o2, den) for o1, o2 in segments.get(e, ())):
+                values[i] -= eps
+                continue
+            ends = zip((u, v), (_ZERO, gamma.lengths[e]))
+            near = offsets.get(e, []) + [x for w, x in ends if w in at_vertex]
+            values[i] += min([eps] + [abs(o - _ticks(x, den)) for x in near]) - eps
+    return eps
 
 
 # ---------------------------------------------------------------------------

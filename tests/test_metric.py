@@ -3,7 +3,9 @@
 Core claims:
     - GraphPoint canonicalization folds edge endpoints onto vertices, which
       are the metric graph's own vertex points, and MetricDivisor arithmetic
-      is exact on sparse point supports.
+      is exact on sparse point supports: a sum or difference of random
+      divisors is the constructor's reading of the summed weights, int
+      weights in canonical order, full cancellation included.
     - GraphPoint, MetricGraph and MetricDivisor reprs evaluate back to
       equal values with equal hashes, point comparisons agree with sorted,
       and a TropicalFunction's repr is pinned.
@@ -34,12 +36,13 @@ Core claims:
       substitution metric_reduce makes is make-effective's, and a wrong
       summed value fails the exact check D + Delta(script) == result.  The
       script it sums in integer ticks equals a Fraction re-sum of its own
-      move log on the METRIC corpus, the C10(1, 2) inputs and a 50-vertex
-      input with rational lengths.  On those and the triangle, every eps
-      and every point a move leaves a chip on is a whole number of ticks of
-      the first model's denominator N, and both scripts, rebuilt by the
-      public constructor from their own values and kinks, are equal with
-      equal slopes.
+      move log on the METRIC corpus, the C10(1, 2) inputs, the triangle, the
+      kink input and a 50-vertex input with rational lengths; on the last
+      two some moves' X holds edge points and segments next to edge sites.
+      On those cases but the kink input, every eps and every point a move
+      leaves a chip on is a whole number of ticks of the first model's
+      denominator N, and both scripts, rebuilt by the public constructor
+      from their own values and kinks, are equal with equal slopes.
     - metric_laplacian, which sums vertex slopes in place and reads kinks
       edge by edge, equals the dict-and-sort reading of every script and
       make-effective script of those cases, and of hypothesis functions
@@ -53,7 +56,11 @@ Core claims:
       Gamma (one model and one factor for ten reductions on a unit-length
       graph), and a model with one is built for its caller; every logged
       eps, drop and component length is an exact Fraction, and a point a
-      move puts inside an edge is the canonical point there.
+      move puts inside an edge is the canonical point there.  What a model
+      keeps leaks nothing between calls: make-effective and reduce at every
+      vertex q of the C10(1, 2) and METRIC cases on one Gamma report what
+      they report on a fresh copy, and every model of the 50-vertex input
+      holds each edge of Gamma as length * den ticks, its model edges' sum.
     - The vertex model's factor, grounded at vertex 0, gives at every base
       vertex q the pair of a single-column solve grounded at q; a dropped
       Gamma frees its vertex model and factor at once.
@@ -254,6 +261,38 @@ def test_metric_divisor_merges_duplicate_points():
     gamma = segment()
     D = MetricDivisor([(gamma.point(0, 1), 1), (_vp(1), 2)])
     assert D == MetricDivisor({_vp(1): 3})
+
+
+def test_sum_and_difference_are_the_checked_divisor_of_the_summed_weights():
+    # A + B and A - B merge two canonical entry lists in one pass: on random
+    # divisors over the vertices, three offsets of one edge and an offset
+    # shared by two edges, each equals the constructor's reading of the
+    # summed weights, int weights in canonical order; A - A and A + (-A)
+    # cancel to the empty divisor
+    gamma = MetricGraph(cycle_graph(4), [1, Fraction(1, 2), Fraction(3, 2), 1])
+    pool = [_vp(v) for v in range(4)] + [
+        gamma.point(0, Fraction(1, 4)),
+        gamma.point(0, Fraction(1, 2)),
+        gamma.point(0, Fraction(3, 4)),
+        gamma.point(1, Fraction(1, 4)),
+        gamma.point(2, Fraction(1, 4)),
+    ]
+    rng = random.Random(47)
+    cancelled = 0
+    for _ in range(300):
+        A, B = (MetricDivisor({p: rng.randint(-2, 2) for p in rng.sample(pool, rng.randint(0, 9))})
+                for _ in range(2))
+        if rng.random() < 0.2:  # cancel on part of A's support
+            B = MetricDivisor([(p, -w) for p, w in A if rng.random() < 0.7] + list(B))
+        for got, sign in ((A + B, 1), (A - B, -1)):
+            assert got == MetricDivisor([(p, A.get(p) + sign * B.get(p)) for p in pool])
+            assert all(type(w) is int and w for _p, w in got)
+            keys = [p._key for p, _w in got]
+            assert keys == sorted(set(keys))
+        cancelled += any(A.get(p) == -w for p, w in B)
+        negated = MetricDivisor([(p, -w) for p, w in A])
+        assert (A - A).entries == (A + negated).entries == ()
+    assert cancelled > 50
 
 
 @pytest.mark.parametrize(
@@ -678,10 +717,16 @@ def test_metric_reduce_stops_at_the_safety_cap(monkeypatch):
         metric_reduce(segment(), _vp(0), MetricDivisor({_vp(1): 2}))
 
 
-def test_metric_reduce_luo_drops_exact():
+def _kink_case():
+    # lengths 1, 1, 1/2 and a chip at e:0@1/2: the script kinks at e:0@1/2
+    # and e:1@1/2, and the first move's X holds e:0@1/2 and its segments
     gamma = MetricGraph(cycle_graph(3), [1, 1, Fraction(1, 2)])
-    D = MetricDivisor({_vp(2): 3, gamma.point(0, Fraction(1, 2)): 1})
-    report = metric_reduce(gamma, _vp(0), D)
+    return gamma, _vp(0), MetricDivisor({_vp(2): 3, gamma.point(0, Fraction(1, 2)): 1})
+
+
+def test_metric_reduce_luo_drops_exact():
+    gamma, q, D = _kink_case()
+    report = metric_reduce(gamma, q, D)
     pots = metric_potentials(gamma, _vp(0))
     for it in report.iterations:
         assert pots.b(it.before) - pots.b(it.after) == it.drop
@@ -695,9 +740,7 @@ def test_metric_reduce_least_action_sign():
     # script minus the make-effective script.  A difference of piecewise
     # linear functions takes its maximum at a vertex or a breakpoint of one
     # of them
-    gamma = MetricGraph(cycle_graph(3), [1, 1, Fraction(1, 2)])
-    q = _vp(0)
-    D = MetricDivisor({_vp(2): 3, gamma.point(0, Fraction(1, 2)): 1})
+    gamma, q, D = _kink_case()
     report = metric_reduce(gamma, q, D)
     assert report.iterations
     f, g = report.script, report.make_effective_script
@@ -938,6 +981,42 @@ def test_ten_reductions_on_one_gamma_build_one_model_and_one_factor(monkeypatch)
     assert len(builds) == 1 and len(factors) == 1
 
 
+def test_kept_model_constants_leak_no_q_or_divisor_between_calls():
+    # Gamma's vertex model keeps its factor and make-effective's buffer from
+    # the first call on; every later call, at any q and D, reports what the
+    # same call reports on a fresh copy of Gamma
+    cases = _c10_cases() + METRIC
+    for gamma, _q, D in cases:
+        for v in range(gamma.n):
+            q = _vp(v)
+            for call in (metric_make_effective, metric_reduce):
+                assert call(gamma, q, D) == call(MetricGraph(gamma.graph, gamma.lengths), q, D)
+    assert cases[0][0]._vertex_model._buffer is not None
+
+
+def test_model_ticks_sum_to_each_edge_length(monkeypatch):
+    # every model of the 50-vertex rational input holds Gamma's edge e as
+    # edge_ticks[e] = length(e) * den ticks, the sum of its model edges' ticks,
+    # and each model edge's segment as medges lists it
+    models = []
+
+    class Keeping(metric._Model):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(self)
+
+    monkeypatch.setattr(metric, "_Model", Keeping)
+    gamma, q, D = _rational_large(50)
+    metric_reduce(gamma, q, D)
+    assert len(models) == 270
+    for model in models:
+        sums = [0] * gamma.m
+        for (_a, _b, e, *_), t in zip(model.medges, model.ticks):
+            sums[e] += t
+        assert sums == model.edge_ticks == [x * model.den for x in gamma.lengths]
+        assert model.segments == [medge[2:] for medge in model.medges]
+
+
 def test_a_model_with_an_interior_point_builds_its_own(monkeypatch):
     builds = []
 
@@ -1060,11 +1139,24 @@ def _resummed_script(gamma, q, D, report):
 
 
 def test_script_in_ticks_is_the_fraction_resum_of_its_log():
-    cases = METRIC + _c10_cases() + [_rational_large(50)]
+    # metric_reduce adds each eps to every site once and corrects the sites
+    # near X.  The triangle's X holds edge points, but it ends on vertices,
+    # so only vertex sites are corrected; on the kink input and the
+    # 50-vertex input some moves' X holds an edge point and a segment on
+    # edges with sites, which checks the correction of edge sites
+    cases = METRIC + _c10_cases() + [_triangle_case(), _kink_case(), _rational_large(50)]
+    near_edge_sites = []
     for gamma, q, D in cases:
         report = metric_reduce(gamma, q, D)
         assert report.script == _resummed_script(gamma, q, D, report)
+        site_edges = {p.edge for p in (q, *D.support, *report.result.support) if p.kind == "e"}
+        near_edge_sites.append(sum(
+            any(p.kind == "e" and p.edge in site_edges for p in it.component.points)
+            and any(e in site_edges for e, _o1, _o2 in it.component.segments)
+            for it in report.iterations
+        ))
     assert len(report.iterations) == 271
+    assert near_edge_sites[-2] > 0 and near_edge_sites[-1] > 0
 
 
 def _script_cases():
