@@ -25,6 +25,12 @@ divides once, where its answer leaves the library (solve(A, I) is the
 adjugate pair).  Entries must be integers (Python or
 numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
+
+factor turns its dense rows into {column: entry} dicts and hands them to
+_factor_rows, the one entry to the unit phase and the Bareiss pass.  A
+caller that can build those rows directly, such as the Jacobian and the
+tree count from a graph's reduced Laplacian (graph._reduced_rows), calls
+_factor_rows and never builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -91,13 +97,19 @@ def factor(matrix):
     if any(len(r) != n for r in matrix):
         raise ValueError(_SHAPE.format(n))
     # index() turns numpy integers into Python ints, which cannot overflow
-    rows = {}  # row -> {column: nonzero entry}; rows stay in ascending order
+    return _factor_rows(n, [{j: x for j, x in enumerate(map(index, r)) if x} for r in matrix])
+
+
+def _factor_rows(n, sparse):
+    """factor of the n x n matrix whose row i is sparse[i], a {column:
+    nonzero entry} dict of Python ints; the dicts are consumed.  A caller
+    with sparse rows at hand, such as a reduced Laplacian built from its
+    edges, comes here without a dense matrix."""
+    rows = dict(enumerate(sparse))  # rows stay in ascending order
     cols = {j: set() for j in range(n)}  # column -> rows with an entry there
-    for i, r in enumerate(matrix):
-        row = {j: x for j, x in enumerate(map(index, r)) if x}
+    for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-        rows[i] = row
     pivots = []
     sign = 1
     while True:

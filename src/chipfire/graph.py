@@ -295,6 +295,23 @@ def reduced_laplacian(G, q):
     return _reduced_laplacian(G.deg, G._eu, G._ev, q, np.int64)
 
 
+def _reduced_rows(G, q):
+    """Q_(q)'s rows as {column: nonzero entry} dicts, in Python ints, for a
+    vertex q of G (unchecked): vertex v != q has row and column v - (v > q),
+    and the row is read off v's incidence tuple, so no n x n array is built."""
+    rows = []
+    for v, nbrs in enumerate(G._nbrs):
+        if v == q:
+            continue
+        row = {v - (v > q): len(nbrs)}
+        for w in nbrs:
+            if w != q:
+                j = w - (w > q)
+                row[j] = row.get(j, 0) - 1
+        rows.append(row)
+    return rows
+
+
 def _reduced_laplacian(deg, eu, ev, q, dtype):
     """reduced_laplacian in dtype from the degrees and edge endpoints alone."""
     u = np.array(eu, dtype=np.intp)

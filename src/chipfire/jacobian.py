@@ -18,13 +18,16 @@ M has many +-1 entries, so exact.factor's unit phase first eliminates
 them, which is unimodular: the Smith form of M is I + that of the Schur
 block B it leaves, and |det B| = kappa.  On random multigraphs with 3n
 edges B keeps about a third of M's rows (67 of 199 at n = 200).  A
-presentation factors M once: the Smith pass runs on that Factor's block
-and takes |det M| from it, and the sampler's solve substitutes into it.
-The uniform tree sampler picks a uniform group element, reduces it with
-reduction's steps-1-2 core, certifies it with one burn (is_reduced), and
-burns it into its tree.  Step 1 of that reduction subtracts
-Delta(floor(L_(q) D)), and L_(q) is linear, so one substitution of the
-generators into M's Factor per call gives every tree's floor in integers.
+presentation factors M once, from the sparse rows the graph builds off its
+incidence tuples (no dense array), through exact's sparse entry; the Smith
+pass runs on that Factor's block and takes |det M| from it, and the
+sampler's solve substitutes into it.  count_spanning_trees takes its det
+from the same entry.  The uniform tree sampler picks a uniform group
+element, reduces it with reduction's steps-1-2 core, certifies it with one
+burn and an effectiveness test, and burns it into its tree.  Step 1 of that
+reduction subtracts Delta(floor(L_(q) D)), and L_(q) is linear, so one
+substitution of the generators into M's Factor per call gives every tree's
+floor in integers.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from operator import index, mul
 
 import numpy as np
 
-from . import exact
+from . import _kernels, exact
 from .graph import (
-    Divisor, FiringScript, canonical_plus, check_divisor, check_vertex,
-    reduced_laplacian,
+    Divisor, FiringScript, _reduced_rows, canonical_plus, check_divisor,
+    check_vertex,
 )
 from .reduction import _steps_1_2, is_reduced, reduce
 from .treebij import divisor_to_tree
@@ -158,10 +161,6 @@ class JacobianPresentation:
         Plain integer combination; reduce it to get the canonical class
         representative.
         """
-        return Divisor(self._chips(exponents))
-
-    def _chips(self, exponents):
-        """sum(a_i * g_i) as a list of Python ints."""
         if len(exponents) != len(self.generators):
             raise ValueError("wrong number of exponents")
         acc = [0] * self.n
@@ -169,7 +168,7 @@ class JacobianPresentation:
             a = index(a)
             if a:
                 acc = [x + a * c for x, c in zip(acc, g.coeffs)]
-        return acc
+        return Divisor(acc)
 
 
 def _presentation(G, q):
@@ -183,8 +182,9 @@ def _presentation(G, q):
     whose |det| the Smith form takes, and the generators off q as the rows
     of a matrix, zero on every pivot row.
     """
+    check_vertex(G, q)
     keep = [v for v in G.vertices if v != q]
-    fac = exact.factor(reduced_laplacian(G, q).tolist())
+    fac = exact._factor_rows(G.n - 1, _reduced_rows(G, q))
     diagonal, u_inv = smith_normal_form(fac.block, abs(fac.det))
     kept = [i for i, s in enumerate(diagonal) if s != 1]
     gens = [[0] * len(kept) for _ in keep]
@@ -212,7 +212,7 @@ def jacobian(G, q):
 def count_spanning_trees(G):
     """Matrix-tree count: the determinant of the Laplacian with one row/col
     deleted."""
-    return exact.det(reduced_laplacian(G, 0).tolist())
+    return exact._factor_rows(G.n - 1, _reduced_rows(G, 0)).det
 
 
 def _uniform_below(bitgen, bound):
@@ -241,25 +241,30 @@ def sample_spanning_tree(G, q, seed, count=1):
     Sample i draws from a Philox stream with key=seed and counter
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
-    and reducing then burning carries it to a uniform tree.  One build and
-    exact.factor of Q_(q) per call serve the Smith form of its block and
+    and reducing then burning carries it to a uniform tree.  One factor of
+    Q_(q)'s sparse rows per call serves the Smith form of its block and
     the generators' solve: one substitution into that Factor gives (kappa, P)
     with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
     kappa L_(q) g_i off q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
-    (sum_i a_i P[v][i]) // kappa at each v.
-    The element's chip list and that floor go straight to reduction's
+    (sum_i a_i P[v][i]) // kappa at each v.  Each vertex keeps, per call,
+    its coefficient in every generator and its row of P, so a tree's chips
+    and floor are one sum per vertex each; they go straight to reduction's
     steps-1-2 core, which then runs step 2 alone.  The list it ends at is
-    certified by is_reduced's one burn before it is burnt into its tree: a
-    failure there is an internal fault (AssertionError), not a refused
-    input.  A seed outside [0, 2**128), or a count that is negative or not
-    an integer, is refused before the Smith form is built.
+    certified by one burn from q and a test that it is effective off q
+    before it is burnt into its tree: a failure there is an internal fault
+    (AssertionError), not a refused input.  A seed outside [0, 2**128), or
+    a count that is negative or not an integer, is refused before the Smith
+    form is built.
     """
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")
     pres, fac, gens = _presentation(G, q)
     kappa, P = exact.substitute(fac, gens)
-    keep = [v for v in G.vertices if v != q]
+    # per vertex: its coefficient in each generator, and its row of P (0 at q)
+    coeffs = [[g[v] for g in pres.generators] for v in G.vertices]
+    P = P[:q] + [[0] * len(pres.generators)] + P[q:]
+    off_q = [v for v in G.vertices if v != q]
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []
@@ -267,11 +272,10 @@ def sample_spanning_tree(G, q, seed, count=1):
         counter[2] = i
         bitgen.state = state
         exps = [_uniform_below(bitgen, f) for f in pres.invariant_factors]
-        floor = [0] * G.n
-        for v, row in zip(keep, P):
-            floor[v] = sum(map(mul, exps, row)) // kappa
-        red = _steps_1_2(G, q, pres._chips(exps), floor)[1]
-        if not is_reduced(G, q, red):
+        chips = [sum(map(mul, exps, c)) for c in coeffs]
+        floor = [sum(map(mul, exps, row)) // kappa for row in P]
+        red = _steps_1_2(G, q, chips, floor)[1]
+        if len(_kernels.burn(G, red, q)) != G.n or any(red[v] < 0 for v in off_q):
             raise AssertionError("reduce returned a divisor that is not q-reduced")
         out.append(divisor_to_tree(G, q, red))
     return out

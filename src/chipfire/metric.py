@@ -59,9 +59,15 @@ class MetricGraph:
     """A connected loopless multigraph with positive rational edge lengths;
     a float length raises TypeError.  Each vertex's GraphPoint is built
     once, here, and handed out by point and vertex_point; see _model_at for
-    _vertex_model."""
+    _vertex_model.  The lengths are also kept once in integer ticks:
+    _length_ticks[e] / _den is edge e's length, _den the lcm of their
+    denominators, so a model or a tropical function over a multiple of _den
+    scales these instead of converting each Fraction again."""
 
-    __slots__ = ("graph", "lengths", "_vertex_points", "_vertex_model", "__weakref__")
+    __slots__ = (
+        "graph", "lengths", "_den", "_length_ticks", "_vertex_points", "_vertex_model",
+        "__weakref__",
+    )
 
     def __init__(self, graph, lengths):
         lengths = tuple(_rational(x) for x in lengths)
@@ -71,6 +77,8 @@ class MetricGraph:
             raise ValueError("edge lengths must be positive")
         self.graph = graph
         self.lengths = lengths
+        self._den = den = lcm(*(x.denominator for x in lengths))
+        self._length_ticks = tuple(_ticks(x, den) for x in lengths)
         self._vertex_points = tuple(GraphPoint.vertex(v) for v in range(graph.n))
         self._vertex_model = None
 
@@ -318,11 +326,12 @@ class TropicalFunction:
                 anchors.append((o, _rational(val)))
                 last = o
             inner.append(anchors)
-        den = lcm(*(x.denominator for x in (*values, *gamma.lengths)),
+        den = lcm(gamma._den, *(x.denominator for x in values),
                   *(x.denominator for anchors in inner for anchor in anchors for x in anchor))
+        scale = den // gamma._den
         _fill(self, gamma, den, [_ticks(x, den) for x in values],
               [[(_ticks(o, den), _ticks(x, den), o) for o, x in anchors] for anchors in inner],
-              [_ticks(x, den) for x in gamma.lengths])
+              [t * scale for t in gamma._length_ticks])
 
     @classmethod
     def zero(cls, gamma):
@@ -454,10 +463,10 @@ class _Model:
 
     What depends only on the model is built once: segments[i] is medges[i]'s
     (edge, start, end) segment of Gamma, as a stalled component lists it,
-    and edge_ticks[e] is Gamma's edge e in ticks of den.  A model holds no
-    reference to Gamma and, as it may be Gamma's shared vertex model,
-    changes after construction only by keeping its factor and
-    make-effective's buffer, each built on first use.
+    and edge_ticks[e] is Gamma's edge e in ticks of den, scaled from Gamma's
+    own ticks.  A model holds no reference to Gamma and, as it may be
+    Gamma's shared vertex model, changes after construction only by keeping
+    its factor and make-effective's buffer, each built on first use.
     """
 
     __slots__ = (
@@ -480,9 +489,9 @@ class _Model:
             else:
                 per_edge.setdefault(p.edge, {})[p.offset] = p
         self.den = den = lcm(
-            *(x.denominator for x in gamma.lengths),
-            *(o.denominator for offsets in per_edge.values() for o in offsets),
+            gamma._den, *(o.denominator for offsets in per_edge.values() for o in offsets),
         )
+        scale = den // gamma._den
         points = list(gamma._vertex_points)
         self.medges = []  # (vid_a, vid_b, edge, start_off, end_off)
         self.ticks = []
@@ -495,9 +504,8 @@ class _Model:
                 self.medges.append((a, b, e, o1, o2))
                 self.ticks.append(t2 - t1)
                 a, o1, t1 = b, o2, t2
-            length = gamma.lengths[e]
-            self.medges.append((a, v, e, o1, length))
-            self.edge_ticks.append(_ticks(length, den))
+            self.medges.append((a, v, e, o1, gamma.lengths[e]))
+            self.edge_ticks.append(gamma._length_ticks[e] * scale)
             self.ticks.append(self.edge_ticks[-1] - t1)
         self.segments = [medge[2:] for medge in self.medges]
         self.points = tuple(points)

@@ -46,8 +46,10 @@ Steps 1-2 run in one private core, _steps_1_2, which takes any integer
 sequence and returns plain lists and ints.  reduce is the argument check,
 the core and a ReductionReport.  The tree sampler and winnable call the
 core directly, so a sampled tree builds no Divisor, report or DharOutcome,
-and is_reduced certifies a result with one burn and no DharOutcome; dhar
-keeps the full outcome (burn order, stalled set, negative vertices).
+and the sampler, like is_reduced, certifies a result with one burn and no
+DharOutcome; dhar keeps the full outcome (burn order, stalled set,
+negative vertices).  Both of the core's D - Delta(f) lists, d1 and the
+script check, come from _minus_laplacian's one edge loop.
 
 D1 ~ D2 is decided by step 1 alone: D1 - D2 is principal exactly when its
 floor step leaves zero (see is_linearly_equivalent).
@@ -222,8 +224,14 @@ def _residual(G, q, b, X, S):
 
 
 def _minus_laplacian(G, D, f):
-    """D - Delta(f) as a list of Python ints; f is a list of ints."""
-    return [c - x for c, x in zip(D, _laplacian_list(G, f))]
+    """D - Delta(f) as a list of Python ints, by one edge loop on a copy of
+    D; f is a list of ints."""
+    out = list(D)
+    for u, v in G.edges:
+        d = f[u] - f[v]
+        out[u] -= d
+        out[v] += d
+    return out
 
 
 # Below this many vertices the zero guess is faster: step 2 takes a few

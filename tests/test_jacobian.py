@@ -29,7 +29,11 @@ Core claims:
       and the sampler's (kappa, P) from one substitution into the Factor of
       Q_(q) satisfies Q_(q) P = kappa times the generators as an integer
       matrix product; on the 40-vertex case kappa equals the modular
-      determinant below.  A sampler call factors Q_(q) once.  K3,
+      determinant below.  The graph's sparse rows of Q_(q) give, through
+      exact's one sparse entry, the Factor that exact.factor gives from the
+      dense matrix, field by field (each pivot's row operations as a set),
+      on every SMALL and RANDOM (G, q), at 100 and 200 vertices and on the
+      500-vertex path and cycle.  A sampler call factors Q_(q) once.  K3,
       K4, C5 and the 5-vertex Kirchhoff multigraph keep, at q = 0, the
       generators of the Smith form of all of Q_(0).
     - Oracles apart from the unit phase: the invariant factors equal those
@@ -92,7 +96,7 @@ from chipfire.jacobian import (
     to_critical,
     winnable,
 )
-from chipfire.graph import reduced_laplacian
+from chipfire.graph import _reduced_rows, reduced_laplacian
 from chipfire.potential import effective_resistance, j_function
 from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
@@ -302,19 +306,46 @@ def test_unit_phase_contract(monkeypatch):
 def test_a_sampler_call_factors_the_block_once(monkeypatch):
     # the Smith form takes |det Q_(q)| from the Factor that the solve
     # substitutes into; with the floor read off that solve, no reduction
-    # factors again
+    # factors again.  Every factor, dense or sparse, runs through the one
+    # sparse entry, so counting it counts them all
     calls = []
-    factor = exact.factor
+    factor = exact._factor_rows
 
-    def counting(matrix):
-        calls.append(len(matrix))
-        return factor(matrix)
+    def counting(n, rows):
+        calls.append(n)
+        return factor(n, rows)
 
-    monkeypatch.setattr(exact, "factor", counting)
+    monkeypatch.setattr(exact, "_factor_rows", counting)
     for G, q in _unit_cases():
         calls.clear()
         sample_spanning_tree(G, q, seed=3, count=4)
         assert calls == [G.n - 1]
+
+
+def _same_factor(got, want):
+    """Field by field; each pivot's row operations compared as a set, since
+    the order in which the unit phase visits a column's rows is free."""
+    assert (got.n, got.det) == (want.n, want.det)
+    assert len(got.pivots) == len(want.pivots)
+    for (r, c, prow, ops), (r2, c2, prow2, ops2) in zip(got.pivots, want.pivots):
+        assert (r, c, prow) == (r2, c2, prow2)
+        assert len(ops) == len(ops2) and set(ops) == set(ops2)
+    assert (got.rows, got.cols, got.block) == (want.rows, want.cols, want.block)
+    assert (got.steps, got.upper) == (want.steps, want.upper)
+
+
+def test_the_sparse_rows_give_the_dense_factor():
+    # the graph's sparse rows of Q_(q) are the dense matrix's nonzero
+    # entries, and the one sparse entry of the unit phase gives from them the
+    # Factor that exact.factor gives from the dense matrix
+    cases = [(G, q) for G in SMALL + RANDOM for q in G.vertices]
+    cases += [(tree_plus_edges(n, 3 * n, Random(1)), 0) for n in (100, 200)]
+    cases += [(path_graph(500), 0), (cycle_graph(500), 0)]
+    for G, q in cases:
+        Q = reduced_laplacian(G, q).tolist()
+        rows = _reduced_rows(G, q)
+        assert rows == [{j: x for j, x in enumerate(row) if x} for row in Q]
+        _same_factor(exact._factor_rows(G.n - 1, rows), exact.factor(Q))
 
 
 @pytest.mark.parametrize("G, want", KEPT_GENERATORS, ids=["K3", "K4", "C5", "KIRCHHOFF"])
@@ -662,8 +693,8 @@ def _refuse(*_args, **_kwargs):
 
 @pytest.mark.parametrize("G", [RANDOM[0], tree_plus_edges(20, 40, Random(3))])
 def test_sampler_builds_no_reduction_report_and_no_dhar_outcome(G, monkeypatch):
-    # each tree runs steps 1-2 through the private core and one burn through
-    # is_reduced; the 20-vertex graph takes step 2's float guess
+    # each tree runs steps 1-2 through the private core and one kernel burn
+    # of its own; the 20-vertex graph takes step 2's float guess
     want = sample_spanning_tree(G, 1, seed=5, count=12)
     monkeypatch.setattr(reduction, "ReductionReport", _refuse)
     monkeypatch.setattr(reduction, "DharOutcome", _refuse)
