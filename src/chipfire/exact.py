@@ -27,10 +27,13 @@ numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
 
 factor turns its dense rows into {column: entry} dicts and hands them to
-_factor_rows, the one entry to the unit phase and the Bareiss pass.  A
-caller that can build those rows directly, such as the Jacobian and the
-tree count from a graph's reduced Laplacian (graph._reduced_rows), calls
-_factor_rows and never builds an n x n matrix.
+_factor_rows, the one entry to the unit phase and the Bareiss pass.  Every
+caller in the library builds those rows itself and calls _factor_rows, so
+none builds an n x n matrix: a graph's PotentialTable factors Q_(q) from
+graph._reduced_rows once and keeps the Factor for the j-table, step 1's
+exact fallback, the Jacobian, the sampler and the tree count, and a metric
+model factors its grounded Laplacian's rows.  factor, det and solve take a
+dense matrix for a caller that holds one.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ class Graph:
     return the tuples `_nbrs[v]` and `_inc[v]`, which hold, for each edge at
     v in edge-index order, the vertex across it and the edge's index.
 
-    _table holds the PotentialTable of the last base vertex that
-    `potential.j_function` was asked for (None before the first call).
+    _table holds the PotentialTable of the last base vertex that a table
+    was asked for (None before the first call), by `potential.j_function`
+    or by the Jacobian and the tree count, which read its factor of Q_(q).
     """
 
     __slots__ = ("n", "edges", "deg", "_nbrs", "_inc", "_eu", "_ev", "_table")
@@ -295,16 +296,17 @@ def reduced_laplacian(G, q):
     return _reduced_laplacian(G.deg, G._eu, G._ev, q, np.int64)
 
 
-def _reduced_rows(G, q):
-    """Q_(q)'s rows as {column: nonzero entry} dicts, in Python ints, for a
-    vertex q of G (unchecked): vertex v != q has row and column v - (v > q),
-    and the row is read off v's incidence tuple, so no n x n array is built."""
+def _reduced_rows(nbrs, q):
+    """Q_(q)'s rows as {column: nonzero entry} dicts, in Python ints, for the
+    incidence tuples `nbrs` of a graph (its _nbrs) and a vertex q of it
+    (unchecked): vertex v != q has row and column v - (v > q), and the row
+    is read off nbrs[v], so no n x n array is built."""
     rows = []
-    for v, nbrs in enumerate(G._nbrs):
+    for v, at_v in enumerate(nbrs):
         if v == q:
             continue
-        row = {v - (v > q): len(nbrs)}
-        for w in nbrs:
+        row = {v - (v > q): len(at_v)}
+        for w in at_v:
             if w != q:
                 j = w - (w > q)
                 row[j] = row.get(j, 0) - 1

@@ -14,15 +14,17 @@ kept.  One extended-gcd combination clears each entry off a pivot
 (Kannan-Bachem, SIAM J. Comput. 8, 1979); a gcd/lcm step per diagonal
 pair then makes the divisibility chain.
 
-M has many +-1 entries, so exact.factor's unit phase first eliminates
-them, which is unimodular: the Smith form of M is I + that of the Schur
-block B it leaves, and |det B| = kappa.  On random multigraphs with 3n
-edges B keeps about a third of M's rows (67 of 199 at n = 200).  A
-presentation factors M once, from the sparse rows the graph builds off its
-incidence tuples (no dense array), through exact's sparse entry; the Smith
-pass runs on that Factor's block and takes |det M| from it, and the
-sampler's solve substitutes into it.  count_spanning_trees takes its det
-from the same entry.  The uniform tree sampler picks a uniform group
+M has many +-1 entries, so exact's unit phase first eliminates them,
+which is unimodular: the Smith form of M is I + that of the Schur block B
+it leaves, and |det B| = kappa.  On random multigraphs with 3n edges B
+keeps about a third of M's rows (67 of 199 at n = 200).  A presentation
+reads M's Factor off the PotentialTable the graph keeps for q, which
+factors M once, from the sparse rows of the graph's incidence tuples (no
+dense array), and keeps it for every later exact caller on (G, q); the
+Smith pass runs on that Factor's block and takes |det M| from it, and the
+sampler's solve substitutes into it.  count_spanning_trees reads its det
+off the Factor of the table the graph holds, at whatever q, since every
+grounding has the same det.  The uniform tree sampler picks a uniform group
 element, reduces it with reduction's steps-1-2 core, certifies it with one
 burn and an effectiveness test, and burns it into its tree.  Step 1 of that
 reduction subtracts Delta(floor(L_(q) D)), and L_(q) is linear, so one
@@ -39,10 +41,8 @@ from operator import index, mul
 import numpy as np
 
 from . import _kernels, exact
-from .graph import (
-    Divisor, FiringScript, _reduced_rows, canonical_plus, check_divisor,
-    check_vertex,
-)
+from .graph import Divisor, FiringScript, canonical_plus, check_divisor, check_vertex
+from .potential import _table
 from .reduction import _steps_1_2, is_reduced, reduce
 from .treebij import divisor_to_tree
 
@@ -56,7 +56,7 @@ def _egcd(a, b):
     return a, x, y
 
 
-def smith_normal_form(M, d=None):
+def smith_normal_form(M, d):
     """Smith form of a square nonsingular integer matrix, modulo d = |det M|.
 
     Returns (diagonal, u_inv): the diagonal s_1 | s_2 | ... has product d,
@@ -71,15 +71,13 @@ def smith_normal_form(M, d=None):
     which is cleared again; each such round divides the pivot properly.
     Then each diagonal pair i < j with s_i not dividing s_j goes to
     (gcd, lcm) by the same combination, with its U^{-1} update.  An entry
-    of S or u_inv is reduced (x % d) only once |x| > d.  Raises ValueError
-    if M is not square or is singular.  A caller that has factored M
-    already passes its |det M| as d, and M is not factored again.
+    of S or u_inv is reduced (x % d) only once |x| > d.  The caller passes
+    d = |det M|, which it reads off its factor of M, so M is not factored
+    here.  Raises ValueError if M is not square or if d is 0 (M singular).
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError(f"need an n x n matrix, n = {n}")
-    if d is None:
-        d = abs(exact.det(M))
     if d == 0:
         raise ValueError("singular matrix")
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # of U^{-1}
@@ -174,7 +172,9 @@ class JacobianPresentation:
 def _presentation(G, q):
     """Jac(G) from the Smith form of the Schur block of Q_(q).
 
-    exact.factor's unit phase brings Q_(q) to I + B by unimodular
+    The Factor of Q_(q) is the one the graph's table for q keeps
+    (potential._table, which does not count as a j_function call), built
+    on first use.  exact's unit phase brings Q_(q) to I + B by unimodular
     operations, so the Smith form of its block B gives every invariant
     factor above 1.  Column i of B's U'^{-1}, on B's rows, is the i-th
     generator off q: the inverse of each row operation fixes every row that
@@ -184,7 +184,7 @@ def _presentation(G, q):
     """
     check_vertex(G, q)
     keep = [v for v in G.vertices if v != q]
-    fac = exact._factor_rows(G.n - 1, _reduced_rows(G, q))
+    fac = _table(G, q).factor()
     diagonal, u_inv = smith_normal_form(fac.block, abs(fac.det))
     kept = [i for i, s in enumerate(diagonal) if s != 1]
     gens = [[0] * len(kept) for _ in keep]
@@ -211,8 +211,12 @@ def jacobian(G, q):
 
 def count_spanning_trees(G):
     """Matrix-tree count: the determinant of the Laplacian with one row/col
-    deleted."""
-    return exact._factor_rows(G.n - 1, _reduced_rows(G, 0)).det
+    deleted.
+
+    Every grounding has the same determinant, so it is read off the Factor
+    of the table G holds, at whatever q; a graph that holds none gets one
+    at q = 0."""
+    return (G._table or _table(G, 0)).factor().det
 
 
 def _uniform_below(bitgen, bound):

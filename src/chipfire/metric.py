@@ -514,21 +514,24 @@ class _Model:
         self._factor = self._buffer = None
 
     def grounded_factor(self):
-        """(s, F), built on first use and kept: F is exact.factor of the
+        """(s, F), built on first use and kept: F is exact's Factor of the
         model Laplacian without vertex 0's row and column, scaled to
         integers by s = lcm(den, ticks) / den (an edge of t ticks, with
-        conductance den/t, gets lcm(den, ticks) / t)."""
+        conductance den/t, gets lcm(den, ticks) / t).  Its rows are built
+        as {column: entry} dicts, with no dense matrix; the model is
+        loopless and connected, so no entry they hold sums to 0."""
         if self._factor is None:
             full = lcm(self.den, *self.ticks)
-            lap = [[0] * (len(self.points) - 1) for _ in self.points[1:]]
+            rows = [{} for _ in self.points[1:]]
             for (a, b, *_), t in zip(self.medges, self.ticks):
                 c = full // t
                 for u, w in ((a, b), (b, a)):
                     if u:
-                        lap[u - 1][u - 1] += c
+                        row = rows[u - 1]
+                        row[u - 1] = row.get(u - 1, 0) + c
                         if w:
-                            lap[u - 1][w - 1] -= c
-            self._factor = full // self.den, exact.factor(lap)
+                            row[w - 1] = row.get(w - 1, 0) - c
+            self._factor = full // self.den, exact._factor_rows(len(rows), rows)
         return self._factor
 
     def buffer(self):

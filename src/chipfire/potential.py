@@ -1,16 +1,18 @@
 """Potential theory on graphs: generalized inverses of the Laplacian,
 the j-function, effective resistance, and the energy pairings E_q and b_q.
 
-All values are exact rationals.  One fraction-free elimination of Q_(q),
-`exact.solve(Q_(q), I)`, gives the j-table as an integer numerator matrix
-over the tree count, so the inner loops of b_q / E_q stay in integer
-arithmetic; exact.factor eliminates Q_(q)'s +-1 pivots first, so Bareiss
-runs only on the Schur block they leave.  A table builds it on first use; its float64 view
-(`float_inverse`) needs no elimination and is what the reduction's lattice
-step refines to exact floors.
-`j_function(G, q)` returns the one table the graph keeps, for the last base
-vertex asked for, so K reductions against one (G, q) build the float
-inverse and the exact numerators once each.
+All values are exact rationals.  A graph keeps one PotentialTable, for the
+last base vertex asked for, and the table keeps exact's Factor of Q_(q),
+built from the sparse rows of graph._reduced_rows on first use.  Every
+exact system on Q_(q) reads that one factor: the j-table is one
+substitution of the identity into it, an integer numerator matrix over the
+tree count, so the inner loops of b_q / E_q stay in integer arithmetic;
+step 1's exact fallback substitutes its column, and the Jacobian, the tree
+sampler and the tree count read the factor itself.  The table's float64
+view (`float_inverse`) needs no elimination and is what the reduction's
+lattice step refines to exact floors.  So K reductions and checks against
+one (G, q) build the float inverse, the factor and the exact numerators
+once each.
 Every generalized inverse is read off such tables: L_(q) = j_q, the
 Moore-Penrose inverse is P L_(0) P with P = I - J/n, and L_mu = sum mu_i L_(i)
 comes from the resistances r(p, v) read off L_(0).
@@ -26,8 +28,8 @@ import numpy as np
 
 from . import exact
 from .graph import (
-    _rational, _reduced_laplacian, apply_laplacian, bfs_distances, check_divisor,
-    check_vertex,
+    _rational, _reduced_laplacian, _reduced_rows, apply_laplacian, bfs_distances,
+    check_divisor, check_vertex,
 )
 
 
@@ -120,19 +122,22 @@ class PotentialTable:
     J[p][v] = j_q(p, v) is the potential at v when one unit of current
     enters at p and exits at q, grounded at q.  The exact values are an
     integer numerator matrix `num` over a common denominator `den` (the
-    spanning tree count), built by one exact solve on first use;
-    `float_inverse` reads j_q / den in float64 without them, also once.
+    spanning tree count), built on first use by one substitution into
+    `factor()`, exact's Factor of Q_(q), which is itself built once;
+    `float_inverse` reads j_q / den in float64 without either, also once.
 
     The reduction's step-1 constants are set at construction: keep, the
     vertices off q in order; ecc, the eccentricity of q, which bounds every
     j_q(p, v); and two_t = 2 prod_{v != q} deg(v), twice a bound on the tree
-    count.  A table keeps the degrees and edge endpoints of G, not G, so the
-    graph that holds it (see j_function) forms no reference cycle with it
-    and frees it, float inverse included, when it is dropped.
+    count.  A table keeps the degrees, edge endpoints and incidence tuples
+    of G, not G, so the graph that holds it (see j_function) forms no
+    reference cycle with it and frees it, float inverse and factor
+    included, when it is dropped.
     """
 
     __slots__ = (
-        "q", "n", "keep", "ecc", "two_t", "_deg", "_eu", "_ev", "_inv", "_num", "_den",
+        "q", "n", "keep", "ecc", "two_t", "_deg", "_eu", "_ev", "_nbrs", "_inv",
+        "_factor", "_num", "_den",
     )
 
     def __init__(self, G, q):
@@ -142,8 +147,8 @@ class PotentialTable:
         self.keep = tuple(range(q)) + tuple(range(q + 1, G.n))
         self.ecc = max(bfs_distances(G, q))
         self.two_t = 2 * prod(G.deg[:q] + G.deg[q + 1:])
-        self._deg, self._eu, self._ev = G.deg, G._eu, G._ev
-        self._inv = self._num = self._den = None
+        self._deg, self._eu, self._ev, self._nbrs = G.deg, G._eu, G._ev, G._nbrs
+        self._inv = self._factor = self._num = self._den = None
 
     @property
     def num(self):
@@ -158,21 +163,35 @@ class PotentialTable:
         return self._den
 
     def _build(self):
-        """num and den from adj(Q_(q)) and det(Q_(q)), that is solve(Q_(q), I).
+        """num and den from adj(Q_(q)) and det(Q_(q)): the identity
+        substituted into factor().
 
         Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1,
         that is Delta(g_q) = sum_v (v) - n (q).
         """
-        q = self.q
-        Qq = _reduced_laplacian(self._deg, self._eu, self._ev, q, np.int64).tolist()
-        den, adj = exact.solve(Qq, np.eye(len(Qq), dtype=np.int64).tolist())
-        sums = [sum(row) for row in adj]
-        if any(sum(map(mul, row, sums)) != den for row in Qq):
+        q, k = self.q, self.n - 1
+        den, adj = exact.substitute(
+            self.factor(), [[int(i == j) for j in range(k)] for i in range(k)]
+        )
+        g = [sum(row) for row in adj]
+        g.insert(q, 0)
+        if any(
+            len(at_v) * g[v] - sum(g[w] for w in at_v) != den
+            for v, at_v in enumerate(self._nbrs) if v != q
+        ):
             raise AssertionError("j-function numerators must be integral cofactors")
         num = [tuple(row[:q] + [0] + row[q:]) for row in adj]
         num.insert(q, (0,) * self.n)
         self._num = tuple(num)
         self._den = den
+
+    def factor(self):
+        """exact's Factor of Q_(q), from the sparse rows of
+        graph._reduced_rows; built on the first call and returned on every
+        later one."""
+        if self._factor is None:
+            self._factor = exact._factor_rows(self.n - 1, _reduced_rows(self._nbrs, self.q))
+        return self._factor
 
     def float_inverse(self):
         """Q_(q)^{-1} = j_q / den in float64 from one float inverse, rows and
@@ -230,19 +249,26 @@ class PotentialTable:
         return Fraction(total, self.den)
 
 
-def j_function(G, q):
-    """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
+def _table(G, q):
+    """The PotentialTable G keeps, for a vertex q of G (unchecked).
 
-    Returns the table G keeps when it is for q, and otherwise builds one for
-    q and keeps it in its place, so a graph holds at most one table.  The
-    exact numerators are built on first use of the table's num or den, the
-    float inverse on the first float_inverse() call.
-    """
-    check_vertex(G, q)
+    Returns the table G holds when it is for q, and otherwise builds one for
+    q and keeps it in its place, so a graph holds at most one table."""
     table = G._table
     if table is None or table.q != q:
         table = G._table = PotentialTable(G, q)
     return table
+
+
+def j_function(G, q):
+    """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
+
+    The table G keeps for q (see _table).  The exact numerators are built on
+    first use of the table's num or den, the float inverse on the first
+    float_inverse() call and the factor of Q_(q) on the first factor() call.
+    """
+    check_vertex(G, q)
+    return _table(G, q)
 
 
 def effective_resistance(G, p, q):

@@ -19,9 +19,10 @@ The borrow counts are logged so the b_q accounting can be replayed exactly.
 
 The floor of the lattice step is exact without the exact j-table: float64
 solves of Q_(q) are refined on exact integer residuals until a bound from
-potential theory certifies every coordinate, with a single-column exact
-solve as the fallback (see _refined_floor, step 1's one routine).  Step 1
-reads the float64 view of the j-table; its exact numerators are built only
+potential theory certifies every coordinate, with one column substituted
+into the table's kept factor of Q_(q) as the fallback (see _refined_floor,
+step 1's one routine).  Step 1 reads the float64 view of the j-table and,
+on the fallback only, its factor; its exact numerators are built only
 by the energy and bound checks (verify_minimizer, move_bounds,
 step_bound_borrows).  j_function(G, q) returns the table G keeps for its
 last base vertex, so repeated reductions against one (G, q) build the float
@@ -75,7 +76,6 @@ from .graph import (
     check_divisor,
     check_vertex,
     laplacian,
-    reduced_laplacian,
 )
 from .potential import j_function
 
@@ -168,8 +168,9 @@ def _refined_floor(G, table, D):
     D zero off q needs no solve; R = 0, or a zero exact residual at
     round(x~) (principal divisors), stops at once.  path is "float"; it is
     "exact" when a round fails to halve the bound or a float solve is not
-    finite, and a single-column exact solve finishes the job.  rounds counts
-    the float solves.
+    finite, and D's column substituted into table.factor(), exact's Factor
+    of Q_(q), which the table builds once and keeps, finishes the job.
+    rounds counts the float solves.
     """
     q, keep, ecc, two_t = table.q, table.keep, table.ecc, table.two_t
     b = [0 if v == q else c for v, c in enumerate(D)]
@@ -210,7 +211,7 @@ def _refined_floor(G, table, D):
             return floors, "float", rounds
         if err << (last_S + 1) > last_err << S:
             break
-    d, sol = exact.solve(reduced_laplacian(G, q).tolist(), [[b[v]] for v in keep])
+    d, sol = exact.substitute(table.factor(), [[b[v]] for v in keep])
     floors = [0] * G.n
     for v, (x,) in zip(keep, sol):
         floors[v] = x // d

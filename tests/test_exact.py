@@ -84,7 +84,7 @@ def test_non_integer_entries_are_refused(entry):
     [
         lambda: det([[1, 2, 3], [4, 5, 6]]),
         lambda: solve([[1, 2, 3], [4, 5, 6]], _identity(2)),
-        lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]]),
+        lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]], 0),
         lambda: smith_normal_form([[1, 2, 3], [4, 5, 6]], 3),
         lambda: smith_normal_form([[2, 0]], 2),
         lambda: solve([[2, 0], [0, 3]], [[1], [1], [1]]),
@@ -265,7 +265,8 @@ def test_unit_phase_keeps_det_smith_form_and_solves(system):
     if d == 0:
         return
     ones = (1,) * len(F.pivots)
-    assert smith_normal_form(A)[0] == ones + smith_normal_form(F.block)[0]
+    block = smith_normal_form(F.block, abs(det(F.block)))[0]
+    assert smith_normal_form(A, abs(d))[0] == ones + block
     # a right-hand side that is zero on the pivot rows, and B itself
     rhs = [row if i in F.rows else [0] * len(row) for i, row in enumerate(B)]
     # A X = d C with d != 0 fixes X, and needs no second elimination

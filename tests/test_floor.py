@@ -15,7 +15,7 @@ Core claims:
     - A 1000-vertex multigraph with 2^70 chips reduces in about a second.
     - is_linearly_equivalent, decided by step 1 on D1 - D2, gives the script
       or None that one exact solve of L_(q) [D1 - D2] gives, up to 200
-      vertices, with neither an exact solve nor the exact j-table.
+      vertices, with no exact factor or substitution and no exact j-table.
     - The path, round count and divisor of step 1 on 400 seeded inputs
       (2-45 vertices, chips up to +-2^200) match a pinned digest, so a
       change to how a float solve is rounded cannot move the rounds unseen.
@@ -271,7 +271,10 @@ def test_linear_equivalence_matches_one_exact_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("exact elimination run")
 
-    monkeypatch.setattr(exact, "solve", refuse)
+    # every exact system on Q_(q) is factored by _factor_rows and solved by
+    # substitute, step 1's fallback included
+    monkeypatch.setattr(exact, "_factor_rows", refuse)
+    monkeypatch.setattr(exact, "substitute", refuse)
     answers = set()
     for G, q, pairs, expected in cases:
         got = [is_linearly_equivalent(G, D1, D2, q) for D1, D2 in pairs]

@@ -33,7 +33,8 @@ Core claims:
       exact's one sparse entry, the Factor that exact.factor gives from the
       dense matrix, field by field (each pivot's row operations as a set),
       on every SMALL and RANDOM (G, q), at 100 and 200 vertices and on the
-      500-vertex path and cycle.  A sampler call factors Q_(q) once.  K3,
+      500-vertex path and cycle.  A sampler call on a fresh graph factors
+      Q_(q) once, and a second call on that graph not at all.  K3,
       K4, C5 and the 5-vertex Kirchhoff multigraph keep, at q = 0, the
       generators of the Smith form of all of Q_(0).
     - Oracles apart from the unit phase: the invariant factors equal those
@@ -126,9 +127,9 @@ def _check_snf(M):
     s_i; and u_inv is invertible mod d.  The u_i then generate the whole
     group of order d, so each has order exactly s_i and the sum is direct.
     """
-    diagonal, u_inv = smith_normal_form(M)
-    k = len(M)
     d = abs(det(M))
+    diagonal, u_inv = smith_normal_form(M, d)
+    k = len(M)
     assert len(diagonal) == k and all(s >= 1 for s in diagonal)
     assert prod(diagonal) == d
     for a, b in zip(diagonal, diagonal[1:]):
@@ -165,7 +166,7 @@ def test_snf_zero_and_identity():
     # the zero matrix is singular, as is any other: both are refused
     for M in ([[0, 0], [0, 0]], [[1, 2], [2, 4]]):
         with pytest.raises(ValueError):
-            smith_normal_form(M)
+            smith_normal_form(M, abs(det(M)))
     assert _check_snf([[1, 0], [0, 1]]) == (1, 1)
 
 
@@ -182,7 +183,7 @@ def test_snf_preserves_determinant_magnitude():
         M = [[int(x) for x in row] for row in rng.integers(-6, 7, size=(n, n))]
         if det(M) == 0:
             continue
-        assert prod(smith_normal_form(M)[0]) == abs(det(M))
+        assert prod(smith_normal_form(M, abs(det(M)))[0]) == abs(det(M))
 
 
 @pytest.mark.parametrize("n", [10, 20, 40])
@@ -307,7 +308,9 @@ def test_a_sampler_call_factors_the_block_once(monkeypatch):
     # the Smith form takes |det Q_(q)| from the Factor that the solve
     # substitutes into; with the floor read off that solve, no reduction
     # factors again.  Every factor, dense or sparse, runs through the one
-    # sparse entry, so counting it counts them all
+    # sparse entry, so counting it counts them all.  The graph's table keeps
+    # the Factor, so each case runs on a fresh copy, which the shared graphs
+    # of _unit_cases are not, and a second call on it factors nothing
     calls = []
     factor = exact._factor_rows
 
@@ -317,8 +320,11 @@ def test_a_sampler_call_factors_the_block_once(monkeypatch):
 
     monkeypatch.setattr(exact, "_factor_rows", counting)
     for G, q in _unit_cases():
+        G = Graph(G.n, G.edges)
         calls.clear()
         sample_spanning_tree(G, q, seed=3, count=4)
+        assert calls == [G.n - 1]
+        sample_spanning_tree(G, q, seed=4, count=4)
         assert calls == [G.n - 1]
 
 
@@ -343,7 +349,7 @@ def test_the_sparse_rows_give_the_dense_factor():
     cases += [(path_graph(500), 0), (cycle_graph(500), 0)]
     for G, q in cases:
         Q = reduced_laplacian(G, q).tolist()
-        rows = _reduced_rows(G, q)
+        rows = _reduced_rows(G._nbrs, q)
         assert rows == [{j: x for j, x in enumerate(row) if x} for row in Q]
         _same_factor(exact._factor_rows(G.n - 1, rows), exact.factor(Q))
 
@@ -355,7 +361,8 @@ def test_small_graphs_keep_their_generators(G, want):
 
 def _full_matrix_factors(G, q):
     """The invariant factors above 1 of smith_normal_form on all of Q_(q)."""
-    diagonal = smith_normal_form(reduced_laplacian(G, q).tolist())[0]
+    M = reduced_laplacian(G, q).tolist()
+    diagonal = smith_normal_form(M, abs(det(M)))[0]
     return tuple(s for s in diagonal if s != 1)
 
 
@@ -410,7 +417,7 @@ def test_p_ranks_count_the_invariant_factors_divisible_by_p():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda x: smith_normal_form([[x, 0], [0, 3]]),
+        lambda x: smith_normal_form([[x, 0], [0, 3]], 6),
         lambda x: jacobian(cycle_graph(5), 0).element([x]),
         lambda x: sample_spanning_tree(complete_graph(3), 0, x, count=3),
     ],

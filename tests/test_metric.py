@@ -960,14 +960,15 @@ def test_ten_reductions_on_one_gamma_build_one_model_and_one_factor(monkeypatch)
             builds.append(args)
             super().__init__(*args)
 
-    factor = metric.exact.factor
+    # the model's sparse rows go straight to exact's one sparse entry
+    factor = metric.exact._factor_rows
 
     def counting(*args):
         factors.append(args)
         return factor(*args)
 
     monkeypatch.setattr(metric, "_Model", Counting)
-    monkeypatch.setattr(metric.exact, "factor", counting)
+    monkeypatch.setattr(metric.exact, "_factor_rows", counting)
     cases = _c10_cases()
     gamma = cases[0][0]
     for gamma, q, D in cases + cases:

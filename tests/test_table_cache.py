@@ -7,8 +7,13 @@ Core claims:
       hypothesis graphs.
     - K trees sampled on one (G, q) build one float inverse from 16
       vertices on and none below; reduce followed
-      by the step bounds and verify_minimizer builds one exact adjugate, the
-      only exact solve they run.
+      by the step bounds and verify_minimizer builds one exact adjugate: one
+      factor of Q_(q) and one substitution of the identity into it.
+    - One factor of Q_(q) per (G, q) serves step 1's exact fallback, linear
+      equivalence, b_q, verify_minimizer, jacobian, the sampler and the
+      tree count; a second q factors once more, the tree count reads the
+      factor of whatever q the graph holds, and a dropped graph frees the
+      factor by reference counting alone.
     - The cached float inverse is read-only, a patched
       PotentialTable.float_inverse takes effect on a warm table, and a
       dropped graph frees its table's inverse by reference counting alone.
@@ -24,9 +29,10 @@ from hypothesis import given, settings, strategies as st
 
 from chipfire import exact, potential
 from chipfire.graph import Divisor, Graph
-from chipfire.jacobian import sample_spanning_tree
+from chipfire.jacobian import count_spanning_trees, jacobian, sample_spanning_tree
 from chipfire.potential import b_q, j_function
 from chipfire.reduction import (
+    is_linearly_equivalent,
     reduce as reduce_divisor,
     step_bound_borrows,
     verify_minimizer,
@@ -118,22 +124,77 @@ def test_k_trees_build_one_float_inverse(monkeypatch):
         assert len(calls) == want  # one per graph, not one per tree
 
 
+def _count_factors(monkeypatch):
+    """The size n of each exact._factor_rows call, through which every
+    factor of Q_(q) runs, in a list that grows as they are made."""
+    calls = []
+    factor = exact._factor_rows
+
+    def counting(n, rows):
+        calls.append(n)
+        return factor(n, rows)
+
+    monkeypatch.setattr(exact, "_factor_rows", counting)
+    return calls
+
+
 def test_reduce_then_the_exact_checks_build_one_adjugate(monkeypatch):
     G = random_multigraph(10, 9, np.random.default_rng(1514))
     D = random_divisor(G.n, np.random.default_rng(1515), lo=-9, hi=9)
-    calls = []
-    solve = exact.solve
+    factors = _count_factors(monkeypatch)
+    substitutions = []
+    substitute = exact.substitute
 
-    def counting(M, B):
-        calls.append((len(M), len(B[0])))
-        return solve(M, B)
+    def counting(fac, B):
+        substitutions.append((fac.n, len(B[0])))
+        return substitute(fac, B)
 
-    monkeypatch.setattr(exact, "solve", counting)
+    monkeypatch.setattr(exact, "substitute", counting)
     rep = reduce_divisor(G, 4, D)
     step_bound_borrows(G, 4, rep.after_step1)
     b_q(G, 4, rep.result)
     assert verify_minimizer(G, 4, rep.result, trials=8)
-    assert calls == [(G.n - 1, G.n - 1)]  # solve(Q_(q), I), once
+    assert factors == [G.n - 1]  # the factor of Q_(q), once
+    assert substitutions == [(G.n - 1, G.n - 1)]  # the identity into it, once
+
+
+def test_one_factor_serves_every_exact_caller_on_one_graph_and_q(monkeypatch):
+    G = random_multigraph(10, 12, np.random.default_rng(1520))
+    q, q2 = 5, 3
+    D = random_divisor(G.n, np.random.default_rng(1521), lo=-30, hi=30)
+    factors = _count_factors(monkeypatch)
+    true_inverse = potential.PotentialTable.float_inverse
+
+    def poisoned(table):
+        inv = true_inverse(table).copy()
+        inv[table.n // 2, 1] = np.nan
+        return inv
+
+    with monkeypatch.context() as m:
+        m.setattr(potential.PotentialTable, "float_inverse", poisoned)
+        rep = reduce_divisor(G, q, D)
+    assert (rep.floor_path, rep.floor_rounds) == ("exact", 1)
+    assert factors == [G.n - 1]
+    assert is_linearly_equivalent(G, D, rep.result, q) == rep.script
+    b_q(G, q, rep.result)
+    assert verify_minimizer(G, q, rep.result, trials=8)
+    kappa = jacobian(G, q).order
+    assert len(sample_spanning_tree(G, q, 1522, count=3)) == 3
+    assert count_spanning_trees(G) == kappa
+    assert factors == [G.n - 1]  # one factor for all of them
+    jacobian(G, q2)
+    assert factors == [G.n - 1] * 2  # a second q factors once more
+    assert G._table.q == q2 and count_spanning_trees(G) == kappa
+    assert factors == [G.n - 1] * 2  # every grounding has the same det
+    was_enabled = gc.isenabled()
+    gc.disable()  # a reference cycle would keep the factor alive here
+    try:
+        ref = weakref.ref(G._table.factor())
+        del G
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_the_cached_float_inverse_is_read_only():
