@@ -165,6 +165,9 @@ def _cmd_from_tree(gf, q, D, args):
         edges = [int(t) for t in args.tree.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"bad tree spec {args.tree!r}")
+    if len(set(edges)) < len(edges):  # the library reads the tree as an edge set
+        e = next(e for i, e in enumerate(edges) if e in edges[:i])
+        raise ValueError(f"bad tree spec {args.tree!r}: edge {e} is repeated")
     divisor = treebij.tree_to_divisor(gf.graph, q, frozenset(edges), d=args.degree)
     return {"divisor": list(divisor)}, None, None, 0
 

@@ -21,14 +21,14 @@ keeps about a third of M's rows (67 of 199 at n = 200).  A presentation
 reads M's Factor off the PotentialTable the graph keeps for q, which
 factors M once, from the sparse rows of the graph's incidence tuples (no
 dense array), and keeps it for every later exact caller on (G, q); the
-Smith pass runs on that Factor's block and takes |det M| from it, and the
-sampler's solve substitutes into it.  count_spanning_trees reads its det
-off the Factor of the table the graph holds, at whatever q, since every
-grounding has the same det.  The uniform tree sampler picks a uniform group
-element, reduces it with reduction's steps-1-2 core, certifies it with one
-burn and an effectiveness test, and burns it into its tree.  Step 1 of that
-reduction subtracts Delta(floor(L_(q) D)), and L_(q) is linear, so one
-substitution of the generators into M's Factor per call gives every tree's
+Smith pass runs on that Factor's block and takes |det M| from it.
+count_spanning_trees reads its det off the Factor of the table the graph
+holds, at whatever q, since every grounding has the same det.  The uniform
+tree sampler takes the presentation from jacobian, picks a uniform group
+element, reduces it with reduction's steps-1-2 core, certifies it with
+is_reduced, and burns it into its tree.  Step 1 of that reduction subtracts
+Delta(floor(L_(q) D)), and L_(q) is linear, so one substitution of the
+generators off q into the same kept Factor per call gives every tree's
 floor in integers.
 """
 
@@ -40,7 +40,7 @@ from operator import index, mul
 
 import numpy as np
 
-from . import _kernels, exact
+from . import exact
 from .graph import Divisor, FiringScript, canonical_plus, check_divisor, check_vertex
 from .potential import _table
 from .reduction import _steps_1_2, is_reduced, reduce
@@ -169,7 +169,7 @@ class JacobianPresentation:
         return Divisor(acc)
 
 
-def _presentation(G, q):
+def jacobian(G, q):
     """Jac(G) from the Smith form of the Schur block of Q_(q).
 
     The Factor of Q_(q) is the one the graph's table for q keeps
@@ -178,35 +178,22 @@ def _presentation(G, q):
     operations, so the Smith form of its block B gives every invariant
     factor above 1.  Column i of B's U'^{-1}, on B's rows, is the i-th
     generator off q: the inverse of each row operation fixes every row that
-    never holds a pivot.  Returns the presentation, the Factor of Q_(q),
-    whose |det| the Smith form takes, and the generators off q as the rows
-    of a matrix, zero on every pivot row.
+    never holds a pivot, and every pivot row of a generator is 0.
     """
     check_vertex(G, q)
-    keep = [v for v in G.vertices if v != q]
     fac = _table(G, q).factor()
     diagonal, u_inv = smith_normal_form(fac.block, abs(fac.det))
     kept = [i for i, s in enumerate(diagonal) if s != 1]
-    gens = [[0] * len(kept) for _ in keep]
-    for r, row in zip(fac.rows, u_inv):
-        gens[r] = [row[i] for i in kept]
     coeffs = [[0] * G.n for _ in kept]
-    for v, row in zip(keep, gens):
-        for c, x in zip(coeffs, row):
-            c[v] = x
+    for r, row in zip(fac.rows, u_inv):  # row r of Q_(q) is vertex r + (r >= q)
+        for c, i in zip(coeffs, kept):
+            c[r + (r >= q)] = row[i]
     for c in coeffs:
         c[q] = -sum(c)
-    pres = JacobianPresentation(
+    return JacobianPresentation(
         q=q, n=G.n, invariant_factors=tuple(diagonal[i] for i in kept),
         generators=tuple(map(Divisor, coeffs)),
     )
-    return pres, fac, gens
-
-
-def jacobian(G, q):
-    """Presentation of Jac(G) from the Smith form of the reduced Laplacian's
-    Schur block (see _presentation)."""
-    return _presentation(G, q)[0]
 
 
 def count_spanning_trees(G):
@@ -245,30 +232,30 @@ def sample_spanning_tree(G, q, seed, count=1):
     Sample i draws from a Philox stream with key=seed and counter
     [0, 0, i, 0], so sample i is the same for every count >= i+1.  The
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
-    and reducing then burning carries it to a uniform tree.  One factor of
-    Q_(q)'s sparse rows per call serves the Smith form of its block and
-    the generators' solve: one substitution into that Factor gives (kappa, P)
-    with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
+    and reducing then burning carries it to a uniform tree.  The
+    presentation is jacobian(G, q), whose Smith form runs on the block of
+    the Factor of Q_(q) that the graph's table keeps; one substitution of
+    the generators off q into that Factor gives (kappa, P) with
+    kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
     kappa L_(q) g_i off q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
     (sum_i a_i P[v][i]) // kappa at each v.  Each vertex keeps, per call,
     its coefficient in every generator and its row of P, so a tree's chips
     and floor are one sum per vertex each; they go straight to reduction's
     steps-1-2 core, which then runs step 2 alone.  The list it ends at is
-    certified by one burn from q and a test that it is effective off q
-    before it is burnt into its tree: a failure there is an internal fault
-    (AssertionError), not a refused input.  A seed outside [0, 2**128), or
-    a count that is negative or not an integer, is refused before the Smith
-    form is built.
+    certified by is_reduced (one burn from q and a test that it is
+    effective off q) before it is burnt into its tree: a failure there is
+    an internal fault (AssertionError), not a refused input.  A seed
+    outside [0, 2**128), or a count that is negative or not an integer, is
+    refused before the Smith form is built.
     """
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")
-    pres, fac, gens = _presentation(G, q)
-    kappa, P = exact.substitute(fac, gens)
+    pres = jacobian(G, q)
     # per vertex: its coefficient in each generator, and its row of P (0 at q)
     coeffs = [[g[v] for g in pres.generators] for v in G.vertices]
+    kappa, P = exact.substitute(_table(G, q).factor(), coeffs[:q] + coeffs[q + 1:])
     P = P[:q] + [[0] * len(pres.generators)] + P[q:]
-    off_q = [v for v in G.vertices if v != q]
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []
@@ -279,7 +266,7 @@ def sample_spanning_tree(G, q, seed, count=1):
         chips = [sum(map(mul, exps, c)) for c in coeffs]
         floor = [sum(map(mul, exps, row)) // kappa for row in P]
         red = _steps_1_2(G, q, chips, floor)[1]
-        if len(_kernels.burn(G, red, q)) != G.n or any(red[v] < 0 for v in off_q):
+        if not is_reduced(G, q, red):
             raise AssertionError("reduce returned a divisor that is not q-reduced")
         out.append(divisor_to_tree(G, q, red))
     return out

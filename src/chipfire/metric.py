@@ -24,9 +24,10 @@ integer conductances, grounded at model vertex 0, from first use, and every
 potential query reads j_q, r, E_q or b_q off one substitution into the
 factor of the model at q and the points it names (_grounded).  A divisor
 is made effective off q by one rounded j_q-potential, which leaves a number
-of chips per model vertex bounded by the model alone, and that step hands
-its model to the Luo moves; a new one is built only when the interior
-points of q and the support change.  What depends only on the model is
+of chips per model vertex bounded by the model alone.  The Luo moves then
+run on the model at q and that step's support (Gamma's vertex model when
+all are vertices), and a new one is built only when the interior points of
+q and the support change.  What depends only on the model is
 read once and kept on it: each model edge's segment of Gamma, each Gamma
 edge's length in ticks and, from first use, make-effective's buffer.  Each
 move only moves chips on the model's chip vector, reads its eps and its
@@ -737,15 +738,10 @@ def metric_make_effective(gamma, q, D):
     integer (always on edges of length 1/k).  Then every model vertex p != q
     ends with 0 <= E(p) < 2 c(p), whatever the size of D.
     """
-    return _make_effective(gamma, _as_point(q), D)[:2]
-
-
-def _make_effective(gamma, q, D):
-    """(E, f, model): metric_make_effective's E and f, and the model at q and
-    supp(D) they were computed on, which metric_reduce starts its moves on."""
+    q = _as_point(q)
     model = _model_at(gamma, [q, *D.support])  # an effective D off Gamma is refused too
     if D.is_effective(skip=q):
-        return D, TropicalFunction.zero(gamma), model
+        return D, TropicalFunction.zero(gamma)
     q_vid, den = model.vid_of[q], model.den
     chips = model.chips(D)
     # D - nu off q: _grounded_potential sets q's entry itself
@@ -769,7 +765,7 @@ def _make_effective(gamma, q, D):
     f = _tropical_from_model(gamma, model, den, [x * den for x in values], kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")
-    return E, f, model
+    return E, f
 
 
 # ---------------------------------------------------------------------------
@@ -805,31 +801,32 @@ _MAX_LUO_ITERATIONS = 100000
 def metric_reduce(gamma, q, D):
     """The q-reduced divisor equivalent to D, with the full move log.
 
-    First clears negatives off q as metric_make_effective does (a no-op
-    when D is effective off q), then repeats Luo moves on that step's model,
-    rebuilt only when the interior points of q and the support change: burn
-    from q, take the first stalled component X in canonical order, and add
-    Delta(min(dist(., X), eps)) with eps the shortest model edge leaving X,
-    that is, move one chip from X eps along every edge leaving it.  The
-    divisor lives as the model's chip vector, which a move updates in place;
-    a chip that lands inside a model edge, or a point other than q left
-    empty, builds the model anew.  Each logged divisor is read off the
-    vector in model order, which is the canonical point order.  Each
-    move decreases b_q by exactly l(X) eps + (cut/2) eps^2.  The loop has a
-    budget of _MAX_LUO_ITERATIONS = 100000 moves, and an input that needs
-    more is refused with ValueError naming its common denominator N.  The
-    script is read off the log after it: the make-effective script f0 plus
-    min(dist(., X), eps) for each move (eps at q), summed at the final
-    model's points and supp(D), which carry its Laplacian (result - D), and
-    affine between them; D + Delta(script) == result is checked exactly.
+    First clears negatives off q with metric_make_effective (a no-op when
+    D is effective off q), then repeats Luo moves on the model at q and
+    the support of its result, rebuilt only when the interior points of q
+    and the support change: burn from q, take the first stalled component
+    X in canonical order, and add Delta(min(dist(., X), eps)) with eps the
+    shortest model edge leaving X, that is, move one chip from X eps along
+    every edge leaving it.  The divisor lives as the model's chip vector,
+    which a move updates in place; a chip that lands inside a model edge,
+    or a point other than q left empty, builds the model anew.  Each logged
+    divisor is read off the vector in model order, which is the canonical
+    point order.  Each move decreases b_q by exactly l(X) eps +
+    (cut/2) eps^2.  The loop has a budget of _MAX_LUO_ITERATIONS = 100000
+    moves, and an input that needs more is refused with ValueError naming
+    its common denominator N, the lcm of Gamma's length denominators and
+    the offset denominators of q and supp(D).  The script is read off the
+    log after it: the make-effective script f0 plus min(dist(., X), eps)
+    for each move (eps at q), summed at the final model's points and
+    supp(D), which carry its Laplacian (result - D), and affine between
+    them; D + Delta(script) == result is checked exactly.
     """
     q = _as_point(q)
-    E0, f0, model = _make_effective(gamma, q, D)
-    E, log, N = E0, [], model.den
-    # the model depends only on the interior points of {q} and supp(E), which
-    # make-effective's kinks and emptied points may have changed
-    if frozenset(p for p in (q, *E.support) if p.kind == "e") != frozenset(model.points[gamma.n:]):
-        model = _model_at(gamma, [q, *E.support])
+    E0, f0 = metric_make_effective(gamma, q, D)
+    E, log = E0, []
+    # the denominator of the model at q and supp(D), which make-effective ran on
+    N = lcm(gamma._den, *(p.offset.denominator for p in (q, *D.support) if p.kind == "e"))
+    model = _model_at(gamma, [q, *E.support])
     chips, q_vid, n = model.chips(E), model.vid_of[q], gamma.n
     for _ in range(_MAX_LUO_ITERATIONS):
         order = _kernels.burn(model.graph, chips, q_vid)

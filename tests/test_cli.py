@@ -712,14 +712,16 @@ def test_cli_missing_file_under_json_prints_one_json_object(tmp_path, capsys):
          "bad divisor '1,x,0': "),
         (["from-tree", "{k3}", "--q", "0", "--tree", "0,a"],
          "bad tree spec '0,a'"),
+        (["from-tree", "{k3}", "--q", "0", "--tree", "0,0,1"],
+         "bad tree spec '0,0,1': edge 0 is repeated"),
         (["rank", "{k3}", "--divisor", "flat", "--c", "-1"],
          "--c must be >= 0"),
         (["metric-reduce", "{seg}", "--q", "e:0@3", "--divisor", "twoa"],
          "bad point 'e:0@3': offset outside the edge"),
     ],
     ids=[
-        "reduce_metric_file", "q_not_int", "divisor_not_int", "tree_not_int", "c_negative",
-        "q_off_the_edge",
+        "reduce_metric_file", "q_not_int", "divisor_not_int", "tree_not_int",
+        "tree_edge_repeated", "c_negative", "q_off_the_edge",
     ],
 )
 def test_cli_refusals_name_their_cause(k3_file, seg_file, capsys, args, error):

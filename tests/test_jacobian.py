@@ -682,7 +682,7 @@ def _unreduced_core(G, q, D, floor=None):
 
 def test_sampler_certifies_the_reduced_element(monkeypatch):
     # a reduction core that hands back an unreduced divisor is an internal
-    # fault: the sampler's own burn check raises AssertionError (CLI exit
+    # fault: the sampler's is_reduced check raises AssertionError (CLI exit
     # 3), not divisor_to_tree's ValueError (CLI exit 2, a refused input)
     G = complete_graph(3)
     assert not dhar(G, 0, Divisor([-2, 1, 1])).reduced
