@@ -27,13 +27,14 @@ numpy); a Fraction or a float raises TypeError, so a caller with rational
 data scales it to integers first.
 
 factor turns its dense rows into {column: entry} dicts and hands them to
-_factor_rows, the one entry to the unit phase and the Bareiss pass.  Every
-caller in the library builds those rows itself and calls _factor_rows, so
-none builds an n x n matrix: a graph's PotentialTable factors Q_(q) from
-graph._reduced_rows once and keeps the Factor for the j-table, step 1's
-exact fallback, the Jacobian, the sampler and the tree count, and a metric
-model factors its grounded Laplacian's rows.  factor, det and solve take a
-dense matrix for a caller that holds one.
+_factor_rows, the one entry to the unit phase and the Bareiss pass.  Two
+modules of the library call _factor_rows and substitute, and neither
+builds an n x n matrix: a graph's PotentialTable factors Q_(q) from
+graph._reduced_rows once, keeps the Factor and answers every exact L_(q)
+solve from it (the j-table, step 1's exact fallback and the sampler's
+generators) while the Jacobian and the tree count read its block and det,
+and a metric model factors its grounded Laplacian's rows.  factor, det and
+solve take a dense matrix for a caller that holds one.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ holds, at whatever q, since every grounding has the same det.  The uniform
 tree sampler takes the presentation from jacobian, picks a uniform group
 element, reduces it with reduction's steps-1-2 core, certifies it with
 is_reduced, and burns it into its tree.  Step 1 of that reduction subtracts
-Delta(floor(L_(q) D)), and L_(q) is linear, so one substitution of the
-generators off q into the same kept Factor per call gives every tree's
-floor in integers.
+Delta(floor(L_(q) D)), and L_(q) is linear, so one exact solve of the
+generators per call gives every tree's floor in integers: the table's
+solve, which takes one row per vertex and substitutes into the same kept
+Factor, so the sampler slices nothing around q.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from operator import index, mul
 
 import numpy as np
 
-from . import exact
 from .graph import Divisor, FiringScript, canonical_plus, check_divisor, check_vertex
 from .potential import _table
 from .reduction import _steps_1_2, is_reduced, reduce
@@ -234,10 +234,10 @@ def sample_spanning_tree(G, q, seed, count=1):
     group element sum(a_i g_i) with uniform exponents is uniform on Jac(G),
     and reducing then burning carries it to a uniform tree.  The
     presentation is jacobian(G, q), whose Smith form runs on the block of
-    the Factor of Q_(q) that the graph's table keeps; one substitution of
-    the generators off q into that Factor gives (kappa, P) with
-    kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
-    kappa L_(q) g_i off q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
+    the Factor of Q_(q) that the graph's table keeps; the table's solve of
+    the generators, one substitution into that Factor, gives (kappa, P)
+    with kappa = det Q_(q) = |Jac(G)| > 0 and column i of P equal to
+    kappa L_(q) g_i, 0 at q, so step 1's floor floor(L_(q) sum(a_i g_i)) is
     (sum_i a_i P[v][i]) // kappa at each v.  Each vertex keeps, per call,
     its coefficient in every generator and its row of P, so a tree's chips
     and floor are one sum per vertex each; they go straight to reduction's
@@ -254,8 +254,7 @@ def sample_spanning_tree(G, q, seed, count=1):
     pres = jacobian(G, q)
     # per vertex: its coefficient in each generator, and its row of P (0 at q)
     coeffs = [[g[v] for g in pres.generators] for v in G.vertices]
-    kappa, P = exact.substitute(_table(G, q).factor(), coeffs[:q] + coeffs[q + 1:])
-    P = P[:q] + [[0] * len(pres.generators)] + P[q:]
+    kappa, P = _table(G, q).solve(coeffs)
     state = bitgen.state  # counter 0 and an empty buffer
     counter = state["state"]["counter"]
     out = []

@@ -207,7 +207,14 @@ class MetricDivisor:
     def __init__(self, entries):
         if isinstance(entries, dict):
             entries = entries.items()
-        self.entries = _merge((_as_point(p), operator.index(w)) for p, w in entries)
+        acc = {}
+        for p, w in entries:
+            p = _as_point(p)
+            acc[p] = acc.get(p, 0) + operator.index(w)
+        # points in acc are distinct, so sorting on their keys alone keeps the
+        # canonical order without calling GraphPoint's comparisons
+        nonzero = ((p, w) for p, w in acc.items() if w)
+        self.entries = tuple(sorted(nonzero, key=lambda pw: pw[0]._key))
 
     @classmethod
     def _of_entries(cls, entries):
@@ -257,18 +264,6 @@ class MetricDivisor:
 
     def __repr__(self):
         return f"MetricDivisor({list(self.entries)!r})"
-
-
-def _merge(items):
-    """The entries of the divisor summing the (point, int weight) items: each
-    point once, by canonical order, with its nonzero total."""
-    acc = {}
-    for p, w in items:
-        if w:
-            acc[p] = acc.get(p, 0) + w
-    # points in acc are distinct, so sorting on their keys alone keeps the
-    # canonical order without calling GraphPoint's comparisons
-    return tuple(sorted(((p, w) for p, w in acc.items() if w), key=lambda pw: pw[0]._key))
 
 
 def _combined(xs, ys):
@@ -759,9 +754,9 @@ def metric_make_effective(gamma, q, D):
         else:
             chips[b] += s + 1
     E = [(p, w) for p, w in zip(model.points, chips) if w]
-    if kinks:  # each a point of its own, strictly inside a model edge
-        E = _merge(E + [(p, 1) for p, _ in kinks])
-    E = MetricDivisor._of_entries(E)
+    # model points in id order and kinks in model-edge order, each strictly
+    # inside a model edge, are both canonical
+    E = MetricDivisor._of_entries(_combined(E, [(p, 1) for p, _ in kinks]))
     f = _tropical_from_model(gamma, model, den, [x * den for x in values], kinks)
     if D + metric_laplacian(gamma, f) != E or not E.is_effective(skip=q):
         raise AssertionError("the rounded potential failed to make D effective")

@@ -2,17 +2,16 @@
 the j-function, effective resistance, and the energy pairings E_q and b_q.
 
 All values are exact rationals.  A graph keeps one PotentialTable, for the
-last base vertex asked for, and the table keeps exact's Factor of Q_(q),
-built from the sparse rows of graph._reduced_rows on first use.  Every
-exact system on Q_(q) reads that one factor: the j-table is one
-substitution of the identity into it, an integer numerator matrix over the
-tree count, so the inner loops of b_q / E_q stay in integer arithmetic;
-step 1's exact fallback substitutes its column, and the Jacobian, the tree
-sampler and the tree count read the factor itself.  The table's float64
-view (`float_inverse`) needs no elimination and is what the reduction's
-lattice step refines to exact floors.  So K reductions and checks against
-one (G, q) build the float inverse, the factor and the exact numerators
-once each.
+last base vertex asked for.  The table owns Q_(q): it keeps exact's Factor
+of Q_(q), built from graph._reduced_rows on first use, and its float64
+inverse, and every L_(q) solve goes through it on whole-vertex vectors,
+exact (`solve`, one substitution into the factor) or in float64
+(`float_solve`).  The j-table is the identity solved once, integer
+numerators over the tree count, so b_q / E_q stay in integer arithmetic;
+step 1, step 2's guess and the tree sampler call the two solves, and the
+Jacobian and the tree count read the factor.  So K reductions and checks
+against one (G, q) build the float inverse, the factor and the exact
+numerators once each.
 Every generalized inverse is read off such tables: L_(q) = j_q, the
 Moore-Penrose inverse is P L_(0) P with P = I - J/n, and L_mu = sum mu_i L_(i)
 comes from the resistances r(p, v) read off L_(0).
@@ -122,21 +121,22 @@ class PotentialTable:
     J[p][v] = j_q(p, v) is the potential at v when one unit of current
     enters at p and exits at q, grounded at q.  The exact values are an
     integer numerator matrix `num` over a common denominator `den` (the
-    spanning tree count), built on first use by one substitution into
-    `factor()`, exact's Factor of Q_(q), which is itself built once;
+    spanning tree count), built on first use by `solve` of the identity
+    into `factor()`, exact's Factor of Q_(q), which is itself built once;
     `float_inverse` reads j_q / den in float64 without either, also once.
+    Every L_(q) solve goes through `solve` or `float_solve`, on one entry
+    per vertex, so no caller of a solve slices around q.
 
-    The reduction's step-1 constants are set at construction: keep, the
-    vertices off q in order; ecc, the eccentricity of q, which bounds every
-    j_q(p, v); and two_t = 2 prod_{v != q} deg(v), twice a bound on the tree
-    count.  A table keeps the degrees, edge endpoints and incidence tuples
-    of G, not G, so the graph that holds it (see j_function) forms no
-    reference cycle with it and frees it, float inverse and factor
-    included, when it is dropped.
+    The reduction's step-1 constants are set at construction: ecc, the
+    eccentricity of q, which bounds every j_q(p, v); and two_t =
+    2 prod_{v != q} deg(v), twice a bound on the tree count.  A table keeps
+    the degrees, edge endpoints and incidence tuples of G, not G, so the
+    graph that holds it (see j_function) forms no reference cycle with it
+    and frees it, float inverse and factor included, when it is dropped.
     """
 
     __slots__ = (
-        "q", "n", "keep", "ecc", "two_t", "_deg", "_eu", "_ev", "_nbrs", "_inv",
+        "q", "n", "ecc", "two_t", "_deg", "_eu", "_ev", "_nbrs", "_inv",
         "_factor", "_num", "_den",
     )
 
@@ -144,7 +144,6 @@ class PotentialTable:
         check_vertex(G, q)
         self.q = q
         self.n = G.n
-        self.keep = tuple(range(q)) + tuple(range(q + 1, G.n))
         self.ecc = max(bfs_distances(G, q))
         self.two_t = 2 * prod(G.deg[:q] + G.deg[q + 1:])
         self._deg, self._eu, self._ev, self._nbrs = G.deg, G._eu, G._ev, G._nbrs
@@ -163,26 +162,20 @@ class PotentialTable:
         return self._den
 
     def _build(self):
-        """num and den from adj(Q_(q)) and det(Q_(q)): the identity
-        substituted into factor().
+        """num and den from adj(Q_(q)) and det(Q_(q)): the identity solved.
 
         Self-check: the integer numerators satisfy Q_(q) (num 1) = den 1,
         that is Delta(g_q) = sum_v (v) - n (q).
         """
         q, k = self.q, self.n - 1
-        den, adj = exact.substitute(
-            self.factor(), [[int(i == j) for j in range(k)] for i in range(k)]
-        )
+        den, adj = self.solve([[int(j == v - (v > q)) for j in range(k)] for v in range(self.n)])
         g = [sum(row) for row in adj]
-        g.insert(q, 0)
         if any(
             len(at_v) * g[v] - sum(g[w] for w in at_v) != den
             for v, at_v in enumerate(self._nbrs) if v != q
         ):
             raise AssertionError("j-function numerators must be integral cofactors")
-        num = [tuple(row[:q] + [0] + row[q:]) for row in adj]
-        num.insert(q, (0,) * self.n)
-        self._num = tuple(num)
+        self._num = tuple(tuple(row[:q] + [0] + row[q:]) for row in adj)
         self._den = den
 
     def factor(self):
@@ -206,6 +199,22 @@ class PotentialTable:
             inv.flags.writeable = False
             self._inv = inv
         return self._inv
+
+    def solve(self, rows):
+        """(kappa, kappa L_(q) B), kappa = det Q_(q), as ints from one
+        substitution into factor(); B and the result have one row per vertex,
+        row q of B is not read and row q of the result is 0."""
+        q = self.q
+        kappa, X = exact.substitute(self.factor(), rows[:q] + rows[q + 1:])
+        return kappa, X[:q] + [[0] * len(rows[q])] + X[q:]
+
+    def float_solve(self, b):
+        """L_(q) b off float_inverse(), one float per vertex, 0.0 at q; b[q]
+        is not read."""
+        q = self.q
+        x = (self.float_inverse() @ np.array(b[:q] + b[q + 1:], dtype=np.float64)).tolist()
+        x.insert(q, 0.0)
+        return x
 
     def j(self, p, v):
         return Fraction(self.num[p][v], self.den)
@@ -264,8 +273,8 @@ def j_function(G, q):
     """PotentialTable of j_q values: adj(Q_(q)) over det(Q_(q)), the tree count.
 
     The table G keeps for q (see _table).  The exact numerators are built on
-    first use of the table's num or den, the float inverse on the first
-    float_inverse() call and the factor of Q_(q) on the first factor() call.
+    first use of the table's num or den, the float inverse on its first
+    float_solve and the factor of Q_(q) on its first solve or factor() call.
     """
     check_vertex(G, q)
     return _table(G, q)

@@ -19,20 +19,21 @@ The borrow counts are logged so the b_q accounting can be replayed exactly.
 
 The floor of the lattice step is exact without the exact j-table: float64
 solves of Q_(q) are refined on exact integer residuals until a bound from
-potential theory certifies every coordinate, with one column substituted
-into the table's kept factor of Q_(q) as the fallback (see _refined_floor,
-step 1's one routine).  Step 1 reads the float64 view of the j-table and,
-on the fallback only, its factor; its exact numerators are built only
-by the energy and bound checks (verify_minimizer, move_bounds,
-step_bound_borrows).  j_function(G, q) returns the table G keeps for its
-last base vertex, so repeated reductions against one (G, q) build the float
-inverse and the step-1 constants ecc(q) and 2T once, and the checks after
-them build the exact numerators once.  The tree sampler runs no
-_refined_floor: it hands the core each tree's floor, read in integers off
-one exact solve of the generators per call (see
-jacobian.sample_spanning_tree), and the core forms d1 from either floor.
+potential theory certifies every coordinate, with one exact solve as the
+fallback (see _refined_floor, step 1's one routine).  Every L_(q) solve
+here is the table's: float_solve or, on the fallback only, solve, both on
+whole-vertex vectors, so this module never slices around q.  The table's
+exact numerators are built only by the energy and bound checks
+(verify_minimizer, move_bounds, step_bound_borrows).  j_function(G, q)
+returns the table G keeps for its last base vertex, so repeated reductions
+against one (G, q) build the float inverse and the step-1 constants ecc(q)
+and 2T once, and the checks after them build the exact numerators once.
+The tree sampler runs no _refined_floor: it hands the core each tree's
+floor, read in integers off one exact solve of the generators per call
+(see jacobian.sample_spanning_tree), and the core forms d1 from either
+floor.
 
-Step 2 starts from one guess read off the same float inverse.  Its borrow
+Step 2 starts from one guess read off the table's float_solve.  Its borrow
 vector c* is the least c >= 0 with c(q) = 0 and d1 + Q c >= 0 off q (least
 action), so c* = L_(q) (d2 - d1) with d2 in the box [0, deg - 1] off q, and
 x = L_(q) (t - d1) for a target t in that box is a float estimate of c*
@@ -65,7 +66,7 @@ from math import frexp, inf, isfinite, ldexp
 
 import numpy as np
 
-from . import _kernels, exact
+from . import _kernels
 from .graph import (
     Divisor,
     FiringScript,
@@ -153,11 +154,10 @@ def is_linearly_equivalent(G, D1, D2, q):
 def _refined_floor(G, table, D):
     """Step 1's floor: (floor(x), path, rounds) for x = L_(q) [D], the
     solution of Q_(q) x = D off q with 0 at q, and table the PotentialTable
-    of (G, q), which holds q, the vertices off it, ecc(q), 2T and the
-    float64 Q_(q)^{-1}.
+    of (G, q), which holds q, ecc(q) and 2T and solves L_(q) b.
 
-    x = L_(q) D = sum_v j_q(., v) D(v) is refined from float64 solves with
-    the j-table's float view on exact integer residuals (Wan, J.
+    x = L_(q) D = sum_v j_q(., v) D(v) is refined from the table's float64
+    solves (float_solve) on exact integer residuals (Wan, J.
     Symbolic Comput. 41, 2006): x~ = X / 2^S with X integral, and each round
     computes R = 2^S D - Q X exactly and adds one float solve of R to X.
     Q_(q)^{-1} = j_q / kappa is entrywise nonnegative with j_q(p, v) <=
@@ -168,15 +168,14 @@ def _refined_floor(G, table, D):
     D zero off q needs no solve; R = 0, or a zero exact residual at
     round(x~) (principal divisors), stops at once.  path is "float"; it is
     "exact" when a round fails to halve the bound or a float solve is not
-    finite, and D's column substituted into table.factor(), exact's Factor
-    of Q_(q), which the table builds once and keeps, finishes the job.
-    rounds counts the float solves.
+    finite, and the table's exact solve of D's column, one substitution
+    into the factor of Q_(q) that the table builds once and keeps,
+    finishes the job.  rounds counts the float solves.
     """
-    q, keep, ecc, two_t = table.q, table.keep, table.ecc, table.two_t
+    q, ecc, two_t = table.q, table.ecc, table.two_t
     b = [0 if v == q else c for v, c in enumerate(D)]
     if not any(b):
         return [0] * G.n, "float", 0
-    inv = table.float_inverse()
     X, S, R = [0] * G.n, 0, b
     err = ecc * sum(map(abs, R))
     rounds = 0
@@ -184,7 +183,7 @@ def _refined_floor(G, table, D):
         last_err, last_S = err, S
         # one float solve of R, rounded half to even to integers Y of <= 52 bits
         t = max(0, max(map(abs, R)).bit_length() - 62)
-        y = (inv @ np.array([float(R[v] >> t) for v in keep])).tolist()
+        y = table.float_solve([float(r >> t) for r in R])
         rounds += 1
         if not all(map(isfinite, y)):
             break
@@ -195,13 +194,12 @@ def _refined_floor(G, table, D):
             X = [x << -u for x in X]
             S -= u
             u = 0
-        for v, c in zip(keep, Y):
-            X[v] += c << u
+        X = [x + (c << u) for x, c in zip(X, Y)]
         R = _residual(G, q, b, X, S)
         err = ecc * sum(map(abs, R))  # 0 when x~ = x: every floor certified
         unit = 1 << S
         floors = [x >> S for x in X]
-        near = [v for v in keep if not err <= X[v] - (floors[v] << S) < unit - err]
+        near = [v for v, x in enumerate(X) if v != q and not err <= x % unit < unit - err]
         if not near:
             return floors, "float", rounds
         nearest = [(x + (unit >> 1)) >> S for x in X]
@@ -211,11 +209,8 @@ def _refined_floor(G, table, D):
             return floors, "float", rounds
         if err << (last_S + 1) > last_err << S:
             break
-    d, sol = exact.substitute(table.factor(), [[b[v]] for v in keep])
-    floors = [0] * G.n
-    for v, (x,) in zip(keep, sol):
-        floors[v] = x // d
-    return floors, "exact", rounds
+    d, sol = table.solve([[c] for c in b])
+    return [x // d for (x,) in sol], "exact", rounds
 
 
 def _residual(G, q, b, X, S):
@@ -243,11 +238,11 @@ _GUESS_MIN_VERTICES = 16
 
 
 def _borrow_guess(G, table, d1):
-    """Step 2's starting borrow vector, read off the table's float inverse.
+    """Step 2's starting borrow vector, read off the table's float_solve.
 
     The borrow vector is c* = L_(q) (d2 - d1), and d2 lies in [0, deg - 1]
-    off q, so c0 = floor(inv (t - d1)) is near c* for a target t in that box
-    near d2.  Step 2 ends at the reduced divisor, which has at most
+    off q, so c0 = floor(L_(q) (t - d1)) is near c* for a target t in that
+    box near d2.  Step 2 ends at the reduced divisor, which has at most
     g = m - n + 1 chips off q (0.66 g to 0.95 g, mean 0.85 g, on random
     multigraphs with m = 3n; exactly g on cycles), so t spreads 5g/6 chips
     over the vertices off q in proportion to deg - 1.  With m = 3n that is
@@ -256,15 +251,12 @@ def _borrow_guess(G, table, d1):
     grow like n^2, costs the kernel's descent thousands of set firings.
     Entries below 1 or not finite count as 0.
     """
-    keep, deg = table.keep, G.deg
-    box = sum(deg[v] - 1 for v in keep)
+    q, deg = table.q, G.deg
+    box = sum(deg) - deg[q] - G.n + 1  # sum of deg - 1 off q
     share = 5 * (G.m - G.n + 1) / (6 * max(box, 1))
-    x = table.float_inverse() @ np.array([(deg[v] - 1) * share - d1[v] for v in keep])
-    guess = [0] * G.n
-    for v, c in zip(keep, x.tolist()):
-        if 1 <= c < inf:  # False for NaN
-            guess[v] = int(c)
-    return guess
+    # d1(q) may be too large for a float, and float_solve does not read it
+    t = [(d - 1) * share - c if v != q else 0.0 for v, (d, c) in enumerate(zip(deg, d1))]
+    return [int(c) if 1 <= c < inf else 0 for c in table.float_solve(t)]  # False for NaN
 
 
 def _steps_1_2(G, q, D, floor=None):

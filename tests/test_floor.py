@@ -13,6 +13,8 @@ Core claims:
     - reduce never builds the exact j-table: step 1 reads only its float
       view.
     - A 1000-vertex multigraph with 2^70 chips reduces in about a second.
+    - A chip count beyond the float range at q reduces through step 2's
+      float guess, which does not read q.
     - is_linearly_equivalent, decided by step 1 on D1 - D2, gives the script
       or None that one exact solve of L_(q) [D1 - D2] gives, up to 200
       vertices, with no exact factor or substitution and no exact j-table.
@@ -216,6 +218,18 @@ def test_reduce_on_1000_vertices_with_chips_beyond_64_bits():
     rep = reduce_divisor(G, 0, D)
     assert dhar(G, 0, rep.result).reduced
     assert rep.result.degree == D.degree
+
+
+def test_chips_beyond_the_float_range_at_q_reduce():
+    rng = np.random.default_rng(614)
+    G = random_multigraph(20, 30, rng)
+    D = [int(c) for c in rng.integers(-9, 10, size=G.n)]
+    D[3] = 10**400
+    rep = reduce_divisor(G, 3, Divisor(D))
+    # step 2 borrows, so on 20 vertices it starts from the float guess
+    assert rep.moves_step2 > 0
+    assert dhar(G, 3, rep.result).reduced
+    assert rep.result.degree == sum(D)
 
 
 def _exact_solve_scripts(G, q, pairs):

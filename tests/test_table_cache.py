@@ -13,7 +13,12 @@ Core claims:
       equivalence, b_q, verify_minimizer, jacobian, the sampler and the
       tree count; a second q factors once more, the tree count reads the
       factor of whatever q the graph holds, and a dropped graph frees the
-      factor by reference counting alone.
+      factor by reference counting alone.  Only potential and metric call
+      exact.substitute.
+    - The table's solve(B) is the dense exact solve of Q_(q) against B
+      without row q, padded with a zero row at q, whatever B's row q holds;
+      float_solve(b) agrees with numpy's solve and is 0.0 at q; at q = 0, a
+      middle vertex and q = n - 1 of a multigraph, and on one vertex.
     - The cached float inverse is read-only, a patched
       PotentialTable.float_inverse takes effect on a warm table, and a
       dropped graph frees its table's inverse by reference counting alone.
@@ -21,6 +26,7 @@ Core claims:
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -28,8 +34,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chipfire import exact, potential
-from chipfire.graph import Divisor, Graph
+from chipfire.graph import Divisor, Graph, reduced_laplacian
 from chipfire.jacobian import count_spanning_trees, jacobian, sample_spanning_tree
+from chipfire.metric import divisor_to_metric, metric_potentials, metric_reduce, unit_metric
 from chipfire.potential import b_q, j_function
 from chipfire.reduction import (
     is_linearly_equivalent,
@@ -163,6 +170,14 @@ def test_one_factor_serves_every_exact_caller_on_one_graph_and_q(monkeypatch):
     q, q2 = 5, 3
     D = random_divisor(G.n, np.random.default_rng(1521), lo=-30, hi=30)
     factors = _count_factors(monkeypatch)
+    callers = set()  # the module of each exact.substitute caller
+    substitute = exact.substitute
+
+    def recording(fac, B):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return substitute(fac, B)
+
+    monkeypatch.setattr(exact, "substitute", recording)
     true_inverse = potential.PotentialTable.float_inverse
 
     def poisoned(table):
@@ -186,6 +201,12 @@ def test_one_factor_serves_every_exact_caller_on_one_graph_and_q(monkeypatch):
     assert factors == [G.n - 1] * 2  # a second q factors once more
     assert G._table.q == q2 and count_spanning_trees(G) == kappa
     assert factors == [G.n - 1] * 2  # every grounding has the same det
+    # a metric model keeps a factor of its own
+    gamma = unit_metric(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+    metric_reduce(gamma, 0, divisor_to_metric(gamma, Divisor([0, 4, -2, 3, 1])))
+    assert metric_potentials(gamma, 0).j(1, 3) > 0
+    # every L_(q) solve goes through the table
+    assert callers == {"chipfire.potential", "chipfire.metric"}
     was_enabled = gc.isenabled()
     gc.disable()  # a reference cycle would keep the factor alive here
     try:
@@ -243,3 +264,36 @@ def test_a_dropped_graph_frees_its_float_inverse_without_a_collection():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# parallel edges 0-1 (twice) and 2-4 (three times)
+_MULTI = Graph(
+    6, [(0, 1), (0, 1), (1, 2), (2, 4), (2, 4), (4, 2), (2, 3), (3, 5), (4, 5), (5, 0), (1, 4)]
+)
+
+
+@pytest.mark.parametrize("q", [0, 2, 5])
+def test_the_table_solves_whole_vertex_vectors(q):
+    G = _MULTI
+    table = j_function(G, q)
+    rng = np.random.default_rng(1523 + q)
+    B = rng.integers(-2**40, 2**40, size=(G.n, 3)).tolist()
+    B[q] = [0, 0, 0]
+    off_q = B[:q] + B[q + 1:]
+    d, X = exact.solve(reduced_laplacian(G, q).tolist(), off_q)
+    want = (d, X[:q] + [[0, 0, 0]] + X[q:])
+    assert table.solve(B) == want
+    B[q] = [7, -2**70, 1]  # row q of B is not read
+    assert table.solve(B) == want
+    b = rng.normal(size=G.n).tolist()
+    want = np.linalg.solve(reduced_laplacian(G, q).astype(np.float64), b[:q] + b[q + 1:])
+    b[q] = np.nan  # not read
+    x = table.float_solve(b)
+    assert len(x) == G.n and x[q] == 0.0
+    assert np.allclose(x[:q] + x[q + 1:], want, rtol=1e-9, atol=0)
+
+
+def test_the_table_of_one_vertex_solves_to_zero():
+    table = j_function(Graph(1, []), 0)
+    assert table.solve([[5]]) == (1, [[0]])
+    assert table.float_solve([2.0]) == [0.0]
