@@ -1,7 +1,7 @@
 """The burning kernels behind reduction and the tree bijection.
 
 The burning loops (Dhar scans, borrowing, the set-firing fixpoint and the
-two tree-bijection burns) walk each vertex's tuple of neighbors or of
+tree bijection's edge scan) walk each vertex's tuple of neighbors or of
 incident edges (Graph._nbrs, Graph._inc) with Python ints, so chip counts
 of any size stay exact.  Every kernel uses the same deterministic
 tie-breaks (lowest vertex index, lowest edge index), which make burn
@@ -159,30 +159,33 @@ def fire_until_reduced(G, dvals, q):
 
 
 # ---------------------------------------------------------------------------
-# Tree bijection burns.  Both scans pick the lowest-index unprocessed edge
-# with exactly one endpoint reached, which makes the edge sequence (and so
-# the sets R, T) canonical.  When a vertex joins X it pushes its edges to
-# vertices outside X on a heap, so each edge is pushed at most once, when it
-# starts to cross, and is processed when popped.  X only grows, so an edge
-# whose other end has joined X since its push never crosses again: popping
-# past those leaves the lowest crossing edge on top, and an empty heap means
-# no edge crosses.  A popped edge has an end in X, so it crosses unless its
-# other end is in X too.  Each loop round joins one vertex t and pops edges
-# until one brings in the next; a processed edge is only ever counted at its
-# end outside X, the only count either burn reads.
+# The tree bijection: one edge scan, read two ways.
 
-def tree_from_reduced(G, a, q):
-    """Burn a reduced divisor a into (tree edge list, R mask); (None, None)
-    if stalled.  a is only read.
+def _edge_scan(G, a, tree_mask, q):
+    """(tree edges in join order, per-vertex processed-edge count at its
+    join, R mask); (None, None, None) if stalled.
 
-    t joins X on the (a[t] + 1)-th processed edge from X, so X grows as
-    Dhar's burn does, and the scan stalls exactly when a vertex off q has
-    negative chips or stays unburnt, i.e. when the divisor is not q-reduced.
+    Exactly one of a and tree_mask is given, and it is only read.  The scan
+    picks the lowest-index unprocessed edge with exactly one endpoint in the
+    reached set X, which makes the edge sequence (and so the sets R, T)
+    canonical.  A processed edge brings its end t outside X into X when
+    a[t] edges at t were processed before it (divisor -> tree) or when it
+    is a tree edge (tree -> divisor); otherwise it only counts at t.
+
+    When a vertex joins X it pushes its edges to vertices outside X on a
+    heap, so each edge is pushed at most once, when it starts to cross, and
+    is processed when popped.  X only grows, so an edge whose other end has
+    joined X since its push never crosses again: popping past those leaves
+    the lowest crossing edge on top, and an empty heap means no edge
+    crosses.  A popped edge has an end in X, so it crosses unless its other
+    end is in X too.  Each loop round joins one vertex t and pops edges
+    until one brings in the next; a processed edge is only ever counted at
+    its end outside X, so a vertex's count stops when it joins.
     """
     eu, ev, inc, n = G._eu, G._ev, G._inc, G.n
     in_x = [False] * n
     in_r = [False] * len(eu)
-    rcount = [0] * n
+    count = [0] * n
     tree = []
     heap = []
     t = q
@@ -193,7 +196,7 @@ def tree_from_reduced(G, a, q):
             if not (in_x[eu[f]] and in_x[ev[f]]):
                 heappush(heap, f)
         if reached == n:
-            return tree, in_r
+            return tree, count, in_r
         while heap:
             f = heappop(heap)
             t = eu[f]
@@ -202,44 +205,31 @@ def tree_from_reduced(G, a, q):
                 if in_x[t]:
                     continue
             in_r[f] = True
-            c = rcount[t]
-            if a[t] == c:
+            c = count[t]
+            # one list lookup per processed edge, the scan's hottest path
+            if tree_mask[f] if a is None else a[t] == c:
                 break
-            rcount[t] = c + 1
+            count[t] = c + 1
         else:
-            return None, None
+            return None, None, None
         reached += 1
         tree.append(f)
+
+
+def tree_from_reduced(G, a, q):
+    """Burn a reduced divisor a into (tree edge list, R mask); (None, None)
+    if stalled.  a is only read.
+
+    t joins X on the (a[t] + 1)-th processed edge from X, so X grows as
+    Dhar's burn does, and the scan stalls exactly when a vertex off q has
+    negative chips or stays unburnt, i.e. when the divisor is not q-reduced.
+    """
+    tree, _, in_r = _edge_scan(G, a, None, q)
+    return tree, in_r
 
 
 def divisor_from_tree(G, tree_mask, q):
     """Burn a spanning tree into (chip counts with a[q]=0, R mask); (None,
     None) if stalled, when the masked edges do not connect every vertex."""
-    eu, ev, inc, n = G._eu, G._ev, G._inc, G.n
-    in_x = [False] * n
-    in_r = [False] * len(eu)
-    a = [0] * n
-    heap = []
-    t = q
-    reached = 1
-    while True:
-        in_x[t] = True
-        for f in inc[t]:
-            if not (in_x[eu[f]] and in_x[ev[f]]):
-                heappush(heap, f)
-        if reached == n:
-            return a, in_r
-        while heap:
-            f = heappop(heap)
-            t = eu[f]
-            if in_x[t]:
-                t = ev[f]
-                if in_x[t]:
-                    continue
-            in_r[f] = True
-            if tree_mask[f]:
-                break
-            a[t] += 1
-        else:
-            return None, None
-        reached += 1
+    _, a, in_r = _edge_scan(G, None, tree_mask, q)
+    return a, in_r

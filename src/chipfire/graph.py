@@ -64,7 +64,7 @@ class Graph:
         self._nbrs = tuple(map(tuple, nbrs))
         self._inc = tuple(map(tuple, inc))
         self.deg = tuple(map(len, inc))
-        # Edge endpoints by index, for the edge-scanning bijection burns.
+        # Edge endpoints by index, for the bijection's edge scan.
         self._eu = [u for u, _ in self.edges]
         self._ev = [v for _, v in self.edges]
         self._table = None

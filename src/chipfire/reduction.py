@@ -334,12 +334,21 @@ def random_equivalent(G, q, D, rng, attempts=20):
 
     Members are D + Delta(g) with g >= 0, g(q) = 0.  Tries small random g
     and falls back to borrowing at q (g constant off q), which always
-    preserves effectivity off q.
+    preserves effectivity off q.  rng is a random.Random.
     """
     _check(G, q, D)
     d = list(D)
+    bits = rng.getrandbits
     for _ in range(attempts):
-        g = [rng.randint(0, 2) for _ in G.vertices]
+        # g(v) uniform on 0..2, drawn as rng.randint(0, 2) draws it on
+        # CPython (getrandbits(2), drawn again while it is 3), without its
+        # per-call argument checks
+        g = []
+        for _ in G.vertices:
+            x = bits(2)
+            while x == 3:
+                x = bits(2)
+            g.append(x)
         g[q] = 0
         if all(x == 0 for x in g):
             continue

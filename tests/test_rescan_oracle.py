@@ -10,7 +10,9 @@ Core claims:
         - tree_from_reduced gives the rescan's tree and R mask on reduced
           divisors, and the same output on random chip vectors;
         - on a divisor with deg(v) or more chips at some v != q, which is
-          never reduced, both stall with (None, None).
+          never reduced, both stall with (None, None);
+        - divisor_from_tree stalls with (None, None) on the tree's mask
+          with one tree edge cleared, which does not connect every vertex.
 
 The three functions below are the rescan kernels, kept verbatim as the
 reference: each rescans the vertex or edge list from index 0 after every
@@ -151,6 +153,9 @@ def test_heap_burns_match_the_rescan_loops(case):
     G, chips, order, v, extra = case
     tree = kruskal_tree(G, order)
     mask = [e in tree for e in range(G.m)]
+    forest = list(mask)
+    if tree:
+        forest[next(e for e in order if e in tree)] = False
     indptr, nbr = _csr(G)
     for q in range(G.n):
         assert _kernels.burn(G, chips, q) == _burn(indptr, nbr, chips, q)
@@ -163,6 +168,9 @@ def test_heap_burns_match_the_rescan_loops(case):
         assert frozenset(burnt_edges) == tree
 
         assert _kernels.tree_from_reduced(G, chips, q) == tree_from_reduced(G, chips, q)
+
+        if tree:
+            assert _kernels.divisor_from_tree(G, forest, q) == (None, None)
 
         if v != q:
             over = list(a)
