@@ -4,6 +4,12 @@ Divisors, the graph Laplacian, potential theory (generalized inverses,
 j-function, energy pairings), Dhar burning and q-reduction, the bijection
 between reduced divisors and spanning trees, the Jacobian group with
 uniform tree sampling, the dollar game, and exact metric-graph reduction.
+
+Importing chipfire does not load numpy.  The functions that need it import
+it on first use: reduce's float floor and guess (PotentialTable.float_solve),
+the sampler's Philox stream, move_bounds' eigenvalues and the dense
+laplacian and reduced_laplacian.  The tree bijection, Dhar, the Jacobian,
+the tree count and the metric functions are exact and never load it.
 """
 
 from .graph import (

@@ -4,15 +4,14 @@ A Graph stores an indexed edge list; parallel edges are repeated pairs and
 the edge index 0..m-1 is the canonical total order used by the burning
 algorithms.  Divisors are integer chip vectors, vertex functions are integer
 potentials, and the Laplacian acts by Delta(f)(v) = sum over edges {v,w} of
-f(v) - f(w).
+f(v) - f(w).  Only the dense `laplacian` and `reduced_laplacian` arrays
+need numpy, which they import when called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import index
-
-import numpy as np
 
 
 class Graph:
@@ -272,6 +271,8 @@ def check_divisor(G, D):
 
 def _laplacian(deg, u, v, dtype):
     """diag(deg) minus 1 at (u[i], v[i]) and (v[i], u[i]) for every i."""
+    import numpy as np
+
     k = len(deg)
     u = np.asarray(u, dtype=np.intp)
     v = np.asarray(v, dtype=np.intp)
@@ -284,7 +285,7 @@ def _laplacian(deg, u, v, dtype):
 
 def laplacian(G):
     """Graph Laplacian Q = D - A as an (n x n) int64 array."""
-    return _laplacian(G.deg, G._eu, G._ev, np.int64)
+    return _laplacian(G.deg, G._eu, G._ev, "int64")
 
 
 def reduced_laplacian(G, q):
@@ -293,7 +294,7 @@ def reduced_laplacian(G, q):
     and every other vertex w takes row and column w - (w > q).
     """
     check_vertex(G, q)
-    return _reduced_laplacian(G.deg, G._eu, G._ev, q, np.int64)
+    return _reduced_laplacian(G.deg, G._eu, G._ev, q, "int64")
 
 
 def _reduced_rows(nbrs, q):
@@ -316,6 +317,8 @@ def _reduced_rows(nbrs, q):
 
 def _reduced_laplacian(deg, eu, ev, q, dtype):
     """reduced_laplacian in dtype from the degrees and edge endpoints alone."""
+    import numpy as np
+
     u = np.array(eu, dtype=np.intp)
     v = np.array(ev, dtype=np.intp)
     off = (u != q) & (v != q)

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from math import comb, gcd, prod
 from operator import index, mul
 
-import numpy as np
-
 from .graph import Divisor, FiringScript, canonical_plus, check_divisor, check_vertex
 from .potential import _table
 from .reduction import _steps_1_2, is_reduced, reduce
@@ -248,6 +246,8 @@ def sample_spanning_tree(G, q, seed, count=1):
     outside [0, 2**128), or a count that is negative or not an integer, is
     refused before the Smith form is built.
     """
+    import numpy as np
+
     bitgen = np.random.Philox(key=index(seed))
     if index(count) < 0:
         raise ValueError("count must be >= 0")

@@ -6,8 +6,9 @@ last base vertex asked for.  The table owns Q_(q): it keeps exact's Factor
 of Q_(q), built from graph._reduced_rows on first use, and its float64
 inverse, and every L_(q) solve goes through it on whole-vertex vectors,
 exact (`solve`, one substitution into the factor) or in float64
-(`float_solve`).  The j-table is the identity solved once, integer
-numerators over the tree count, so b_q / E_q stay in integer arithmetic;
+(`float_solve`); the float route alone imports numpy, on its first call.
+The j-table is the identity solved once, integer numerators over the
+tree count, so b_q / E_q stay in integer arithmetic;
 step 1, step 2's guess and the tree sampler call the two solves, and the
 Jacobian and the tree count read the factor.  So K reductions and checks
 against one (G, q) build the float inverse, the factor and the exact
@@ -22,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import mul
-
-import numpy as np
 
 from . import exact
 from .graph import (
@@ -193,6 +192,8 @@ class PotentialTable:
         Built on the first call and returned, read-only, on every later one.
         """
         if self._inv is None:
+            import numpy as np
+
             inv = np.linalg.inv(
                 _reduced_laplacian(self._deg, self._eu, self._ev, self.q, np.float64)
             )
@@ -211,6 +212,8 @@ class PotentialTable:
     def float_solve(self, b):
         """L_(q) b off float_inverse(), one float per vertex, 0.0 at q; b[q]
         is not read."""
+        import numpy as np
+
         q = self.q
         x = (self.float_inverse() @ np.array(b[:q] + b[q + 1:], dtype=np.float64)).tolist()
         x.insert(q, 0.0)

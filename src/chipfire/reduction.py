@@ -64,8 +64,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import frexp, inf, isfinite, ldexp
 
-import numpy as np
-
 from . import _kernels
 from .graph import (
     Divisor,
@@ -435,6 +433,8 @@ def move_bounds(G, q):
         * sum(Fraction(1, G.deg[v] + 1) for v in G.vertices)
         * off_q_degree
     )
+    import numpy as np
+
     eigs = np.linalg.eigvalsh(laplacian(G).astype(np.float64))
     lambda1 = float(eigs[1])
     spectral = 6.0 * (n - 1) / lambda1 * float(off_q_degree)

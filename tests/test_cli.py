@@ -30,6 +30,10 @@ Core claims:
       with pinned required flags, defaults, types, choices and help texts.
       Each subcommand's own --help states what it does, in the words
       `chipfire --help` lists for it; metric-reduce's names its budget.
+    - Importing chipfire and its CLI loads no numpy, and neither do the
+      tree bijection, is_reduced, the Jacobian, the tree count and
+      metric_reduce with a negative vertex; reduce and the tree sampler
+      load it on first use.
 """
 
 import argparse
@@ -44,6 +48,7 @@ from random import Random
 
 import pytest
 
+import chipfire
 from chipfire import _kernels, cli, metric, potential
 from chipfire.formats import (
     GraphFormatError,
@@ -835,3 +840,62 @@ def test_cli_argparse_refusals_print_no_json(k3_file):
 def test_cli_metric_command_on_plain_file(k3_file):
     out = run_cli(["metric-reduce", k3_file, "--q", "v:0", "--divisor", "start"])
     assert out.returncode == 2
+
+
+# Imports the package and its CLI, runs the exact algorithms, then the two
+# float ones, and prints what each returned; True/False say whether numpy
+# was loaded at the two points the child checks.
+_LAZY_NUMPY_CHILD = """
+import sys
+
+import chipfire
+import chipfire.cli
+from chipfire import (
+    Graph, MetricGraph, count_spanning_trees, divisor_to_metric, divisor_to_tree,
+    is_reduced, jacobian, metric_reduce, reduce, sample_spanning_tree, tree_to_divisor,
+)
+
+G = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])
+gamma = MetricGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), [1, "1/2", "1/3"])
+out = []
+tree = divisor_to_tree(G, 0, [0, 1, 1, 1])
+out.append(tree)
+out.append(tree_to_divisor(G, 0, tree))
+out.append(is_reduced(G, 0, [0, 1, 1, 1]))
+out.append(jacobian(G, 0))
+out.append(count_spanning_trees(G))
+report = metric_reduce(gamma, 2, divisor_to_metric(gamma, [3, -1, 0]))
+out.append((report.after_make_effective, report.result))
+out.append("numpy" in sys.modules)
+out.append(reduce(G, 0, [0, 9, -2, 4]).result)
+out.append(sample_spanning_tree(G, 0, 7, count=3))
+out.append("numpy" in sys.modules)
+print(repr(out))
+"""
+
+
+def test_exact_algorithms_run_without_loading_numpy():
+    # this process has numpy loaded already, so a fresh child checks
+    child = subprocess.run(
+        [sys.executable, "-c", _LAZY_NUMPY_CHILD],
+        capture_output=True, text=True, env=_ENV, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    got = child.stdout.strip()
+    G = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])
+    gamma = MetricGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), [1, "1/2", "1/3"])
+    tree = chipfire.divisor_to_tree(G, 0, [0, 1, 1, 1])
+    report = metric.metric_reduce(gamma, 2, metric.divisor_to_metric(gamma, [3, -1, 0]))
+    want = [
+        tree,
+        chipfire.tree_to_divisor(G, 0, tree),
+        chipfire.is_reduced(G, 0, [0, 1, 1, 1]),
+        chipfire.jacobian(G, 0),
+        count_spanning_trees(G),
+        (report.after_make_effective, report.result),
+        False,  # the bijection, Dhar, the Jacobian and make-effective's solve
+        chipfire.reduce(G, 0, [0, 9, -2, 4]).result,  # step 1's float floor
+        chipfire.sample_spanning_tree(G, 0, 7, count=3),  # the Philox stream
+        True,
+    ]
+    assert got == repr(want)

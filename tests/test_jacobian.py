@@ -14,7 +14,8 @@ Core claims:
     - group_add realizes the group law on reduced representatives.
     - The seeded sampler is reproducible, prefix-stable, and returns
       spanning trees; 600 draws on each of four small graphs are pinned by
-      one digest, and 600 draws on a 10-vertex multigraph match Kirchhoff's
+      one digest, and 600 draws on a 10-vertex multigraph and 2000 on a
+      60-vertex one, which runs step 2's float guess, match Kirchhoff's
       edge marginals r(u, v).  Its raw Philox words give the draws of
       Generator.integers, and its trees are those of the unreduced element
       on a 40-vertex multigraph with an 88-bit invariant factor.  The
@@ -98,7 +99,7 @@ from chipfire.jacobian import (
     winnable,
 )
 from chipfire.graph import _reduced_rows, reduced_laplacian
-from chipfire.potential import effective_resistance, j_function
+from chipfire.potential import j_function
 from chipfire.reduction import dhar, is_reduced, reduce as reduce_divisor
 from chipfire.treebij import divisor_to_tree, enumerate_spanning_trees, is_spanning_tree
 
@@ -195,19 +196,32 @@ def test_snf_matches_sympy_on_multigraphs(n):
     assert _check_snf(M) == tuple(int(x) for x in want)
 
 
-def test_kirchhoff_marginals_on_a_ten_vertex_multigraph():
-    # P(e in T) = r(u, v) for a uniform tree T; 600 draws, a z-score bound
-    # fixed before the first run, as in the benchmark
-    G = tree_plus_edges(10, 30, Random(46))
-    draws = 600
+def _check_kirchhoff_marginals(G, seed, draws):
+    # P(e in T) = r(u, v) for a uniform tree T, with a z-score bound of 4.5
+    # per edge, as in the benchmark; r(u, v) = L[u][u] + L[v][v] - 2 L[u][v]
+    # off one j-table, as move_bounds reads it
     hits = [0] * G.m
-    for tree in sample_spanning_tree(G, 0, 20110701, count=draws):
+    for tree in sample_spanning_tree(G, 0, seed, count=draws):
         for e in tree.tree_edges:
             hits[e] += 1
+    table = j_function(G, 0)
+    L = table.num
     for e, (u, v) in enumerate(G.edges):
-        p = float(effective_resistance(G, u, v))
+        p = (L[u][u] + L[v][v] - 2 * L[u][v]) / table.den
         sd = (p * (1 - p) / draws) ** 0.5
-        assert abs(hits[e] / draws - p) <= 4.5 * sd + 1e-9
+        assert abs(hits[e] / draws - p) <= 4.5 * sd + 1e-9, (e, hits[e], p)
+
+
+def test_kirchhoff_marginals_on_a_ten_vertex_multigraph():
+    # 600 draws, fixed before the first run; at 10 vertices step 2 starts
+    # from the zero guess
+    _check_kirchhoff_marginals(tree_plus_edges(10, 30, Random(46)), 20110701, 600)
+
+
+def test_kirchhoff_marginals_on_a_sixty_vertex_multigraph():
+    # 2000 draws, fixed before the first run; from 16 vertices up step 2
+    # starts from _borrow_guess's float guess, which the draws go through
+    _check_kirchhoff_marginals(tree_plus_edges(60, 180, Random(60)), 20110701, 2000)
 
 
 # -- Critical group ---------------------------------------------------------------
